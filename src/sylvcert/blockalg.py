@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InversionError, PreconditionError
-from .numerics import RANK_CUTOFF_FACTOR, as_complex_matrix, frob
+from .numerics import as_complex_matrix, frob, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def _numerically_invertible(blk: np.ndarray) -> bool:
     s = np.linalg.svd(blk, compute_uv=False)
     if not s.size or s[0] == 0:
         return False
-    return bool(s[-1] > RANK_CUTOFF_FACTOR * max(blk.shape) * s[0])
+    return bool(s[-1] > rank_cutoff(blk.shape, s[0]))
 
 
 def classify_triangular_commutant(x: BlockMatrix, a, b, tol: float = 1e-9) -> CommutantMembership:

@@ -95,6 +95,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _bounded_check(residual: float, threshold: float) -> dict:
+    return sio.check_entry("pass" if residual <= threshold else "fail", residual, threshold)
+
+
 def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
     checks = {}
     solvable = verdict.status is VerdictStatus.SOLVABLE
@@ -102,20 +106,15 @@ def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
         "pass" if solvable else "fail",
         verdict.system_residual, verdict.system_threshold)
     if solvable:
-        checks["solution_certificate"] = sio.check_entry(
-            "pass" if verdict.certificate_residual <= verdict.certificate_threshold else "fail",
+        residuals, thresholds = verdict.witness.residuals, verdict.witness.thresholds
+        checks["solution_certificate"] = _bounded_check(
             verdict.certificate_residual, verdict.certificate_threshold)
-        gap = verdict.witness.residuals.get("solution_formula_gap")
-        gap_threshold = tol * (2.0 * (verdict.solution_norm or 0.0) + 1e-300)
-        checks["solution_formulas_agree"] = sio.check_entry(
-            "pass" if gap is not None and gap <= gap_threshold else "fail",
-            gap, gap_threshold)
-        cascade_residual = max(verdict.witness.residuals[key]
-                               for key in ("av_ub", "au_vb", "u_plus_v", "cubic"))
-        cascade_threshold = 10.0 * max(verdict.system_threshold, 1e-12)
-        checks["identity_cascade"] = sio.check_entry(
-            "pass" if cascade_residual <= cascade_threshold else "fail",
-            cascade_residual, cascade_threshold)
+        checks["solution_formulas_agree"] = _bounded_check(
+            residuals["solution_formula_gap"], thresholds["solution_formula_gap"])
+        # the pair identity farthest from holding, each against its own threshold
+        worst = max(("av_ub", "au_vb", "u_plus_v", "cubic"),
+                    key=lambda key: residuals[key] / max(thresholds[key], 1e-300))
+        checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
     else:
         checks["solution_certificate"] = sio.check_entry("skipped")
         checks["solution_formulas_agree"] = sio.check_entry("skipped")
@@ -245,9 +244,8 @@ def cmd_roots(args) -> int:
         })
     witness_agreement = None
     if rep.witness is not None and quad.q_values:
-        scale = frob(offset) + (frob(a) + frob(b)) * frob(rep.witness.q) + 1e-300
-        witness_agreement = bool(
-            rep.witness.residuals["unipotent_identity"] <= tol * scale)
+        witness_agreement = bool(rep.witness.residuals["unipotent_identity"]
+                                 <= rep.witness.thresholds["unipotent_identity"])
     note = None
     if not quad.q_values:
         note = ("no unipotent solution in the enumerated root family; "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import unvec
+from .numerics import kron_vec_operator, rank_cutoff, unvec
 
 
 def random_sector_eigenvalues(rng: np.random.Generator, k: int,
@@ -114,12 +114,11 @@ def rhs_outside_range(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) ->
     """A right-hand side with a unit-norm component in the cokernel of
     x |-> a x - x b; requires a singular pair (nontrivial cokernel)."""
     n, m = a.shape[0], b.shape[0]
-    K = np.kron(np.eye(m), a) - np.kron(b.T, np.eye(n))
+    K = kron_vec_operator(a, b, -1)
     _, s, Vh = np.linalg.svd(K.conj().T)
     # cutoff on the data scale: K itself may vanish (e.g. equal scalars)
     scale = np.linalg.norm(a) + np.linalg.norm(b)
-    cutoff = max(K.shape) * 2.0 ** -40 * max(s[0] if s.size else 0.0, scale)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0, scale)))
     if rank == K.shape[0]:
         raise ValueError("pair has trivial cokernel; cannot build an unsolvable right-hand side")
     w = Vh[rank].conj()

@@ -19,6 +19,12 @@ from .errors import BranchCutError, DimensionError, NumericError, ParameterError
 RANK_CUTOFF_FACTOR = 2.0 ** -40
 
 
+def rank_cutoff(shape, sigma_max: float, scale_reference: float = 0.0) -> float:
+    """Singular values at or below this are zero: the project-wide rank rule
+    ``RANK_CUTOFF_FACTOR * max(shape) * max(sigma_max, scale_reference)``."""
+    return RANK_CUTOFF_FACTOR * max(shape) * max(float(sigma_max), float(scale_reference))
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array, rejecting non-finite entries.
 
@@ -57,27 +63,13 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of one square matrix plus basic conditioning evidence.
-
-    ``condition_estimate`` is the condition number of the eigenvector basis
-    (large for defective matrices), capped at 1e300.
-    """
+    """Eigenvalues of one square matrix and the smallest real part among them."""
 
     eigenvalues: np.ndarray
     min_real_part: float
-    condition_estimate: float
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.atleast_1d(np.asarray(self.eigenvalues, dtype=np.complex128)))
-
-
-def _eigvec_condition(vecs: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            c = np.linalg.cond(vecs)
-        except np.linalg.LinAlgError:
-            return 1e300
-    return float(min(c, 1e300)) if np.isfinite(c) else 1e300
 
 
 def eigenvalues(m) -> SpectrumReport:
@@ -87,30 +79,16 @@ def eigenvalues(m) -> SpectrumReport:
     """
     m = require_square(as_complex_matrix(m))
     n = m.shape[0]
-    is_triangular = n == 1 or not np.any(np.tril(m, k=-1)) or not np.any(np.triu(m, k=1))
-    if is_triangular:
+    if n == 1 or not np.any(np.tril(m, k=-1)) or not np.any(np.triu(m, k=1)):
         vals = m.diagonal().copy()
-        if n == 1:
-            cond = 1.0
-        else:
-            try:
-                _, vecs = np.linalg.eig(m)
-                cond = _eigvec_condition(vecs)
-            except np.linalg.LinAlgError:
-                cond = 1e300
     else:
         try:
-            vals, vecs = np.linalg.eig(m)
+            vals = np.linalg.eigvals(m)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-        cond = _eigvec_condition(vecs)
     if not np.all(np.isfinite(vals)):
         raise NumericError("eigenvalue computation produced non-finite values")
-    return SpectrumReport(
-        eigenvalues=vals,
-        min_real_part=float(np.min(vals.real)),
-        condition_estimate=cond,
-    )
+    return SpectrumReport(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
 
 
 def mat_exp(m) -> np.ndarray:
@@ -172,15 +150,12 @@ class LstsqResult:
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
 
 
-def lstsq_solve(K, rhs, rank_cutoff_factor: float | None = None,
-                scale_reference: float = 0.0) -> LstsqResult:
+def lstsq_solve(K, rhs, scale_reference: float = 0.0) -> LstsqResult:
     """Minimum-norm least-squares solution of K x = rhs via SVD.
 
-    The rank is the number of singular values above
-    ``rank_cutoff_factor * max(K.shape) * max(sigma_max, scale_reference)``
-    (factor defaults to :data:`RANK_CUTOFF_FACTOR`); solves are flagged
-    ``near_cutoff`` when a singular value falls within a factor 10 of the
-    cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
+    The rank is the number of singular values above :func:`rank_cutoff`;
+    solves are flagged ``near_cutoff`` when a singular value falls within a
+    factor 10 of the cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
     data the operator was built from, which matters when the operator itself
     nearly vanishes.
     """
@@ -188,10 +163,9 @@ def lstsq_solve(K, rhs, rank_cutoff_factor: float | None = None,
     rhs = np.asarray(rhs, dtype=np.complex128).reshape(-1)
     if rhs.shape[0] != K.shape[0]:
         raise DimensionError(f"rhs length {rhs.shape[0]} does not match K rows {K.shape[0]}")
-    factor = RANK_CUTOFF_FACTOR if rank_cutoff_factor is None else rank_cutoff_factor
     U, s, Vh = np.linalg.svd(K, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = factor * max(K.shape) * max(sigma_max, float(scale_reference))
+    cutoff = rank_cutoff(K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
     if rank:

@@ -101,7 +101,7 @@ _EQUATION_DEGREE = {
 
 def _decide(K: np.ndarray, rhs: np.ndarray, tol: float, scale_reference: float) -> tuple:
     res = lstsq_solve(K, rhs, scale_reference=scale_reference)
-    threshold = tol * (frob(K) * float(np.linalg.norm(res.solution)) + float(np.linalg.norm(rhs))) + 1e-12
+    threshold = tol * (frob(K) * float(np.linalg.norm(res.solution)) + float(np.linalg.norm(rhs)))
     consistent = res.residual_norm <= threshold
     nullity = K.shape[1] - res.rank
     return res, threshold, consistent, nullity

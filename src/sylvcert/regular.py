@@ -34,7 +34,6 @@ class RegularSolveResult:
     residual: float
     truncation_T: float | None = None
     nodes_used: int | None = None
-    condition: float | None = None
 
 
 def _validate_triple(a, b, c):
@@ -59,11 +58,9 @@ def companion_solve_direct(a, b, c, *, check_gate: bool = True) -> RegularSolveR
         if delta <= 0:
             raise GateError(
                 f"spectra must lie in the open right half-plane (min real part {delta:.3g})")
-    K = kron_vec_operator(a, b, +1)
-    x = unvec(np.linalg.solve(K, vec(c)), a.shape[0], b.shape[0])
+    x = unvec(np.linalg.solve(kron_vec_operator(a, b, +1), vec(c)), a.shape[0], b.shape[0])
     residual = frob(a @ x + x @ b - c)
-    cond = float(min(np.linalg.cond(K), 1e300))
-    return RegularSolveResult(solution=x, method="direct", residual=residual, condition=cond)
+    return RegularSolveResult(solution=x, method="direct", residual=residual)
 
 
 def _decay_constant(m: np.ndarray, delta: float) -> float:

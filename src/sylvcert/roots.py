@@ -19,8 +19,8 @@ from .errors import BranchCutError, GateError, PreconditionError
 from .blockalg import (BlockMatrix, block_inverse, block_mul,
                        commutes_with_diag_pair, diag_embed)
 from .gate import spectra_intersect, default_intersection_tolerance
-from .numerics import (RANK_CUTOFF_FACTOR, as_complex_matrix, eigenvalues, frob,
-                       principal_sqrt, unvec)
+from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
+                       principal_sqrt, rank_cutoff, unvec)
 from .oracle import oracle_solve
 from .regular import companion_solve_direct, compute_offset
 from .singular import DEFAULT_TOL, SylvesterProblem
@@ -69,18 +69,15 @@ def homogeneous_nullspaces(p: SylvesterProblem):
     and b y = y a (m x n side), ordered deterministically."""
     a, b = p.a, p.b
     n, m = p.n, p.m
-    k_hom = np.kron(np.eye(m), a) - np.kron(b.T, np.eye(n))
-    k_adj = np.kron(np.eye(n), b) - np.kron(a.T, np.eye(m))
 
     def nullspace(K, rows, cols):
         _, s, Vh = np.linalg.svd(K)
-        sigma_max = float(s[0]) if s.size else 0.0
-        cutoff = RANK_CUTOFF_FACTOR * max(K.shape) * sigma_max
-        rank = int(np.sum(s > cutoff))
+        rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0)))
         vectors = [_phase_fix(Vh[i].conj()) for i in range(rank, K.shape[1])]
         return [unvec(v, rows, cols) for v in vectors]
 
-    return nullspace(k_hom, n, m), nullspace(k_adj, m, n)
+    return (nullspace(kron_vec_operator(a, b, -1), n, m),
+            nullspace(kron_vec_operator(b, a, -1), m, n))
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:

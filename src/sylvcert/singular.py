@@ -1,20 +1,28 @@
 """Solvability verdicts and certified particular solutions for a x - x b = c
 when the spectra of a and b intersect.
 
-The decision procedure stacks two companion equations in an auxiliary pair
-(u, v),
+The paper's decision procedure works with an auxiliary pair (u, v),
 
     a v + u b = s                                  (mixed sum)
     a^3 v + a^2 v b + u b^3 + a u b^2 = 0          (cubic constraint)
 
 where s is the unique solution of a s + s b = c.  The original equation is
-solvable exactly when this linear system in (v, u) is consistent, and in that
-case
+solvable exactly when this system is consistent, and in that case
 
     x = a^-1 u b^2 + u b = -(a^2 v b^-1 + a v)
 
-are one and the same particular solution.  Consistency is decided by
-minimum-norm least squares with an explicit, reported threshold.
+are one and the same particular solution.  Any two of the pair identities
+decide the system, so the decision substitutes v = a^-1 c b^-1 - u into the
+mixed sum and solves the reduced equation
+
+    a u - u b = a s b^-1                           (nm unknowns)
+
+by minimum-norm least squares with an explicit, reported threshold.  The
+stacked 2nm system stays available as the oracle's ``uv_stacked`` reference.
+Completing v this way makes u + v = a^-1 c b^-1 and the mixed sum hold by
+construction; the identity a u + v b = s + offset, the cubic constraint and
+the two gates of :func:`particular_solution` are the independent checks,
+each certified as a residual against a threshold at its own scale.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from .errors import DimensionError, PreconditionError, WitnessError
 from .gate import (DEFAULT_ALPHA, DEFAULT_MARGIN, GateReport,
                    default_intersection_tolerance, gate_report)
 from .blockalg import BlockMatrix, block_mul, diag_embed
-from .numerics import (as_complex_matrix, eigenvalues, frob, lstsq_solve,
-                       require_square, unvec, vec)
+from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
+                       lstsq_solve, require_square, unvec, vec)
 from .oracle import oracle_solve
 from .regular import (companion_solve_direct, companion_solve_quadrature,
                       compute_offset)
@@ -78,12 +86,14 @@ class UVWitness:
     offset: np.ndarray             # a^-1 s b + a s b^-1
     q: np.ndarray                  # v - u
     residuals: dict = field(default_factory=dict)
+    thresholds: dict = field(default_factory=dict)  # same keys as residuals
     uv_norm: float = 0.0
 
 
 @dataclass
 class UVSystemReport:
-    """Outcome of the stacked least-squares decision."""
+    """Outcome of the least-squares decision of the reduced equation
+    a u - u b = a s b^-1; ``witness`` carries the completed pair (u, v)."""
 
     witness: UVWitness | None
     lstsq_residual: float
@@ -132,71 +142,64 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA, margin: float = DEFAULT_MARGI
                             alpha=alpha, lambda_shift=lam)
 
 
-def _witness_from_pair(p: SylvesterProblem, u: np.ndarray, v: np.ndarray,
-                       companion: np.ndarray, offset: np.ndarray) -> UVWitness:
+def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
+                    offset: np.ndarray, tol: float,
+                    decision_threshold: float) -> UVWitness:
+    """Complete u to the pair (u, v = a^-1 c b^-1 - u) and record every pair
+    identity's residual with its threshold.
+
+    With this v, u_plus_v holds by construction and av_ub is the reduced
+    equation's own residual, so it is judged against the threshold the
+    decision applied; au_vb, cubic and unipotent_identity are independent.
+    """
     a, b, c = p.a, p.b, p.c
-    a_inv = np.linalg.inv(a)
-    b_inv = np.linalg.inv(b)
+    pair_sum = np.linalg.inv(a) @ c @ np.linalg.inv(b)
+    v = pair_sum - u
     q = v - u
+    na, nb, nu, nv = frob(a), frob(b), frob(u), frob(v)
     residuals = {
         "av_ub": frob(a @ v + u @ b - companion),
         "au_vb": frob(a @ u + v @ b - (companion + offset)),
-        "u_plus_v": frob(u + v - a_inv @ c @ b_inv),
+        "u_plus_v": frob(u + v - pair_sum),
         "cubic": frob(a @ a @ a @ v + a @ a @ v @ b + u @ b @ b @ b + a @ u @ b @ b),
         "unipotent_identity": frob(q @ b - a @ q - offset),
     }
+    # each identity at the scale of its own terms
+    thresholds = {
+        "av_ub": decision_threshold,
+        "au_vb": tol * (na * nu + nv * nb + frob(companion) + frob(offset)),
+        "u_plus_v": tol * (nu + nv + frob(pair_sum)),
+        "cubic": tol * (na + nb) ** 3 * (nu + nv),
+        "unipotent_identity": tol * ((na + nb) * frob(q) + frob(offset)),
+    }
     return UVWitness(u=u, v=v, companion=companion, offset=offset, q=q,
-                     residuals=residuals,
-                     uv_norm=float(np.sqrt(frob(u) ** 2 + frob(v) ** 2)))
-
-
-def _power_of_two_scale(a: np.ndarray, b: np.ndarray) -> float:
-    # exact to divide by; keeps the cubic rows of the stacked system at the
-    # same magnitude as the linear ones regardless of the data scale
-    magnitude = max(frob(a) / np.sqrt(a.shape[0]), frob(b) / np.sqrt(b.shape[0]), 1e-300)
-    return float(2.0 ** round(np.log2(magnitude)))
+                     residuals=residuals, thresholds=thresholds,
+                     uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
 
 
 def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
-    """Decide consistency of the stacked (v, u) system by minimum-norm least
-    squares.
+    """Decide consistency of the (u, v) system through its reduced form.
 
-    The system is solved on (a, b, c) / gamma for a power-of-two gamma near
-    the data magnitude: the transformation is exact, leaves the companion
-    solution and the particular solution untouched, scales (u, v) by gamma,
-    and keeps the cubic rows from drowning the linear ones.  The threshold is
-    tol * (||s|| + ||a||^3 ||v|| + ||b||^3 ||u||) in the normalized variables
-    for the companion solution s; residuals within a factor 10 of it are
-    flagged marginal rather than forced into a binary answer.
+    Substituting v = a^-1 c b^-1 - u into a v + u b = s leaves the single
+    equation a u - u b = a s b^-1 in nm unknowns, decided by minimum-norm
+    least squares with the rank judged at the scale ||a|| + ||b|| of the
+    data.  The threshold is tol * (||a s b^-1|| + (||a|| + ||b||) ||u||),
+    relative to the data, so scaling c alone cannot move the verdict;
+    residuals within a factor 10 of it are flagged marginal rather than
+    forced into a binary answer.
     """
-    gamma = _power_of_two_scale(p.a, p.b)
-    a, b, c = p.a / gamma, p.b / gamma, p.c / gamma
-    n, m = p.n, p.m
+    a, b, c = p.a, p.b, p.c
     companion = companion_solve_direct(a, b, c, check_gate=False).solution
     offset = compute_offset(a, b, companion)
-
-    id_n, id_m = np.eye(n), np.eye(m)
-    a2, a3 = a @ a, a @ a @ a
-    b2, b3 = b @ b, b @ b @ b
-    row1 = np.hstack([np.kron(id_m, a), np.kron(b.T, id_n)])
-    row2 = np.hstack([np.kron(id_m, a3) + np.kron(b.T, a2),
-                      np.kron(b3.T, id_n) + np.kron(b2.T, a)])
-    K = np.vstack([row1, row2])
-    rhs = np.concatenate([vec(companion), np.zeros(n * m, dtype=np.complex128)])
-
+    rhs = a @ companion @ np.linalg.inv(b)
     data_scale = frob(a) + frob(b)
-    res = lstsq_solve(K, rhs, scale_reference=max(data_scale, data_scale ** 3))
-    v_scaled = unvec(res.solution[: n * m], n, m)
-    u_scaled = unvec(res.solution[n * m:], n, m)
-    threshold = tol * (frob(companion) + frob(a) ** 3 * frob(v_scaled)
-                       + frob(b) ** 3 * frob(u_scaled)) + 1e-12
+    res = lstsq_solve(kron_vec_operator(a, b, -1), vec(rhs), scale_reference=data_scale)
+    u = unvec(res.solution, p.n, p.m)
+    threshold = tol * (frob(rhs) + data_scale * frob(u))
     marginal = threshold < res.residual_norm <= 10.0 * threshold
     witness = None
     if res.residual_norm <= threshold:
-        # back to the problem's own scale: (u, v) pick up 1/gamma while the
-        # companion solution and the offset are invariant under the scaling
-        witness = _witness_from_pair(p, u_scaled / gamma, v_scaled / gamma,
-                                     companion, offset)
+        witness = _witness_from_u(p, u, companion, offset, tol, threshold)
     return UVSystemReport(witness=witness, lstsq_residual=res.residual_norm,
                           threshold=threshold, rank=res.rank, marginal=marginal,
                           near_cutoff=res.near_cutoff)
@@ -214,18 +217,23 @@ def _certificate_scale(a, b, c, x) -> float:
 def particular_solution(w: UVWitness, p: SylvesterProblem,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate both closed-form solution expressions from the witness and
-    require them to agree and to satisfy the equation."""
+    require them to agree and to satisfy the equation.
+
+    The gap between the two expressions and its threshold are recorded in
+    the witness under ``solution_formula_gap``.
+    """
     a, b, c = p.a, p.b, p.c
     a_inv = np.linalg.inv(a)
     b_inv = np.linalg.inv(b)
     x_u = a_inv @ w.u @ b @ b + w.u @ b
     x_v = -(a @ a @ w.v @ b_inv + a @ w.v)
     gap = frob(x_u - x_v)
-    gap_scale = frob(x_u) + frob(x_v) + 1e-300
+    gap_threshold = tol * (frob(x_u) + frob(x_v))
     w.residuals["solution_formula_gap"] = gap
-    if gap > tol * gap_scale:
+    w.thresholds["solution_formula_gap"] = gap_threshold
+    if gap > gap_threshold:
         raise WitnessError(
-            f"solution formulas disagree ({gap:.3g} > {tol:.1g} * {gap_scale:.3g}); "
+            f"solution formulas disagree ({gap:.3g} > {gap_threshold:.3g}); "
             "the witness does not certify solvability")
     residual = frob(a @ x_u - x_u @ b - c)
     scale = _certificate_scale(a, b, c, x_u)
@@ -233,11 +241,6 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
         raise WitnessError(
             f"certified solution fails the equation ({residual:.3g} > {tol:.1g} * {scale:.3g})")
     return x_u
-
-
-def _zero_witness(p: SylvesterProblem) -> UVWitness:
-    zero = np.zeros((p.n, p.m), dtype=np.complex128)
-    return _witness_from_pair(p, zero, zero, zero, zero)
 
 
 def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
@@ -258,9 +261,10 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                 intersection_tolerance=intersection_tolerance)
 
     if not np.any(c0):
-        witness = _zero_witness(p)
-        witness.residuals["solution_formula_gap"] = 0.0
         x = np.zeros((p.n, p.m), dtype=np.complex128)
+        witness = _witness_from_u(p, x, x, x, tol, 0.0)
+        witness.residuals["solution_formula_gap"] = 0.0
+        witness.thresholds["solution_formula_gap"] = 0.0
         verdict = Verdict(status=VerdictStatus.SOLVABLE, witness=witness, solution=x,
                           certificate_residual=0.0,
                           certificate_threshold=tol * _certificate_scale(a0, b0, c0, x),

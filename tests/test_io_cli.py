@@ -10,6 +10,7 @@ from sylvcert.cli import main
 from sylvcert.errors import SchemaError
 from sylvcert.io import (matrix_to_pairs, pairs_to_matrix, parse_problem_text,
                          parse_report, problem_to_dict, serialize_report)
+from sylvcert.singular import diagnose
 
 
 def write_problem(path, a, b, c, **options):
@@ -118,6 +119,22 @@ class TestDiagnoseCommand:
         assert doc["checks"]["oracle_cross_check"]["status"] == "pass"
         assert doc["checks"]["integral_representation"]["status"] == "pass"
         assert doc["checks"]["unipotent_bridge"]["status"] == "pass"
+
+    def test_checks_carry_the_thresholds_the_library_applied(self, tmp_path):
+        a, b, c = [[1, 1], [0, 1]], [[1]], [[1], [0]]
+        problem = write_problem(tmp_path / "p.json", a, b, c)
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "-o", str(out)]) == 0
+        checks = parse_report(out.read_text())["checks"]
+        witness = diagnose(a, b, c).witness
+        formulas = checks["solution_formulas_agree"]
+        assert formulas["residual"] == witness.residuals["solution_formula_gap"]
+        assert formulas["threshold"] == witness.thresholds["solution_formula_gap"]
+        cascade = checks["identity_cascade"]
+        assert cascade["status"] == "pass"
+        assert any(cascade["residual"] == witness.residuals[key]
+                   and cascade["threshold"] == witness.thresholds[key]
+                   for key in ("av_ub", "au_vb", "u_plus_v", "cubic"))
 
     def test_malformed_file_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,8 @@ import pytest
 
 from sylvcert.errors import BranchCutError, DimensionError, NumericError, ParameterError
 from sylvcert.numerics import (as_complex_matrix, eigenvalues, kron_vec_operator,
-                               lstsq_solve, mat_exp, principal_sqrt, unvec, vec)
+                               lstsq_solve, mat_exp, principal_sqrt, rank_cutoff, unvec,
+                               vec)
 
 from conftest import assert_multiset_close
 
@@ -166,3 +167,12 @@ class TestLstsq:
         rhs = K @ rng.normal(size=4)
         res = lstsq_solve(K, rhs)
         np.testing.assert_allclose(res.solution, np.linalg.pinv(K) @ rhs, atol=1e-12)
+
+    def test_cutoff_judged_at_scale_reference(self):
+        # a singular value that is large against the operator but small
+        # against the data it was built from counts as zero
+        K = np.array([[1e-9, 0.0], [0.0, 1.0]])
+        assert lstsq_solve(K, [1.0, 1.0]).rank == 2
+        res = lstsq_solve(K, [1.0, 1.0], scale_reference=1e6)
+        assert res.rank == 1
+        assert res.cutoff == rank_cutoff(K.shape, 1.0, 1e6)

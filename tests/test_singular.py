@@ -5,6 +5,7 @@ from sylvcert.errors import PreconditionError, WitnessError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, lstsq_solve
+from sylvcert.oracle import oracle_solve
 from sylvcert.regular import companion_solve_direct, compute_offset
 from sylvcert.singular import (UVWitness, VerdictStatus,
                                commutator_identity_verdict,
@@ -66,10 +67,32 @@ class TestUVSystem:
         a, b = shared_semisimple_pair(rng, 3, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
-        w = solve_uv_system(p)
+        rep = solve_uv_report(p)
+        w = rep.witness
         assert w is not None
         for key in ("av_ub", "au_vb", "u_plus_v", "cubic", "unipotent_identity"):
             assert w.residuals[key] <= 1e-7 * (1 + frob(w.companion) + frob(w.offset))
+            assert w.residuals[key] <= w.thresholds[key]
+        # av_ub is the reduced equation's own residual, judged as the decision judged it
+        assert w.thresholds["av_ub"] == rep.threshold
+
+    def test_decision_matches_stacked_system(self):
+        # the reduced nm-unknown equation decides exactly what the paper's
+        # stacked 2nm (u, v) system decides
+        for seed in range(48):
+            rng = np.random.default_rng([77, seed])
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            pair = shared_jordan_pair if seed % 2 else shared_semisimple_pair
+            a, b = pair(rng, n, m)
+            c = rhs_in_range(rng, a, b) if seed % 4 < 2 else rhs_outside_range(rng, a, b)
+            p = prepare(a, b, c)
+            report = solve_uv_report(p)
+            stacked = oracle_solve("uv_stacked", p.a, p.b, p.c)
+            assert (report.witness is not None) == stacked.consistent, (seed, n, m)
+            if report.witness is not None:
+                x = particular_solution(report.witness, p)
+                assert frob(p.a @ x - x @ p.b - p.c) <= 1e-8 * (
+                    (frob(p.a) + frob(p.b)) * frob(x) + frob(p.c))
 
 
 class TestParticularSolution:
@@ -117,14 +140,17 @@ class TestReducedRoutes:
         assert u_route is not None and v_route is not None
 
     def test_routes_match_system_decision(self, rng):
+        # the u-route is the decision's own equation; the v-route and the
+        # stacked (u, v) system are the independent sides
         for _ in range(8):
             a, b = shared_jordan_pair(rng, 3, 2)
             c = rhs_in_range(rng, a, b) if rng.uniform() < 0.5 else rhs_outside_range(rng, a, b)
             p = prepare(a, b, c)
             u_route, v_route = reduced_singular_routes(p)
             system = solve_uv_system(p)
+            stacked = oracle_solve("uv_stacked", p.a, p.b, p.c)
             assert (u_route is None) == (v_route is None)
-            assert (u_route is not None) == (system is not None)
+            assert (v_route is not None) == (system is not None) == stacked.consistent
 
     def test_reconstructed_partner_satisfies_first_equation(self, rng):
         a, b = shared_jordan_pair(rng, 3, 2)
@@ -253,18 +279,31 @@ class TestVerdictProperties:
 class TestScaleRobustness:
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
     def test_verdicts_are_scale_free(self, scale):
+        # (a, b, c) scaled together, then c alone on top of that
         a = scale * np.array([[1.0, 0.3], [0.0, 1.0]], dtype=complex)
         b = scale * np.array([[1.0]], dtype=complex)
         x0 = np.array([[2.0], [1.0]], dtype=complex)
-        c_in = a @ x0 - x0 @ b
-        v_in = diagnose(a, b, c_in, with_oracle=True)
-        assert v_in.status is VerdictStatus.SOLVABLE
-        assert v_in.oracle_agreement
-        assert v_in.certificate_residual <= v_in.certificate_threshold
-        c_out = c_in + scale * np.array([[0.0], [1.0]])
-        v_out = diagnose(a, b, c_out, with_oracle=True)
-        assert v_out.status is VerdictStatus.UNSOLVABLE
-        assert v_out.oracle_agreement
+        for c_scale in (1e-16, 1e-11, 1.0, 1e11, 1e16):
+            c_in = c_scale * (a @ x0 - x0 @ b)
+            v_in = diagnose(a, b, c_in, with_oracle=True)
+            assert v_in.status is VerdictStatus.SOLVABLE, c_scale
+            assert v_in.oracle_agreement
+            assert v_in.certificate_residual <= v_in.certificate_threshold
+            c_out = c_in + c_scale * scale * np.array([[0.0], [1.0]])
+            v_out = diagnose(a, b, c_out, with_oracle=True)
+            assert v_out.status is VerdictStatus.UNSOLVABLE, c_scale
+            assert v_out.oracle_agreement
+
+    @pytest.mark.parametrize("c_scale", [1.0, 1e-8, 1e-11, 1e-13, 1e-16])
+    def test_small_out_of_range_rhs_stays_unsolvable(self, c_scale):
+        # an absolute threshold floor once turned this case ill_conditioned
+        # at 1e-11 and into a WitnessError at 1e-13 and below
+        rng = np.random.default_rng(1)
+        a, b = shared_semisimple_pair(rng, 3, 3)
+        c = c_scale * rhs_outside_range(rng, a, b)
+        verdict = diagnose(a, b, c, with_oracle=True)
+        assert verdict.status is VerdictStatus.UNSOLVABLE
+        assert verdict.oracle_agreement
 
 
 class TestKnifeEdgeHonesty:
