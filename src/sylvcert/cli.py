@@ -27,6 +27,7 @@ import numpy as np
 from . import io as sio
 from .errors import SchemaError, SylvcertError
 from .numerics import frob
+from .oracle import ORACLE_MAX_UNKNOWNS
 from .roots import homogeneous_equivalence, homogeneous_nullspaces, solve_unipotent_quadratic
 from .singular import (Verdict, VerdictStatus, diagnose, prepare,
                        solve_uv_report)
@@ -126,6 +127,10 @@ def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
             verdict.oracle_residual, verdict.oracle_threshold)
     else:
         checks["oracle_cross_check"] = sio.check_entry("skipped")
+        unknowns = verdict.problem.n * verdict.problem.m
+        if args.oracle and unknowns > ORACLE_MAX_UNKNOWNS:
+            checks["oracle_cross_check"]["note"] = (
+                f"{unknowns} unknowns exceed the dense oracle's cap of {ORACLE_MAX_UNKNOWNS}")
 
     if args.quadrature and verdict.quadrature_gap is not None:
         checks["integral_representation"] = sio.check_entry(

@@ -38,7 +38,12 @@ class ConvergenceError(SylvcertError):
 
 
 class WitnessError(SylvcertError):
-    """A solvability witness failed its internal consistency checks."""
+    """A solvability witness failed its internal consistency checks;
+    ``gate`` names the failed check when one is known."""
+
+    def __init__(self, message: str, gate: str | None = None):
+        super().__init__(message)
+        self.gate = gate
 
 
 class SchemaError(SylvcertError):

@@ -199,6 +199,7 @@ def verdict_to_dict(verdict: Verdict, checks: dict, tol: float,
             "oracle_agreement": verdict.oracle_agreement,
             "solution": None if verdict.solution is None else matrix_to_pairs(verdict.solution),
             "solution_norm": None if verdict.solution_norm is None else float(verdict.solution_norm),
+            "ill_conditioned_gate": verdict.ill_conditioned_gate,
         },
         "witness": None if verdict.witness is None else _witness_to_dict(verdict.witness),
         "gate": {
@@ -207,6 +208,9 @@ def verdict_to_dict(verdict: Verdict, checks: dict, tol: float,
             "spectra_intersect": gate.spectra_intersect,
             "intersection_tolerance": gate.intersection_tolerance,
             "suggested_lambda": gate.suggested_lambda,
+            "cluster_sizes": None if verdict.cluster_sizes is None else list(verdict.cluster_sizes),
+            "cluster_tolerance": None if verdict.cluster_tolerance is None
+            else float(verdict.cluster_tolerance),
         },
         "environment": environment_dict(verdict, tol, seed),
         "checks": checks,

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .errors import BranchCutError, DimensionError, NumericError, ParameterError
+from .errors import (BranchCutError, DimensionError, InversionError, NumericError,
+                     ParameterError)
 
 # Relative singular-value cutoff: sigma_i <= max(rows, cols) * 2**-40 * sigma_max
 # is treated as zero when deciding ranks and consistency.
@@ -91,6 +93,44 @@ def eigenvalues(m) -> SpectrumReport:
     return SpectrumReport(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
 
 
+def complex_schur(m) -> tuple:
+    """Complex Schur factors (t, q) of a square matrix: m = q t q^*, t upper
+    triangular with the eigenvalues on its diagonal, q unitary."""
+    m = require_square(as_complex_matrix(m))
+    try:
+        t, q = scipy.linalg.schur(m, output="complex")
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Schur iteration failed: {exc}") from exc
+    return t, q
+
+
+def reorder_schur(t, q, select) -> tuple:
+    """Reorder complex Schur factors so the selected eigenvalues lead the
+    diagonal; returns new factors (t, q) of the same matrix (LAPACK trsen)."""
+    t, q, *_, info = lapack.ztrsen(np.asarray(select, dtype=np.int32), t, q, job="N")
+    if info != 0:
+        raise NumericError(f"Schur reordering failed (trsen info {info})")
+    return t, q
+
+
+def triangular_sylvester(ta, tb, c, sign: int) -> np.ndarray:
+    """Solution x of ta x + sign * x tb = c for upper-triangular ta, tb
+    (Bartels-Stewart back substitution, LAPACK trsyl).
+
+    Raises :class:`InversionError` when ta and -sign * tb share an
+    eigenvalue to working precision, so the solution is not unique.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    if not c.size:
+        return c.copy()
+    x, scale, info = lapack.ztrsyl(ta, tb, c, isgn=sign)
+    if info < 0:
+        raise ParameterError(f"trsyl rejected argument {-info}")
+    if info > 0:
+        raise InversionError("Sylvester operator is singular to working precision")
+    return x / scale
+
+
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))
@@ -150,14 +190,16 @@ class LstsqResult:
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
 
 
-def lstsq_solve(K, rhs, scale_reference: float = 0.0) -> LstsqResult:
+def lstsq_solve(K, rhs, scale_reference: float = 0.0,
+                cutoff_shape: tuple | None = None) -> LstsqResult:
     """Minimum-norm least-squares solution of K x = rhs via SVD.
 
     The rank is the number of singular values above :func:`rank_cutoff`;
     solves are flagged ``near_cutoff`` when a singular value falls within a
     factor 10 of the cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
     data the operator was built from, which matters when the operator itself
-    nearly vanishes.
+    nearly vanishes.  ``cutoff_shape`` (default ``K.shape``) names the
+    operator whose rank rule applies when K is one diagonal block of it.
     """
     K = as_complex_matrix(K, "K")
     rhs = np.asarray(rhs, dtype=np.complex128).reshape(-1)
@@ -165,7 +207,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0) -> LstsqResult:
         raise DimensionError(f"rhs length {rhs.shape[0]} does not match K rows {K.shape[0]}")
     U, s, Vh = np.linalg.svd(K, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = rank_cutoff(K.shape, sigma_max, scale_reference)
+    cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
     if rank:

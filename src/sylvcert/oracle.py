@@ -28,6 +28,10 @@ EQUATIONS = (
 
 DEFAULT_ORACLE_TOL = 1e-8
 
+# largest nm the pipeline hands to the dense oracle: its operator alone takes
+# 16 (nm)^2 bytes (256 MiB at the cap) and its SVD O((nm)^3) time
+ORACLE_MAX_UNKNOWNS = 4096
+
 
 @dataclass(frozen=True)
 class KroneckerOperator:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, GateError, InversionError, PreconditionError
 from .gate import sector_contains
-from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
-                       mat_exp, require_square, unvec, vec)
+from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob, mat_exp,
+                       require_square, triangular_sylvester)
 
 QUADRATURE_NODES_PER_PANEL = 32
 MAX_PANELS = 256
@@ -47,18 +47,21 @@ def _validate_triple(a, b, c):
 
 
 def companion_solve_direct(a, b, c, *, check_gate: bool = True) -> RegularSolveResult:
-    """Unique solution of a x + x b = c via the vectorized linear system.
+    """Unique solution of a x + x b = c by Bartels-Stewart on the complex
+    Schur forms of a and b, O(n^3 + m^3).
 
-    Both spectra must lie in the open right half-plane (checked unless the
-    caller has already established it).
+    Both spectra must lie in the open right half-plane (checked on the Schur
+    diagonals unless the caller has already established it).
     """
     a, b, c = _validate_triple(a, b, c)
+    ta, qa = complex_schur(a)
+    tb, qb = complex_schur(b)
     if check_gate:
-        delta = min(eigenvalues(a).min_real_part, eigenvalues(b).min_real_part)
+        delta = min(eigenvalues(ta).min_real_part, eigenvalues(tb).min_real_part)
         if delta <= 0:
             raise GateError(
                 f"spectra must lie in the open right half-plane (min real part {delta:.3g})")
-    x = unvec(np.linalg.solve(kron_vec_operator(a, b, +1), vec(c)), a.shape[0], b.shape[0])
+    x = qa @ triangular_sylvester(ta, tb, qa.conj().T @ c @ qb, +1) @ qb.conj().T
     residual = frob(a @ x + x @ b - c)
     return RegularSolveResult(solution=x, method="direct", residual=residual)
 
@@ -160,14 +163,17 @@ def solve_generalized_regular(a, b, rhs) -> np.ndarray:
     """Unique solution of a^2 x + a x b + x b^2 = rhs.
 
     Requires both spectra inside the sector of half-angle pi/3, where the
-    transform is regular.
+    transform is regular.  With w = exp(2 pi i / 3) the transform factors as
+    x |-> (a y - w y b) after y = a x - conj(w) x b, two regular Sylvester
+    maps solved by Bartels-Stewart on one pair of Schur forms.
     """
     a, b, rhs = _validate_triple(a, b, rhs)
-    if not (sector_contains(eigenvalues(a), math.pi / 3)
-            and sector_contains(eigenvalues(b), math.pi / 3)):
+    ta, qa = complex_schur(a)
+    tb, qb = complex_schur(b)
+    if not (sector_contains(eigenvalues(ta), math.pi / 3)
+            and sector_contains(eigenvalues(tb), math.pi / 3)):
         raise GateError("generalized transform needs both spectra inside the pi/3 sector")
-    n, m = a.shape[0], b.shape[0]
-    A = np.kron(np.eye(m), a)
-    B = np.kron(b.T, np.eye(n))
-    op = A @ A + A @ B + B @ B
-    return unvec(np.linalg.solve(op, vec(rhs)), n, m)
+    w = np.exp(2j * math.pi / 3)
+    y = triangular_sylvester(ta, -w * tb, qa.conj().T @ rhs @ qb, +1)
+    x = triangular_sylvester(ta, -np.conj(w) * tb, y, +1)
+    return qa @ x @ qb.conj().T

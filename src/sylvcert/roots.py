@@ -147,8 +147,8 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
 
     Requires intersecting spectra in the open right half-plane.
     """
-    sa = eigenvalues(p.a)
-    sb = eigenvalues(p.b)
+    sa = eigenvalues(p.schur_a[0])
+    sb = eigenvalues(p.schur_b[0])
     if min(sa.min_real_part, sb.min_real_part) <= 0:
         raise GateError("spectra must lie in the open right half-plane")
     itol = default_intersection_tolerance(p.a, p.b)

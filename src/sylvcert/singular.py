@@ -17,12 +17,19 @@ mixed sum and solves the reduced equation
 
     a u - u b = a s b^-1                           (nm unknowns)
 
-by minimum-norm least squares with an explicit, reported threshold.  The
-stacked 2nm system stays available as the oracle's ``uv_stacked`` reference.
-Completing v this way makes u + v = a^-1 c b^-1 and the mixed sum hold by
-construction; the identity a u + v b = s + offset, the cubic constraint and
-the two gates of :func:`particular_solution` are the independent checks,
-each certified as a residual against a threshold at its own scale.
+in the complex Schur coordinates of a and b, computed once per problem by
+:func:`prepare`.  Reordering puts first the eigenvalues within the cluster
+tolerance ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other
+spectrum, k_a of a's and k_b of b's.  The equation becomes block triangular:
+only the k_a x k_b shared block is singular and is decided by minimum-norm
+least squares with an explicit, reported threshold; the other three blocks and
+the companion equation are regular Bartels-Stewart solves.  The cost is
+O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The stacked 2nm system stays
+available as the oracle's ``uv_stacked`` reference.  Completing v this way
+makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the identity
+a u + v b = s + offset, the cubic constraint and the two gates of
+:func:`particular_solution` are the independent checks, each certified as a
+residual against a threshold at its own scale.
 """
 
 from __future__ import annotations
@@ -31,18 +38,25 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DimensionError, PreconditionError, WitnessError
+from .errors import DimensionError, InversionError, PreconditionError, WitnessError
 from .gate import (DEFAULT_ALPHA, DEFAULT_MARGIN, GateReport,
                    default_intersection_tolerance, gate_report)
 from .blockalg import BlockMatrix, block_mul, diag_embed
-from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
-                       lstsq_solve, require_square, unvec, vec)
-from .oracle import oracle_solve
+from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob,
+                       kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
+                       require_square, triangular_sylvester, unvec, vec)
+from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import (companion_solve_direct, companion_solve_quadrature,
                       compute_offset)
 
 DEFAULT_TOL = 1e-8
+
+# eigenvalues of a and b closer than this times ||a|| + ||b|| form the shared
+# cluster: a size-k Jordan block splits by about eps^(1/k), so eps^(1/4)
+# keeps defective clusters up to size 4 whole
+CLUSTER_TOLERANCE_FACTOR = float(np.finfo(float).eps) ** 0.25
 
 # keys of the witness residual map, one per certified identity
 RESIDUAL_KEYS = ("av_ub", "au_vb", "u_plus_v", "cubic", "unipotent_identity")
@@ -65,6 +79,8 @@ class SylvesterProblem:
     gate: GateReport
     alpha: float
     lambda_shift: float
+    schur_a: tuple  # complex Schur factors (t, q) of the shifted a
+    schur_b: tuple  # complex Schur factors (t, q) of the shifted b
 
     @property
     def n(self) -> int:
@@ -96,11 +112,14 @@ class UVSystemReport:
     a u - u b = a s b^-1; ``witness`` carries the completed pair (u, v)."""
 
     witness: UVWitness | None
+    companion: np.ndarray  # the solution s of a s + s b = c the decision used
     lstsq_residual: float
     threshold: float
     rank: int
     marginal: bool  # residual within 10x of the threshold: too close to call
     near_cutoff: bool = False  # the rank decision itself sat near the cutoff
+    cluster_sizes: tuple = (0, 0)  # (k_a, k_b): eigenvalues in the shared block
+    cluster_tolerance: float = 0.0
 
 
 @dataclass
@@ -118,6 +137,9 @@ class Verdict:
     quadrature_gap: float | None = None
     oracle_residual: float | None = None
     oracle_threshold: float | None = None
+    ill_conditioned_gate: str | None = None  # the check that refused a binary answer
+    cluster_sizes: tuple | None = None
+    cluster_tolerance: float | None = None
 
 
 def prepare(a, b, c, alpha: float = DEFAULT_ALPHA, margin: float = DEFAULT_MARGIN,
@@ -130,16 +152,16 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA, margin: float = DEFAULT_MARGI
     if c.shape != (a.shape[0], b.shape[0]):
         raise DimensionError(
             f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
-    sa = eigenvalues(a)
-    sb = eigenvalues(b)
+    ta, qa = complex_schur(a)
+    tb, qb = complex_schur(b)
     tol = intersection_tolerance if intersection_tolerance is not None \
         else default_intersection_tolerance(a, b)
-    report = gate_report(sa, sb, alpha, tol, margin)
+    report = gate_report(eigenvalues(ta), eigenvalues(tb), alpha, tol, margin)
     lam = report.suggested_lambda
-    a_shifted = a + lam * np.eye(a.shape[0])
-    b_shifted = b + lam * np.eye(b.shape[0])
-    return SylvesterProblem(a=a_shifted, b=b_shifted, c=c, gate=report,
-                            alpha=alpha, lambda_shift=lam)
+    id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
+    return SylvesterProblem(a=a + lam * id_a, b=b + lam * id_b, c=c, gate=report,
+                            alpha=alpha, lambda_shift=lam,
+                            schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb))
 
 
 def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
@@ -177,32 +199,110 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
                      uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
 
 
+def _regular_block(ta, tb, rhs, limit: float) -> np.ndarray | None:
+    """Solution y of ta y - y tb = rhs for spectra outside the shared
+    cluster, or None when the solve amplifies rhs by ``limit`` or more
+    (the block is singular at the rank rule and belongs to the cluster)."""
+    try:
+        y = triangular_sylvester(ta, tb, rhs, -1)
+    except InversionError:
+        return None
+    return None if frob(y) > limit * frob(rhs) else y
+
+
+def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
+    """Solve ta y - y tb = r blockwise for Schur factors whose leading k_a
+    and k_b eigenvalues form the shared cluster.
+
+    Blocks (2,1), (2,2) and (1,2) pair disjoint spectra and are solved by
+    trsyl in that order around the shared block (1,1), the only one decided
+    by rank-revealing least squares, with the rank rule of the full nm
+    operator.  Returns (y, lstsq result or None), or None when a regular
+    block amplifies its right-hand side past the rank rule's cutoff.
+    """
+    n, m = ta.shape[0], tb.shape[0]
+    cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
+    # a regular block whose gain reaches the inverse of the decade above the
+    # cutoff is as fragile as a near-cutoff singular value
+    limit = 0.1 / cutoff
+    a11, a12, a22 = ta[:k_a, :k_a], ta[:k_a, k_a:], ta[k_a:, k_a:]
+    b11, b12, b22 = tb[:k_b, :k_b], tb[:k_b, k_b:], tb[k_b:, k_b:]
+    y = np.zeros((n, m), dtype=np.complex128)
+    y21 = _regular_block(a22, b11, r[k_a:, :k_b], limit)
+    if y21 is None:
+        return None
+    y22 = _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, limit)
+    if y22 is None:
+        return None
+    shared = None
+    if k_a and k_b:
+        shared = lstsq_solve(kron_vec_operator(a11, b11, -1),
+                             vec(r[:k_a, :k_b] - a12 @ y21),
+                             scale_reference=data_scale, cutoff_shape=(n * m, n * m))
+        y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
+    y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y22 + y[:k_a, :k_b] @ b12, limit)
+    if y12 is None:
+        return None
+    y[k_a:, :k_b], y[k_a:, k_b:], y[:k_a, k_b:] = y21, y22, y12
+    return y, shared
+
+
 def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
     """Decide consistency of the (u, v) system through its reduced form.
 
     Substituting v = a^-1 c b^-1 - u into a v + u b = s leaves the single
-    equation a u - u b = a s b^-1 in nm unknowns, decided by minimum-norm
-    least squares with the rank judged at the scale ||a|| + ||b|| of the
-    data.  The threshold is tol * (||a s b^-1|| + (||a|| + ||b||) ||u||),
-    relative to the data, so scaling c alone cannot move the verdict;
-    residuals within a factor 10 of it are flagged marginal rather than
-    forced into a binary answer.
+    equation a u - u b = a s b^-1 in nm unknowns.  It is solved in the
+    complex Schur coordinates of a and b, reordered so the eigenvalues within
+    ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other spectrum lead:
+    only the k_a x k_b shared block is decided by minimum-norm least squares
+    (rank judged as for the full nm operator at the scale ||a|| + ||b||),
+    everything else by Bartels-Stewart.  If a regular block amplifies its
+    right-hand side past the rank cutoff, or u comes out so large that u = 0
+    would pass the threshold too, the cluster widens to all of both spectra
+    and the same code decides the whole equation.  The residual is then taken
+    on the full u in the original coordinates against
+    tol * (||a s b^-1|| + (||a|| + ||b||) ||u||), relative to the data, so
+    scaling c alone cannot move the verdict; residuals within a factor 10 of
+    it are flagged marginal rather than forced into a binary answer.
     """
     a, b, c = p.a, p.b, p.c
-    companion = companion_solve_direct(a, b, c, check_gate=False).solution
-    offset = compute_offset(a, b, companion)
-    rhs = a @ companion @ np.linalg.inv(b)
+    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
     data_scale = frob(a) + frob(b)
-    res = lstsq_solve(kron_vec_operator(a, b, -1), vec(rhs), scale_reference=data_scale)
-    u = unvec(res.solution, p.n, p.m)
+    cluster_tolerance = CLUSTER_TOLERANCE_FACTOR * data_scale
+    gaps = np.abs(ta.diagonal()[:, None] - tb.diagonal()[None, :])
+    select_a = gaps.min(axis=1) <= cluster_tolerance
+    select_b = gaps.min(axis=0) <= cluster_tolerance
+    ta, qa = reorder_schur(ta, qa, select_a)
+    tb, qb = reorder_schur(tb, qb, select_b)
+    k_a, k_b = int(select_a.sum()), int(select_b.sum())
+
+    # companion a s + s b = c and the reduced right-hand side a s b^-1
+    s_schur = triangular_sylvester(ta, tb, qa.conj().T @ c @ qb, +1)
+    r = scipy.linalg.solve_triangular(tb, (ta @ s_schur).T, trans="T").T
+    companion = qa @ s_schur @ qb.conj().T
+    rhs = qa @ r @ qb.conj().T
+    offset = compute_offset(a, b, companion)
+
+    # the whole spectra form the fallback cluster, where every block is shared
+    for k_a, k_b in ((k_a, k_b), (p.n, p.m)):
+        solved = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
+        if solved is not None:
+            y, shared = solved
+            u = qa @ y @ qb.conj().T
+            # a u so large that u = 0 would pass the threshold too decides nothing
+            if tol * data_scale * frob(u) < frob(rhs) or (k_a, k_b) == (p.n, p.m):
+                break
+    residual = frob(a @ u - u @ b - rhs)
     threshold = tol * (frob(rhs) + data_scale * frob(u))
-    marginal = threshold < res.residual_norm <= 10.0 * threshold
+    marginal = threshold < residual <= 10.0 * threshold
     witness = None
-    if res.residual_norm <= threshold:
+    if residual <= threshold:
         witness = _witness_from_u(p, u, companion, offset, tol, threshold)
-    return UVSystemReport(witness=witness, lstsq_residual=res.residual_norm,
-                          threshold=threshold, rank=res.rank, marginal=marginal,
-                          near_cutoff=res.near_cutoff)
+    rank = p.n * p.m - k_a * k_b + (0 if shared is None else shared.rank)
+    return UVSystemReport(witness=witness, companion=companion, lstsq_residual=residual,
+                          threshold=threshold, rank=rank, marginal=marginal,
+                          near_cutoff=shared is not None and shared.near_cutoff,
+                          cluster_sizes=(k_a, k_b), cluster_tolerance=cluster_tolerance)
 
 
 def solve_uv_system(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVWitness | None:
@@ -234,12 +334,13 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
     if gap > gap_threshold:
         raise WitnessError(
             f"solution formulas disagree ({gap:.3g} > {gap_threshold:.3g}); "
-            "the witness does not certify solvability")
+            "the witness does not certify solvability", gate="solution_formula_gap")
     residual = frob(a @ x_u - x_u @ b - c)
     scale = _certificate_scale(a, b, c, x_u)
     if residual > tol * scale:
         raise WitnessError(
-            f"certified solution fails the equation ({residual:.3g} > {tol:.1g} * {scale:.3g})")
+            f"certified solution fails the equation ({residual:.3g} > {tol:.1g} * {scale:.3g})",
+            gate="solution_certificate")
     return x_u
 
 
@@ -272,8 +373,16 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                           oracle_agreement=None, problem=p, solution_norm=0.0)
     else:
         rep = solve_uv_report(p, tol)
-        if rep.witness is not None:
-            x = particular_solution(rep.witness, p, tol)
+        # a fragile rank decision makes neither answer trustworthy, and a
+        # residual just above the threshold makes "no witness" untrustworthy
+        gate = "near_cutoff" if rep.near_cutoff else "marginal_residual" if rep.marginal else None
+        x = None
+        if rep.witness is not None and gate is None:
+            try:
+                x = particular_solution(rep.witness, p, tol)
+            except WitnessError as exc:
+                gate = exc.gate
+        if x is not None:
             residual = frob(a0 @ x - x @ b0 - c0)
             verdict = Verdict(status=VerdictStatus.SOLVABLE, witness=rep.witness,
                               solution=x, certificate_residual=residual,
@@ -283,17 +392,20 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                               oracle_agreement=None, problem=p,
                               solution_norm=frob(x))
         else:
-            # a fragile rank decision makes "no witness" untrustworthy
-            too_close = rep.marginal or rep.near_cutoff
-            status = VerdictStatus.ILL_CONDITIONED if too_close else VerdictStatus.UNSOLVABLE
+            status = VerdictStatus.UNSOLVABLE if gate is None else VerdictStatus.ILL_CONDITIONED
             verdict = Verdict(status=status, witness=None, solution=None,
                               certificate_residual=rep.lstsq_residual,
                               certificate_threshold=rep.threshold,
                               system_residual=rep.lstsq_residual,
                               system_threshold=rep.threshold,
-                              oracle_agreement=None, problem=p)
+                              oracle_agreement=None, problem=p,
+                              ill_conditioned_gate=gate)
+        verdict.cluster_sizes = rep.cluster_sizes
+        verdict.cluster_tolerance = rep.cluster_tolerance
 
-    if with_oracle and verdict.status is not VerdictStatus.ILL_CONDITIONED:
+    # the dense oracle needs (nm)^2 memory; above its cap it is not run
+    if (with_oracle and verdict.status is not VerdictStatus.ILL_CONDITIONED
+            and p.n * p.m <= ORACLE_MAX_UNKNOWNS):
         reference = oracle_solve("sylvester", a0, b0, c0, tol=tol)
         verdict.oracle_agreement = bool(
             reference.consistent == (verdict.status is VerdictStatus.SOLVABLE))
@@ -301,9 +413,8 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
         verdict.oracle_threshold = reference.threshold
 
     if with_quadrature and np.any(c0):
-        direct = companion_solve_direct(p.a, p.b, c0, check_gate=False).solution
         quad = companion_solve_quadrature(p.a, p.b, c0).solution
-        verdict.quadrature_gap = frob(direct - quad) / max(frob(direct), 1e-300)
+        verdict.quadrature_gap = frob(rep.companion - quad) / max(frob(rep.companion), 1e-300)
 
     return verdict
 

@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from sylvcert import singular
 from sylvcert.cli import main
-from sylvcert.errors import SchemaError
+from sylvcert.errors import SchemaError, WitnessError
+from sylvcert.instances import regular_pair
+from sylvcert.oracle import ORACLE_MAX_UNKNOWNS
 from sylvcert.io import (matrix_to_pairs, pairs_to_matrix, parse_problem_text,
                          parse_report, problem_to_dict, serialize_report)
 from sylvcert.singular import diagnose
@@ -135,6 +138,43 @@ class TestDiagnoseCommand:
         assert any(cascade["residual"] == witness.residuals[key]
                    and cascade["threshold"] == witness.thresholds[key]
                    for key in ("av_ub", "au_vb", "u_plus_v", "cubic"))
+
+    def test_gate_reports_shared_cluster(self, tmp_path):
+        problem = write_problem(tmp_path / "p.json", [[1, 1], [0, 1]], [[1]], [[1], [0]])
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "-o", str(out)]) == 0
+        doc = parse_report(out.read_text())
+        assert doc["gate"]["cluster_sizes"] == [2, 1]
+        assert doc["gate"]["cluster_tolerance"] > 0
+        assert doc["verdict"]["ill_conditioned_gate"] is None
+
+    def test_failed_witness_gate_exits_ill_conditioned(self, tmp_path, monkeypatch):
+        # a witness that fails its own gate is a refusal (exit 2), not an
+        # internal error (exit 4), and the report names the gate
+        def failing(w, p, tol=singular.DEFAULT_TOL):
+            raise WitnessError("forced", gate="solution_certificate")
+
+        monkeypatch.setattr(singular, "particular_solution", failing)
+        problem = write_problem(tmp_path / "p.json", [[1, 1], [0, 1]], [[1]], [[1], [0]])
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "--oracle", "-o", str(out)]) == 2
+        doc = parse_report(out.read_text())
+        assert doc["verdict"]["status"] == "ill_conditioned"
+        assert doc["verdict"]["ill_conditioned_gate"] == "solution_certificate"
+
+    def test_oracle_above_cap_skipped_with_note(self, tmp_path, rng, monkeypatch):
+        n, m = 65, 64
+        assert n * m > ORACLE_MAX_UNKNOWNS
+        a, b = regular_pair(rng, n, m)
+        c = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        monkeypatch.setattr(singular, "oracle_solve",
+                            lambda *args, **kwargs: pytest.fail("dense oracle above its cap"))
+        problem = write_problem(tmp_path / "p.json", a, b, c)
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "--oracle", "-o", str(out)]) == 0
+        entry = parse_report(out.read_text())["checks"]["oracle_cross_check"]
+        assert entry["status"] == "skipped"
+        assert str(ORACLE_MAX_UNKNOWNS) in entry["note"]
 
     def test_malformed_file_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sylvcert.errors import BranchCutError, DimensionError, NumericError, ParameterError
-from sylvcert.numerics import (as_complex_matrix, eigenvalues, kron_vec_operator,
-                               lstsq_solve, mat_exp, principal_sqrt, rank_cutoff, unvec,
+from sylvcert.errors import (BranchCutError, DimensionError, InversionError, NumericError,
+                             ParameterError)
+from sylvcert.numerics import (as_complex_matrix, complex_schur, eigenvalues,
+                               kron_vec_operator, lstsq_solve, mat_exp, principal_sqrt,
+                               rank_cutoff, reorder_schur, triangular_sylvester, unvec,
                                vec)
 
 from conftest import assert_multiset_close
@@ -176,3 +178,45 @@ class TestLstsq:
         res = lstsq_solve(K, [1.0, 1.0], scale_reference=1e6)
         assert res.rank == 1
         assert res.cutoff == rank_cutoff(K.shape, 1.0, 1e6)
+
+    def test_cutoff_shape_names_the_full_operator(self):
+        # a diagonal block judged by the rank rule of the operator it came from
+        K = np.array([[1e-11]])
+        assert lstsq_solve(K, [1.0], scale_reference=1.0).rank == 1
+        res = lstsq_solve(K, [1.0], scale_reference=1.0, cutoff_shape=(100, 100))
+        assert res.rank == 0
+        assert res.cutoff == rank_cutoff((100, 100), 1e-11, 1.0)
+
+
+class TestSchurKernels:
+    def test_schur_factors_reproduce_the_matrix(self, rng):
+        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        t, q = complex_schur(m)
+        assert not np.any(np.tril(t, k=-1))
+        np.testing.assert_allclose(q @ t @ q.conj().T, m, atol=1e-12)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
+
+    def test_reorder_moves_selected_eigenvalues_first(self, rng):
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        t, q = complex_schur(m)
+        select = np.array([False, True, False, False, True, False])
+        t2, q2 = reorder_schur(t, q, select)
+        assert_multiset_close(t2.diagonal()[:2], t.diagonal()[select], tol=1e-10)
+        np.testing.assert_allclose(q2 @ t2 @ q2.conj().T, m, atol=1e-12)
+
+    def test_triangular_sylvester_both_signs(self, rng):
+        ta = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) + 3 * np.eye(4)
+        tb = np.triu(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) - 3 * np.eye(3)
+        c = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        for sign in (1, -1):
+            x = triangular_sylvester(ta, sign * tb, c, sign)
+            np.testing.assert_allclose(ta @ x + x @ tb, c, atol=1e-12)
+
+    def test_triangular_sylvester_shared_eigenvalue_rejected(self):
+        t = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(InversionError):
+            triangular_sylvester(t, t, np.ones((2, 2)), -1)
+
+    def test_triangular_sylvester_empty_block(self):
+        x = triangular_sylvester(np.eye(2), np.zeros((0, 0)), np.zeros((2, 0)), -1)
+        assert x.shape == (2, 0)

@@ -33,6 +33,15 @@ class TestDirect:
         with pytest.raises(GateError):
             companion_solve_direct([[-1.0]], [[1.0]], [[1.0]])
 
+    def test_rectangular_bartels_stewart_residual(self, rng):
+        # Schur forms of a and b only; no nm x nm operator is formed
+        a = sector_matrix(rng, 40)
+        b = sector_matrix(rng, 30)
+        c = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
+        res = companion_solve_direct(a, b, c)
+        assert res.method == "direct"
+        assert res.residual <= 1e-10 * np.linalg.norm(c)
+
 
 class TestQuadrature:
     def test_scalar_integral(self):

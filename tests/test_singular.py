@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sylvcert import singular
 from sylvcert.errors import PreconditionError, WitnessError
-from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
+from sylvcert.instances import (jordan_block, mild_similarity, random_sector_eigenvalues,
+                                regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, lstsq_solve
-from sylvcert.oracle import oracle_solve
+from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, unvec
+from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from sylvcert.regular import companion_solve_direct, compute_offset
-from sylvcert.singular import (UVWitness, VerdictStatus,
+from sylvcert.singular import (CLUSTER_TOLERANCE_FACTOR, UVWitness, VerdictStatus,
                                commutator_identity_verdict,
                                complete_intertwined_pair, diagnose,
                                particular_solution, prepare,
@@ -18,6 +23,31 @@ from conftest import pair_equation_residuals, pair_equation_rows
 
 JORDAN_A = np.array([[1, 1], [0, 1]], dtype=complex)
 UNIT_B = np.array([[1]], dtype=complex)
+
+
+def shared_cluster_pair(rng, k, second, n, m):
+    """(a, b) sharing a size-k Jordan block and, unless ``second`` is None,
+    a simple eigenvalue ``second`` away from it; the rest is random."""
+    lam = complex(rng.uniform(0.8, 2.0))
+
+    def side(size):
+        blocks = [jordan_block(lam, k)]
+        if second is not None:
+            blocks.append(np.array([[lam + second]]))
+        rest = size - sum(block.shape[0] for block in blocks)
+        blocks.append(np.diag(random_sector_eigenvalues(rng, rest)))
+        v = mild_similarity(rng, size)
+        return v @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(v)
+
+    return side(n), side(m)
+
+
+def agrees_with_oracle(verdict, a, b, c) -> bool:
+    """True unless the verdict is binary and the dense oracle decides otherwise."""
+    if verdict.status is VerdictStatus.ILL_CONDITIONED:
+        return True
+    reference = oracle_solve("sylvester", a, b, c)
+    return (verdict.status is VerdictStatus.SOLVABLE) == reference.consistent
 
 
 class TestPrepare:
@@ -93,6 +123,159 @@ class TestUVSystem:
                 x = particular_solution(report.witness, p)
                 assert frob(p.a @ x - x @ p.b - p.c) <= 1e-8 * (
                     (frob(p.a) + frob(p.b)) * frob(x) + frob(p.c))
+
+
+class TestSchurReducedDecision:
+    def test_cluster_sizes_and_tolerance_reported(self):
+        p = prepare(JORDAN_A, UNIT_B, [[1], [0]])
+        rep = solve_uv_report(p)
+        assert rep.cluster_sizes == (2, 1)
+        assert rep.cluster_tolerance == CLUSTER_TOLERANCE_FACTOR * (frob(p.a) + frob(p.b))
+        verdict = diagnose(JORDAN_A, UNIT_B, [[1], [0]])
+        assert verdict.cluster_sizes == (2, 1)
+        assert verdict.cluster_tolerance == rep.cluster_tolerance
+
+    def test_regular_pair_has_no_shared_block(self, rng, monkeypatch):
+        a, b = regular_pair(rng, 4, 3)
+        c = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        monkeypatch.setattr(singular, "lstsq_solve",
+                            lambda *args, **kwargs: pytest.fail("regular pair reached lstsq"))
+        verdict = diagnose(a, b, c)
+        assert verdict.status is VerdictStatus.SOLVABLE
+        assert verdict.cluster_sizes == (0, 0)
+        assert verdict.certificate_residual <= verdict.certificate_threshold
+
+    def test_large_pair_decides_only_the_shared_block(self, monkeypatch):
+        rng = np.random.default_rng(96)
+        a, b = shared_jordan_pair(rng, 96, 96)
+        c = rhs_in_range(rng, a, b)
+        unknowns = []
+
+        def spy(K, rhs, **kwargs):
+            unknowns.append(np.shape(K)[1])
+            return lstsq_solve(K, rhs, **kwargs)
+
+        monkeypatch.setattr(singular, "lstsq_solve", spy)
+        verdict = diagnose(a, b, c)
+        assert verdict.status is VerdictStatus.SOLVABLE
+        assert verdict.certificate_residual <= verdict.certificate_threshold
+        k_a, k_b = verdict.cluster_sizes
+        assert 1 <= k_a * k_b <= 9
+        assert unknowns and max(unknowns) <= k_a * k_b
+
+    def test_too_narrow_cluster_widens_to_the_whole_spectra(self, rng, monkeypatch):
+        # with a cluster tolerance below the Jordan splitting, the shared
+        # eigenvalues land in "regular" blocks; an out-of-range right-hand
+        # side blows their solves up, and the decision must fall back to the
+        # whole spectra instead of trusting them
+        monkeypatch.setattr(singular, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
+        for _ in range(6):
+            a, b = shared_jordan_pair(rng, 4, 3)
+            c_in, c_out = rhs_in_range(rng, a, b), rhs_outside_range(rng, a, b)
+            verdict = diagnose(a, b, c_out)
+            assert verdict.status is VerdictStatus.UNSOLVABLE
+            assert verdict.cluster_sizes == (4, 3)
+            assert agrees_with_oracle(verdict, a, b, c_out)
+            verdict = diagnose(a, b, c_in)
+            assert verdict.status is VerdictStatus.SOLVABLE
+            assert verdict.certificate_residual <= verdict.certificate_threshold
+
+    def test_stress_ladder_agrees_with_oracle(self):
+        # shared Jordan clusters of size 2-4, split by about eps^(1/k), some
+        # next to a second shared eigenvalue 1e-3 or 1e-5 away; only pairs
+        # whose nonzero Kronecker singular values clear 1e-6 (||a|| + ||b||)
+        # are well-posed enough to compare
+        kept = decided = 0
+        for k, second, seed, in_range in itertools.product(
+                (2, 3, 4), (None, 1e-3, 1e-5), range(4), (True, False)):
+            rng = np.random.default_rng([k, 0 if second is None else 1 + int(-np.log10(second)),
+                                         int(in_range), seed])
+            low = k + (second is not None)
+            n, m = int(rng.integers(low, 9)), int(rng.integers(low, 9))
+            a, b = shared_cluster_pair(rng, k, second, n, m)
+            U, s, _ = np.linalg.svd(kron_vec_operator(a, b, -1))
+            scale = frob(a) + frob(b)
+            zero = s <= 1e-10 * scale
+            if np.any(s[~zero] <= 1e-6 * scale):
+                continue
+            c = rhs_in_range(rng, a, b)
+            if not in_range:
+                w = U[:, zero] @ (rng.normal(size=zero.sum()) + 1j * rng.normal(size=zero.sum()))
+                c = c + unvec(w / np.linalg.norm(w), n, m)
+            verdict = diagnose(a, b, c)
+            assert agrees_with_oracle(verdict, a, b, c), (k, second, seed, in_range)
+            if verdict.status is VerdictStatus.SOLVABLE:
+                assert verdict.certificate_residual <= verdict.certificate_threshold
+            kept += 1
+            decided += verdict.status is not VerdictStatus.ILL_CONDITIONED
+        assert decided > kept / 2 > 10
+
+
+class TestRefusalsNameTheirGate:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_near_cutoff_family_never_contradicts_oracle(self, seed):
+        # a 3x3 Jordan block shared by a (8x8) and b (7x7) with a second shared
+        # eigenvalue 1e-3 away: the rank decision sits near its cutoff, which
+        # once let witnesses through to wrong "solvable" verdicts and
+        # WitnessErrors
+        rng = np.random.default_rng(seed)
+        a, b = shared_cluster_pair(rng, 3, 1e-3, 8, 7)
+        c = rhs_outside_range(rng, a, b)
+        verdict = diagnose(a, b, c)
+        assert agrees_with_oracle(verdict, a, b, c)
+        if verdict.status is VerdictStatus.ILL_CONDITIONED:
+            assert verdict.ill_conditioned_gate is not None
+
+    def test_near_cutoff_witness_is_not_trusted(self, monkeypatch):
+        real = singular.solve_uv_report
+
+        def fragile(p, tol=singular.DEFAULT_TOL):
+            rep = real(p, tol)
+            rep.near_cutoff = True
+            return rep
+
+        monkeypatch.setattr(singular, "solve_uv_report", fragile)
+        verdict = diagnose(JORDAN_A, UNIT_B, [[1], [0]])
+        assert verdict.status is VerdictStatus.ILL_CONDITIONED
+        assert verdict.ill_conditioned_gate == "near_cutoff"
+        assert verdict.solution is None
+
+    def test_failed_formula_gate_is_ill_conditioned(self, rng, monkeypatch):
+        real = singular.solve_uv_report
+
+        def corrupted(p, tol=singular.DEFAULT_TOL):
+            rep = real(p, tol)
+            rep.witness.u = rep.witness.u + 0.05 * (frob(rep.witness.u) + 1)
+            return rep
+
+        a, b = shared_semisimple_pair(rng, 2, 2)
+        c = rhs_in_range(rng, a, b)
+        monkeypatch.setattr(singular, "solve_uv_report", corrupted)
+        verdict = diagnose(a, b, c)
+        assert verdict.status is VerdictStatus.ILL_CONDITIONED
+        assert verdict.ill_conditioned_gate == "solution_formula_gap"
+
+    def test_failed_certificate_gate_is_ill_conditioned(self, monkeypatch):
+        def failing(w, p, tol=singular.DEFAULT_TOL):
+            raise WitnessError("forced", gate="solution_certificate")
+
+        monkeypatch.setattr(singular, "particular_solution", failing)
+        verdict = diagnose(JORDAN_A, UNIT_B, [[1], [0]])
+        assert verdict.status is VerdictStatus.ILL_CONDITIONED
+        assert verdict.ill_conditioned_gate == "solution_certificate"
+
+
+class TestOracleSizeCap:
+    def test_oracle_skipped_above_cap(self, rng, monkeypatch):
+        a, b = regular_pair(rng, 65, 64)
+        assert 65 * 64 > ORACLE_MAX_UNKNOWNS
+        c = rng.normal(size=(65, 64)) + 1j * rng.normal(size=(65, 64))
+        monkeypatch.setattr(singular, "oracle_solve",
+                            lambda *args, **kwargs: pytest.fail("dense oracle above its cap"))
+        verdict = diagnose(a, b, c, with_oracle=True)
+        assert verdict.status is VerdictStatus.SOLVABLE
+        assert verdict.oracle_agreement is None
+        assert verdict.certificate_residual <= verdict.certificate_threshold
 
 
 class TestParticularSolution:
