@@ -28,7 +28,8 @@ from . import io as sio
 from .errors import SchemaError, SylvcertError
 from .numerics import frob
 from .oracle import ORACLE_MAX_UNKNOWNS
-from .roots import homogeneous_equivalence, homogeneous_nullspaces, solve_unipotent_quadratic
+from .roots import (homogeneous_equivalence, homogeneous_nullspaces,
+                    solve_unipotent_quadratic, unipotent_identity_residual)
 from .singular import (Verdict, VerdictStatus, diagnose, prepare,
                        solve_uv_report)
 
@@ -146,11 +147,10 @@ def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
         agrees = found == solvable
         entry = sio.check_entry("pass" if agrees else "fail")
         if found:
-            offsets = [float(frob(q @ p.b - p.a @ q - quad_offset(quad)))
-                       for q in quad.q_values]
-            entry["residual"] = min(offsets)
-            entry["threshold"] = tol * (frob(quad_offset(quad))
-                                        + (frob(p.a) + frob(p.b)) * frob(quad.q_values[0]) + 1e-300)
+            # the q closest to holding, its residual with its own threshold
+            entry["residual"], entry["threshold"] = min(
+                (unipotent_identity_residual(q, p, quad.offset, tol) for q in quad.q_values),
+                key=lambda pair: pair[0] / pair[1])
         if not found and not solvable:
             entry["note"] = ("no unipotent solution in the enumerated root family; "
                              "this bounds the search, the system verdict is authoritative")
@@ -158,11 +158,6 @@ def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
     else:
         checks["unipotent_bridge"] = sio.check_entry("skipped")
     return checks
-
-
-def quad_offset(quad) -> np.ndarray:
-    # target and base differ exactly by the offset in the upper-right block
-    return -(quad.target.a12 - quad.base.a12)
 
 
 def cmd_diagnose(args) -> int:
@@ -232,14 +227,13 @@ def cmd_roots(args) -> int:
     quad = solve_unipotent_quadratic(problem, tol=tol)
     rep = solve_uv_report(problem, tol)
     a, b, c = problem.a, problem.b, problem.c
-    offset = quad_offset(quad)
 
     unipotent = []
     a_inv = np.linalg.inv(a)
     b_inv = np.linalg.inv(b)
     pair_sum = a_inv @ c @ b_inv
     for q in quad.q_values:
-        identity_residual = float(frob(q @ b - a @ q - offset))
+        identity_residual, _ = unipotent_identity_residual(q, problem, quad.offset, tol)
         u = 0.5 * (pair_sum - q)
         x = a_inv @ u @ b @ b + u @ b
         unipotent.append({

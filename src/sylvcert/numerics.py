@@ -131,6 +131,14 @@ def triangular_sylvester(ta, tb, c, sign: int) -> np.ndarray:
     return x / scale
 
 
+def schur_sylvester(schur_a, schur_b, c, sign: int) -> np.ndarray:
+    """Solution x of a x + sign * x b = c given the complex Schur factors
+    (t, q) of a and b: Bartels-Stewart in Schur coordinates, O(n^3 + m^3)."""
+    (ta, qa), (tb, qb) = schur_a, schur_b
+    y = triangular_sylvester(ta, tb, qa.conj().T @ c @ qb, sign)
+    return qa @ y @ qb.conj().T
+
+
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))

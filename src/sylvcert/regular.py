@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, GateError, InversionError, PreconditionError
 from .gate import sector_contains
 from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob, mat_exp,
-                       require_square, triangular_sylvester)
+                       require_square, schur_sylvester, triangular_sylvester)
 
 QUADRATURE_NODES_PER_PANEL = 32
 MAX_PANELS = 256
@@ -46,22 +46,20 @@ def _validate_triple(a, b, c):
     return a, b, c
 
 
-def companion_solve_direct(a, b, c, *, check_gate: bool = True) -> RegularSolveResult:
+def companion_solve_direct(a, b, c) -> RegularSolveResult:
     """Unique solution of a x + x b = c by Bartels-Stewart on the complex
     Schur forms of a and b, O(n^3 + m^3).
 
     Both spectra must lie in the open right half-plane (checked on the Schur
-    diagonals unless the caller has already established it).
+    diagonals); callers holding Schur factors use ``schur_sylvester``.
     """
     a, b, c = _validate_triple(a, b, c)
-    ta, qa = complex_schur(a)
-    tb, qb = complex_schur(b)
-    if check_gate:
-        delta = min(eigenvalues(ta).min_real_part, eigenvalues(tb).min_real_part)
-        if delta <= 0:
-            raise GateError(
-                f"spectra must lie in the open right half-plane (min real part {delta:.3g})")
-    x = qa @ triangular_sylvester(ta, tb, qa.conj().T @ c @ qb, +1) @ qb.conj().T
+    schur_a, schur_b = complex_schur(a), complex_schur(b)
+    delta = min(eigenvalues(schur_a[0]).min_real_part, eigenvalues(schur_b[0]).min_real_part)
+    if delta <= 0:
+        raise GateError(
+            f"spectra must lie in the open right half-plane (min real part {delta:.3g})")
+    x = schur_sylvester(schur_a, schur_b, c, +1)
     residual = frob(a @ x + x @ b - c)
     return RegularSolveResult(solution=x, method="direct", residual=residual)
 

@@ -7,6 +7,10 @@ its similarity matrix.  The same mechanics solve the quadratic block equation
 Y B Y = T for B, T the companion-coupled embeddings built from the problem
 data; unipotent solutions [[I, q], [0, I]] certify solvability of the
 original equation through q b - a q = r.
+
+Every Sylvester solve runs on the problem's own Schur factors; the singular
+coupling a^2 s - s b^2 = P_12 of each branch is decided by the main decision's
+kernel, :func:`~sylvcert.singular.decide_sylvester`, on their squares.
 """
 
 from __future__ import annotations
@@ -15,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchCutError, GateError, PreconditionError
+from .errors import GateError, PreconditionError
 from .blockalg import (BlockMatrix, block_inverse, block_mul,
                        commutes_with_diag_pair, diag_embed)
 from .gate import spectra_intersect, default_intersection_tolerance
 from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
-                       principal_sqrt, rank_cutoff, unvec)
-from .oracle import oracle_solve
-from .regular import companion_solve_direct, compute_offset
-from .singular import DEFAULT_TOL, SylvesterProblem
+                       principal_sqrt, rank_cutoff, schur_sylvester, unvec)
+from .regular import compute_offset
+from .singular import DEFAULT_TOL, SylvesterProblem, decide_sylvester
 
 UNIPOTENT_TOL = 1e-7
 
@@ -45,8 +48,7 @@ class QuadraticSolveResult:
 
     base: BlockMatrix
     target: BlockMatrix
-    base_coupler: np.ndarray    # e with a e + e b = -s
-    target_coupler: np.ndarray  # e with a e + e b = -s - r
+    offset: np.ndarray  # r = a^-1 s b + a s b^-1, base.a12 - target.a12
     base_roots: list
     y_solutions: list
     q_values: list
@@ -64,20 +66,20 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
+def _nullspace(a, b) -> list:
+    """Orthonormal basis of the solutions of a x = x b, ordered
+    deterministically (dense SVD of the Kronecker operator)."""
+    K = kron_vec_operator(a, b, -1)
+    _, s, Vh = np.linalg.svd(K)
+    rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0)))
+    return [unvec(_phase_fix(Vh[i].conj()), a.shape[0], b.shape[0])
+            for i in range(rank, K.shape[1])]
+
+
 def homogeneous_nullspaces(p: SylvesterProblem):
     """Orthonormal bases for the solution spaces of a x = x b (n x m side)
     and b y = y a (m x n side), ordered deterministically."""
-    a, b = p.a, p.b
-    n, m = p.n, p.m
-
-    def nullspace(K, rows, cols):
-        _, s, Vh = np.linalg.svd(K)
-        rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0)))
-        vectors = [_phase_fix(Vh[i].conj()) for i in range(rank, K.shape[1])]
-        return [unvec(v, rows, cols) for v in vectors]
-
-    return (nullspace(kron_vec_operator(a, b, -1), n, m),
-            nullspace(kron_vec_operator(b, a, -1), m, n))
+    return _nullspace(p.a, p.b), _nullspace(p.b, p.a)
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
@@ -113,11 +115,11 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     d_minus = diag_embed(a, -b)
     d_square = diag_embed(a @ a, b @ b)
     if side == "upper":
-        coupled = companion_solve_direct(a, b, x, check_gate=False).solution
+        coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
         root = BlockMatrix.upper(a, x, -b)
         similarity = BlockMatrix.upper(np.eye(p.n), coupled, np.eye(p.m))
     else:
-        coupled = companion_solve_direct(b, a, x, check_gate=False).solution
+        coupled = schur_sylvester(p.schur_b, p.schur_a, x, +1)
         root = BlockMatrix.lower(a, x, -b)
         similarity = BlockMatrix.lower(np.eye(p.n), -coupled, np.eye(p.m))
 
@@ -155,7 +157,7 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     if not spectra_intersect(sa, sb, itol):
         raise PreconditionError("spectra do not intersect; the equation is regular")
 
-    x_basis, _ = homogeneous_nullspaces(p)
+    x_basis = _nullspace(p.a, p.b)
     a_holds = len(x_basis) > 0
     if not a_holds:
         return False, False, False
@@ -170,12 +172,6 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     return a_holds, b_holds, c_holds
 
 
-def _couplers(p: SylvesterProblem, companion: np.ndarray, offset: np.ndarray):
-    e1 = companion_solve_direct(p.a, p.b, -companion, check_gate=False).solution
-    e2 = companion_solve_direct(p.a, p.b, -(companion + offset), check_gate=False).solution
-    return e1, e2
-
-
 def block_roots(p: SylvesterProblem, companion=None, tol: float = DEFAULT_TOL):
     """The four sign-branch square roots of the base matrix
     [[a, -s], [0, -b]], each verified to square back to it.
@@ -185,10 +181,10 @@ def block_roots(p: SylvesterProblem, companion=None, tol: float = DEFAULT_TOL):
     """
     a, b = p.a, p.b
     if companion is None:
-        companion = companion_solve_direct(a, b, p.c, check_gate=False).solution
+        companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     else:
         companion = as_complex_matrix(companion, "companion")
-    e1 = companion_solve_direct(a, b, -companion, check_gate=False).solution
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
     base = BlockMatrix.upper(a, -companion, -b)
 
     sqrt_a = principal_sqrt(a)
@@ -210,13 +206,17 @@ def block_roots(p: SylvesterProblem, companion=None, tol: float = DEFAULT_TOL):
     return roots
 
 
-def _blockwise_principal_root(P: BlockMatrix):
-    """Principal square root of a block upper-triangular P, computed blockwise
-    so the result stays exactly upper-triangular."""
-    z11 = principal_sqrt(P.a11)
-    z22 = principal_sqrt(P.a22)
-    z12 = companion_solve_direct(z11, z22, P.a12, check_gate=False).solution
-    return BlockMatrix.upper(z11, z12, z22)
+def _base_and_target(p: SylvesterProblem, companion=None, offset=None):
+    """The base [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of
+    the quadratic equation, with the offset r; s and r default to the
+    problem's companion solution and its offset."""
+    if companion is None:
+        companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    companion = as_complex_matrix(companion, "companion")
+    offset = compute_offset(p.a, p.b, companion) if offset is None \
+        else as_complex_matrix(offset, "offset")
+    return (BlockMatrix.upper(p.a, -companion, -p.b),
+            BlockMatrix.upper(p.a, -(companion + offset), -p.b), offset)
 
 
 def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
@@ -225,56 +225,43 @@ def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
     """Solve Y base Y = target over the enumerated root family and extract
     the unipotent solutions.
 
-    For each branch root R of the base matrix, candidates Z for the square
-    root of P = R target R are the blockwise principal root, its negative,
-    and the four diagonal-sign variants [[d1, d1 s - s d2], [0, d2]] with
-    d1 in {a, -a}, d2 in {b, -b}, available when the singular coupling
-    equation a^2 s - s b^2 = P_12 is consistent.  Absence of a unipotent
-    solution here means none exists in the enumerated family; the (u, v)
-    system remains the authoritative verdict.
+    For each branch root R of the base matrix, P = R target R has diagonal
+    blocks a^2 and b^2 with spectra in the sector, so its principal root is
+    [[a, z], [0, b]] with a z + z b = P_12.  Candidates Z for the root of P
+    are that one, its negative, and the four diagonal-sign variants
+    [[d1, d1 s - s d2], [0, d2]] with d1 in {a, -a}, d2 in {b, -b},
+    available when the singular coupling equation a^2 s - s b^2 = P_12 is
+    consistent.  Absence of a unipotent solution here means none exists in
+    the enumerated family; the (u, v) system remains the authoritative verdict.
     """
     a, b = p.a, p.b
-    if companion is None:
-        companion = companion_solve_direct(a, b, p.c, check_gate=False).solution
-    else:
-        companion = as_complex_matrix(companion, "companion")
-    if offset is None:
-        offset = compute_offset(a, b, companion)
-    else:
-        offset = as_complex_matrix(offset, "offset")
-
-    e1, e2 = _couplers(p, companion, offset)
-    base = BlockMatrix.upper(a, -companion, -b)
-    target = BlockMatrix.upper(a, -(companion + offset), -b)
-    roots = block_roots(p, companion, tol)
+    base, target, offset = _base_and_target(p, companion, offset)
+    roots = block_roots(p, -base.a12, tol)
 
     notes: list = []
     y_solutions: list = []
     q_values: list = []
-    a2 = a @ a
-    b2 = b @ b
+    # t^2 is the Schur factor of a^2 in the basis of t
+    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+    a2, schur_a2 = a @ a, (ta @ ta, qa)
+    b2, schur_b2 = b @ b, (tb @ tb, qb)
 
     for index, root in enumerate(roots):
         root_inv = block_inverse(root)
         P = block_mul(block_mul(root, target), root)
 
-        candidates = []
-        try:
-            principal = _blockwise_principal_root(P)
-            candidates.append(principal)
-            candidates.append(-principal)
-        except BranchCutError as exc:
-            notes.append(f"branch {index}: principal root skipped ({exc})")
+        principal = BlockMatrix.upper(a, schur_sylvester(p.schur_a, p.schur_b, P.a12, +1), b)
+        candidates = [principal, -principal]
 
-        coupling = oracle_solve("sylvester", a2, b2, P.a12, tol=tol)
-        if coupling.consistent:
-            s = coupling.solution
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, P.a12, tol)
+        if coupling.lstsq_residual <= coupling.threshold:
+            s = coupling.u
             for d1 in (a, -a):
                 for d2 in (b, -b):
                     candidates.append(BlockMatrix.upper(d1, d1 @ s - s @ d2, d2))
         else:
             notes.append(f"branch {index}: coupling equation inconsistent "
-                         f"(residual {coupling.residual:.3g})")
+                         f"(residual {coupling.lstsq_residual:.3g})")
 
         for z in candidates:
             y = block_mul(block_mul(root_inv, z), root_inv)
@@ -290,10 +277,18 @@ def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
                     and frob(y.a21) <= unipotent_tol * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
                 q_values.append(y.a12)
 
-    return QuadraticSolveResult(base=base, target=target, base_coupler=e1,
-                                target_coupler=e2, base_roots=roots,
+    return QuadraticSolveResult(base=base, target=target, offset=offset, base_roots=roots,
                                 y_solutions=y_solutions, q_values=q_values,
                                 notes=notes)
+
+
+def unipotent_identity_residual(q, p: SylvesterProblem, offset,
+                                tol: float = DEFAULT_TOL) -> tuple:
+    """Residual of the reduced unipotent identity q b - a q = r for the
+    offset r, and the threshold it is judged against."""
+    residual = frob(q @ p.b - p.a @ q - offset)
+    threshold = tol * (frob(offset) + (frob(p.a) + frob(p.b)) * frob(q) + 1e-300)
+    return residual, threshold
 
 
 def verify_unipotent_identity(q, p: SylvesterProblem, companion=None, offset=None,
@@ -301,19 +296,12 @@ def verify_unipotent_identity(q, p: SylvesterProblem, companion=None, offset=Non
     """Check that [[I, q], [0, I]] conjugates the base matrix into the target,
     in both its block form and the reduced form q b - a q = r; the two
     residuals must agree."""
-    a, b = p.a, p.b
     q = as_complex_matrix(q, "q")
-    if companion is None:
-        companion = companion_solve_direct(a, b, p.c, check_gate=False).solution
-    if offset is None:
-        offset = compute_offset(a, b, companion)
-    base = BlockMatrix.upper(a, -companion, -b)
-    target = BlockMatrix.upper(a, -(companion + offset), -b)
+    base, target, offset = _base_and_target(p, companion, offset)
     y = BlockMatrix.upper(np.eye(p.n), q, np.eye(p.m))
     block_residual = (block_mul(block_mul(y, base), y) - target).norm()
-    reduced_residual = frob(q @ b - a @ q - offset)
-    scale = frob(offset) + (frob(a) + frob(b)) * frob(q) + 1e-300
-    if abs(block_residual - reduced_residual) > 1e-9 * scale + 1e-12:
+    reduced_residual, threshold = unipotent_identity_residual(q, p, offset, tol)
+    if abs(block_residual - reduced_residual) > 1e-9 * threshold / tol + 1e-12:
         raise PreconditionError(
             "block and reduced residuals disagree; inconsistent evaluation")
-    return reduced_residual <= tol * scale
+    return reduced_residual <= threshold

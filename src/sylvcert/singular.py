@@ -17,17 +17,16 @@ mixed sum and solves the reduced equation
 
     a u - u b = a s b^-1                           (nm unknowns)
 
-in the complex Schur coordinates of a and b, computed once per problem by
-:func:`prepare`.  Reordering puts first the eigenvalues within the cluster
-tolerance ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other
-spectrum, k_a of a's and k_b of b's.  The equation becomes block triangular:
-only the k_a x k_b shared block is singular and is decided by minimum-norm
-least squares with an explicit, reported threshold; the other three blocks and
-the companion equation are regular Bartels-Stewart solves.  The cost is
-O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The stacked 2nm system stays
-available as the oracle's ``uv_stacked`` reference.  Completing v this way
-makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the identity
-a u + v b = s + offset, the cubic constraint and the two gates of
+with :func:`decide_sylvester`, the one kernel for singular Sylvester equations
+(the root bridge decides its coupling equation with it too).  It works in the
+complex Schur coordinates that :func:`prepare` computes once per problem,
+reordered so the k_a x k_b block of eigenvalues shared within the cluster
+tolerance leads; only that block is decided by minimum-norm least squares with
+an explicit, reported threshold, the rest and the companion equation by
+Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The
+stacked 2nm system stays the oracle's ``uv_stacked`` reference.  Completing v
+this way makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
+identity a u + v b = s + offset, the cubic constraint and the two gates of
 :func:`particular_solution` are the independent checks, each certified as a
 residual against a threshold at its own scale.
 """
@@ -38,7 +37,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, InversionError, PreconditionError, WitnessError
 from .gate import (DEFAULT_ALPHA, DEFAULT_MARGIN, GateReport,
@@ -46,10 +44,9 @@ from .gate import (DEFAULT_ALPHA, DEFAULT_MARGIN, GateReport,
 from .blockalg import BlockMatrix, block_mul, diag_embed
 from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob,
                        kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
-                       require_square, triangular_sylvester, unvec, vec)
+                       require_square, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
-from .regular import (companion_solve_direct, companion_solve_quadrature,
-                      compute_offset)
+from .regular import companion_solve_quadrature, compute_offset
 
 DEFAULT_TOL = 1e-8
 
@@ -108,11 +105,10 @@ class UVWitness:
 
 @dataclass
 class UVSystemReport:
-    """Outcome of the least-squares decision of the reduced equation
-    a u - u b = a s b^-1; ``witness`` carries the completed pair (u, v)."""
+    """Outcome of :func:`decide_sylvester` for a u - u b = rhs; for the (u, v)
+    system, ``companion`` is the s it used and ``witness`` the completed pair."""
 
-    witness: UVWitness | None
-    companion: np.ndarray  # the solution s of a s + s b = c the decision used
+    u: np.ndarray  # the least-squares answer, in the original coordinates
     lstsq_residual: float
     threshold: float
     rank: int
@@ -120,6 +116,8 @@ class UVSystemReport:
     near_cutoff: bool = False  # the rank decision itself sat near the cutoff
     cluster_sizes: tuple = (0, 0)  # (k_a, k_b): eigenvalues in the shared block
     cluster_tolerance: float = 0.0
+    witness: UVWitness | None = None
+    companion: np.ndarray | None = None
 
 
 @dataclass
@@ -247,26 +245,25 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     return y, shared
 
 
-def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
-    """Decide consistency of the (u, v) system through its reduced form.
+def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> UVSystemReport:
+    """Decide the possibly singular equation a u - u b = rhs on the complex
+    Schur factors (t, q) of a and b.
 
-    Substituting v = a^-1 c b^-1 - u into a v + u b = s leaves the single
-    equation a u - u b = a s b^-1 in nm unknowns.  It is solved in the
-    complex Schur coordinates of a and b, reordered so the eigenvalues within
-    ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other spectrum lead:
-    only the k_a x k_b shared block is decided by minimum-norm least squares
-    (rank judged as for the full nm operator at the scale ||a|| + ||b||),
-    everything else by Bartels-Stewart.  If a regular block amplifies its
-    right-hand side past the rank cutoff, or u comes out so large that u = 0
-    would pass the threshold too, the cluster widens to all of both spectra
-    and the same code decides the whole equation.  The residual is then taken
-    on the full u in the original coordinates against
-    tol * (||a s b^-1|| + (||a|| + ||b||) ||u||), relative to the data, so
-    scaling c alone cannot move the verdict; residuals within a factor 10 of
-    it are flagged marginal rather than forced into a binary answer.
+    The factors are reordered so the eigenvalues within
+    ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other spectrum
+    lead: only the k_a x k_b shared block is decided by minimum-norm least
+    squares (rank judged as for the full nm operator at the scale
+    ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
+    amplifies its right-hand side past the rank cutoff, or u comes out so
+    large that u = 0 would pass the threshold too, the cluster widens to all
+    of both spectra and the same code decides the whole equation.  The
+    residual is then taken on the full u in the original coordinates against
+    tol * (||rhs|| + (||a|| + ||b||) ||u||), relative to the data, so scaling
+    rhs alone cannot move the decision; residuals within a factor 10 of it
+    are flagged marginal rather than forced into a binary answer.
     """
-    a, b, c = p.a, p.b, p.c
-    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+    (ta, qa), (tb, qb) = schur_a, schur_b
+    n, m = ta.shape[0], tb.shape[0]
     data_scale = frob(a) + frob(b)
     cluster_tolerance = CLUSTER_TOLERANCE_FACTOR * data_scale
     gaps = np.abs(ta.diagonal()[:, None] - tb.diagonal()[None, :])
@@ -275,34 +272,42 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     ta, qa = reorder_schur(ta, qa, select_a)
     tb, qb = reorder_schur(tb, qb, select_b)
     k_a, k_b = int(select_a.sum()), int(select_b.sum())
-
-    # companion a s + s b = c and the reduced right-hand side a s b^-1
-    s_schur = triangular_sylvester(ta, tb, qa.conj().T @ c @ qb, +1)
-    r = scipy.linalg.solve_triangular(tb, (ta @ s_schur).T, trans="T").T
-    companion = qa @ s_schur @ qb.conj().T
-    rhs = qa @ r @ qb.conj().T
-    offset = compute_offset(a, b, companion)
+    r = qa.conj().T @ rhs @ qb
 
     # the whole spectra form the fallback cluster, where every block is shared
-    for k_a, k_b in ((k_a, k_b), (p.n, p.m)):
+    for k_a, k_b in ((k_a, k_b), (n, m)):
         solved = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
         if solved is not None:
             y, shared = solved
             u = qa @ y @ qb.conj().T
             # a u so large that u = 0 would pass the threshold too decides nothing
-            if tol * data_scale * frob(u) < frob(rhs) or (k_a, k_b) == (p.n, p.m):
+            if tol * data_scale * frob(u) < frob(rhs) or (k_a, k_b) == (n, m):
                 break
     residual = frob(a @ u - u @ b - rhs)
     threshold = tol * (frob(rhs) + data_scale * frob(u))
-    marginal = threshold < residual <= 10.0 * threshold
-    witness = None
-    if residual <= threshold:
-        witness = _witness_from_u(p, u, companion, offset, tol, threshold)
-    rank = p.n * p.m - k_a * k_b + (0 if shared is None else shared.rank)
-    return UVSystemReport(witness=witness, companion=companion, lstsq_residual=residual,
-                          threshold=threshold, rank=rank, marginal=marginal,
+    rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
+    return UVSystemReport(u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
+                          marginal=threshold < residual <= 10.0 * threshold,
                           near_cutoff=shared is not None and shared.near_cutoff,
                           cluster_sizes=(k_a, k_b), cluster_tolerance=cluster_tolerance)
+
+
+def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
+    """Decide the (u, v) system through its reduced form a u - u b = a s b^-1
+    (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
+    :func:`decide_sylvester`; a consistent decision is completed to the
+    witness pair (u, v)."""
+    a, b = p.a, p.b
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    # a s b^-1 by a solve against b, without forming the inverse
+    rhs = np.linalg.solve(b.T, (a @ companion).T).T
+    report = decide_sylvester(a, b, p.schur_a, p.schur_b, rhs, tol)
+    report.companion = companion
+    if report.lstsq_residual <= report.threshold:
+        report.witness = _witness_from_u(p, report.u, companion,
+                                         compute_offset(a, b, companion), tol,
+                                         report.threshold)
+    return report
 
 
 def solve_uv_system(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVWitness | None:
@@ -428,7 +433,7 @@ def reduced_singular_routes(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     equation is solvable) or neither is.
     """
     a, b, c = p.a, p.b, p.c
-    companion = companion_solve_direct(a, b, c, check_gate=False).solution
+    companion = schur_sylvester(p.schur_a, p.schur_b, c, +1)
     rhs_u = a @ companion @ np.linalg.inv(b)
     rhs_v = -np.linalg.inv(a) @ companion @ b
     res_u = oracle_solve("sylvester", a, b, rhs_u, tol=tol)

@@ -137,7 +137,7 @@ def test_criterion_5_pair_cascade():
         solvable = index % 3 != 2
         c = rhs_in_range(rng, a, b) if solvable else rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         offset = compute_offset(p.a, p.b, companion)
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
@@ -204,7 +204,7 @@ def test_criterion_8_square_root_identities():
         solvable = index % 3 != 2
         c = rhs_in_range(rng, a, b) if solvable else rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         offset = compute_offset(p.a, p.b, companion)
         base = BlockMatrix.upper(p.a, -companion, -p.b)
         for root in block_roots(p, companion):

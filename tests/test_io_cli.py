@@ -11,6 +11,7 @@ from sylvcert.cli import main
 from sylvcert.errors import SchemaError, WitnessError
 from sylvcert.instances import regular_pair
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS
+from sylvcert.roots import solve_unipotent_quadratic, unipotent_identity_residual
 from sylvcert.io import (matrix_to_pairs, pairs_to_matrix, parse_problem_text,
                          parse_report, problem_to_dict, serialize_report)
 from sylvcert.singular import diagnose
@@ -122,6 +123,19 @@ class TestDiagnoseCommand:
         assert doc["checks"]["oracle_cross_check"]["status"] == "pass"
         assert doc["checks"]["integral_representation"]["status"] == "pass"
         assert doc["checks"]["unipotent_bridge"]["status"] == "pass"
+
+    def test_unipotent_bridge_pairs_residual_and_threshold_of_one_q(self, tmp_path):
+        a, b, c = [[1, 1], [0, 1]], [[1]], [[1], [0]]
+        problem = write_problem(tmp_path / "p.json", a, b, c)
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "--bridge", "-o", str(out)]) == 0
+        entry = parse_report(out.read_text())["checks"]["unipotent_bridge"]
+        p = singular.prepare(a, b, c)
+        quad = solve_unipotent_quadratic(p)
+        pairs = [unipotent_identity_residual(q, p, quad.offset) for q in quad.q_values]
+        assert len(pairs) >= 2
+        assert (entry["residual"], entry["threshold"]) in pairs
+        assert entry["residual"] <= entry["threshold"]
 
     def test_checks_carry_the_thresholds_the_library_applied(self, tmp_path):
         a, b, c = [[1, 1], [0, 1]], [[1]], [[1], [0]]

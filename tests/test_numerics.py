@@ -5,8 +5,8 @@ from sylvcert.errors import (BranchCutError, DimensionError, InversionError, Num
                              ParameterError)
 from sylvcert.numerics import (as_complex_matrix, complex_schur, eigenvalues,
                                kron_vec_operator, lstsq_solve, mat_exp, principal_sqrt,
-                               rank_cutoff, reorder_schur, triangular_sylvester, unvec,
-                               vec)
+                               rank_cutoff, reorder_schur, schur_sylvester,
+                               triangular_sylvester, unvec, vec)
 
 from conftest import assert_multiset_close
 
@@ -211,6 +211,14 @@ class TestSchurKernels:
         for sign in (1, -1):
             x = triangular_sylvester(ta, sign * tb, c, sign)
             np.testing.assert_allclose(ta @ x + x @ tb, c, atol=1e-12)
+
+    def test_schur_sylvester_solves_in_original_coordinates(self, rng):
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 6 * np.eye(5)
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) - 6 * np.eye(3)
+        c = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        for sign, bb in ((1, b), (-1, -b)):
+            x = schur_sylvester(complex_schur(a), complex_schur(bb), c, sign)
+            np.testing.assert_allclose(a @ x + sign * x @ bb, c, atol=1e-11)
 
     def test_triangular_sylvester_shared_eigenvalue_rejected(self):
         t = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)

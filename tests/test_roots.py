@@ -1,17 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from sylvcert import regular, singular
 from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
 from sylvcert.errors import PreconditionError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob
-from sylvcert.regular import companion_solve_direct, compute_offset
+from sylvcert.numerics import frob, principal_sqrt
+from sylvcert.oracle import oracle_solve
+from sylvcert.regular import companion_solve_direct
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
                             solve_unipotent_quadratic, verify_unipotent_identity)
-from sylvcert.singular import prepare, solve_uv_system
+from sylvcert.singular import decide_sylvester, prepare, solve_uv_system
 
 from conftest import assert_multiset_close
 
@@ -137,7 +141,7 @@ class TestBlockRoots:
         a, b = shared_semisimple_pair(rng, 3, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         base = BlockMatrix.upper(p.a, -companion, -p.b)
         for root in block_roots(p):
             assert (block_mul(root, root) - base).norm() <= 1e-9 * base.norm()
@@ -186,17 +190,6 @@ class TestUnipotentQuadratic:
             residual = (block_mul(block_mul(y, quad.base), y) - quad.target).norm()
             assert residual <= 1e-8 * max(quad.target.norm(), 1.0) * (1 + y.norm()) ** 2
 
-    def test_couplers_satisfy_their_equations(self, rng):
-        a, b = shared_semisimple_pair(rng, 2, 2)
-        c = rhs_in_range(rng, a, b)
-        p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
-        offset = compute_offset(p.a, p.b, companion)
-        quad = solve_unipotent_quadratic(p, companion, offset)
-        assert frob(p.a @ quad.base_coupler + quad.base_coupler @ p.b + companion) <= 1e-10
-        assert frob(p.a @ quad.target_coupler + quad.target_coupler @ p.b
-                    + companion + offset) <= 1e-10
-
     def test_solvability_bridge(self, rng):
         # a unipotent solution exists in the enumerated family exactly when
         # the (u, v) system is consistent
@@ -208,6 +201,67 @@ class TestUnipotentQuadratic:
             quad = solve_unipotent_quadratic(p)
             witness = solve_uv_system(p)
             assert (len(quad.q_values) > 0) == (witness is not None)
+
+
+def seeded_bridge_problems():
+    # shared-Jordan and shared-semisimple pairs, n, m <= 8, c in and out of range
+    for family, seed, in_range in itertools.product(
+            (shared_jordan_pair, shared_semisimple_pair), range(6), (True, False)):
+        rng = np.random.default_rng([seed, int(in_range), family is shared_jordan_pair])
+        n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        a, b = family(rng, n, m)
+        c = rhs_in_range(rng, a, b) if in_range else rhs_outside_range(rng, a, b)
+        yield prepare(a, b, c)
+
+
+def branch_products(quad):
+    """P = R target R for each branch root R, in branch order."""
+    return [block_mul(block_mul(root, quad.target), root) for root in quad.base_roots]
+
+
+class TestBranchCoupling:
+    def test_coupling_decision_matches_oracle_per_branch(self):
+        # a^2 s - s b^2 = P_12 is decided on the squared Schur factors; the
+        # dense oracle must reach the same decision on every branch
+        outcomes = set()
+        for p in seeded_bridge_problems():
+            quad = solve_unipotent_quadratic(p)
+            (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+            a2, b2 = p.a @ p.a, p.b @ p.b
+            for index, P in enumerate(branch_products(quad)):
+                decision = decide_sylvester(a2, b2, (ta @ ta, qa), (tb @ tb, qb), P.a12)
+                reference = oracle_solve("sylvester", a2, b2, P.a12)
+                assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff)
+                consistent = decision.lstsq_residual <= decision.threshold
+                assert consistent == reference.consistent, (p.n, p.m, index)
+                noted = any(note.startswith(f"branch {index}: coupling equation inconsistent")
+                            for note in quad.notes)
+                assert noted == (not reference.consistent)
+                outcomes.add(reference.consistent)
+        assert outcomes == {True, False}
+
+    def test_bridge_reuses_the_problem_schur_factors(self, monkeypatch):
+        p = next(seeded_bridge_problems())
+
+        def refuse(*args, **kwargs):
+            pytest.fail("Schur factorization after prepare")
+
+        monkeypatch.setattr(regular, "complex_schur", refuse)
+        monkeypatch.setattr(singular, "complex_schur", refuse)
+        homogeneous_equivalence(p)
+        quad = solve_unipotent_quadratic(p)
+        assert quad.q_values and verify_unipotent_identity(quad.q_values[0], p)
+
+    def test_principal_root_diagonal_is_the_problem_pair(self):
+        # on a prepared problem P = R target R has diagonal blocks a^2 and
+        # b^2 with spectra in the sector, so their principal roots are a and b
+        for p in seeded_bridge_problems():
+            quad = solve_unipotent_quadratic(p)
+            branches = branch_products(quad)
+            assert len(branches) == 4
+            for P in branches:
+                assert frob(principal_sqrt(P.a11) - p.a) <= 1e-10 * frob(p.a)
+                assert frob(principal_sqrt(P.a22) - p.b) <= 1e-10 * frob(p.b)
 
 
 class TestUnipotentIdentity:

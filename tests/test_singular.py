@@ -341,7 +341,7 @@ class TestReducedRoutes:
         p = prepare(a, b, c)
         u_route, _ = reduced_singular_routes(p)
         assert u_route is not None
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         a_inv = np.linalg.inv(p.a)
         v = a_inv @ companion - a_inv @ u_route @ p.b
         assert frob(p.a @ v + u_route @ p.b - companion) <= 1e-9 * (1 + frob(companion))
@@ -516,7 +516,7 @@ class TestPairCascade:
         a, b = shared_semisimple_pair(rng, 2, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         offset = compute_offset(p.a, p.b, companion)
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
@@ -539,7 +539,7 @@ class TestPairCascade:
         a, b = shared_semisimple_pair(rng, 2, 2)
         c = rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c, check_gate=False).solution
+        companion = companion_solve_direct(p.a, p.b, p.c).solution
         offset = compute_offset(p.a, p.b, companion)
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
