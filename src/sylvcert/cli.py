@@ -27,11 +27,11 @@ import numpy as np
 from . import io as sio
 from .errors import SchemaError, SylvcertError
 from .numerics import frob
-from .oracle import ORACLE_MAX_UNKNOWNS
 from .roots import (homogeneous_equivalence, homogeneous_nullspaces,
-                    solve_unipotent_quadratic, unipotent_identity_residual)
-from .singular import (Verdict, VerdictStatus, diagnose, prepare,
-                       solve_uv_report)
+                    solve_unipotent_quadratic, unipotent_bridge_check,
+                    unipotent_identity_residual)
+from .singular import (VerdictStatus, check_entry, diagnose, prepare,
+                       solution_from_u, solve_uv_report)
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -46,44 +46,43 @@ _STATUS_EXIT = {
 }
 
 
+_FLAGS = {
+    "--oracle": {"action": "store_true",
+                 "help": "attach the brute-force Kronecker cross-check"},
+    "--quadrature": {"action": "store_true",
+                     "help": "validate the companion solution via the integral representation"},
+    "--bridge": {"action": "store_true",
+                 "help": "cross-check the verdict against the unipotent root search"},
+    "--seed": {"type": int, "default": None, "help": "seed recorded in the report environment"},
+}
+
+# (name, positional argument, help, the flags it reads besides --alpha, --tol and -o)
+_SUBCOMMANDS = (
+    ("diagnose", "file", "decide solvability and certify a solution",
+     ("--oracle", "--quadrature", "--bridge", "--seed")),
+    ("homogeneous", "file", "nullspace report for the homogeneous equations", ("--seed",)),
+    ("roots", "file", "block square roots and unipotent certificates", ("--seed",)),
+    ("batch", "directory", "verdicts for every problem file in a directory", ("--oracle",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sylvcert",
         description="Solvability verdicts and certified particular solutions "
                     "for the matrix equation a x - x b = c.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, positional, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional, type=Path)
         p.add_argument("--alpha", type=float, default=None,
                        help="sector half-angle in (0, pi/2); default pi/4 or the file option")
         p.add_argument("--tol", type=float, default=None,
                        help="relative decision tolerance; default 1e-8 or the file option")
-        p.add_argument("--oracle", action="store_true",
-                       help="attach the brute-force Kronecker cross-check")
-        p.add_argument("--quadrature", action="store_true",
-                       help="validate the companion solution via the integral representation")
-        p.add_argument("--bridge", action="store_true",
-                       help="cross-check the verdict against the unipotent root search")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the report environment")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--output", "-o", type=Path, default=None,
                        help="write the full JSON report to this path")
-
-    p_diag = sub.add_parser("diagnose", help="decide solvability and certify a solution")
-    p_diag.add_argument("file", type=Path)
-    add_common(p_diag)
-
-    p_hom = sub.add_parser("homogeneous", help="nullspace report for the homogeneous equations")
-    p_hom.add_argument("file", type=Path)
-    add_common(p_hom)
-
-    p_roots = sub.add_parser("roots", help="block square roots and unipotent certificates")
-    p_roots.add_argument("file", type=Path)
-    add_common(p_roots)
-
-    p_batch = sub.add_parser("batch", help="verdicts for every problem file in a directory")
-    p_batch.add_argument("directory", type=Path)
-    add_common(p_batch)
     return parser
 
 
@@ -97,77 +96,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _bounded_check(residual: float, threshold: float) -> dict:
-    return sio.check_entry("pass" if residual <= threshold else "fail", residual, threshold)
-
-
-def _diagnose_checks(verdict: Verdict, tol: float, args, spec) -> dict:
-    checks = {}
-    solvable = verdict.status is VerdictStatus.SOLVABLE
-    checks["system_consistency"] = sio.check_entry(
-        "pass" if solvable else "fail",
-        verdict.system_residual, verdict.system_threshold)
-    if solvable:
-        residuals, thresholds = verdict.witness.residuals, verdict.witness.thresholds
-        checks["solution_certificate"] = _bounded_check(
-            verdict.certificate_residual, verdict.certificate_threshold)
-        checks["solution_formulas_agree"] = _bounded_check(
-            residuals["solution_formula_gap"], thresholds["solution_formula_gap"])
-        # the pair identity farthest from holding, each against its own threshold
-        worst = max(("av_ub", "au_vb", "u_plus_v", "cubic"),
-                    key=lambda key: residuals[key] / max(thresholds[key], 1e-300))
-        checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
-    else:
-        checks["solution_certificate"] = sio.check_entry("skipped")
-        checks["solution_formulas_agree"] = sio.check_entry("skipped")
-        checks["identity_cascade"] = sio.check_entry("skipped")
-
-    if args.oracle and verdict.oracle_agreement is not None:
-        checks["oracle_cross_check"] = sio.check_entry(
-            "pass" if verdict.oracle_agreement else "fail",
-            verdict.oracle_residual, verdict.oracle_threshold)
-    else:
-        checks["oracle_cross_check"] = sio.check_entry("skipped")
-        unknowns = verdict.problem.n * verdict.problem.m
-        if args.oracle and unknowns > ORACLE_MAX_UNKNOWNS:
-            checks["oracle_cross_check"]["note"] = (
-                f"{unknowns} unknowns exceed the dense oracle's cap of {ORACLE_MAX_UNKNOWNS}")
-
-    if args.quadrature and verdict.quadrature_gap is not None:
-        checks["integral_representation"] = sio.check_entry(
-            "pass" if verdict.quadrature_gap <= 1e-8 else "fail",
-            verdict.quadrature_gap, 1e-8)
-    else:
-        checks["integral_representation"] = sio.check_entry("skipped")
-
-    if args.bridge and verdict.status is not VerdictStatus.ILL_CONDITIONED:
-        p = verdict.problem
-        quad = solve_unipotent_quadratic(p, tol=tol)
-        found = len(quad.q_values) > 0
-        agrees = found == solvable
-        entry = sio.check_entry("pass" if agrees else "fail")
-        if found:
-            # the q closest to holding, its residual with its own threshold
-            entry["residual"], entry["threshold"] = min(
-                (unipotent_identity_residual(q, p, quad.offset, tol) for q in quad.q_values),
-                key=lambda pair: pair[0] / pair[1])
-        if not found and not solvable:
-            entry["note"] = ("no unipotent solution in the enumerated root family; "
-                             "this bounds the search, the system verdict is authoritative")
-        checks["unipotent_bridge"] = entry
-    else:
-        checks["unipotent_bridge"] = sio.check_entry("skipped")
-    return checks
-
-
 def cmd_diagnose(args) -> int:
     spec = sio.load_problem(args.file)
     alpha, tol = _effective(args, spec)
     verdict = diagnose(spec.a, spec.b, spec.c, alpha=alpha, tol=tol,
                        with_oracle=args.oracle,
                        with_quadrature=args.quadrature or spec.method == "quadrature")
-    checks = _diagnose_checks(verdict, tol, args, spec)
-    doc = sio.verdict_to_dict(verdict, checks, tol, seed=args.seed, timestamp=_now())
+    if args.bridge:
+        verdict.checks["unipotent_bridge"] = unipotent_bridge_check(verdict, tol)
+    doc = sio.verdict_to_dict(verdict, tol, seed=args.seed, timestamp=_now())
     if args.output:
         args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
     lam = verdict.problem.lambda_shift
@@ -176,8 +113,9 @@ def cmd_diagnose(args) -> int:
           f"threshold {verdict.certificate_threshold:.3e}, shift {lam:g})")
     if verdict.oracle_agreement is not None:
         print(f"  oracle agreement: {verdict.oracle_agreement}")
-    if verdict.quadrature_gap is not None:
-        print(f"  integral-representation gap: {verdict.quadrature_gap:.3e}")
+    quadrature = verdict.checks["integral_representation"]
+    if quadrature["status"] != "skipped":
+        print(f"  integral-representation gap: {quadrature['residual']:.3e}")
     return _STATUS_EXIT[verdict.status]
 
 
@@ -204,7 +142,7 @@ def cmd_homogeneous(args) -> int:
         "basis_samples": [sio.matrix_to_pairs(v) for v in x_basis[:3]],
         "adjoint_basis_samples": [sio.matrix_to_pairs(v) for v in y_basis[:3]],
         "equivalences": equivalences,
-        "checks": {"three_way_equivalence": sio.check_entry(equivalence_status)},
+        "checks": {"three_way_equivalence": check_entry(equivalence_status)},
         "environment": {
             "alpha": problem.alpha,
             "shift_lambda": problem.lambda_shift,
@@ -229,13 +167,11 @@ def cmd_roots(args) -> int:
     a, b, c = problem.a, problem.b, problem.c
 
     unipotent = []
-    a_inv = np.linalg.inv(a)
-    b_inv = np.linalg.inv(b)
-    pair_sum = a_inv @ c @ b_inv
+    u_plus_v = np.linalg.solve(a, np.linalg.solve(b.T, c.T).T)  # a^-1 c b^-1
     for q in quad.q_values:
         identity_residual, _ = unipotent_identity_residual(q, problem, quad.offset, tol)
-        u = 0.5 * (pair_sum - q)
-        x = a_inv @ u @ b @ b + u @ b
+        # q = v - u, so u = (u + v - q) / 2
+        x = solution_from_u(a, b, 0.5 * (u_plus_v - q))
         unipotent.append({
             "q": sio.matrix_to_pairs(q),
             "identity_residual": identity_residual,

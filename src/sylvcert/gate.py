@@ -68,24 +68,11 @@ def sector_margin(z: complex, alpha: float) -> float:
     return math.sin(min(max(gap, -math.pi / 2), math.pi / 2))
 
 
-def sector_contains(spectrum, alpha: float, margin: float = 0.0,
-                    modulus_floor: float = 0.0) -> bool:
-    """True iff every eigenvalue z satisfies z != 0 and |arg z| < alpha.
-
-    With ``margin`` > 0 the angular gap must additionally satisfy
-    sin(alpha - |arg z|) >= margin, and |z| must reach ``modulus_floor``.
-    """
+def sector_contains(spectrum, alpha: float) -> bool:
+    """True iff every eigenvalue z satisfies z != 0 and |arg z| < alpha."""
     _check_alpha(alpha)
-    values = _spectrum_values(spectrum)
-    for z in values:
-        if z == 0:
-            return False
-        gap = sector_margin(complex(z), alpha)
-        if (gap < margin) if margin > 0 else (gap <= 0):
-            return False
-        if abs(z) < modulus_floor:
-            return False
-    return True
+    # sector_margin is -1 at z = 0 and positive exactly inside the sector
+    return all(sector_margin(complex(z), alpha) > 0 for z in _spectrum_values(spectrum))
 
 
 def spectra_intersect(sa, sb, tol: float) -> bool:

@@ -42,11 +42,10 @@ def jordan_block(lam: complex, k: int) -> np.ndarray:
     return lam * np.eye(k, dtype=np.complex128) + np.eye(k, k, 1, dtype=np.complex128)
 
 
-def regular_pair(rng: np.random.Generator, n: int, m: int,
-                 separation: float = 0.5):
-    """(a, b) with spectra separated by at least ``separation`` in modulus."""
+def regular_pair(rng: np.random.Generator, n: int, m: int):
+    """(a, b) with spectra separated by at least 0.5 in modulus."""
     eigs_a = random_sector_eigenvalues(rng, n, modulus=(0.6, 1.8))
-    eigs_b = random_sector_eigenvalues(rng, m, modulus=(1.8 + separation, 4.0))
+    eigs_b = random_sector_eigenvalues(rng, m, modulus=(2.3, 4.0))
     a = matrix_with_eigenvalues(rng, eigs_a)
     b = matrix_with_eigenvalues(rng, eigs_b)
     return a, b

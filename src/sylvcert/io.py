@@ -150,14 +150,6 @@ def parse_report(text: str) -> dict:
         ) from exc
 
 
-def check_entry(status: str, residual: float | None = None,
-                threshold: float | None = None) -> dict:
-    entry = {"status": status}
-    entry["residual"] = None if residual is None else float(residual)
-    entry["threshold"] = None if threshold is None else float(threshold)
-    return entry
-
-
 def _witness_to_dict(w: UVWitness) -> dict:
     return {
         "u": matrix_to_pairs(w.u),
@@ -185,8 +177,8 @@ def environment_dict(verdict: Verdict, tol: float, seed: int | None) -> dict:
     }
 
 
-def verdict_to_dict(verdict: Verdict, checks: dict, tol: float,
-                    seed: int | None = None, timestamp: str | None = None) -> dict:
+def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None,
+                    timestamp: str | None = None) -> dict:
     gate = verdict.problem.gate
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -213,7 +205,7 @@ def verdict_to_dict(verdict: Verdict, checks: dict, tol: float,
             else float(verdict.cluster_tolerance),
         },
         "environment": environment_dict(verdict, tol, seed),
-        "checks": checks,
+        "checks": verdict.checks,
         "generated_at": timestamp if timestamp is not None
         else datetime.now(timezone.utc).isoformat(),
     }

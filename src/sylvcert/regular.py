@@ -23,6 +23,9 @@ from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob, mat_
 
 QUADRATURE_NODES_PER_PANEL = 32
 MAX_PANELS = 256
+# largest relative gap between the quadrature and the direct companion
+# solution that still validates the integral representation
+QUADRATURE_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from .gate import spectra_intersect, default_intersection_tolerance
 from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
                        principal_sqrt, rank_cutoff, schur_sylvester, unvec)
 from .regular import compute_offset
-from .singular import DEFAULT_TOL, SylvesterProblem, decide_sylvester
+from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
+                       check_entry, decide_sylvester, skipped_on_refusal)
 
 UNIPOTENT_TOL = 1e-7
 
@@ -220,8 +221,7 @@ def _base_and_target(p: SylvesterProblem, companion=None, offset=None):
 
 
 def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
-                              tol: float = DEFAULT_TOL,
-                              unipotent_tol: float = UNIPOTENT_TOL) -> QuadraticSolveResult:
+                              tol: float = DEFAULT_TOL) -> QuadraticSolveResult:
     """Solve Y base Y = target over the enumerated root family and extract
     the unipotent solutions.
 
@@ -272,9 +272,9 @@ def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
             if any((y - seen).norm() <= 1e-8 * (1.0 + y.norm()) for seen in y_solutions):
                 continue
             y_solutions.append(y)
-            if (frob(y.a11 - np.eye(p.n)) <= unipotent_tol * np.sqrt(p.n)
-                    and frob(y.a22 - np.eye(p.m)) <= unipotent_tol * np.sqrt(p.m)
-                    and frob(y.a21) <= unipotent_tol * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
+            if (frob(y.a11 - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
+                    and frob(y.a22 - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
+                    and frob(y.a21) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
                 q_values.append(y.a12)
 
     return QuadraticSolveResult(base=base, target=target, offset=offset, base_roots=roots,
@@ -289,6 +289,28 @@ def unipotent_identity_residual(q, p: SylvesterProblem, offset,
     residual = frob(q @ p.b - p.a @ q - offset)
     threshold = tol * (frob(offset) + (frob(p.a) + frob(p.b)) * frob(q) + 1e-300)
     return residual, threshold
+
+
+def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:
+    """The ``unipotent_bridge`` entry of ``verdict.checks``: it passes when
+    the root bridge finds a unipotent solution exactly for a solvable
+    verdict.  A found one reports the q closest to holding, with its residual
+    and threshold from :func:`unipotent_identity_residual`."""
+    if verdict.status is VerdictStatus.ILL_CONDITIONED:
+        return skipped_on_refusal(verdict.ill_conditioned_gate)
+    p = verdict.problem
+    quad = solve_unipotent_quadratic(p, tol=tol)
+    solvable = verdict.status is VerdictStatus.SOLVABLE
+    found = len(quad.q_values) > 0
+    entry = check_entry("pass" if found == solvable else "fail")
+    if found:
+        entry["residual"], entry["threshold"] = min(
+            (unipotent_identity_residual(q, p, quad.offset, tol) for q in quad.q_values),
+            key=lambda pair: pair[0] / pair[1])
+    elif not solvable:
+        entry["note"] = ("no unipotent solution in the enumerated root family; "
+                         "this bounds the search, the system verdict is authoritative")
+    return entry
 
 
 def verify_unipotent_identity(q, p: SylvesterProblem, companion=None, offset=None,

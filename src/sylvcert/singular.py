@@ -39,14 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InversionError, PreconditionError, WitnessError
-from .gate import (DEFAULT_ALPHA, DEFAULT_MARGIN, GateReport,
-                   default_intersection_tolerance, gate_report)
+from .gate import DEFAULT_ALPHA, GateReport, default_intersection_tolerance, gate_report
 from .blockalg import BlockMatrix, block_mul, diag_embed
 from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob,
                        kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
                        require_square, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
-from .regular import companion_solve_quadrature, compute_offset
+from .regular import QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset
 
 DEFAULT_TOL = 1e-8
 
@@ -55,8 +54,8 @@ DEFAULT_TOL = 1e-8
 # keeps defective clusters up to size 4 whole
 CLUSTER_TOLERANCE_FACTOR = float(np.finfo(float).eps) ** 0.25
 
-# keys of the witness residual map, one per certified identity
-RESIDUAL_KEYS = ("av_ub", "au_vb", "u_plus_v", "cubic", "unipotent_identity")
+# the witness residuals of the four (u, v) pair identities
+PAIR_IDENTITIES = ("av_ub", "au_vb", "u_plus_v", "cubic")
 
 
 class VerdictStatus(str, enum.Enum):
@@ -122,6 +121,9 @@ class UVSystemReport:
 
 @dataclass
 class Verdict:
+    """A verdict with its evidence; ``checks`` maps each verification step
+    to an entry built by :func:`check_entry` where its threshold is decided."""
+
     status: VerdictStatus
     witness: UVWitness | None
     solution: np.ndarray | None
@@ -132,16 +134,38 @@ class Verdict:
     oracle_agreement: bool | None
     problem: SylvesterProblem
     solution_norm: float | None = None
-    quadrature_gap: float | None = None
-    oracle_residual: float | None = None
-    oracle_threshold: float | None = None
     ill_conditioned_gate: str | None = None  # the check that refused a binary answer
     cluster_sizes: tuple | None = None
     cluster_tolerance: float | None = None
+    checks: dict = field(default_factory=dict)
 
 
-def prepare(a, b, c, alpha: float = DEFAULT_ALPHA, margin: float = DEFAULT_MARGIN,
-            intersection_tolerance: float | None = None) -> SylvesterProblem:
+def check_entry(status: str, residual: float | None = None,
+                threshold: float | None = None) -> dict:
+    """One ``checks`` entry: ``pass``, ``fail`` or ``skipped``, with the
+    residual and the threshold that decided it; a ``note`` may follow."""
+    entry = {"status": status}
+    entry["residual"] = None if residual is None else float(residual)
+    entry["threshold"] = None if threshold is None else float(threshold)
+    return entry
+
+
+def _bounded_check(residual: float, threshold: float) -> dict:
+    return check_entry("pass" if residual <= threshold else "fail", residual, threshold)
+
+
+def _skipped(note: str) -> dict:
+    return {**check_entry("skipped"), "note": note}
+
+
+def skipped_on_refusal(gate: str) -> dict:
+    """The entry of a requested cross-check that an ``ill_conditioned``
+    verdict, refused at ``gate``, leaves unrun."""
+    return _skipped(f"the verdict is ill_conditioned (gate {gate}): "
+                    "there is no binary answer to cross-check")
+
+
+def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged."""
     a = require_square(as_complex_matrix(a, "a"), "a")
@@ -152,9 +176,8 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA, margin: float = DEFAULT_MARGI
             f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
     ta, qa = complex_schur(a)
     tb, qb = complex_schur(b)
-    tol = intersection_tolerance if intersection_tolerance is not None \
-        else default_intersection_tolerance(a, b)
-    report = gate_report(eigenvalues(ta), eigenvalues(tb), alpha, tol, margin)
+    report = gate_report(eigenvalues(ta), eigenvalues(tb), alpha,
+                         default_intersection_tolerance(a, b))
     lam = report.suggested_lambda
     id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
     return SylvesterProblem(a=a + lam * id_a, b=b + lam * id_b, c=c, gate=report,
@@ -315,6 +338,11 @@ def solve_uv_system(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVWitness 
     return solve_uv_report(p, tol).witness
 
 
+def solution_from_u(a, b, u) -> np.ndarray:
+    """The solution formula in u, x = a^-1 u b^2 + u b, by a solve against a."""
+    return np.linalg.solve(a, u @ b @ b) + u @ b
+
+
 def _certificate_scale(a, b, c, x) -> float:
     return (frob(a) + frob(b)) * frob(x) + frob(c) + 1e-300
 
@@ -350,78 +378,96 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
 
 
 def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
-             with_oracle: bool = False, with_quadrature: bool = False,
-             intersection_tolerance: float | None = None) -> Verdict:
+             with_oracle: bool = False, with_quadrature: bool = False) -> Verdict:
     """Full decision pipeline: prepare, decide the (u, v) system, synthesize
     and certify a particular solution, optionally cross-check against the
     Kronecker oracle and the integral representation of the companion
     solution.
 
     The certificate residual is evaluated against the original, unshifted
-    data (the shift leaves a x - x b unchanged).
+    data (the shift leaves a x - x b unchanged).  ``checks`` gets one entry
+    per verification step, built where its decision is made;
+    ``unipotent_bridge`` reads ``skipped`` here, and
+    :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
     a0 = require_square(as_complex_matrix(a, "a"), "a")
     b0 = require_square(as_complex_matrix(b, "b"), "b")
     c0 = as_complex_matrix(c, "c")
-    p = prepare(a0, b0, c0, alpha=alpha,
-                intersection_tolerance=intersection_tolerance)
+    p = prepare(a0, b0, c0, alpha=alpha)
 
+    rep = x = gate = None
     if not np.any(c0):
         x = np.zeros((p.n, p.m), dtype=np.complex128)
         witness = _witness_from_u(p, x, x, x, tol, 0.0)
         witness.residuals["solution_formula_gap"] = 0.0
         witness.thresholds["solution_formula_gap"] = 0.0
-        verdict = Verdict(status=VerdictStatus.SOLVABLE, witness=witness, solution=x,
-                          certificate_residual=0.0,
-                          certificate_threshold=tol * _certificate_scale(a0, b0, c0, x),
-                          system_residual=0.0, system_threshold=tol,
-                          oracle_agreement=None, problem=p, solution_norm=0.0)
+        system_residual, system_threshold = 0.0, tol
     else:
         rep = solve_uv_report(p, tol)
         # a fragile rank decision makes neither answer trustworthy, and a
         # residual just above the threshold makes "no witness" untrustworthy
         gate = "near_cutoff" if rep.near_cutoff else "marginal_residual" if rep.marginal else None
-        x = None
-        if rep.witness is not None and gate is None:
+        witness = rep.witness
+        if witness is not None and gate is None:
             try:
-                x = particular_solution(rep.witness, p, tol)
+                x = particular_solution(witness, p, tol)
             except WitnessError as exc:
                 gate = exc.gate
-        if x is not None:
-            residual = frob(a0 @ x - x @ b0 - c0)
-            verdict = Verdict(status=VerdictStatus.SOLVABLE, witness=rep.witness,
-                              solution=x, certificate_residual=residual,
-                              certificate_threshold=tol * _certificate_scale(a0, b0, c0, x),
-                              system_residual=rep.lstsq_residual,
-                              system_threshold=rep.threshold,
-                              oracle_agreement=None, problem=p,
-                              solution_norm=frob(x))
-        else:
-            status = VerdictStatus.UNSOLVABLE if gate is None else VerdictStatus.ILL_CONDITIONED
-            verdict = Verdict(status=status, witness=None, solution=None,
-                              certificate_residual=rep.lstsq_residual,
-                              certificate_threshold=rep.threshold,
-                              system_residual=rep.lstsq_residual,
-                              system_threshold=rep.threshold,
-                              oracle_agreement=None, problem=p,
-                              ill_conditioned_gate=gate)
-        verdict.cluster_sizes = rep.cluster_sizes
-        verdict.cluster_tolerance = rep.cluster_tolerance
+        system_residual, system_threshold = rep.lstsq_residual, rep.threshold
 
-    # the dense oracle needs (nm)^2 memory; above its cap it is not run
-    if (with_oracle and verdict.status is not VerdictStatus.ILL_CONDITIONED
-            and p.n * p.m <= ORACLE_MAX_UNKNOWNS):
+    solvable = x is not None
+    status = VerdictStatus.SOLVABLE if solvable else \
+        VerdictStatus.UNSOLVABLE if gate is None else VerdictStatus.ILL_CONDITIONED
+    checks = {"system_consistency": check_entry("pass" if solvable else "fail",
+                                                system_residual, system_threshold)}
+    if solvable:
+        certificate = (frob(a0 @ x - x @ b0 - c0), tol * _certificate_scale(a0, b0, c0, x))
+        residuals, thresholds = witness.residuals, witness.thresholds
+        # the pair identity farthest from holding, each against its own threshold
+        worst = max(PAIR_IDENTITIES, key=lambda key: residuals[key] / max(thresholds[key], 1e-300))
+        checks["solution_certificate"] = _bounded_check(*certificate)
+        checks["solution_formulas_agree"] = _bounded_check(
+            residuals["solution_formula_gap"], thresholds["solution_formula_gap"])
+        checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
+    else:
+        witness = None
+        certificate = (system_residual, system_threshold)
+        for name in ("solution_certificate", "solution_formulas_agree", "identity_cascade"):
+            checks[name] = check_entry("skipped")
+
+    oracle_agreement = None
+    unknowns = p.n * p.m
+    if not with_oracle:
+        checks["oracle_cross_check"] = check_entry("skipped")
+    elif unknowns > ORACLE_MAX_UNKNOWNS:
+        # the dense oracle needs (nm)^2 memory; above its cap it is not run
+        checks["oracle_cross_check"] = _skipped(
+            f"{unknowns} unknowns exceed the dense oracle's cap of {ORACLE_MAX_UNKNOWNS}")
+    elif status is VerdictStatus.ILL_CONDITIONED:
+        checks["oracle_cross_check"] = skipped_on_refusal(gate)
+    else:
         reference = oracle_solve("sylvester", a0, b0, c0, tol=tol)
-        verdict.oracle_agreement = bool(
-            reference.consistent == (verdict.status is VerdictStatus.SOLVABLE))
-        verdict.oracle_residual = reference.residual
-        verdict.oracle_threshold = reference.threshold
+        oracle_agreement = bool(reference.consistent == solvable)
+        checks["oracle_cross_check"] = check_entry(
+            "pass" if oracle_agreement else "fail", reference.residual, reference.threshold)
 
-    if with_quadrature and np.any(c0):
+    if with_quadrature and rep is not None:
         quad = companion_solve_quadrature(p.a, p.b, c0).solution
-        verdict.quadrature_gap = frob(rep.companion - quad) / max(frob(rep.companion), 1e-300)
+        gap = frob(rep.companion - quad) / max(frob(rep.companion), 1e-300)
+        checks["integral_representation"] = _bounded_check(gap, QUADRATURE_GAP_TOL)
+    else:
+        checks["integral_representation"] = check_entry("skipped")
+    checks["unipotent_bridge"] = check_entry("skipped")
 
-    return verdict
+    return Verdict(status=status, witness=witness, solution=x,
+                   certificate_residual=certificate[0], certificate_threshold=certificate[1],
+                   system_residual=system_residual, system_threshold=system_threshold,
+                   oracle_agreement=oracle_agreement, problem=p,
+                   solution_norm=None if x is None else frob(x),
+                   ill_conditioned_gate=gate,
+                   cluster_sizes=None if rep is None else rep.cluster_sizes,
+                   cluster_tolerance=None if rep is None else rep.cluster_tolerance,
+                   checks=checks)
 
 
 def reduced_singular_routes(p: SylvesterProblem, tol: float = DEFAULT_TOL):

@@ -11,10 +11,14 @@ from sylvcert.cli import main
 from sylvcert.errors import SchemaError, WitnessError
 from sylvcert.instances import regular_pair
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS
-from sylvcert.roots import solve_unipotent_quadratic, unipotent_identity_residual
-from sylvcert.io import (matrix_to_pairs, pairs_to_matrix, parse_problem_text,
+from sylvcert.roots import (solve_unipotent_quadratic, unipotent_bridge_check,
+                           unipotent_identity_residual)
+from sylvcert.io import (load_problem, matrix_to_pairs, pairs_to_matrix, parse_problem_text,
                          parse_report, problem_to_dict, serialize_report)
 from sylvcert.singular import diagnose
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def write_problem(path, a, b, c, **options):
@@ -190,6 +194,28 @@ class TestDiagnoseCommand:
         assert entry["status"] == "skipped"
         assert str(ORACLE_MAX_UNKNOWNS) in entry["note"]
 
+    def test_quadrature_method_in_file_reports_its_check(self, tmp_path):
+        # the file's method runs the quadrature without --quadrature, and the
+        # check it decided must not read "skipped"
+        problem = write_problem(tmp_path / "p.json", [[1, 1], [0, 1]], [[1]], [[1], [0]],
+                                method="quadrature")
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "-o", str(out)]) == 0
+        entry = parse_report(out.read_text())["checks"]["integral_representation"]
+        assert entry["status"] == "pass"
+        assert entry["residual"] <= entry["threshold"]
+
+    def test_refused_verdict_explains_skipped_cross_checks(self, tmp_path):
+        problem = write_problem(tmp_path / "p.json", [[1.0]], [[1.0 + 1e-12]], [[1.0]])
+        out = tmp_path / "verdict.json"
+        assert main(["diagnose", str(problem), "--oracle", "--bridge", "-o", str(out)]) == 2
+        doc = parse_report(out.read_text())
+        gate = doc["verdict"]["ill_conditioned_gate"]
+        for name in ("oracle_cross_check", "unipotent_bridge"):
+            entry = doc["checks"][name]
+            assert entry["status"] == "skipped"
+            assert "ill_conditioned" in entry["note"] and gate in entry["note"]
+
     def test_malformed_file_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -219,6 +245,20 @@ class TestDiagnoseCommand:
         out = tmp_path / "v.json"
         main(["diagnose", str(problem), "--seed", "42", "-o", str(out)])
         assert parse_report(out.read_text())["environment"]["seed"] == 42
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command, flag", [
+        ("homogeneous", "--oracle"), ("homogeneous", "--quadrature"), ("homogeneous", "--bridge"),
+        ("roots", "--oracle"), ("roots", "--quadrature"), ("roots", "--bridge"),
+        ("batch", "--quadrature"), ("batch", "--bridge"), ("batch", "--seed=1"),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, tmp_path, command, flag):
+        problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
+        target = tmp_path if command == "batch" else problem
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(target), flag])
+        assert excinfo.value.code == 2
 
 
 class TestHomogeneousCommand:
@@ -309,14 +349,31 @@ class TestBatchCommand:
 
 class TestBundledCorpus:
     def test_full_oracle_agreement(self, tmp_path):
-        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus"
-        assert corpus.is_dir()
+        assert CORPUS.is_dir()
         out = tmp_path / "batch.json"
-        assert main(["batch", str(corpus), "--oracle", "-o", str(out)]) == 0
+        assert main(["batch", str(CORPUS), "--oracle", "-o", str(out)]) == 0
         doc = parse_report(out.read_text())
         assert len(doc["rows"]) >= 8
         assert all(row["error"] is None for row in doc["rows"])
         assert doc["oracle_agreement_rate"] == 1.0
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle", "--quadrature", "--bridge"]])
+    def test_report_checks_are_the_verdict_checks(self, tmp_path, flags):
+        # the CLI writes diagnose's map out, adding only the requested bridge entry
+        paths = sorted(CORPUS.glob("*.json"))
+        assert len(paths) >= 8
+        for path in paths:
+            out = tmp_path / f"{path.stem}.out.json"
+            main(["diagnose", str(path), *flags, "-o", str(out)])
+            spec = load_problem(path)
+            verdict = diagnose(spec.a, spec.b, spec.c, alpha=spec.alpha, tol=spec.tol,
+                               with_oracle="--oracle" in flags,
+                               with_quadrature="--quadrature" in flags
+                               or spec.method == "quadrature")
+            expected = dict(verdict.checks)
+            if "--bridge" in flags:
+                expected["unipotent_bridge"] = unipotent_bridge_check(verdict, spec.tol)
+            assert parse_report(out.read_text())["checks"] == expected, path.name
 
 
 class TestConsoleEntryPoint:

@@ -11,7 +11,7 @@ import pathlib
 import sylvcert
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
-ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics")
+ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
 SCHUR_CALLERS = {("singular", "prepare"), ("regular", "companion_solve_direct"),
                  ("regular", "solve_generalized_regular")}
 

@@ -11,7 +11,7 @@ from sylvcert.instances import (jordan_block, mild_similarity, random_sector_eig
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, unvec
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
-from sylvcert.regular import companion_solve_direct, compute_offset
+from sylvcert.regular import QUADRATURE_GAP_TOL, companion_solve_direct, compute_offset
 from sylvcert.singular import (CLUSTER_TOLERANCE_FACTOR, UVWitness, VerdictStatus,
                                commutator_identity_verdict,
                                complete_intertwined_pair, diagnose,
@@ -276,6 +276,54 @@ class TestOracleSizeCap:
         assert verdict.status is VerdictStatus.SOLVABLE
         assert verdict.oracle_agreement is None
         assert verdict.certificate_residual <= verdict.certificate_threshold
+        entry = verdict.checks["oracle_cross_check"]
+        assert entry["status"] == "skipped"
+        assert str(ORACLE_MAX_UNKNOWNS) in entry["note"]
+
+
+class TestVerdictChecks:
+    def test_every_step_has_an_entry(self):
+        verdict = diagnose(JORDAN_A, UNIT_B, [[1], [0]])
+        assert list(verdict.checks) == [
+            "system_consistency", "solution_certificate", "solution_formulas_agree",
+            "identity_cascade", "oracle_cross_check", "integral_representation",
+            "unipotent_bridge"]
+        certificate = verdict.checks["solution_certificate"]
+        assert certificate["status"] == "pass"
+        assert certificate["residual"] == verdict.certificate_residual
+        assert certificate["threshold"] == verdict.certificate_threshold
+        assert verdict.checks["unipotent_bridge"]["status"] == "skipped"
+
+    def test_unsolvable_skips_the_witness_steps(self):
+        verdict = diagnose([[1]], [[1]], [[1]])
+        assert verdict.status is VerdictStatus.UNSOLVABLE
+        assert verdict.checks["system_consistency"] == {
+            "status": "fail", "residual": verdict.system_residual,
+            "threshold": verdict.system_threshold}
+        for name in ("solution_certificate", "solution_formulas_agree", "identity_cascade"):
+            assert verdict.checks[name]["status"] == "skipped"
+
+    def test_quadrature_judged_against_its_named_threshold(self):
+        entry = diagnose(JORDAN_A, UNIT_B, [[1], [0]], with_quadrature=True) \
+            .checks["integral_representation"]
+        assert entry["status"] == "pass"
+        assert entry["threshold"] == QUADRATURE_GAP_TOL
+        assert entry["residual"] <= QUADRATURE_GAP_TOL
+
+    def test_ill_conditioned_verdict_explains_the_skipped_oracle(self, monkeypatch):
+        # eigenvalues 1e-12 apart: the rank decision sits at its cutoff
+        monkeypatch.setattr(singular, "oracle_solve",
+                            lambda *args, **kwargs: pytest.fail("oracle on a refused verdict"))
+        verdict = diagnose([[1.0]], [[1.0 + 1e-12]], [[1.0]], with_oracle=True)
+        assert verdict.status is VerdictStatus.ILL_CONDITIONED
+        entry = verdict.checks["oracle_cross_check"]
+        assert entry["status"] == "skipped"
+        assert "ill_conditioned" in entry["note"]
+        assert verdict.ill_conditioned_gate in entry["note"]
+
+    def test_oracle_not_asked_for_has_no_note(self):
+        entry = diagnose([[1.0]], [[1.0 + 1e-12]], [[1.0]]).checks["oracle_cross_check"]
+        assert entry == {"status": "skipped", "residual": None, "threshold": None}
 
 
 class TestParticularSolution:
