@@ -8,8 +8,8 @@ from .blockalg import (BlockMatrix, CommutantMembership, block_identity,
 from .errors import (BranchCutError, ConvergenceError, DimensionError, GateError,
                      InversionError, NumericError, ParameterError,
                      PreconditionError, SchemaError, SylvcertError, WitnessError)
-from .gate import (GateReport, SectorParams, choose_shift, gate_report,
-                   sector_contains, sector_margin, spectra_intersect)
+from .gate import (GateReport, choose_shift, sector_contains, sector_margin,
+                   shared_eigenvalues)
 from .numerics import (LstsqResult, SpectrumReport, as_complex_matrix, eigenvalues,
                        kron_vec_operator, lstsq_solve, mat_exp, principal_sqrt,
                        unvec, vec)
@@ -25,7 +25,7 @@ from .singular import (SylvesterProblem, UVSystemReport, UVWitness, Verdict,
                        VerdictStatus, commutator_identity_verdict,
                        complete_intertwined_pair, diagnose, particular_solution,
                        prepare, reduced_singular_routes, solve_uv_report,
-                       solve_uv_system, verify_commutant_identity)
+                       solve_uv_system, sylvester_kernel, verify_commutant_identity)
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,13 @@
-"""Sector membership, spectral-intersection detection, and shift selection.
+"""Sector membership, shift selection, and the one rule for where two
+spectra meet.
 
 The open sector of half-angle ``alpha`` is ``{z != 0 : |arg z| < alpha}``
 with ``alpha`` in (0, pi/2); the union over all alpha is the open right
 half-plane.  Replacing (a, b) by (a + lambda, b + lambda) leaves the solution
 set of a x - x b = c untouched, so a nonnegative shift may always be used to
 push both spectra into a requested sector.
+The gate's ``spectra_intersect``, the decision's shared block and the
+homogeneous kernel all read :func:`shared_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -15,29 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import SpectrumReport, frob
+from .numerics import SpectrumReport
 
 DEFAULT_ALPHA = math.pi / 4
 DEFAULT_MARGIN = 0.05
 
-
-@dataclass(frozen=True)
-class SectorParams:
-    """A sector half-angle together with the shift that realizes membership."""
-
-    alpha: float
-    lambda_shift: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi / 2:
-            raise ParameterError(f"alpha must lie in (0, pi/2), got {self.alpha}")
-        if self.lambda_shift < 0:
-            raise ParameterError(f"lambda_shift must be nonnegative, got {self.lambda_shift}")
+# eigenvalues of a and b closer than this times ||a|| + ||b|| are shared: a
+# size-k Jordan block splits by about eps^(1/k), so eps^(1/4) keeps defective
+# clusters up to size 4 whole
+CLUSTER_TOLERANCE_FACTOR = float(np.finfo(float).eps) ** 0.25
 
 
 @dataclass(frozen=True)
 class GateReport:
-    """Pre-shift spectral classification of one problem instance."""
+    """Pre-shift sector membership, the shift, and whether the shifted spectra meet."""
 
     in_sector_a: bool
     in_sector_b: bool
@@ -75,18 +69,13 @@ def sector_contains(spectrum, alpha: float) -> bool:
     return all(sector_margin(complex(z), alpha) > 0 for z in _spectrum_values(spectrum))
 
 
-def spectra_intersect(sa, sb, tol: float) -> bool:
-    """True iff the two eigenvalue sets come within ``tol`` of each other."""
-    if tol <= 0:
-        raise ParameterError(f"intersection tolerance must be positive, got {tol}")
-    va = _spectrum_values(sa)
-    vb = _spectrum_values(sb)
-    dist = np.abs(va[:, None] - vb[None, :])
-    return bool(dist.min() <= tol)
-
-
-def default_intersection_tolerance(a: np.ndarray, b: np.ndarray) -> float:
-    return max(1e-8 * (frob(a) + frob(b)), 1e-12)
+def shared_eigenvalues(sa, sb, scale: float) -> tuple:
+    """Masks of the eigenvalues of each spectrum that lie within the cluster
+    tolerance ``CLUSTER_TOLERANCE_FACTOR * scale`` of the other spectrum,
+    with that tolerance; ``scale`` is ||a|| + ||b||."""
+    tolerance = CLUSTER_TOLERANCE_FACTOR * scale
+    gaps = np.abs(_spectrum_values(sa)[:, None] - _spectrum_values(sb)[None, :])
+    return gaps.min(axis=1) <= tolerance, gaps.min(axis=0) <= tolerance, tolerance
 
 
 def _shift_admissible(values: np.ndarray, lam: float, alpha: float,
@@ -100,25 +89,25 @@ def _shift_admissible(values: np.ndarray, lam: float, alpha: float,
     return bool(np.all(margins >= margin))
 
 
-def choose_shift(sa, sb, alpha: float, margin: float = DEFAULT_MARGIN) -> SectorParams:
+def choose_shift(sa, sb, alpha: float) -> float:
     """Smallest practical shift placing both spectra inside the sector.
 
     Membership is demanded with an angular margin (sin of the gap to the
-    boundary at least ``margin``) and a modulus floor of ``margin`` times the
-    pre-shift spectral scale, so the shifted matrices stay comfortably
-    invertible.  The shift is found by doubling then bisection, reported to
-    three significant digits; lambda = 0 is returned when the spectra already
-    qualify.
+    boundary at least ``DEFAULT_MARGIN``) and a modulus floor of that margin
+    times the pre-shift spectral scale, so the shifted matrices stay
+    comfortably invertible.  The shift is found by doubling then bisection,
+    reported to three significant digits; lambda = 0 is returned when the
+    spectra already qualify.
     """
     _check_alpha(alpha)
     values = np.concatenate([_spectrum_values(sa), _spectrum_values(sb)])
-    margin_eff = min(margin, 0.99 * math.sin(alpha))
+    margin_eff = min(DEFAULT_MARGIN, 0.99 * math.sin(alpha))
     radius = float(np.max(np.abs(values))) if values.size else 0.0
     scale = radius if radius > 0 else 1.0
     floor = margin_eff * scale
 
     if _shift_admissible(values, 0.0, alpha, margin_eff, floor):
-        return SectorParams(alpha=alpha, lambda_shift=0.0)
+        return 0.0
 
     hi = scale
     for _ in range(200):
@@ -142,17 +131,4 @@ def choose_shift(sa, sb, alpha: float, margin: float = DEFAULT_MARGIN) -> Sector
         lam = math.ceil(lam / quantum) * quantum
         while not _shift_admissible(values, lam, alpha, margin_eff, floor):
             lam += quantum
-    return SectorParams(alpha=alpha, lambda_shift=float(lam))
-
-
-def gate_report(sa, sb, alpha: float, intersection_tolerance: float,
-                margin: float = DEFAULT_MARGIN) -> GateReport:
-    """Classify a pair of spectra and suggest the sector-placing shift."""
-    _check_alpha(alpha)
-    return GateReport(
-        in_sector_a=sector_contains(sa, alpha),
-        in_sector_b=sector_contains(sb, alpha),
-        spectra_intersect=spectra_intersect(sa, sb, intersection_tolerance),
-        intersection_tolerance=float(intersection_tolerance),
-        suggested_lambda=choose_shift(sa, sb, alpha, margin).lambda_shift,
-    )
+    return float(lam)

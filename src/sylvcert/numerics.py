@@ -196,6 +196,7 @@ class LstsqResult:
     rank: int
     cutoff: float
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
+    null_space: np.ndarray  # columns: the right singular vectors past the rank
 
 
 def lstsq_solve(K, rhs, scale_reference: float = 0.0,
@@ -208,6 +209,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     data the operator was built from, which matters when the operator itself
     nearly vanishes.  ``cutoff_shape`` (default ``K.shape``) names the
     operator whose rank rule applies when K is one diagonal block of it.
+    ``null_space`` spans the null space of K when K has no fewer rows than columns.
     """
     K = as_complex_matrix(K, "K")
     rhs = np.asarray(rhs, dtype=np.complex128).reshape(-1)
@@ -225,4 +227,4 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
         solution = np.zeros(K.shape[1], dtype=np.complex128)
     residual = float(np.linalg.norm(K @ solution - rhs))
     return LstsqResult(solution=solution, residual_norm=residual, rank=rank,
-                       cutoff=cutoff, near_cutoff=near)
+                       cutoff=cutoff, near_cutoff=near, null_space=Vh[rank:].conj().T)

@@ -10,7 +10,8 @@ original equation through q b - a q = r.
 
 Every Sylvester solve runs on the problem's own Schur factors; the singular
 coupling a^2 s - s b^2 = P_12 of each branch is decided by the main decision's
-kernel, :func:`~sylvcert.singular.decide_sylvester`, on their squares.
+kernel, :func:`~sylvcert.singular.decide_sylvester`, on their squares, and the
+intertwiners are :func:`~sylvcert.singular.sylvester_kernel` on the factors.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import numpy as np
 from .errors import GateError, PreconditionError
 from .blockalg import (BlockMatrix, block_inverse, block_mul,
                        commutes_with_diag_pair, diag_embed)
-from .gate import spectra_intersect, default_intersection_tolerance
-from .numerics import (as_complex_matrix, eigenvalues, frob, kron_vec_operator,
-                       principal_sqrt, rank_cutoff, schur_sylvester, unvec)
+from .numerics import as_complex_matrix, frob, principal_sqrt, schur_sylvester, unvec, vec
 from .regular import compute_offset
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
-                       check_entry, decide_sylvester, skipped_on_refusal)
+                       check_entry, decide_sylvester, skipped_on_refusal,
+                       sylvester_kernel)
 
 UNIPOTENT_TOL = 1e-7
 
@@ -67,20 +67,16 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
-def _nullspace(a, b) -> list:
-    """Orthonormal basis of the solutions of a x = x b, ordered
-    deterministically (dense SVD of the Kronecker operator)."""
-    K = kron_vec_operator(a, b, -1)
-    _, s, Vh = np.linalg.svd(K)
-    rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0)))
-    return [unvec(_phase_fix(Vh[i].conj()), a.shape[0], b.shape[0])
-            for i in range(rank, K.shape[1])]
+def _intertwiners(a, b, schur_a, schur_b) -> list:
+    return [unvec(_phase_fix(vec(x)), *x.shape)
+            for x in sylvester_kernel(a, b, schur_a, schur_b)]
 
 
 def homogeneous_nullspaces(p: SylvesterProblem):
     """Orthonormal bases for the solution spaces of a x = x b (n x m side)
     and b y = y a (m x n side), ordered deterministically."""
-    return _nullspace(p.a, p.b), _nullspace(p.b, p.a)
+    return (_intertwiners(p.a, p.b, p.schur_a, p.schur_b),
+            _intertwiners(p.b, p.a, p.schur_b, p.schur_a))
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
@@ -148,17 +144,15 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     (c) a non-block-diagonal member of the triangular commutant commutes with
         the (a, b) embedding.
 
-    Requires intersecting spectra in the open right half-plane.
+    Requires spectra in the open right half-plane that intersect by the
+    gate's rule, ``p.gate.spectra_intersect``.
     """
-    sa = eigenvalues(p.schur_a[0])
-    sb = eigenvalues(p.schur_b[0])
-    if min(sa.min_real_part, sb.min_real_part) <= 0:
+    if min(p.schur_a[0].diagonal().real.min(), p.schur_b[0].diagonal().real.min()) <= 0:
         raise GateError("spectra must lie in the open right half-plane")
-    itol = default_intersection_tolerance(p.a, p.b)
-    if not spectra_intersect(sa, sb, itol):
+    if not p.gate.spectra_intersect:
         raise PreconditionError("spectra do not intersect; the equation is regular")
 
-    x_basis = _nullspace(p.a, p.b)
+    x_basis = _intertwiners(p.a, p.b, p.schur_a, p.schur_b)
     a_holds = len(x_basis) > 0
     if not a_holds:
         return False, False, False

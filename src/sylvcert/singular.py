@@ -39,20 +39,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InversionError, PreconditionError, WitnessError
-from .gate import DEFAULT_ALPHA, GateReport, default_intersection_tolerance, gate_report
+from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
+                   shared_eigenvalues)
 from .blockalg import BlockMatrix, block_mul, diag_embed
-from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob,
-                       kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
-                       require_square, schur_sylvester, triangular_sylvester, unvec, vec)
+from .numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
+                       lstsq_solve, rank_cutoff, reorder_schur, require_square,
+                       schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset
 
 DEFAULT_TOL = 1e-8
-
-# eigenvalues of a and b closer than this times ||a|| + ||b|| form the shared
-# cluster: a size-k Jordan block splits by about eps^(1/k), so eps^(1/4)
-# keeps defective clusters up to size 4 whole
-CLUSTER_TOLERANCE_FACTOR = float(np.finfo(float).eps) ** 0.25
 
 # the witness residuals of the four (u, v) pair identities
 PAIR_IDENTITIES = ("av_ub", "au_vb", "u_plus_v", "cubic")
@@ -167,7 +163,8 @@ def skipped_on_refusal(gate: str) -> dict:
 
 def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
-    ``alpha`` and record the gate evidence; the solution set is unchanged."""
+    ``alpha`` and record the gate evidence; the solution set is unchanged.
+    The gate's intersection is the decision's cluster on the shifted pair."""
     a = require_square(as_complex_matrix(a, "a"), "a")
     b = require_square(as_complex_matrix(b, "b"), "b")
     c = as_complex_matrix(c, "c")
@@ -176,12 +173,16 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
             f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
     ta, qa = complex_schur(a)
     tb, qb = complex_schur(b)
-    report = gate_report(eigenvalues(ta), eigenvalues(tb), alpha,
-                         default_intersection_tolerance(a, b))
-    lam = report.suggested_lambda
+    lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
     id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
-    return SylvesterProblem(a=a + lam * id_a, b=b + lam * id_b, c=c, gate=report,
-                            alpha=alpha, lambda_shift=lam,
+    a, b = a + lam * id_a, b + lam * id_b
+    shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
+                                                frob(a) + frob(b))
+    gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
+                      in_sector_b=sector_contains(tb.diagonal(), alpha),
+                      spectra_intersect=bool(shared_a.any()),
+                      intersection_tolerance=float(tolerance), suggested_lambda=lam)
+    return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
                             schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb))
 
 
@@ -220,15 +221,26 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
                      uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
 
 
-def _regular_block(ta, tb, rhs, limit: float) -> np.ndarray | None:
+def _regular_block(ta, tb, rhs, cutoff: float) -> np.ndarray | None:
     """Solution y of ta y - y tb = rhs for spectra outside the shared
-    cluster, or None when the solve amplifies rhs by ``limit`` or more
-    (the block is singular at the rank rule and belongs to the cluster)."""
+    cluster, or None when the solve amplifies rhs by 0.1 / ``cutoff`` or
+    more: that gain is as fragile as a near-cutoff singular value, and the
+    block belongs to the cluster."""
     try:
         y = triangular_sylvester(ta, tb, rhs, -1)
     except InversionError:
         return None
-    return None if frob(y) > limit * frob(rhs) else y
+    return None if frob(y) > 0.1 / cutoff * frob(rhs) else y
+
+
+def _shared_first(a, b, schur_a, schur_b) -> tuple:
+    """Schur factors of a and b reordered so the shared eigenvalues lead, the
+    cluster sizes (k_a, k_b), the data scale ||a|| + ||b|| and the tolerance."""
+    (ta, qa), (tb, qb) = schur_a, schur_b
+    data_scale = frob(a) + frob(b)
+    select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), data_scale)
+    return (reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
+            (int(select_a.sum()), int(select_b.sum())), data_scale, tolerance)
 
 
 def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
@@ -243,16 +255,13 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     """
     n, m = ta.shape[0], tb.shape[0]
     cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
-    # a regular block whose gain reaches the inverse of the decade above the
-    # cutoff is as fragile as a near-cutoff singular value
-    limit = 0.1 / cutoff
     a11, a12, a22 = ta[:k_a, :k_a], ta[:k_a, k_a:], ta[k_a:, k_a:]
     b11, b12, b22 = tb[:k_b, :k_b], tb[:k_b, k_b:], tb[k_b:, k_b:]
     y = np.zeros((n, m), dtype=np.complex128)
-    y21 = _regular_block(a22, b11, r[k_a:, :k_b], limit)
+    y21 = _regular_block(a22, b11, r[k_a:, :k_b], cutoff)
     if y21 is None:
         return None
-    y22 = _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, limit)
+    y22 = _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, cutoff)
     if y22 is None:
         return None
     shared = None
@@ -261,7 +270,7 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
                              vec(r[:k_a, :k_b] - a12 @ y21),
                              scale_reference=data_scale, cutoff_shape=(n * m, n * m))
         y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
-    y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y22 + y[:k_a, :k_b] @ b12, limit)
+    y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y22 + y[:k_a, :k_b] @ b12, cutoff)
     if y12 is None:
         return None
     y[k_a:, :k_b], y[k_a:, k_b:], y[:k_a, k_b:] = y21, y22, y12
@@ -272,8 +281,8 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> U
     """Decide the possibly singular equation a u - u b = rhs on the complex
     Schur factors (t, q) of a and b.
 
-    The factors are reordered so the eigenvalues within
-    ``CLUSTER_TOLERANCE_FACTOR * (||a|| + ||b||)`` of the other spectrum
+    The factors are reordered so the eigenvalues that
+    :func:`~sylvcert.gate.shared_eigenvalues` marks at the scale ||a|| + ||b||
     lead: only the k_a x k_b shared block is decided by minimum-norm least
     squares (rank judged as for the full nm operator at the scale
     ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
@@ -285,20 +294,12 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> U
     rhs alone cannot move the decision; residuals within a factor 10 of it
     are flagged marginal rather than forced into a binary answer.
     """
-    (ta, qa), (tb, qb) = schur_a, schur_b
+    (ta, qa), (tb, qb), cluster, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b)
     n, m = ta.shape[0], tb.shape[0]
-    data_scale = frob(a) + frob(b)
-    cluster_tolerance = CLUSTER_TOLERANCE_FACTOR * data_scale
-    gaps = np.abs(ta.diagonal()[:, None] - tb.diagonal()[None, :])
-    select_a = gaps.min(axis=1) <= cluster_tolerance
-    select_b = gaps.min(axis=0) <= cluster_tolerance
-    ta, qa = reorder_schur(ta, qa, select_a)
-    tb, qb = reorder_schur(tb, qb, select_b)
-    k_a, k_b = int(select_a.sum()), int(select_b.sum())
     r = qa.conj().T @ rhs @ qb
 
     # the whole spectra form the fallback cluster, where every block is shared
-    for k_a, k_b in ((k_a, k_b), (n, m)):
+    for k_a, k_b in (cluster, (n, m)):
         solved = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
         if solved is not None:
             y, shared = solved
@@ -312,7 +313,31 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> U
     return UVSystemReport(u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
                           marginal=threshold < residual <= 10.0 * threshold,
                           near_cutoff=shared is not None and shared.near_cutoff,
-                          cluster_sizes=(k_a, k_b), cluster_tolerance=cluster_tolerance)
+                          cluster_sizes=(k_a, k_b), cluster_tolerance=tolerance)
+
+
+def sylvester_kernel(a, b, schur_a, schur_b) -> list:
+    """Orthonormal basis of {x : a x = x b}, in a deterministic order, read
+    off :func:`decide_sylvester` at rhs = 0 on the Schur factors (t, q) of a
+    and b: each null vector z of its shared block extends by trsyl through
+    a11 y12 - y12 b22 = z b12, the other blocks are zero, and an extension
+    that blows up widens the cluster to the whole spectra."""
+    (ta, qa), (tb, qb), cluster, data_scale, _ = _shared_first(a, b, schur_a, schur_b)
+    n, m = ta.shape[0], tb.shape[0]
+    for k_a, k_b in (cluster, (n, m)):
+        # at rhs = 0 every block solves to zero, so no regular block blows up
+        _, shared = _schur_reduced_solve(ta, tb, np.zeros((n, m)), k_a, k_b, data_scale)
+        heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
+        tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
+                                shared.cutoff) for y11 in heads]
+        if all(y12 is not None for y12 in tails):
+            break
+    if not heads:
+        return []
+    # only the leading k_a rows are nonzero; orthonormal in Schur coordinates
+    # stays orthonormal under the unitary qa, qb
+    q, _ = np.linalg.qr(np.column_stack([vec(np.hstack(pair)) for pair in zip(heads, tails)]))
+    return [qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T for v in q.T]
 
 
 def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
@@ -455,6 +480,9 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
         quad = companion_solve_quadrature(p.a, p.b, c0).solution
         gap = frob(rep.companion - quad) / max(frob(rep.companion), 1e-300)
         checks["integral_representation"] = _bounded_check(gap, QUADRATURE_GAP_TOL)
+    elif with_quadrature:
+        checks["integral_representation"] = _skipped(
+            "c = 0, so the companion solution is zero; no quadrature was run")
     else:
         checks["integral_representation"] = check_entry("skipped")
     checks["unipotent_bridge"] = check_entry("skipped")

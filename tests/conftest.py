@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+
+from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
 
 
 @pytest.fixture
@@ -17,6 +20,23 @@ def assert_multiset_close(left, right, tol=1e-8):
         best = int(np.argmin(gaps))
         assert gaps[best] <= tol, f"no partner for {value} within {tol} (closest {gaps[best]})"
         right.pop(best)
+
+
+def shared_cluster_pair(rng, k, second, n, m):
+    """(a, b) sharing a size-k Jordan block and, unless ``second`` is None,
+    a simple eigenvalue ``second`` away from it; the rest is random."""
+    lam = complex(rng.uniform(0.8, 2.0))
+
+    def side(size):
+        blocks = [jordan_block(lam, k)]
+        if second is not None:
+            blocks.append(np.array([[lam + second]]))
+        rest = size - sum(block.shape[0] for block in blocks)
+        blocks.append(np.diag(random_sector_eigenvalues(rng, rest)))
+        v = mild_similarity(rng, size)
+        return v @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(v)
+
+    return side(n), side(m)
 
 
 def pair_equation_rows(a, b, companion, offset, c):

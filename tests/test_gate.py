@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sylvcert.errors import ParameterError
-from sylvcert.gate import (GateReport, SectorParams, choose_shift,
-                           default_intersection_tolerance, gate_report,
-                           sector_contains, spectra_intersect)
-from sylvcert.numerics import eigenvalues
+from sylvcert.gate import (CLUSTER_TOLERANCE_FACTOR, GateReport, choose_shift,
+                           sector_contains, shared_eigenvalues)
+from sylvcert.numerics import frob
 from sylvcert.oracle import oracle_solve
+from sylvcert.singular import prepare
 
 
 class TestSectorContains:
@@ -34,34 +34,38 @@ class TestSectorContains:
 
 class TestSpectraIntersect:
     def test_disjoint(self):
-        assert not spectra_intersect([2.0], [1.0], 1e-8)
+        shared_a, shared_b, _ = shared_eigenvalues([2.0], [1.0], 3.0)
+        assert not shared_a.any() and not shared_b.any()
 
     def test_equal(self):
-        assert spectra_intersect([1.0], [1.0], 1e-8)
+        shared_a, shared_b, _ = shared_eigenvalues([1.0], [1.0], 2.0)
+        assert shared_a.all() and shared_b.all()
 
     def test_jordan_multiset(self):
-        assert spectra_intersect([1.0, 1.0], [1.0], 1e-8)
+        shared_a, shared_b, _ = shared_eigenvalues([1.0, 1.0, 3.0], [1.0], 4.0)
+        assert shared_a.tolist() == [True, True, False] and shared_b.all()
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            spectra_intersect([1.0], [1.0], 0.0)
+    def test_tolerance_is_relative_to_the_data(self):
+        # a Jordan-sized split stays shared, at any common scale of the data
+        for scale in (1e-150, 1.0, 1e150):
+            shared_a, _, tol = shared_eigenvalues(
+                scale * np.array([1.0, 3.0]), scale * np.array([1.0 + 1e-6]), 5.0 * scale)
+            assert tol == CLUSTER_TOLERANCE_FACTOR * 5.0 * scale
+            assert shared_a.tolist() == [True, False]
 
 
 class TestChooseShift:
     def test_already_in_sector(self):
-        params = choose_shift([1.0, 2.0], [1.0], math.pi / 4)
-        assert params.lambda_shift == 0.0
+        assert choose_shift([1.0, 2.0], [1.0], math.pi / 4) == 0.0
 
     def test_negative_reals(self):
-        params = choose_shift([-1.0], [-2.0], math.pi / 4)
-        lam = params.lambda_shift
+        lam = choose_shift([-1.0], [-2.0], math.pi / 4)
         assert 2.0 < lam <= 3.0
         assert sector_contains(np.array([-1.0]) + lam, math.pi / 4)
         assert sector_contains(np.array([-2.0]) + lam, math.pi / 4)
 
     def test_imaginary_eigenvalue(self):
-        params = choose_shift([1j], [1j], math.pi / 4)
-        lam = params.lambda_shift
+        lam = choose_shift([1j], [1j], math.pi / 4)
         assert lam > 1.0
         assert sector_contains(np.array([1j]) + lam, math.pi / 4)
 
@@ -70,15 +74,9 @@ class TestChooseShift:
             sa = rng.normal(size=3) + 1j * rng.normal(size=3)
             sb = rng.normal(size=2) + 1j * rng.normal(size=2)
             alpha = rng.uniform(0.3, 1.4)
-            lam = choose_shift(sa, sb, alpha).lambda_shift
+            lam = choose_shift(sa, sb, alpha)
             assert sector_contains(sa + lam, alpha)
             assert sector_contains(sb + lam, alpha)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ParameterError):
-            SectorParams(alpha=2.0, lambda_shift=0.0)
-        with pytest.raises(ParameterError):
-            SectorParams(alpha=0.5, lambda_shift=-1.0)
 
 
 class TestShiftEquivalence:
@@ -102,19 +100,19 @@ class TestShiftEquivalence:
             sa = rng.normal(size=3) + 1j * rng.normal(size=3)
             sb = np.concatenate([sa[:1], rng.normal(size=1) + 1j * rng.normal(size=1)])
             lam = rng.uniform(0.0, 10.0)
-            tol = 1e-8 * (1 + np.abs(sa).max() + np.abs(sb).max())
-            assert spectra_intersect(sa, sb, tol)
-            assert spectra_intersect(sa + lam, sb + lam, tol)
+            scale = 1 + np.abs(sa).max() + np.abs(sb).max()
+            assert shared_eigenvalues(sa, sb, scale)[0].any()
+            assert shared_eigenvalues(sa + lam, sb + lam, scale)[0].any()
 
 
 class TestGateReport:
     def test_report_fields(self):
-        a = np.array([[-1.0]])
-        b = np.array([[-1.0]])
-        report = gate_report(eigenvalues(a), eigenvalues(b), math.pi / 4,
-                             default_intersection_tolerance(a, b))
+        p = prepare([[-1.0]], [[-1.0]], [[0.0]], alpha=math.pi / 4)
+        report = p.gate
         assert isinstance(report, GateReport)
         assert not report.in_sector_a
         assert not report.in_sector_b
         assert report.spectra_intersect
         assert report.suggested_lambda > 1.0
+        # the intersection is judged on the shifted pair at the cluster tolerance
+        assert report.intersection_tolerance == CLUSTER_TOLERANCE_FACTOR * (frob(p.a) + frob(p.b))

@@ -17,6 +17,7 @@ from sylvcert.io import (load_problem, matrix_to_pairs, pairs_to_matrix, parse_p
                          parse_report, problem_to_dict, serialize_report)
 from sylvcert.singular import diagnose
 
+from conftest import shared_cluster_pair
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -205,6 +206,15 @@ class TestDiagnoseCommand:
         assert entry["status"] == "pass"
         assert entry["residual"] <= entry["threshold"]
 
+    def test_quadrature_on_zero_rhs_says_why_it_was_skipped(self, tmp_path):
+        out = tmp_path / "verdict.json"
+        problem = CORPUS / "scalar_singular_homogeneous.json"
+        assert main(["diagnose", str(problem), "--quadrature", "-o", str(out)]) == 0
+        entry = parse_report(out.read_text())["checks"]["integral_representation"]
+        assert entry["status"] == "skipped"
+        assert "companion solution is zero" in entry["note"]
+        assert "note" not in diagnose([[1]], [[1]], [[0]]).checks["integral_representation"]
+
     def test_refused_verdict_explains_skipped_cross_checks(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[1.0]], [[1.0 + 1e-12]], [[1.0]])
         out = tmp_path / "verdict.json"
@@ -279,6 +289,19 @@ class TestHomogeneousCommand:
         assert doc["nullity"] == 1
         assert all(doc["equivalences"].values())
         assert doc["checks"]["three_way_equivalence"]["status"] == "pass"
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_shared_jordan_block_equivalences(self, tmp_path, capsys, k):
+        a, b = shared_cluster_pair(np.random.default_rng([k, 0]), k, None, k + 1, k)
+        problem = write_problem(tmp_path / "p.json", a, b, np.zeros((k + 1, k)))
+        out = tmp_path / "h.json"
+        assert main(["homogeneous", str(problem), "-o", str(out)]) == 0
+        doc = parse_report(out.read_text())
+        assert doc["nullity"] == doc["adjoint_nullity"] == k
+        assert doc["equivalences"] == {"nonzero_intertwiner": True, "nonprimary_root": True,
+                                       "nontrivial_commutant": True}
+        assert doc["checks"]["three_way_equivalence"]["status"] == "pass"
+        assert "(regular pair)" not in capsys.readouterr().out
 
     def test_diag_pair_basis(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[1, 0], [0, 2]], [[2]], [[0], [0]])

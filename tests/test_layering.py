@@ -2,7 +2,9 @@
 
 The dense Kronecker oracle corroborates verdicts only while the main route
 shares no code with it, and every Schur factorization of a problem's pair is
-taken once, by ``prepare``, or by a standalone public solver.
+taken once, by ``prepare``, or by a standalone public solver.  Which
+eigenvalues the spectra share is decided by one rule, in ``gate``, and the
+homogeneous kernel is read off the decision's factors, never a dense SVD.
 """
 
 import ast
@@ -37,6 +39,39 @@ def test_main_route_imports_nothing_from_the_oracle():
         offending = {name for name in imported_modules(parse(module))
                      if "oracle" in name.split(".")}
         assert not offending, (module, offending)
+
+
+def names_in(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_roots_takes_no_dense_kernel():
+    assert not names_in(parse("roots")) & {"svd", "kron_vec_operator", "rank_cutoff"}
+
+
+def test_cluster_tolerance_assigned_only_in_gate():
+    assigners = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            if any(getattr(target, "id", None) == "CLUSTER_TOLERANCE_FACTOR"
+                   for target in targets):
+                assigners.add(path.stem)
+    assert assigners == {"gate"}
+    # and the gate defines no second intersection rule beside shared_eigenvalues
+    defined = {node.name for node in ast.walk(parse("gate"))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"default_intersection_tolerance", "gate_report",
+                          "spectra_intersect", "SectorParams"}
 
 
 def test_complex_schur_called_only_where_factors_are_made():

@@ -17,7 +17,7 @@ from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             solve_unipotent_quadratic, verify_unipotent_identity)
 from sylvcert.singular import decide_sylvester, prepare, solve_uv_system
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, shared_cluster_pair
 
 
 class TestNullspaces:
@@ -124,6 +124,20 @@ class TestHomogeneousEquivalence:
         p = prepare(np.diag([1.0, 2.0]), [[3.0]], np.zeros((2, 1)))
         with pytest.raises(PreconditionError):
             homogeneous_equivalence(p)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_shared_jordan_block_gate_kernel_and_equivalence_agree(self, k):
+        # a shared k x k Jordan block splits by about eps^(1/k), far above a
+        # fixed 1e-8 gate; the gate, the kernel and the equivalence read one rule
+        for seed in range(20):
+            rng = np.random.default_rng([k, seed])
+            n, m = k + int(rng.integers(0, 3)), k + int(rng.integers(0, 3))
+            a, b = shared_cluster_pair(rng, k, None, n, m)
+            p = prepare(a, b, np.zeros((n, m)))
+            assert p.gate.spectra_intersect, seed
+            x_basis, y_basis = homogeneous_nullspaces(p)
+            assert len(x_basis) == len(y_basis) == k, seed
+            assert homogeneous_equivalence(p) == (True, True, True), seed
 
 
 class TestBlockRoots:

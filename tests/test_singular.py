@@ -2,44 +2,27 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from sylvcert import singular
+from sylvcert import gate, singular
 from sylvcert.errors import PreconditionError, WitnessError
-from sylvcert.instances import (jordan_block, mild_similarity, random_sector_eigenvalues,
-                                regular_pair, rhs_in_range, rhs_outside_range,
+from sylvcert.gate import CLUSTER_TOLERANCE_FACTOR
+from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, unvec
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from sylvcert.regular import QUADRATURE_GAP_TOL, companion_solve_direct, compute_offset
-from sylvcert.singular import (CLUSTER_TOLERANCE_FACTOR, UVWitness, VerdictStatus,
+from sylvcert.singular import (UVWitness, VerdictStatus,
                                commutator_identity_verdict,
                                complete_intertwined_pair, diagnose,
                                particular_solution, prepare,
                                reduced_singular_routes, solve_uv_report,
-                               solve_uv_system, verify_commutant_identity)
+                               solve_uv_system, sylvester_kernel,
+                               verify_commutant_identity)
 
-from conftest import pair_equation_residuals, pair_equation_rows
+from conftest import pair_equation_residuals, pair_equation_rows, shared_cluster_pair
 
 JORDAN_A = np.array([[1, 1], [0, 1]], dtype=complex)
 UNIT_B = np.array([[1]], dtype=complex)
-
-
-def shared_cluster_pair(rng, k, second, n, m):
-    """(a, b) sharing a size-k Jordan block and, unless ``second`` is None,
-    a simple eigenvalue ``second`` away from it; the rest is random."""
-    lam = complex(rng.uniform(0.8, 2.0))
-
-    def side(size):
-        blocks = [jordan_block(lam, k)]
-        if second is not None:
-            blocks.append(np.array([[lam + second]]))
-        rest = size - sum(block.shape[0] for block in blocks)
-        blocks.append(np.diag(random_sector_eigenvalues(rng, rest)))
-        v = mild_similarity(rng, size)
-        return v @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(v)
-
-    return side(n), side(m)
 
 
 def agrees_with_oracle(verdict, a, b, c) -> bool:
@@ -168,7 +151,7 @@ class TestSchurReducedDecision:
         # eigenvalues land in "regular" blocks; an out-of-range right-hand
         # side blows their solves up, and the decision must fall back to the
         # whole spectra instead of trusting them
-        monkeypatch.setattr(singular, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
+        monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
         for _ in range(6):
             a, b = shared_jordan_pair(rng, 4, 3)
             c_in, c_out = rhs_in_range(rng, a, b), rhs_outside_range(rng, a, b)
@@ -179,6 +162,25 @@ class TestSchurReducedDecision:
             verdict = diagnose(a, b, c_in)
             assert verdict.status is VerdictStatus.SOLVABLE
             assert verdict.certificate_residual <= verdict.certificate_threshold
+
+    def test_kernel_widens_like_the_decision(self, monkeypatch):
+        # b's second eigenvalue, 1e-12 away, falls outside a too narrow
+        # cluster: the null vector of the shared block blows up on its way
+        # through block (1, 2), and the kernel widens to the whole spectra
+        monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
+        clusters = []
+
+        def spy(ta, tb, r, k_a, k_b, data_scale):
+            clusters.append((k_a, k_b))
+            return solve(ta, tb, r, k_a, k_b, data_scale)
+
+        solve = singular._schur_reduced_solve
+        monkeypatch.setattr(singular, "_schur_reduced_solve", spy)
+        p = prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]])
+        basis = sylvester_kernel(p.a, p.b, p.schur_a, p.schur_b)
+        assert clusters == [(1, 1), (1, 2)]
+        assert len(basis) == 1 and abs(frob(basis[0]) - 1.0) <= 1e-12
+        assert frob(p.a @ basis[0] - basis[0] @ p.b) <= 1e-12
 
     def test_stress_ladder_agrees_with_oracle(self):
         # shared Jordan clusters of size 2-4, split by about eps^(1/k), some
