@@ -8,12 +8,11 @@ from .blockalg import (BlockMatrix, CommutantMembership, block_identity,
 from .errors import (BranchCutError, ConvergenceError, DimensionError, GateError,
                      InversionError, NumericError, ParameterError,
                      PreconditionError, SchemaError, SylvcertError, WitnessError)
-from .gate import (GateReport, choose_shift, sector_contains, sector_margin,
-                   shared_eigenvalues)
+from .gate import GateReport, choose_shift, sector_contains, shared_eigenvalues
 from .numerics import (LstsqResult, SpectrumReport, as_complex_matrix, eigenvalues,
                        kron_vec_operator, lstsq_solve, mat_exp, principal_sqrt,
-                       unvec, vec)
-from .oracle import KroneckerOperator, OracleResult, build_operator, oracle_solve
+                       solve_left, solve_right, unvec, vec)
+from .oracle import OracleResult, build_operator, oracle_solve
 from .regular import (RegularSolveResult, companion_solve_direct,
                       companion_solve_quadrature, compute_offset,
                       solve_generalized_regular)

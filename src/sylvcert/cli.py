@@ -26,12 +26,11 @@ import numpy as np
 
 from . import io as sio
 from .errors import SchemaError, SylvcertError
-from .numerics import frob
+from .numerics import frob, solve_left, solve_right
 from .roots import (homogeneous_equivalence, homogeneous_nullspaces,
-                    solve_unipotent_quadratic, unipotent_bridge_check,
-                    unipotent_identity_residual)
+                    solve_unipotent_quadratic, unipotent_bridge_check)
 from .singular import (VerdictStatus, check_entry, diagnose, prepare,
-                       solution_from_u, solve_uv_report)
+                       solution_from_u, solve_uv_report, unipotent_identity_residual)
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -167,7 +166,7 @@ def cmd_roots(args) -> int:
     a, b, c = problem.a, problem.b, problem.c
 
     unipotent = []
-    u_plus_v = np.linalg.solve(a, np.linalg.solve(b.T, c.T).T)  # a^-1 c b^-1
+    u_plus_v = solve_left(a, solve_right(c, b))  # a^-1 c b^-1
     for q in quad.q_values:
         identity_residual, _ = unipotent_identity_residual(q, problem, quad.offset, tol)
         # q = v - u, so u = (u + v - q) / 2

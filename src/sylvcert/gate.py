@@ -51,22 +51,11 @@ def _spectrum_values(spectrum) -> np.ndarray:
     return np.atleast_1d(np.asarray(spectrum, dtype=np.complex128))
 
 
-def sector_margin(z: complex, alpha: float) -> float:
-    """sin of the angular gap between z and the sector boundary.
-
-    Positive inside the sector, negative outside; -1 for z = 0.
-    """
-    if z == 0:
-        return -1.0
-    gap = alpha - abs(np.angle(z))
-    return math.sin(min(max(gap, -math.pi / 2), math.pi / 2))
-
-
 def sector_contains(spectrum, alpha: float) -> bool:
     """True iff every eigenvalue z satisfies z != 0 and |arg z| < alpha."""
     _check_alpha(alpha)
-    # sector_margin is -1 at z = 0 and positive exactly inside the sector
-    return all(sector_margin(complex(z), alpha) > 0 for z in _spectrum_values(spectrum))
+    values = _spectrum_values(spectrum)
+    return bool(np.all((values != 0) & (np.abs(np.angle(values)) < alpha)))
 
 
 def shared_eigenvalues(sa, sb, scale: float) -> tuple:
@@ -80,55 +69,54 @@ def shared_eigenvalues(sa, sb, scale: float) -> tuple:
 
 def _shift_admissible(values: np.ndarray, lam: float, alpha: float,
                       margin: float, floor: float) -> bool:
+    # sin of the angular gap to the sector boundary at least margin, modulus
+    # at least floor (which excludes z + lam = 0)
     shifted = values + lam
-    if np.any(shifted == 0):
-        return False
-    if np.any(np.abs(shifted) < floor):
-        return False
-    margins = np.array([sector_margin(complex(z), alpha) for z in shifted])
-    return bool(np.all(margins >= margin))
+    gaps = alpha - np.abs(np.angle(shifted))
+    return bool(np.all((np.abs(shifted) >= floor) & (np.sin(gaps) >= margin)))
+
+
+def _decimal(count: int, exponent: int) -> float:
+    # the float nearest count * 10^exponent: int-to-float conversion and int
+    # true division round once, so the value prints back as its digits
+    return float(count * 10 ** exponent) if exponent >= 0 else count / 10 ** -exponent
 
 
 def choose_shift(sa, sb, alpha: float) -> float:
-    """Smallest practical shift placing both spectra inside the sector.
+    """Smallest three-significant-digit shift placing both spectra inside
+    the sector.
 
     Membership is demanded with an angular margin (sin of the gap to the
     boundary at least ``DEFAULT_MARGIN``) and a modulus floor of that margin
     times the pre-shift spectral scale, so the shifted matrices stay
-    comfortably invertible.  The shift is found by doubling then bisection,
-    reported to three significant digits; lambda = 0 is returned when the
-    spectra already qualify.
+    comfortably invertible.  Per eigenvalue z each condition holds exactly on
+    a half-line of shifts:
+
+        |arg(z + lambda)| <= alpha - asin(margin)  iff
+            lambda >= |Im z| / tan(alpha - asin(margin)) - Re z,
+        |z + lambda| >= floor  iff
+            lambda >= sqrt(max(floor^2 - (Im z)^2, 0)) - Re z;
+
+    the shift is the largest of these bounds rounded up to three significant
+    digits, then checked; lambda = 0 is returned when the spectra already
+    qualify.
     """
     _check_alpha(alpha)
     values = np.concatenate([_spectrum_values(sa), _spectrum_values(sb)])
-    margin_eff = min(DEFAULT_MARGIN, 0.99 * math.sin(alpha))
+    margin = min(DEFAULT_MARGIN, 0.99 * math.sin(alpha))
     radius = float(np.max(np.abs(values))) if values.size else 0.0
-    scale = radius if radius > 0 else 1.0
-    floor = margin_eff * scale
-
-    if _shift_admissible(values, 0.0, alpha, margin_eff, floor):
+    floor = margin * (radius if radius > 0 else 1.0)
+    if _shift_admissible(values, 0.0, alpha, margin, floor):
         return 0.0
 
-    hi = scale
-    for _ in range(200):
-        if _shift_admissible(values, hi, alpha, margin_eff, floor):
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - admissibility is guaranteed for finite spectra
-        raise ParameterError("no admissible shift found; spectra are not finite")
-    lo = 0.0
-    while hi - lo > 5e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if _shift_admissible(values, mid, alpha, margin_eff, floor):
-            hi = mid
-        else:
-            lo = mid
-    # round up to 3 significant digits, nudging until still admissible
-    lam = hi
-    if lam > 0:
-        exponent = math.floor(math.log10(lam))
-        quantum = 10.0 ** (exponent - 2)
-        lam = math.ceil(lam / quantum) * quantum
-        while not _shift_admissible(values, lam, alpha, margin_eff, floor):
-            lam += quantum
-    return float(lam)
+    sector = np.abs(values.imag) / math.tan(alpha - math.asin(margin)) - values.real
+    modulus = np.sqrt(np.maximum(floor ** 2 - values.imag ** 2, 0.0)) - values.real
+    # a bound at or below 0 here is rounding at the boundary of a spectrum
+    # that narrowly fails at lambda = 0
+    bound = max(float(sector.max()), float(modulus.max()), 1e-3 * floor)
+    exponent = math.floor(math.log10(bound)) - 2
+    # start one quantum low, so rounding in the bound cannot cost a quantum
+    count = math.ceil(bound / 10.0 ** exponent) - 1
+    while not _shift_admissible(values, _decimal(count, exponent), alpha, margin, floor):
+        count += 1
+    return _decimal(count, exponent)

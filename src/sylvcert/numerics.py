@@ -139,6 +139,26 @@ def schur_sylvester(schur_a, schur_b, c, sign: int) -> np.ndarray:
     return qa @ y @ qb.conj().T
 
 
+def solve_left(a, m) -> np.ndarray:
+    """a^-1 m by an LU solve, without forming the inverse.
+
+    Raises :class:`InversionError` when a is singular or the solution is
+    not finite (a singular to working precision).
+    """
+    try:
+        x = np.linalg.solve(a, m)
+    except np.linalg.LinAlgError as exc:
+        raise InversionError("matrix to invert is singular") from exc
+    if not np.all(np.isfinite(x)):
+        raise InversionError("matrix to invert is singular to working precision")
+    return x
+
+
+def solve_right(m, b) -> np.ndarray:
+    """m b^-1, as the transpose of (b^T)^-1 m^T; see :func:`solve_left`."""
+    return solve_left(np.transpose(b), np.transpose(m)).T
+
+
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))

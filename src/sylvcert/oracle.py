@@ -34,12 +34,6 @@ ORACLE_MAX_UNKNOWNS = 4096
 
 
 @dataclass(frozen=True)
-class KroneckerOperator:
-    matrix: np.ndarray
-    description: str
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Least-squares verdict for one vectorized equation.
 
@@ -56,7 +50,6 @@ class OracleResult:
     consistent: bool
     threshold: float
     rank: int
-    min_norm_answer: np.ndarray
     near_cutoff: bool = False
 
 
@@ -66,7 +59,7 @@ def _pair(a, b):
     return a, b
 
 
-def build_operator(eq: str, a, b) -> KroneckerOperator:
+def build_operator(eq: str, a, b) -> np.ndarray:
     """Explicit matrix of the named equation's left-hand side."""
     a, b = _pair(a, b)
     n, m = a.shape[0], b.shape[0]
@@ -92,7 +85,7 @@ def build_operator(eq: str, a, b) -> KroneckerOperator:
         K = np.vstack([row1, row2])
     else:
         raise ParameterError(f"unknown equation id {eq!r}; choose one of {EQUATIONS}")
-    return KroneckerOperator(matrix=K, description=eq)
+    return K
 
 
 # scale of the operator entries in terms of the (a, b) data, per equation:
@@ -122,10 +115,10 @@ def oracle_solve(eq: str, a, b, c=None, tol: float = DEFAULT_ORACLE_TOL) -> Orac
     """
     a, b = _pair(a, b)
     n, m = a.shape[0], b.shape[0]
-    op = build_operator(eq, a, b)
+    K = build_operator(eq, a, b)
 
     if eq in ("homogeneous", "adjoint_homogeneous"):
-        rhs = np.zeros(op.matrix.shape[0], dtype=np.complex128)
+        rhs = np.zeros(K.shape[0], dtype=np.complex128)
     elif eq == "uv_stacked":
         c = as_complex_matrix(c, "c")
         if c.shape != (n, m):
@@ -142,7 +135,7 @@ def oracle_solve(eq: str, a, b, c=None, tol: float = DEFAULT_ORACLE_TOL) -> Orac
     data_scale = frob(a) + frob(b)
     degree = _EQUATION_DEGREE[eq]
     scale_reference = max(data_scale ** d for d in range(1, degree + 1))
-    res, threshold, consistent, nullity = _decide(op.matrix, rhs, tol, scale_reference)
+    res, threshold, consistent, nullity = _decide(K, rhs, tol, scale_reference)
 
     if eq == "uv_stacked":
         v = unvec(res.solution[: n * m], n, m)
@@ -160,6 +153,5 @@ def oracle_solve(eq: str, a, b, c=None, tol: float = DEFAULT_ORACLE_TOL) -> Orac
         consistent=consistent,
         threshold=threshold,
         rank=res.rank,
-        min_norm_answer=shaped,
         near_cutoff=res.near_cutoff,
     )

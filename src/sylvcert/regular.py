@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GateError, InversionError, PreconditionError
+from .errors import ConvergenceError, GateError, PreconditionError
 from .gate import sector_contains
 from .numerics import (as_complex_matrix, complex_schur, eigenvalues, frob, mat_exp,
-                       require_square, schur_sylvester, triangular_sylvester)
+                       require_square, schur_sylvester, solve_left, solve_right,
+                       triangular_sylvester)
 
 QUADRATURE_NODES_PER_PANEL = 32
 MAX_PANELS = 256
@@ -141,23 +142,11 @@ def companion_solve_quadrature(a, b, c, tol: float = 1e-10) -> RegularSolveResul
         f"quadrature did not reach tolerance {tol:g} within {MAX_PANELS} panels")
 
 
-def _invert(m: np.ndarray, name: str) -> np.ndarray:
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise InversionError(f"{name} is singular") from exc
-    if not np.all(np.isfinite(inv)):
-        raise InversionError(f"{name} is singular to working precision")
-    return inv
-
-
 def compute_offset(a, b, companion) -> np.ndarray:
     """The derived quantity a^-1 s b + a s b^-1 for the companion solution s
     (the right-hand-side offset of the swapped pair equation)."""
     a, b, companion = _validate_triple(a, b, companion)
-    a_inv = _invert(a, "a")
-    b_inv = _invert(b, "b")
-    return a_inv @ companion @ b + a @ companion @ b_inv
+    return solve_left(a, companion @ b) + solve_right(a @ companion, b)
 
 
 def solve_generalized_regular(a, b, rhs) -> np.ndarray:

@@ -27,7 +27,7 @@ from .numerics import as_complex_matrix, frob, principal_sqrt, schur_sylvester, 
 from .regular import compute_offset
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
                        check_entry, decide_sylvester, skipped_on_refusal,
-                       sylvester_kernel)
+                       sylvester_kernel, unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
 
@@ -167,18 +167,16 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     return a_holds, b_holds, c_holds
 
 
-def block_roots(p: SylvesterProblem, companion=None, tol: float = DEFAULT_TOL):
+def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     """The four sign-branch square roots of the base matrix
-    [[a, -s], [0, -b]], each verified to square back to it.
+    [[a, -s], [0, -b]] for the problem's companion solution s, each verified
+    to square back to it.
 
     Every branch is the coupling conjugation of the diagonal
     ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), enumerated in (k1, k2) order.
     """
     a, b = p.a, p.b
-    if companion is None:
-        companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    else:
-        companion = as_complex_matrix(companion, "companion")
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
     base = BlockMatrix.upper(a, -companion, -b)
 
@@ -201,20 +199,17 @@ def block_roots(p: SylvesterProblem, companion=None, tol: float = DEFAULT_TOL):
     return roots
 
 
-def _base_and_target(p: SylvesterProblem, companion=None, offset=None):
+def _base_and_target(p: SylvesterProblem):
     """The base [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of
-    the quadratic equation, with the offset r; s and r default to the
-    problem's companion solution and its offset."""
-    if companion is None:
-        companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    companion = as_complex_matrix(companion, "companion")
-    offset = compute_offset(p.a, p.b, companion) if offset is None \
-        else as_complex_matrix(offset, "offset")
+    the quadratic equation, with the offset r, for the problem's companion
+    solution s and its offset r."""
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    offset = compute_offset(p.a, p.b, companion)
     return (BlockMatrix.upper(p.a, -companion, -p.b),
             BlockMatrix.upper(p.a, -(companion + offset), -p.b), offset)
 
 
-def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
+def solve_unipotent_quadratic(p: SylvesterProblem,
                               tol: float = DEFAULT_TOL) -> QuadraticSolveResult:
     """Solve Y base Y = target over the enumerated root family and extract
     the unipotent solutions.
@@ -229,8 +224,8 @@ def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
     the enumerated family; the (u, v) system remains the authoritative verdict.
     """
     a, b = p.a, p.b
-    base, target, offset = _base_and_target(p, companion, offset)
-    roots = block_roots(p, -base.a12, tol)
+    base, target, offset = _base_and_target(p)
+    roots = block_roots(p, tol)
 
     notes: list = []
     y_solutions: list = []
@@ -276,20 +271,12 @@ def solve_unipotent_quadratic(p: SylvesterProblem, companion=None, offset=None,
                                 notes=notes)
 
 
-def unipotent_identity_residual(q, p: SylvesterProblem, offset,
-                                tol: float = DEFAULT_TOL) -> tuple:
-    """Residual of the reduced unipotent identity q b - a q = r for the
-    offset r, and the threshold it is judged against."""
-    residual = frob(q @ p.b - p.a @ q - offset)
-    threshold = tol * (frob(offset) + (frob(p.a) + frob(p.b)) * frob(q) + 1e-300)
-    return residual, threshold
-
-
 def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:
     """The ``unipotent_bridge`` entry of ``verdict.checks``: it passes when
     the root bridge finds a unipotent solution exactly for a solvable
     verdict.  A found one reports the q closest to holding, with its residual
-    and threshold from :func:`unipotent_identity_residual`."""
+    and threshold from
+    :func:`~sylvcert.singular.unipotent_identity_residual`."""
     if verdict.status is VerdictStatus.ILL_CONDITIONED:
         return skipped_on_refusal(verdict.ill_conditioned_gate)
     p = verdict.problem
@@ -307,13 +294,12 @@ def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:
     return entry
 
 
-def verify_unipotent_identity(q, p: SylvesterProblem, companion=None, offset=None,
-                              tol: float = DEFAULT_TOL) -> bool:
+def verify_unipotent_identity(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) -> bool:
     """Check that [[I, q], [0, I]] conjugates the base matrix into the target,
     in both its block form and the reduced form q b - a q = r; the two
     residuals must agree."""
     q = as_complex_matrix(q, "q")
-    base, target, offset = _base_and_target(p, companion, offset)
+    base, target, offset = _base_and_target(p)
     y = BlockMatrix.upper(np.eye(p.n), q, np.eye(p.m))
     block_residual = (block_mul(block_mul(y, base), y) - target).norm()
     reduced_residual, threshold = unipotent_identity_residual(q, p, offset, tol)

@@ -44,7 +44,8 @@ from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
 from .blockalg import BlockMatrix, block_mul, diag_embed
 from .numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
                        lstsq_solve, rank_cutoff, reorder_schur, require_square,
-                       schur_sylvester, triangular_sylvester, unvec, vec)
+                       schur_sylvester, solve_left, solve_right, triangular_sylvester,
+                       unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset
 
@@ -186,6 +187,15 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
                             schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb))
 
 
+def unipotent_identity_residual(q, p: SylvesterProblem, offset,
+                                tol: float = DEFAULT_TOL) -> tuple:
+    """Residual of the reduced unipotent identity q b - a q = r for the
+    offset r, and the threshold it is judged against."""
+    residual = frob(q @ p.b - p.a @ q - offset)
+    threshold = tol * (frob(offset) + (frob(p.a) + frob(p.b)) * frob(q) + 1e-300)
+    return residual, threshold
+
+
 def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
                     offset: np.ndarray, tol: float,
                     decision_threshold: float) -> UVWitness:
@@ -196,8 +206,8 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
     equation's own residual, so it is judged against the threshold the
     decision applied; au_vb, cubic and unipotent_identity are independent.
     """
-    a, b, c = p.a, p.b, p.c
-    pair_sum = np.linalg.inv(a) @ c @ np.linalg.inv(b)
+    a, b = p.a, p.b
+    pair_sum = solve_left(a, solve_right(p.c, b))
     v = pair_sum - u
     q = v - u
     na, nb, nu, nv = frob(a), frob(b), frob(u), frob(v)
@@ -206,7 +216,6 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
         "au_vb": frob(a @ u + v @ b - (companion + offset)),
         "u_plus_v": frob(u + v - pair_sum),
         "cubic": frob(a @ a @ a @ v + a @ a @ v @ b + u @ b @ b @ b + a @ u @ b @ b),
-        "unipotent_identity": frob(q @ b - a @ q - offset),
     }
     # each identity at the scale of its own terms
     thresholds = {
@@ -214,8 +223,9 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
         "au_vb": tol * (na * nu + nv * nb + frob(companion) + frob(offset)),
         "u_plus_v": tol * (nu + nv + frob(pair_sum)),
         "cubic": tol * (na + nb) ** 3 * (nu + nv),
-        "unipotent_identity": tol * ((na + nb) * frob(q) + frob(offset)),
     }
+    residuals["unipotent_identity"], thresholds["unipotent_identity"] = \
+        unipotent_identity_residual(q, p, offset, tol)
     return UVWitness(u=u, v=v, companion=companion, offset=offset, q=q,
                      residuals=residuals, thresholds=thresholds,
                      uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
@@ -347,8 +357,7 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     witness pair (u, v)."""
     a, b = p.a, p.b
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    # a s b^-1 by a solve against b, without forming the inverse
-    rhs = np.linalg.solve(b.T, (a @ companion).T).T
+    rhs = solve_right(a @ companion, b)
     report = decide_sylvester(a, b, p.schur_a, p.schur_b, rhs, tol)
     report.companion = companion
     if report.lstsq_residual <= report.threshold:
@@ -364,8 +373,9 @@ def solve_uv_system(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVWitness 
 
 
 def solution_from_u(a, b, u) -> np.ndarray:
-    """The solution formula in u, x = a^-1 u b^2 + u b, by a solve against a."""
-    return np.linalg.solve(a, u @ b @ b) + u @ b
+    """The solution formula in u, x = a^-1 u b^2 + u b."""
+    a, b, u = as_complex_matrix(a, "a"), as_complex_matrix(b, "b"), as_complex_matrix(u, "u")
+    return solve_left(a, u @ b @ b) + u @ b
 
 
 def _certificate_scale(a, b, c, x) -> float:
@@ -381,10 +391,8 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
     the witness under ``solution_formula_gap``.
     """
     a, b, c = p.a, p.b, p.c
-    a_inv = np.linalg.inv(a)
-    b_inv = np.linalg.inv(b)
-    x_u = a_inv @ w.u @ b @ b + w.u @ b
-    x_v = -(a @ a @ w.v @ b_inv + a @ w.v)
+    x_u = solution_from_u(a, b, w.u)
+    x_v = -(solve_right(a @ a @ w.v, b) + a @ w.v)
     gap = frob(x_u - x_v)
     gap_threshold = tol * (frob(x_u) + frob(x_v))
     w.residuals["solution_formula_gap"] = gap
@@ -508,8 +516,8 @@ def reduced_singular_routes(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     """
     a, b, c = p.a, p.b, p.c
     companion = schur_sylvester(p.schur_a, p.schur_b, c, +1)
-    rhs_u = a @ companion @ np.linalg.inv(b)
-    rhs_v = -np.linalg.inv(a) @ companion @ b
+    rhs_u = solve_right(a @ companion, b)
+    rhs_v = -solve_left(a, companion @ b)
     res_u = oracle_solve("sylvester", a, b, rhs_u, tol=tol)
     res_v = oracle_solve("sylvester", a, b, rhs_v, tol=tol)
     return (res_u.solution if res_u.consistent else None,
@@ -569,10 +577,10 @@ def complete_intertwined_pair(p: SylvesterProblem, given, which: str = "z",
         raise DimensionError(f"{which} must be {p.n}x{p.m}")
     if which == "z":
         z = given
-        w = a @ z @ np.linalg.inv(b)
+        w = solve_right(a @ z, b)
     elif which == "w":
         w = given
-        z = np.linalg.inv(a) @ w @ b
+        z = solve_left(a, w @ b)
     else:
         raise PreconditionError(f"which must be 'z' or 'w', got {which!r}")
     residual = frob(a @ z - w @ b)

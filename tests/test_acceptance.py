@@ -207,10 +207,10 @@ def test_criterion_8_square_root_identities():
         companion = companion_solve_direct(p.a, p.b, p.c).solution
         offset = compute_offset(p.a, p.b, companion)
         base = BlockMatrix.upper(p.a, -companion, -p.b)
-        for root in block_roots(p, companion):
+        for root in block_roots(p):
             if (block_mul(root, root) - base).norm() > 1e-9 * max(base.norm(), 1e-30):
                 ok = False
-        quad = solve_unipotent_quadratic(p, companion, offset)
+        quad = solve_unipotent_quadratic(p)
         for y in quad.y_solutions:
             residual = (block_mul(block_mul(y, quad.base), y) - quad.target).norm()
             if residual > 1e-8 * max(quad.target.norm(), 1.0) * (1 + y.norm()) ** 2:

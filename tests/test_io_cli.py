@@ -11,11 +11,10 @@ from sylvcert.cli import main
 from sylvcert.errors import SchemaError, WitnessError
 from sylvcert.instances import regular_pair
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS
-from sylvcert.roots import (solve_unipotent_quadratic, unipotent_bridge_check,
-                           unipotent_identity_residual)
+from sylvcert.roots import solve_unipotent_quadratic, unipotent_bridge_check
 from sylvcert.io import (load_problem, matrix_to_pairs, pairs_to_matrix, parse_problem_text,
                          parse_report, problem_to_dict, serialize_report)
-from sylvcert.singular import diagnose
+from sylvcert.singular import diagnose, unipotent_identity_residual
 
 from conftest import shared_cluster_pair
 

@@ -5,12 +5,16 @@ shares no code with it, and every Schur factorization of a problem's pair is
 taken once, by ``prepare``, or by a standalone public solver.  Which
 eigenvalues the spectra share is decided by one rule, in ``gate``, and the
 homogeneous kernel is read off the decision's factors, never a dense SVD.
+Inverses are applied by one solve routine, never formed, and the root
+bridge reads the companion solution and its offset off the problem.
 """
 
 import ast
+import inspect
 import pathlib
 
 import sylvcert
+from sylvcert.roots import block_roots, solve_unipotent_quadratic, verify_unipotent_identity
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
@@ -74,7 +78,8 @@ def test_cluster_tolerance_assigned_only_in_gate():
                           "spectra_intersect", "SectorParams"}
 
 
-def test_complex_schur_called_only_where_factors_are_made():
+def callers_of(callee: str) -> set:
+    """(module, function) pairs whose body calls ``callee`` by name or attribute."""
     callers = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -86,6 +91,24 @@ def test_complex_schur_called_only_where_factors_are_made():
                     target = node.func
                     name = target.attr if isinstance(target, ast.Attribute) else \
                         getattr(target, "id", None)
-                    if name == "complex_schur":
+                    if name == callee:
                         callers.add((path.stem, function.name))
-    assert callers == SCHUR_CALLERS
+    return callers
+
+
+def test_complex_schur_called_only_where_factors_are_made():
+    assert callers_of("complex_schur") == SCHUR_CALLERS
+
+
+def test_inverses_are_applied_by_one_solve_routine():
+    # block_inverse returns the typed inverse itself, and instance generators
+    # build test data from a similarity and its inverse
+    assert {caller for caller in callers_of("inv") if caller[0] != "instances"} \
+        == {("blockalg", "_inverse_block")}
+    # the oracle keeps its own operators
+    assert callers_of("solve") == {("numerics", "solve_left"), ("oracle", "oracle_solve")}
+
+
+def test_bridge_reads_companion_and_offset_off_the_problem():
+    for function in (block_roots, solve_unipotent_quadratic, verify_unipotent_identity):
+        assert not {"companion", "offset"} & set(inspect.signature(function).parameters)

@@ -80,7 +80,7 @@ class TestRankConsistencyEquivalence:
                 a, b = regular_pair(rng, n, m)
             c = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
             res = oracle_solve("sylvester", a, b, c)
-            K = build_operator("sylvester", a, b).matrix
+            K = build_operator("sylvester", a, b)
             rank_plain = lstsq_solve(K, np.zeros(K.shape[0])).rank
             augmented = np.hstack([K, vec(c)[:, None]])
             rank_augmented = lstsq_solve(augmented, np.zeros(K.shape[0])).rank
@@ -92,9 +92,7 @@ class TestOperators:
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for eq in EQUATIONS:
-            op = build_operator(eq, a, b)
-            assert op.description == eq
-            assert np.all(np.isfinite(op.matrix))
+            assert np.all(np.isfinite(build_operator(eq, a, b)))
 
     def test_operator_actions(self, rng):
         # each operator reproduces its equation's left side on random input
@@ -110,7 +108,7 @@ class TestOperators:
             "adjoint_homogeneous": (b @ y - y @ a, y),
         }
         for eq, (expected, operand) in cases.items():
-            K = build_operator(eq, a, b).matrix
+            K = build_operator(eq, a, b)
             actual = K @ vec(operand)
             assert np.linalg.norm(actual - vec(expected)) <= 1e-12 * np.linalg.norm(expected)
 
@@ -119,7 +117,7 @@ class TestOperators:
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         u = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         v = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        K = build_operator("uv_stacked", a, b).matrix
+        K = build_operator("uv_stacked", a, b)
         stacked = np.concatenate([vec(v), vec(u)])
         action = K @ stacked
         first = a @ v + u @ b

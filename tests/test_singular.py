@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sylvcert import gate, singular
-from sylvcert.errors import PreconditionError, WitnessError
+from sylvcert.errors import InversionError, PreconditionError, WitnessError
 from sylvcert.gate import CLUSTER_TOLERANCE_FACTOR
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
@@ -15,8 +15,8 @@ from sylvcert.singular import (UVWitness, VerdictStatus,
                                commutator_identity_verdict,
                                complete_intertwined_pair, diagnose,
                                particular_solution, prepare,
-                               reduced_singular_routes, solve_uv_report,
-                               solve_uv_system, sylvester_kernel,
+                               reduced_singular_routes, solution_from_u,
+                               solve_uv_report, solve_uv_system, sylvester_kernel,
                                verify_commutant_identity)
 
 from conftest import pair_equation_residuals, pair_equation_rows, shared_cluster_pair
@@ -353,6 +353,11 @@ class TestParticularSolution:
         w.u = w.u + 0.05 * frob(w.u + 1) * np.ones_like(w.u)
         with pytest.raises(WitnessError):
             particular_solution(w, p)
+
+    def test_singular_a_raises_the_package_error(self):
+        # a SylvcertError, so the CLI's handler reports it
+        with pytest.raises(InversionError):
+            solution_from_u([[0]], [[1]], [[1]])
 
     def test_scalar_solvable_full_pipeline(self):
         verdict = diagnose([[2]], [[1]], [[3]])
