@@ -172,22 +172,26 @@ def mat_exp(m) -> np.ndarray:
 
 def principal_sqrt(m) -> np.ndarray:
     """Principal matrix square root: s with s @ s = m, spectrum in the open
-    right half-plane.
+    right half-plane; :func:`schur_sqrt` on the Schur factors of ``m``."""
+    return schur_sqrt(complex_schur(m))
 
-    Raises :class:`BranchCutError` when an eigenvalue of ``m`` lies on the
-    closed negative real axis (the caller must shift first).
+
+def schur_sqrt(schur) -> np.ndarray:
+    """Principal square root q sqrtm(t) q^* of the matrix with complex Schur
+    factors (t, q), by the Schur method of Bjorck and Hammarling.
+
+    Raises :class:`BranchCutError` when an eigenvalue (a diagonal entry of
+    t) lies on the closed negative real axis (the caller must shift first).
     """
-    m = require_square(as_complex_matrix(m))
-    spectrum = eigenvalues(m)
-    scale = max(frob(m), 1.0)
-    for lam in spectrum.eigenvalues:
+    t, q = schur
+    scale = max(frob(t), 1.0)
+    for lam in t.diagonal():
         if lam.real <= 0 and abs(lam.imag) <= 1e-13 * scale:
             raise BranchCutError(
                 f"eigenvalue {lam} lies on the closed negative real axis; "
                 "shift the matrix before taking the principal square root"
             )
-    s = scipy.linalg.sqrtm(m)
-    s = np.asarray(s, dtype=np.complex128)
+    s = q @ np.asarray(scipy.linalg.sqrtm(t), dtype=np.complex128) @ q.conj().T
     if not np.all(np.isfinite(s)):
         raise NumericError("matrix square root produced non-finite values")
     return s

@@ -8,10 +8,19 @@ Y B Y = T for B, T the companion-coupled embeddings built from the problem
 data; unipotent solutions [[I, q], [0, I]] certify solvability of the
 original equation through q b - a q = r.
 
-Every Sylvester solve runs on the problem's own Schur factors; the singular
-coupling a^2 s - s b^2 = P_12 of each branch is decided by the main decision's
-kernel, :func:`~sylvcert.singular.decide_sylvester`, on their squares, and the
-intertwiners are :func:`~sylvcert.singular.sylvester_kernel` on the factors.
+Every Sylvester solve and square root runs on the problem's own Schur
+factors; the singular coupling a^2 s - s b^2 = P_12 of each branch is decided
+by the main decision's kernel, :func:`~sylvcert.singular.decide_sylvester`,
+on their squares, and the intertwiners are
+:func:`~sylvcert.singular.sylvester_kernel` on the factors.
+
+Every operand of the root search (base, target, branch roots and their
+inverses, the products P and every candidate) is block upper triangular, and
+for such operands the typed block product is the ordinary product of the
+flattened matrices.  The search therefore runs on stacked dense
+``(k, n+m, n+m)`` arrays, all branches or all candidates in one product, and
+:class:`~sylvcert.blockalg.BlockMatrix` wraps only what it returns.  Each
+stacked product is checked to be finite with zero lower-left blocks.
 """
 
 from __future__ import annotations
@@ -20,16 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GateError, PreconditionError
+from .errors import GateError, NumericError, PreconditionError
 from .blockalg import (BlockMatrix, block_inverse, block_mul,
                        commutes_with_diag_pair, diag_embed)
-from .numerics import as_complex_matrix, frob, principal_sqrt, schur_sylvester, unvec, vec
+from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, unvec, vec
 from .regular import compute_offset
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
                        check_entry, decide_sylvester, skipped_on_refusal,
                        sylvester_kernel, unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
+# (k1, k2) of the branch ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), in branch order
+BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass
@@ -167,6 +178,66 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     return a_holds, b_holds, c_holds
 
 
+def _upper(a11, a12, a22) -> np.ndarray:
+    """The dense block upper-triangular matrix [[a11, a12], [0, a22]]."""
+    n, m = a12.shape
+    out = np.zeros((n + m, n + m), dtype=np.complex128)
+    out[:n, :n], out[:n, n:], out[n:, n:] = a11, a12, a22
+    return out
+
+
+def _blocks(x: np.ndarray, n: int) -> BlockMatrix:
+    """The typed block matrix with the blocks of the dense x, split after row
+    and column n."""
+    return BlockMatrix(x[:n, :n], x[:n, n:], x[n:, :n], x[n:, n:])
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NumericError(f"{what} contains NaN or Inf entries")
+    return x
+
+
+def _checked(stack: np.ndarray, n: int) -> np.ndarray:
+    """A stack of products, after checking the premise under which the
+    ordinary product is the typed one: finite, block upper triangular."""
+    _finite(stack, "root bridge product")
+    if np.any(stack[..., n:, :n]):
+        raise PreconditionError("root bridge operand is not block upper triangular")
+    return stack
+
+
+def _base_and_target(p: SylvesterProblem):
+    """The problem's companion solution s, its offset r, and the dense base
+    [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of the quadratic
+    equation."""
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    offset = compute_offset(p.a, p.b, companion)
+    return (companion, offset, _upper(p.a, -companion, -p.b),
+            _upper(p.a, -(companion + offset), -p.b))
+
+
+def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> np.ndarray:
+    """The four branch roots of ``base`` as one (4, n+m, n+m) stack, in
+    :data:`BRANCHES` order, each verified to square back to it."""
+    n, m = p.n, p.m
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
+    signs = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
+    inner = np.zeros((len(BRANCHES), n + m, n + m), dtype=np.complex128)
+    inner[:, :n, :n] = signs[:, 0, None, None] * schur_sqrt(p.schur_a)
+    inner[:, n:, n:] = signs[:, 1, None, None] * schur_sqrt(p.schur_b)
+    eye_n, eye_m = np.eye(n), np.eye(m)
+    roots = _checked(_upper(eye_n, -e1, eye_m) @ inner @ _upper(eye_n, e1, eye_m), n)
+    residuals = np.linalg.norm(_checked(roots @ roots, n) - base, axis=(1, 2))
+    bound = tol * max(frob(base), 1.0)
+    for (k1, k2), residual in zip(BRANCHES, residuals):
+        if residual > bound:
+            raise PreconditionError(
+                f"branch ({k1},{k2}) failed to square to the base matrix "
+                f"(residual {residual:.3g})")
+    return roots
+
+
 def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     """The four sign-branch square roots of the base matrix
     [[a, -s], [0, -b]] for the problem's companion solution s, each verified
@@ -175,38 +246,8 @@ def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     Every branch is the coupling conjugation of the diagonal
     ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), enumerated in (k1, k2) order.
     """
-    a, b = p.a, p.b
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
-    base = BlockMatrix.upper(a, -companion, -b)
-
-    sqrt_a = principal_sqrt(a)
-    sqrt_b = principal_sqrt(b)
-    left = BlockMatrix.upper(np.eye(p.n), -e1, np.eye(p.m))
-    right = BlockMatrix.upper(np.eye(p.n), e1, np.eye(p.m))
-
-    roots = []
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            inner = diag_embed(((-1) ** k1) * sqrt_a, ((-1) ** k2) * 1j * sqrt_b)
-            root = block_mul(block_mul(left, inner), right)
-            residual = (block_mul(root, root) - base).norm()
-            if residual > tol * max(base.norm(), 1.0):
-                raise PreconditionError(
-                    f"branch ({k1},{k2}) failed to square to the base matrix "
-                    f"(residual {residual:.3g})")
-            roots.append(root)
-    return roots
-
-
-def _base_and_target(p: SylvesterProblem):
-    """The base [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of
-    the quadratic equation, with the offset r, for the problem's companion
-    solution s and its offset r."""
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    offset = compute_offset(p.a, p.b, companion)
-    return (BlockMatrix.upper(p.a, -companion, -p.b),
-            BlockMatrix.upper(p.a, -(companion + offset), -p.b), offset)
+    companion, _, base, _ = _base_and_target(p)
+    return [_blocks(root, p.n) for root in _branch_roots(p, companion, base, tol)]
 
 
 def solve_unipotent_quadratic(p: SylvesterProblem,
@@ -220,54 +261,60 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     are that one, its negative, and the four diagonal-sign variants
     [[d1, d1 s - s d2], [0, d2]] with d1 in {a, -a}, d2 in {b, -b},
     available when the singular coupling equation a^2 s - s b^2 = P_12 is
-    consistent.  Absence of a unipotent solution here means none exists in
-    the enumerated family; the (u, v) system remains the authoritative verdict.
+    consistent.  Every candidate gives Y = R^-1 Z R^-1; the ones that solve
+    the equation are kept in candidate order unless they repeat one kept
+    before.  Absence of a unipotent solution here means none exists in the
+    enumerated family; the (u, v) system remains the authoritative verdict.
     """
-    a, b = p.a, p.b
-    base, target, offset = _base_and_target(p)
-    roots = block_roots(p, tol)
+    a, b, n, m = p.a, p.b, p.n, p.m
+    companion, offset, base, target = _base_and_target(p)
+    roots = _branch_roots(p, companion, base, tol)
+    base_roots = [_blocks(root, n) for root in roots]
+    inverses = np.stack([block_inverse(root).flatten() for root in base_roots])
+    products = _checked(roots @ target @ roots, n)
 
     notes: list = []
-    y_solutions: list = []
-    q_values: list = []
+    candidates: list = []
+    owners: list = []  # the branch of each candidate
     # t^2 is the Schur factor of a^2 in the basis of t
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
     a2, schur_a2 = a @ a, (ta @ ta, qa)
     b2, schur_b2 = b @ b, (tb @ tb, qb)
-
-    for index, root in enumerate(roots):
-        root_inv = block_inverse(root)
-        P = block_mul(block_mul(root, target), root)
-
-        principal = BlockMatrix.upper(a, schur_sylvester(p.schur_a, p.schur_b, P.a12, +1), b)
-        candidates = [principal, -principal]
-
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, P.a12, tol)
+    for index, p12 in enumerate(products[:, :n, n:]):
+        principal = _upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
+        candidates += [principal, -principal]
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
-            for d1 in (a, -a):
-                for d2 in (b, -b):
-                    candidates.append(BlockMatrix.upper(d1, d1 @ s - s @ d2, d2))
+            candidates += [_upper(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
         else:
             notes.append(f"branch {index}: coupling equation inconsistent "
                          f"(residual {coupling.lstsq_residual:.3g})")
+        owners += [index] * (len(candidates) - len(owners))
 
-        for z in candidates:
-            y = block_mul(block_mul(root_inv, z), root_inv)
-            residual = (block_mul(block_mul(y, base), y) - target).norm()
-            scale = base.norm() * (1.0 + y.norm()) ** 2 + target.norm()
-            if residual > tol * scale:
-                continue
-            if any((y - seen).norm() <= 1e-8 * (1.0 + y.norm()) for seen in y_solutions):
-                continue
-            y_solutions.append(y)
-            if (frob(y.a11 - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
-                    and frob(y.a22 - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
-                    and frob(y.a21) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
-                q_values.append(y.a12)
+    owner_inverses = inverses[owners]
+    y = _checked(owner_inverses @ _checked(np.stack(candidates), n) @ owner_inverses, n)
+    residuals = np.linalg.norm(_checked(y @ base @ y, n) - target, axis=(1, 2))
+    y_norms = np.linalg.norm(y, axis=(1, 2))
+    scales = _finite(frob(base) * (1.0 + y_norms) ** 2 + frob(target), "candidate scale")
 
-    return QuadraticSolveResult(base=base, target=target, offset=offset, base_roots=roots,
-                                y_solutions=y_solutions, q_values=q_values,
+    kept: list = []
+    for i in np.flatnonzero(residuals <= tol * scales):
+        if kept and np.any(np.linalg.norm(y[kept] - y[i], axis=(1, 2))
+                           <= 1e-8 * (1.0 + y_norms[i])):
+            continue
+        kept.append(i)
+    # the lower-left blocks are zero (checked), so unipotent means identity diagonals
+    unipotent = ((np.linalg.norm(y[kept, :n, :n] - np.eye(n), axis=(1, 2))
+                  <= UNIPOTENT_TOL * np.sqrt(n))
+                 & (np.linalg.norm(y[kept, n:, n:] - np.eye(m), axis=(1, 2))
+                    <= UNIPOTENT_TOL * np.sqrt(m)))
+
+    return QuadraticSolveResult(base=_blocks(base, n), target=_blocks(target, n),
+                                offset=offset, base_roots=base_roots,
+                                y_solutions=[_blocks(y[i], n) for i in kept],
+                                q_values=[y[i, :n, n:].copy()
+                                          for i, u in zip(kept, unipotent) if u],
                                 notes=notes)
 
 
@@ -299,7 +346,8 @@ def verify_unipotent_identity(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) 
     in both its block form and the reduced form q b - a q = r; the two
     residuals must agree."""
     q = as_complex_matrix(q, "q")
-    base, target, offset = _base_and_target(p)
+    _, offset, base, target = _base_and_target(p)
+    base, target = _blocks(base, p.n), _blocks(target, p.n)
     y = BlockMatrix.upper(np.eye(p.n), q, np.eye(p.m))
     block_residual = (block_mul(block_mul(y, base), y) - target).norm()
     reduced_residual, threshold = unipotent_identity_residual(q, p, offset, tol)

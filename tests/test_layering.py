@@ -6,20 +6,28 @@ taken once, by ``prepare``, or by a standalone public solver.  Which
 eigenvalues the spectra share is decided by one rule, in ``gate``, and the
 homogeneous kernel is read off the decision's factors, never a dense SVD.
 Inverses are applied by one solve routine, never formed, and the root
-bridge reads the companion solution and its offset off the problem.
+bridge reads the companion solution and its offset off the problem and
+searches on stacked arrays, not typed block products.
 """
 
 import ast
 import inspect
 import pathlib
+import sys
+
+import numpy as np
 
 import sylvcert
+from sylvcert.instances import rhs_in_range, shared_jordan_pair
 from sylvcert.roots import block_roots, solve_unipotent_quadratic, verify_unipotent_identity
+from sylvcert.singular import prepare
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
+# principal_sqrt makes the factors of a matrix that has none; the root
+# bridge takes its roots from the problem's factors by schur_sqrt
 SCHUR_CALLERS = {("singular", "prepare"), ("regular", "companion_solve_direct"),
-                 ("regular", "solve_generalized_regular")}
+                 ("regular", "solve_generalized_regular"), ("numerics", "principal_sqrt")}
 
 
 def parse(module: str) -> ast.Module:
@@ -112,3 +120,26 @@ def test_inverses_are_applied_by_one_solve_routine():
 def test_bridge_reads_companion_and_offset_off_the_problem():
     for function in (block_roots, solve_unipotent_quadratic, verify_unipotent_identity):
         assert not {"companion", "offset"} & set(inspect.signature(function).parameters)
+
+
+def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
+    calls = {"block_mul": 0, "eigenvalues": 0}
+
+    def counting(name, original):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    # swap the function in every sylvcert namespace that holds it
+    for name, original in ((name, getattr(sylvcert, name)) for name in calls):
+        for module in [m for key, m in sys.modules.items() if key.startswith("sylvcert")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+
+    rng = np.random.default_rng(101)
+    a, b = shared_jordan_pair(rng, 6, 6)
+    p = prepare(a, b, rhs_in_range(rng, a, b))
+    block_roots(p)
+    assert solve_unipotent_quadratic(p).q_values
+    assert calls == {"block_mul": 0, "eigenvalues": 0}

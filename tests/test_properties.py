@@ -1,6 +1,7 @@
 """Property tests: the gate, the decision and the homogeneous kernel read one
-rule for where the spectra meet, the kernel agrees with the dense oracle, and
-the shift is the smallest admissible three-digit shift.
+rule for where the spectra meet, the kernel agrees with the dense oracle, the
+shift is the smallest admissible three-digit shift, and the stacked root
+search agrees with the typed block-product search it replaced.
 
 Examples are derandomized, so every run draws the same pairs.
 """
@@ -11,11 +12,17 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
+from sylvcert.errors import PreconditionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
-from sylvcert.instances import regular_pair, shared_semisimple_pair
+from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
+                                shared_jordan_pair, shared_semisimple_pair)
+from sylvcert.numerics import frob, schur_sylvester
 from sylvcert.oracle import build_operator, oracle_solve
-from sylvcert.roots import homogeneous_equivalence, homogeneous_nullspaces
-from sylvcert.singular import prepare, solve_uv_report
+from sylvcert.regular import compute_offset
+from sylvcert.roots import (UNIPOTENT_TOL, homogeneous_equivalence, homogeneous_nullspaces,
+                            solve_unipotent_quadratic)
+from sylvcert.singular import DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report
 
 from conftest import shared_cluster_pair
 
@@ -115,3 +122,116 @@ def test_shift_is_the_smallest_admissible_three_digit_shift(case):
     else:
         quantum = 10.0 ** (math.floor(math.log10(lam)) - 2)
         assert not admissible(values, float(f"{lam - quantum:.3g}"), alpha)
+
+
+# -- the root search on typed block products, as the reference ----------------
+
+def reference_block_roots(p, tol=DEFAULT_TOL):
+    """The four branch roots, one typed block product at a time."""
+    a, b = p.a, p.b
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
+    base = BlockMatrix.upper(a, -companion, -b)
+
+    # scipy's principal root, with no Schur factors shared with the search
+    sqrt_a = scipy.linalg.sqrtm(a)
+    sqrt_b = scipy.linalg.sqrtm(b)
+    left = BlockMatrix.upper(np.eye(p.n), -e1, np.eye(p.m))
+    right = BlockMatrix.upper(np.eye(p.n), e1, np.eye(p.m))
+
+    roots = []
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            inner = diag_embed(((-1) ** k1) * sqrt_a, ((-1) ** k2) * 1j * sqrt_b)
+            root = block_mul(block_mul(left, inner), right)
+            residual = (block_mul(root, root) - base).norm()
+            if residual > tol * max(base.norm(), 1.0):
+                raise PreconditionError(
+                    f"branch ({k1},{k2}) failed to square to the base matrix "
+                    f"(residual {residual:.3g})")
+            roots.append(root)
+    return roots
+
+
+def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
+    """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
+    candidate and one typed block product at a time."""
+    a, b = p.a, p.b
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    offset = compute_offset(p.a, p.b, companion)
+    base = BlockMatrix.upper(p.a, -companion, -p.b)
+    target = BlockMatrix.upper(p.a, -(companion + offset), -p.b)
+    roots = reference_block_roots(p, tol)
+
+    notes: list = []
+    y_solutions: list = []
+    q_values: list = []
+    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+    a2, schur_a2 = a @ a, (ta @ ta, qa)
+    b2, schur_b2 = b @ b, (tb @ tb, qb)
+
+    for index, root in enumerate(roots):
+        root_inv = block_inverse(root)
+        P = block_mul(block_mul(root, target), root)
+
+        principal = BlockMatrix.upper(a, schur_sylvester(p.schur_a, p.schur_b, P.a12, +1), b)
+        candidates = [principal, -principal]
+
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, P.a12, tol)
+        if coupling.lstsq_residual <= coupling.threshold:
+            s = coupling.u
+            for d1 in (a, -a):
+                for d2 in (b, -b):
+                    candidates.append(BlockMatrix.upper(d1, d1 @ s - s @ d2, d2))
+        else:
+            notes.append(f"branch {index}: coupling equation inconsistent "
+                         f"(residual {coupling.lstsq_residual:.3g})")
+
+        for z in candidates:
+            y = block_mul(block_mul(root_inv, z), root_inv)
+            residual = (block_mul(block_mul(y, base), y) - target).norm()
+            scale = base.norm() * (1.0 + y.norm()) ** 2 + target.norm()
+            if residual > tol * scale:
+                continue
+            if any((y - seen).norm() <= 1e-8 * (1.0 + y.norm()) for seen in y_solutions):
+                continue
+            y_solutions.append(y)
+            if (frob(y.a11 - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
+                    and frob(y.a22 - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
+                    and frob(y.a21) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
+                q_values.append(y.a12)
+
+    return roots, y_solutions, q_values, notes
+
+
+@st.composite
+def bridge_problems(draw):
+    """Prepared problems with a shared Jordan block or a shared semisimple
+    eigenvalue, n, m <= 8, and c in or out of the range."""
+    family = draw(st.sampled_from((shared_jordan_pair, shared_semisimple_pair)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    in_range = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = family(rng, n, m)
+    c = rhs_in_range(rng, a, b) if in_range else rhs_outside_range(rng, a, b)
+    return prepare(a, b, c)
+
+
+def relative_gap(x, y) -> float:
+    return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))
+
+
+@PROPERTY
+@given(bridge_problems())
+def test_stacked_root_search_matches_the_typed_reference(p):
+    roots, y_solutions, q_values, notes = reference_unipotent_quadratic(p)
+    quad = solve_unipotent_quadratic(p)
+    assert quad.notes == notes
+    assert len(quad.y_solutions) == len(y_solutions)
+    assert len(quad.q_values) == len(q_values)
+    for root, expected in zip(quad.base_roots, roots, strict=True):
+        assert relative_gap(root.flatten(), expected.flatten()) <= 1e-12
+    for y, expected in zip(quad.y_solutions, y_solutions):
+        assert relative_gap(y.flatten(), expected.flatten()) <= 1e-10
+    for q, expected in zip(quad.q_values, q_values):
+        assert relative_gap(q, expected) <= 1e-10

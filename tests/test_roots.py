@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from sylvcert import regular, singular
+from sylvcert import numerics, regular, roots, singular
 from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
-from sylvcert.errors import PreconditionError
+from sylvcert.errors import NumericError, PreconditionError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, principal_sqrt
@@ -260,6 +260,7 @@ class TestBranchCoupling:
         def refuse(*args, **kwargs):
             pytest.fail("Schur factorization after prepare")
 
+        monkeypatch.setattr(numerics, "complex_schur", refuse)
         monkeypatch.setattr(regular, "complex_schur", refuse)
         monkeypatch.setattr(singular, "complex_schur", refuse)
         homogeneous_equivalence(p)
@@ -276,6 +277,25 @@ class TestBranchCoupling:
             for P in branches:
                 assert frob(principal_sqrt(P.a11) - p.a) <= 1e-10 * frob(p.a)
                 assert frob(principal_sqrt(P.a22) - p.b) <= 1e-10 * frob(p.b)
+
+
+class TestStackedSearchFailsClosed:
+    def test_overflowing_products_raise(self, rng):
+        # a bridge-sized shared-Jordan problem scaled by 1e160: the branch
+        # roots are finite, their products with the target overflow
+        a, b = shared_jordan_pair(rng, 6, 6)
+        c = rhs_in_range(rng, a, b)
+        with np.errstate(all="ignore"):
+            p = prepare(1e160 * a, 1e160 * b, 1e160 * c)
+            with pytest.raises(NumericError):
+                solve_unipotent_quadratic(p)
+
+    def test_nonzero_lower_left_block_rejected(self):
+        stack = np.tile(np.triu(np.ones((5, 5), dtype=complex)), (3, 1, 1))
+        roots._checked(stack, 2)
+        stack[1, 4, 0] = 1e-300
+        with pytest.raises(PreconditionError):
+            roots._checked(stack, 2)
 
 
 class TestUnipotentIdentity:
