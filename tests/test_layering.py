@@ -132,10 +132,13 @@ def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
         return spy
 
     # swap the function in every sylvcert namespace that holds it
-    for name, original in ((name, getattr(sylvcert, name)) for name in calls):
-        for module in [m for key, m in sys.modules.items() if key.startswith("sylvcert")]:
+    modules = [module for key, module in sys.modules.items() if key.startswith("sylvcert")]
+    for name in calls:
+        original = getattr(sylvcert, name)
+        spy = counting(name, original)
+        for module in modules:
             if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting(name, original))
+                monkeypatch.setattr(module, name, spy)
 
     rng = np.random.default_rng(101)
     a, b = shared_jordan_pair(rng, 6, 6)
