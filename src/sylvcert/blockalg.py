@@ -173,20 +173,27 @@ def _numerically_invertible(blk: np.ndarray) -> bool:
     return bool(s[-1] > rank_cutoff(blk.shape, s[0]))
 
 
-def classify_triangular_commutant(x: BlockMatrix, a, b, tol: float = 1e-9) -> CommutantMembership:
-    """Decide the monoid/group membership flags with residuals relative to
-    the block norms."""
-    a = as_complex_matrix(a, "a")
-    b = as_complex_matrix(b, "b")
+def _monoid_flags(x: BlockMatrix, a: np.ndarray, b: np.ndarray, tol: float) -> tuple:
+    """(is_upper_triangular, commutes_with_a, commutes_with_b) for x, with
+    residuals relative to the block norms."""
     if x.n != a.shape[0] or x.m != b.shape[0]:
         raise DimensionError("block matrix does not match the (a, b) dimensions")
     scale = max(x.norm(), 1e-300)
     comm_a = frob(x.a11 @ a - a @ x.a11) <= tol * (frob(a) * frob(x.a11) + 1e-300) + 1e-300
     comm_b = frob(b @ x.a22 - x.a22 @ b) <= tol * (frob(b) * frob(x.a22) + 1e-300) + 1e-300
+    return frob(x.a21) <= tol * scale, bool(comm_a), bool(comm_b)
+
+
+def classify_triangular_commutant(x: BlockMatrix, a, b, tol: float = 1e-9) -> CommutantMembership:
+    """Decide the monoid/group membership flags with residuals relative to
+    the block norms."""
+    a = as_complex_matrix(a, "a")
+    b = as_complex_matrix(b, "b")
+    upper, comm_a, comm_b = _monoid_flags(x, a, b, tol)
     return CommutantMembership(
-        is_upper_triangular=frob(x.a21) <= tol * scale,
-        commutes_with_a=bool(comm_a),
-        commutes_with_b=bool(comm_b),
+        is_upper_triangular=upper,
+        commutes_with_a=comm_a,
+        commutes_with_b=comm_b,
         invertible_diagonal=_numerically_invertible(x.a11) and _numerically_invertible(x.a22),
     )
 
@@ -196,13 +203,16 @@ def commutes_with_diag_pair(x: BlockMatrix, a, b, tol: float = 1e-9) -> bool:
 
     Requires x to be a member of the triangular commutant monoid; by
     construction this holds exactly when the upper-right block of x
-    intertwines a with b.
+    intertwines a with b.  The embedding is block diagonal, so the typed
+    products x D and D x are the ordinary ones of the flattened matrices.
     """
-    membership = classify_triangular_commutant(x, a, b, tol)
-    if not membership.in_monoid:
+    a = as_complex_matrix(a, "a")
+    b = as_complex_matrix(b, "b")
+    if not all(_monoid_flags(x, a, b, tol)):
         raise PreconditionError("x is not a member of the triangular commutant monoid")
-    dpair = diag_embed(a, b)
-    lhs = block_mul(x, dpair)
-    rhs = block_mul(dpair, x)
-    scale = max(dpair.norm() * x.norm(), 1e-300)
-    return (lhs - rhs).norm() <= tol * scale
+    n, m = x.n, x.m
+    dpair = np.zeros((n + m, n + m), dtype=np.complex128)
+    dpair[:n, :n], dpair[n:, n:] = a, b
+    flat = x.flatten()
+    scale = max(frob(dpair) * x.norm(), 1e-300)
+    return frob(flat @ dpair - dpair @ flat) <= tol * scale

@@ -215,8 +215,8 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
 class LstsqResult:
     """Minimum-norm least-squares solve with an explicit rank decision."""
 
-    solution: np.ndarray
-    residual_norm: float
+    solution: np.ndarray  # (cols,), or (cols, k) for a (rows, k) right-hand side
+    residual_norm: float | np.ndarray  # one per right-hand-side column
     rank: int
     cutoff: float
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
@@ -227,6 +227,9 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
                 cutoff_shape: tuple | None = None) -> LstsqResult:
     """Minimum-norm least-squares solution of K x = rhs via SVD.
 
+    ``rhs`` is one right-hand side of length rows or a (rows, k) block of
+    them; a block is solved column by column from one SVD, and the solution
+    is (cols, k) with one residual norm per column.
     The rank is the number of singular values above :func:`rank_cutoff`;
     solves are flagged ``near_cutoff`` when a singular value falls within a
     factor 10 of the cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
@@ -236,19 +239,25 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     ``null_space`` spans the null space of K when K has no fewer rows than columns.
     """
     K = as_complex_matrix(K, "K")
-    rhs = np.asarray(rhs, dtype=np.complex128).reshape(-1)
-    if rhs.shape[0] != K.shape[0]:
-        raise DimensionError(f"rhs length {rhs.shape[0]} does not match K rows {K.shape[0]}")
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != K.shape[0]:
+        raise DimensionError(f"rhs of shape {rhs.shape} does not match K rows {K.shape[0]}")
     U, s, Vh = np.linalg.svd(K, full_matrices=False)
     sigma_max = float(s[0]) if s.size else 0.0
     cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
+    # column by column, so each column gets exactly the solution its own
+    # one-column solve would
+    columns = rhs.reshape(rhs.shape[0], -1).T
+    solution = np.zeros((K.shape[1], len(columns)), dtype=np.complex128)
     if rank:
-        coeffs = (U[:, :rank].conj().T @ rhs) / s[:rank]
-        solution = Vh[:rank].conj().T @ coeffs
-    else:
-        solution = np.zeros(K.shape[1], dtype=np.complex128)
-    residual = float(np.linalg.norm(K @ solution - rhs))
-    return LstsqResult(solution=solution, residual_norm=residual, rank=rank,
-                       cutoff=cutoff, near_cutoff=near, null_space=Vh[rank:].conj().T)
+        left, right = U[:, :rank].conj().T, Vh[:rank].conj().T
+        for j, column in enumerate(columns):
+            solution[:, j] = right @ ((left @ column) / s[:rank])
+    residual = np.array([np.linalg.norm(K @ x - column) for x, column in zip(solution.T, columns)])
+    if rhs.ndim == 1:
+        solution, residual = solution[:, 0], float(residual[0])
+    return LstsqResult(solution=solution, residual_norm=residual,
+                       rank=rank, cutoff=cutoff, near_cutoff=near,
+                       null_space=Vh[rank:].conj().T)

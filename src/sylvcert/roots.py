@@ -9,10 +9,13 @@ data; unipotent solutions [[I, q], [0, I]] certify solvability of the
 original equation through q b - a q = r.
 
 Every Sylvester solve and square root runs on the problem's own Schur
-factors; the singular coupling a^2 s - s b^2 = P_12 of each branch is decided
-by the main decision's kernel, :func:`~sylvcert.singular.decide_sylvester`,
-on their squares, and the intertwiners are
-:func:`~sylvcert.singular.sylvester_kernel` on the factors.
+factors, and each factorization is taken once per problem.  The singular
+couplings a^2 s - s b^2 = P_12 of the four branches share their left-hand
+side and are decided by one call of the main decision's kernel,
+:func:`~sylvcert.singular.decide_sylvester`, on the squared factors and the
+stack of the four P_12.  The x-side intertwiners are read off the problem
+(``SylvesterProblem.kernel``, taken once), the y-side ones are
+:func:`~sylvcert.singular.intertwiner_basis` on the swapped factors.
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and
@@ -20,7 +23,11 @@ for such operands the typed block product is the ordinary product of the
 flattened matrices.  The search therefore runs on stacked dense
 ``(k, n+m, n+m)`` arrays, all branches or all candidates in one product, and
 :class:`~sylvcert.blockalg.BlockMatrix` wraps only what it returns.  Each
-stacked product is checked to be finite with zero lower-left blocks.
+stacked product is checked to be finite with zero lower-left blocks.  The
+branch inverses are closed-form, L D^-1 L^-1 for a branch root L D L^-1,
+from one typed inverse of the two principal roots.  The equivalence's
+operands are block triangular on one side or block diagonal, and it too
+runs on dense arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +39,11 @@ import numpy as np
 from .errors import GateError, NumericError, PreconditionError
 from .blockalg import (BlockMatrix, block_inverse, block_mul,
                        commutes_with_diag_pair, diag_embed)
-from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, unvec, vec
+from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, solve_left
 from .regular import compute_offset
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
-                       check_entry, decide_sylvester, skipped_on_refusal,
-                       sylvester_kernel, unipotent_identity_residual)
+                       check_entry, decide_sylvester, intertwiner_basis,
+                       skipped_on_refusal, unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
 # (k1, k2) of the branch ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), in branch order
@@ -67,27 +74,11 @@ class QuadraticSolveResult:
     notes: list = field(default_factory=list)
 
 
-def _phase_fix(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        return v
-    idx = np.argmax(np.abs(v) > 1e-12 * norm)
-    pivot = v[idx]
-    if pivot == 0:
-        return v
-    return v * (abs(pivot) / pivot)
-
-
-def _intertwiners(a, b, schur_a, schur_b) -> list:
-    return [unvec(_phase_fix(vec(x)), *x.shape)
-            for x in sylvester_kernel(a, b, schur_a, schur_b)]
-
-
 def homogeneous_nullspaces(p: SylvesterProblem):
-    """Orthonormal bases for the solution spaces of a x = x b (n x m side)
-    and b y = y a (m x n side), ordered deterministically."""
-    return (_intertwiners(p.a, p.b, p.schur_a, p.schur_b),
-            _intertwiners(p.b, p.a, p.schur_b, p.schur_a))
+    """Orthonormal bases for the solution spaces of a x = x b (n x m side,
+    the problem's own ``kernel``) and b y = y a (m x n side), ordered
+    deterministically, as fresh lists of read-only arrays."""
+    return list(p.kernel), list(intertwiner_basis(p.b, p.a, p.schur_b, p.schur_a))
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
@@ -120,28 +111,27 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
         raise PreconditionError(f"{side}-side intertwiner must be {expected[0]}x{expected[1]}")
     _check_intertwiner(a, b, x, side, tol)
 
-    d_minus = diag_embed(a, -b)
-    d_square = diag_embed(a @ a, b @ b)
+    # every operand is block triangular on the side of x, or block diagonal,
+    # so the ordinary product and inverse are the typed ones
     if side == "upper":
         coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
-        root = BlockMatrix.upper(a, x, -b)
-        similarity = BlockMatrix.upper(np.eye(p.n), coupled, np.eye(p.m))
     else:
-        coupled = schur_sylvester(p.schur_b, p.schur_a, x, +1)
-        root = BlockMatrix.lower(a, x, -b)
-        similarity = BlockMatrix.lower(np.eye(p.n), -coupled, np.eye(p.m))
+        coupled = -schur_sylvester(p.schur_b, p.schur_a, x, +1)
+    root = _triangular(a, x, -b, side)
+    similarity = _triangular(np.eye(p.n), coupled, np.eye(p.m), side)
+    d_minus = _triangular(a, np.zeros((p.n, p.m)), -b)
+    d_square = _triangular(a @ a, np.zeros((p.n, p.m)), b @ b)
 
-    square_residual = (block_mul(root, root) - d_square).norm()
-    conjugated = block_mul(block_mul(block_inverse(similarity), d_minus), similarity)
-    similarity_residual = (conjugated - root).norm()
-    scale = max(d_square.norm(), 1e-300)
+    square_residual = frob(root @ root - d_square)
+    similarity_residual = frob(solve_left(similarity, d_minus @ similarity) - root)
+    scale = max(frob(d_square), 1e-300)
     is_root = square_residual <= tol * scale
-    is_primary = frob(x) <= tol * max(root.norm(), 1e-300)
+    is_primary = frob(x) <= tol * max(frob(root), 1e-300)
     return RootCandidate(
-        root=root,
+        root=_blocks(root, p.n),
         is_square_root=is_root,
         is_primary=is_primary,
-        similarity=similarity,
+        similarity=_blocks(similarity, p.n),
         residuals={"square": square_residual, "similarity": similarity_residual},
     )
 
@@ -163,26 +153,29 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     if not p.gate.spectra_intersect:
         raise PreconditionError("spectra do not intersect; the equation is regular")
 
-    x_basis = _intertwiners(p.a, p.b, p.schur_a, p.schur_b)
-    a_holds = len(x_basis) > 0
-    if not a_holds:
+    if not p.kernel:
         return False, False, False
 
-    x = x_basis[0]
+    x = p.kernel[0]
     candidate = similarity_root_from_intertwiner(p, x, "upper", tol)
     b_holds = (candidate.is_square_root and not candidate.is_primary
                and candidate.residuals["similarity"] <= tol * max(candidate.root.norm(), 1.0))
 
     commutant = BlockMatrix.upper(np.eye(p.n), x, np.eye(p.m))
     c_holds = commutes_with_diag_pair(commutant, p.a, p.b, tol)
-    return a_holds, b_holds, c_holds
+    return True, b_holds, c_holds
 
 
-def _upper(a11, a12, a22) -> np.ndarray:
-    """The dense block upper-triangular matrix [[a11, a12], [0, a22]]."""
-    n, m = a12.shape
+def _triangular(a11, off, a22, side: str = "upper") -> np.ndarray:
+    """The dense block triangular matrix with diagonal blocks a11, a22 and
+    the off-diagonal block ``off`` above (upper side) or below (lower side)."""
+    n, m = a11.shape[0], a22.shape[0]
     out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n], out[:n, n:], out[n:, n:] = a11, a12, a22
+    out[:n, :n], out[n:, n:] = a11, a22
+    if side == "upper":
+        out[:n, n:] = off
+    else:
+        out[n:, :n] = off
     return out
 
 
@@ -213,21 +206,34 @@ def _base_and_target(p: SylvesterProblem):
     equation."""
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     offset = compute_offset(p.a, p.b, companion)
-    return (companion, offset, _upper(p.a, -companion, -p.b),
-            _upper(p.a, -(companion + offset), -p.b))
+    return (companion, offset, _triangular(p.a, -companion, -p.b),
+            _triangular(p.a, -(companion + offset), -p.b))
 
 
-def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> np.ndarray:
-    """The four branch roots of ``base`` as one (4, n+m, n+m) stack, in
-    :data:`BRANCHES` order, each verified to square back to it."""
+def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
+    """The four branch roots of ``base`` and their inverses, as two
+    (4, n+m, n+m) stacks in :data:`BRANCHES` order; each root is verified to
+    square back to it.
+
+    A branch root is L D L^-1 for the coupling L = [[I, -e], [0, I]] and the
+    diagonal D = (s1 sqrt(a), s2 sqrt(b)) with s1 = +-1, s2 = +-i, so its
+    inverse is L D^-1 L^-1 with D^-1 = (conj(s1) sqrt(a)^-1, conj(s2) sqrt(b)^-1):
+    the sign reciprocals are exact, and the two principal roots are
+    inverted once for all branches.
+    """
     n, m = p.n, p.m
     e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
     signs = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
-    inner = np.zeros((len(BRANCHES), n + m, n + m), dtype=np.complex128)
-    inner[:, :n, :n] = signs[:, 0, None, None] * schur_sqrt(p.schur_a)
-    inner[:, n:, n:] = signs[:, 1, None, None] * schur_sqrt(p.schur_b)
-    eye_n, eye_m = np.eye(n), np.eye(m)
-    roots = _checked(_upper(eye_n, -e1, eye_m) @ inner @ _upper(eye_n, e1, eye_m), n)
+    sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
+    sqrt_inverse = block_inverse(diag_embed(sqrt_a, sqrt_b))
+    inner = np.zeros((2, len(BRANCHES), n + m, n + m), dtype=np.complex128)
+    inner[0, :, :n, :n] = signs[:, 0, None, None] * sqrt_a
+    inner[0, :, n:, n:] = signs[:, 1, None, None] * sqrt_b
+    inner[1, :, :n, :n] = signs[:, 0, None, None].conj() * sqrt_inverse.a11
+    inner[1, :, n:, n:] = signs[:, 1, None, None].conj() * sqrt_inverse.a22
+    coupling = _triangular(np.eye(n), -e1, np.eye(m))
+    coupling_inverse = _triangular(np.eye(n), e1, np.eye(m))
+    roots, inverses = _checked(coupling @ inner @ coupling_inverse, n)
     residuals = np.linalg.norm(_checked(roots @ roots, n) - base, axis=(1, 2))
     bound = tol * max(frob(base), 1.0)
     for (k1, k2), residual in zip(BRANCHES, residuals):
@@ -235,7 +241,7 @@ def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> np.ndarra
             raise PreconditionError(
                 f"branch ({k1},{k2}) failed to square to the base matrix "
                 f"(residual {residual:.3g})")
-    return roots
+    return roots, inverses
 
 
 def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
@@ -247,7 +253,8 @@ def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), enumerated in (k1, k2) order.
     """
     companion, _, base, _ = _base_and_target(p)
-    return [_blocks(root, p.n) for root in _branch_roots(p, companion, base, tol)]
+    roots, _ = _branch_roots(p, companion, base, tol)
+    return [_blocks(root, p.n) for root in roots]
 
 
 def solve_unipotent_quadratic(p: SylvesterProblem,
@@ -268,25 +275,23 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     """
     a, b, n, m = p.a, p.b, p.n, p.m
     companion, offset, base, target = _base_and_target(p)
-    roots = _branch_roots(p, companion, base, tol)
-    base_roots = [_blocks(root, n) for root in roots]
-    inverses = np.stack([block_inverse(root).flatten() for root in base_roots])
+    roots, inverses = _branch_roots(p, companion, base, tol)
     products = _checked(roots @ target @ roots, n)
 
+    # t^2 is the Schur factor of a^2 in the basis of t; one decision takes
+    # the coupling equations of all four branches
+    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+    couplings = decide_sylvester(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb),
+                                 products[:, :n, n:], tol)
     notes: list = []
     candidates: list = []
     owners: list = []  # the branch of each candidate
-    # t^2 is the Schur factor of a^2 in the basis of t
-    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    a2, schur_a2 = a @ a, (ta @ ta, qa)
-    b2, schur_b2 = b @ b, (tb @ tb, qb)
-    for index, p12 in enumerate(products[:, :n, n:]):
-        principal = _upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
+    for index, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
+        principal = _triangular(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates += [principal, -principal]
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
-            candidates += [_upper(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
+            candidates += [_triangular(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
         else:
             notes.append(f"branch {index}: coupling equation inconsistent "
                          f"(residual {coupling.lstsq_residual:.3g})")
@@ -311,7 +316,7 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
                     <= UNIPOTENT_TOL * np.sqrt(m)))
 
     return QuadraticSolveResult(base=_blocks(base, n), target=_blocks(target, n),
-                                offset=offset, base_roots=base_roots,
+                                offset=offset, base_roots=[_blocks(root, n) for root in roots],
                                 y_solutions=[_blocks(y[i], n) for i in kept],
                                 q_values=[y[i, :n, n:].copy()
                                           for i, u in zip(kept, unipotent) if u],

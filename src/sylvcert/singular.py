@@ -34,6 +34,7 @@ residual against a threshold at its own scale.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,14 @@ class SylvesterProblem:
     @property
     def m(self) -> int:
         return self.b.shape[0]
+
+    @functools.cached_property
+    def kernel(self) -> tuple:
+        """Read-only basis of the intertwiners {x : a x = x b}, taken once
+        per problem by :func:`intertwiner_basis` on the problem's factors.
+        (A frozen dataclass may cache it: the property writes the instance
+        ``__dict__``, not an attribute.)"""
+        return intertwiner_basis(self.a, self.b, self.schur_a, self.schur_b)
 
 
 @dataclass
@@ -254,51 +263,67 @@ def _shared_first(a, b, schur_a, schur_b) -> tuple:
 
 
 def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
-    """Solve ta y - y tb = r blockwise for Schur factors whose leading k_a
-    and k_b eigenvalues form the shared cluster.
+    """Solve ta y - y tb = r_i blockwise for each slice r_i of the (k, n, m)
+    stack r, for Schur factors whose leading k_a and k_b eigenvalues form the
+    shared cluster.
 
     Blocks (2,1), (2,2) and (1,2) pair disjoint spectra and are solved by
     trsyl in that order around the shared block (1,1), the only one decided
     by rank-revealing least squares, with the rank rule of the full nm
-    operator.  Returns (y, lstsq result or None), or None when a regular
-    block amplifies its right-hand side past the rank rule's cutoff.
+    operator; one SVD of the shared block serves every slice.  Returns
+    (y, lstsq result or None, solved): ``solved`` is False for a slice whose
+    regular block amplifies its right-hand side past the rank rule's cutoff,
+    and its y is then meaningless.
     """
     n, m = ta.shape[0], tb.shape[0]
     cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
     a11, a12, a22 = ta[:k_a, :k_a], ta[:k_a, k_a:], ta[k_a:, k_a:]
     b11, b12, b22 = tb[:k_b, :k_b], tb[:k_b, k_b:], tb[k_b:, k_b:]
-    y = np.zeros((n, m), dtype=np.complex128)
-    y21 = _regular_block(a22, b11, r[k_a:, :k_b], cutoff)
-    if y21 is None:
-        return None
-    y22 = _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, cutoff)
-    if y22 is None:
-        return None
+    y = np.zeros(r.shape, dtype=np.complex128)
+    solved = np.ones(len(r), dtype=bool)
+    for i, r_i in enumerate(r):
+        y21 = _regular_block(a22, b11, r_i[k_a:, :k_b], cutoff)
+        y22 = None if y21 is None else \
+            _regular_block(a22, b22, r_i[k_a:, k_b:] + y21 @ b12, cutoff)
+        if y22 is None:
+            solved[i] = False
+        else:
+            y[i, k_a:, :k_b], y[i, k_a:, k_b:] = y21, y22
     shared = None
-    if k_a and k_b:
-        shared = lstsq_solve(kron_vec_operator(a11, b11, -1),
-                             vec(r[:k_a, :k_b] - a12 @ y21),
+    if k_a and k_b and solved.any():
+        heads = [vec(r[i, :k_a, :k_b] - a12 @ y[i, k_a:, :k_b]) for i in np.flatnonzero(solved)]
+        shared = lstsq_solve(kron_vec_operator(a11, b11, -1), np.column_stack(heads),
                              scale_reference=data_scale, cutoff_shape=(n * m, n * m))
-        y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
-    y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y22 + y[:k_a, :k_b] @ b12, cutoff)
-    if y12 is None:
-        return None
-    y[k_a:, :k_b], y[k_a:, k_b:], y[:k_a, k_b:] = y21, y22, y12
-    return y, shared
+        y[solved, :k_a, :k_b] = [unvec(z, k_a, k_b) for z in shared.solution.T]
+    for i in np.flatnonzero(solved):
+        y12 = _regular_block(a11, b22, r[i, :k_a, k_b:] - a12 @ y[i, k_a:, k_b:]
+                             + y[i, :k_a, :k_b] @ b12, cutoff)
+        if y12 is None:
+            solved[i] = False
+        else:
+            y[i, :k_a, k_b:] = y12
+    return y, shared, solved
 
 
-def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> UVSystemReport:
+def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     """Decide the possibly singular equation a u - u b = rhs on the complex
     Schur factors (t, q) of a and b.
+
+    ``rhs`` is one n x m right-hand side, decided into one
+    :class:`UVSystemReport`, or a (k, n, m) stack of them, decided into a
+    list of k reports, each the one its slice alone would get: the factors
+    are reordered and the shared block's operator is built and decomposed
+    once for the whole stack.
 
     The factors are reordered so the eigenvalues that
     :func:`~sylvcert.gate.shared_eigenvalues` marks at the scale ||a|| + ||b||
     lead: only the k_a x k_b shared block is decided by minimum-norm least
     squares (rank judged as for the full nm operator at the scale
     ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
-    amplifies its right-hand side past the rank cutoff, or u comes out so
-    large that u = 0 would pass the threshold too, the cluster widens to all
-    of both spectra and the same code decides the whole equation.  The
+    amplifies its right-hand side past the rank cutoff, or a nonzero u comes
+    out so large that u = 0 would pass the threshold too, the cluster widens
+    to all of both spectra and the same code decides the whole equation,
+    for the slices that need it.  The
     residual is then taken on the full u in the original coordinates against
     tol * (||rhs|| + (||a|| + ||b||) ||u||), relative to the data, so scaling
     rhs alone cannot move the decision; residuals within a factor 10 of it
@@ -306,24 +331,37 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL) -> U
     """
     (ta, qa), (tb, qb), cluster, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b)
     n, m = ta.shape[0], tb.shape[0]
-    r = qa.conj().T @ rhs @ qb
+    stack = np.asarray(rhs, dtype=np.complex128)
+    if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
+        raise DimensionError(f"rhs must be {n}x{m} or a stack of them, got shape {stack.shape}")
+    slices = stack.reshape(-1, n, m)  # a single rhs is the one-slice stack
+    r = qa.conj().T @ slices @ qb
 
+    reports: list = [None] * len(slices)
+    pending = np.arange(len(slices))
     # the whole spectra form the fallback cluster, where every block is shared
     for k_a, k_b in (cluster, (n, m)):
-        solved = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
-        if solved is not None:
-            y, shared = solved
-            u = qa @ y @ qb.conj().T
+        y, shared, solved = _schur_reduced_solve(ta, tb, r[pending], k_a, k_b, data_scale)
+        rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
+        widen = []
+        for i, y_i, ok in zip(pending, y, solved):
+            u = qa @ y_i @ qb.conj().T
+            rhs_norm = frob(slices[i])
             # a u so large that u = 0 would pass the threshold too decides nothing
-            if tol * data_scale * frob(u) < frob(rhs) or (k_a, k_b) == (n, m):
-                break
-    residual = frob(a @ u - u @ b - rhs)
-    threshold = tol * (frob(rhs) + data_scale * frob(u))
-    rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
-    return UVSystemReport(u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
-                          marginal=threshold < residual <= 10.0 * threshold,
-                          near_cutoff=shared is not None and shared.near_cutoff,
-                          cluster_sizes=(k_a, k_b), cluster_tolerance=tolerance)
+            if not ok or (tol * data_scale * frob(u) > rhs_norm and (k_a, k_b) != (n, m)):
+                widen.append(i)
+                continue
+            residual = frob(a @ u - u @ b - slices[i])
+            threshold = tol * (rhs_norm + data_scale * frob(u))
+            reports[i] = UVSystemReport(
+                u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
+                marginal=threshold < residual <= 10.0 * threshold,
+                near_cutoff=shared is not None and shared.near_cutoff,
+                cluster_sizes=(k_a, k_b), cluster_tolerance=tolerance)
+        pending = np.array(widen, dtype=int)
+        if not len(pending):
+            break
+    return reports[0] if stack.ndim == 2 else reports
 
 
 def sylvester_kernel(a, b, schur_a, schur_b) -> list:
@@ -336,7 +374,7 @@ def sylvester_kernel(a, b, schur_a, schur_b) -> list:
     n, m = ta.shape[0], tb.shape[0]
     for k_a, k_b in (cluster, (n, m)):
         # at rhs = 0 every block solves to zero, so no regular block blows up
-        _, shared = _schur_reduced_solve(ta, tb, np.zeros((n, m)), k_a, k_b, data_scale)
+        _, shared, _ = _schur_reduced_solve(ta, tb, np.zeros((1, n, m)), k_a, k_b, data_scale)
         heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
                                 shared.cutoff) for y11 in heads]
@@ -348,6 +386,28 @@ def sylvester_kernel(a, b, schur_a, schur_b) -> list:
     # stays orthonormal under the unitary qa, qb
     q, _ = np.linalg.qr(np.column_stack([vec(np.hstack(pair)) for pair in zip(heads, tails)]))
     return [qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T for v in q.T]
+
+
+def _phase_fix(x: np.ndarray) -> np.ndarray:
+    """x times the unit scalar that makes its first entry of non-negligible
+    modulus, in column-stacking order, real and positive."""
+    v = vec(x)
+    norm = np.linalg.norm(v)
+    if norm == 0:
+        return x
+    pivot = v[np.argmax(np.abs(v) > 1e-12 * norm)]
+    if pivot == 0:
+        return x
+    return x * (abs(pivot) / pivot)
+
+
+def intertwiner_basis(a, b, schur_a, schur_b) -> tuple:
+    """The :func:`sylvester_kernel` basis of {x : a x = x b}, each element's
+    phase fixed, as read-only arrays."""
+    basis = tuple(_phase_fix(x) for x in sylvester_kernel(a, b, schur_a, schur_b))
+    for x in basis:
+        x.flags.writeable = False
+    return basis
 
 
 def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:

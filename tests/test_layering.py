@@ -7,7 +7,10 @@ eigenvalues the spectra share is decided by one rule, in ``gate``, and the
 homogeneous kernel is read off the decision's factors, never a dense SVD.
 Inverses are applied by one solve routine, never formed, and the root
 bridge reads the companion solution and its offset off the problem and
-searches on stacked arrays, not typed block products.
+searches on stacked arrays, not typed block products.  One bridge operation
+takes each factorization once: one coupling decision for all four branches,
+three least-squares solves (the two kernels and that decision), no typed
+product and one typed inverse, where the code before it took 4, 7, 5 and 5.
 """
 
 import ast
@@ -19,7 +22,8 @@ import numpy as np
 
 import sylvcert
 from sylvcert.instances import rhs_in_range, shared_jordan_pair
-from sylvcert.roots import block_roots, solve_unipotent_quadratic, verify_unipotent_identity
+from sylvcert.roots import (block_roots, homogeneous_equivalence, homogeneous_nullspaces,
+                            solve_unipotent_quadratic, verify_unipotent_identity)
 from sylvcert.singular import prepare
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
@@ -122,8 +126,10 @@ def test_bridge_reads_companion_and_offset_off_the_problem():
         assert not {"companion", "offset"} & set(inspect.signature(function).parameters)
 
 
-def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
-    calls = {"block_mul": 0, "eigenvalues": 0}
+def counted(monkeypatch, names) -> dict:
+    """Call counts of the named sylvcert functions, swapped for a counting
+    spy in every sylvcert namespace that holds them."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def spy(*args, **kwargs):
@@ -131,18 +137,36 @@ def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
             return original(*args, **kwargs)
         return spy
 
-    # swap the function in every sylvcert namespace that holds it
     modules = [module for key, module in sys.modules.items() if key.startswith("sylvcert")]
-    for name in calls:
-        original = getattr(sylvcert, name)
+    for name in names:
+        original = getattr(sylvcert.singular, name, None) or getattr(sylvcert, name)
         spy = counting(name, original)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
+    return calls
 
+
+def bridge_data():
     rng = np.random.default_rng(101)
     a, b = shared_jordan_pair(rng, 6, 6)
-    p = prepare(a, b, rhs_in_range(rng, a, b))
+    return a, b, rhs_in_range(rng, a, b)
+
+
+def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
+    calls = counted(monkeypatch, ("block_mul", "eigenvalues"))
+    p = prepare(*bridge_data())
     block_roots(p)
     assert solve_unipotent_quadratic(p).q_values
     assert calls == {"block_mul": 0, "eigenvalues": 0}
+
+
+def test_bridge_operation_factors_once(monkeypatch):
+    calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "block_mul",
+                                  "block_inverse"))
+    p = prepare(*bridge_data())
+    homogeneous_nullspaces(p)
+    assert homogeneous_equivalence(p) == (True, True, True)
+    assert solve_unipotent_quadratic(p).q_values
+    assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "block_mul": 0,
+                     "block_inverse": 1}

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from sylvcert import numerics, regular, roots, singular
-from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
+from sylvcert.blockalg import (BlockMatrix, block_inverse, block_mul,
+                               commutes_with_diag_pair, diag_embed)
 from sylvcert.errors import NumericError, PreconditionError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, principal_sqrt
+from sylvcert.numerics import frob, principal_sqrt, schur_sylvester
 from sylvcert.oracle import oracle_solve
 from sylvcert.regular import companion_solve_direct
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
@@ -52,7 +53,83 @@ class TestNullspaces:
         np.testing.assert_allclose(gram, np.eye(len(first)), atol=1e-12)
 
 
+class TestKernelOnce:
+    def test_kernel_taken_once_per_problem(self, monkeypatch):
+        calls = []
+        kernel = singular.sylvester_kernel
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(singular, "sylvester_kernel", spy)
+        rng = np.random.default_rng(101)
+        a, b = shared_jordan_pair(rng, 6, 6)
+        c = rhs_in_range(rng, a, b)
+        p = prepare(a, b, c)
+        x_basis, y_basis = homogeneous_nullspaces(p)
+        assert homogeneous_equivalence(p) == (True, True, True)
+        # the x side once, held by the problem, and the y side once
+        assert len(calls) == 2
+        assert x_basis and y_basis
+        # a second prepare of the same data is a new problem and recomputes
+        again = prepare(a, b, c)
+        homogeneous_equivalence(again)
+        assert len(calls) == 3
+        for x, y in zip(homogeneous_nullspaces(again)[0], x_basis, strict=True):
+            np.testing.assert_array_equal(x, y)
+
+    def test_bases_are_read_only_fresh_lists(self):
+        p = prepare(np.diag([1.0, 2.0]), [[1.0]], np.zeros((2, 1)))
+        x_basis, y_basis = homogeneous_nullspaces(p)
+        for basis in (x_basis, y_basis):
+            with pytest.raises(ValueError):
+                basis[0][0, 0] = 5.0
+        x_basis.clear()
+        assert len(homogeneous_nullspaces(p)[0]) == 1
+
+
+def typed_similarity_root(p, x, side):
+    """(root, similarity, square residual, similarity residual) of
+    :func:`similarity_root_from_intertwiner` by typed block products."""
+    eye_n, eye_m = np.eye(p.n), np.eye(p.m)
+    if side == "upper":
+        coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
+        root = BlockMatrix.upper(p.a, x, -p.b)
+        similarity = BlockMatrix.upper(eye_n, coupled, eye_m)
+    else:
+        coupled = schur_sylvester(p.schur_b, p.schur_a, x, +1)
+        root = BlockMatrix.lower(p.a, x, -p.b)
+        similarity = BlockMatrix.lower(eye_n, -coupled, eye_m)
+    conjugated = block_mul(block_mul(block_inverse(similarity), diag_embed(p.a, -p.b)),
+                           similarity)
+    return (root, similarity,
+            (block_mul(root, root) - diag_embed(p.a @ p.a, p.b @ p.b)).norm(),
+            (conjugated - root).norm())
+
+
 class TestSimilarityRoots:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_dense_similarity_root_matches_typed_products(self, side):
+        for p in itertools.islice(seeded_bridge_problems(), 6):
+            x_basis, y_basis = homogeneous_nullspaces(p)
+            x = x_basis[0] if side == "upper" else y_basis[0]
+            candidate = similarity_root_from_intertwiner(p, x, side)
+            root, similarity, square, conjugation = typed_similarity_root(p, x, side)
+            assert frob(candidate.root.flatten() - root.flatten()) == 0.0
+            assert frob(candidate.similarity.flatten() - similarity.flatten()) \
+                <= 1e-12 * similarity.norm()
+            scale = frob(p.a) ** 2 + frob(p.b) ** 2
+            assert abs(candidate.residuals["square"] - square) <= 1e-12 * scale
+            assert abs(candidate.residuals["similarity"] - conjugation) <= 1e-12 * scale
+            assert candidate.is_square_root and not candidate.is_primary
+
+    def test_commutant_outside_the_monoid_rejected(self):
+        p = prepare(np.diag([1.0, 2.0]), [[1.0]], np.zeros((2, 1)))
+        x = BlockMatrix.upper(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)), np.eye(1))
+        with pytest.raises(PreconditionError):
+            commutes_with_diag_pair(x, p.a, p.b)
+
     def test_zero_intertwiner_gives_primary_root(self):
         p = prepare(np.diag([1.0, 2.0]), [[1.0]], np.zeros((2, 1)))
         candidate = similarity_root_from_intertwiner(p, np.zeros((2, 1)))

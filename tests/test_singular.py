@@ -146,6 +146,29 @@ class TestSchurReducedDecision:
         assert 1 <= k_a * k_b <= 9
         assert unknowns and max(unknowns) <= k_a * k_b
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_zero_rhs_keeps_the_gate_cluster(self, n, monkeypatch):
+        # at rhs = 0 the decision's u is 0 and passes the zero threshold;
+        # that decides, and must not widen to the whole nm x nm block
+        rng = np.random.default_rng(n)
+        a, b = shared_jordan_pair(rng, n, n)
+        p = prepare(a, b, np.zeros((n, n)))
+        shared_a, shared_b, _ = gate.shared_eigenvalues(
+            p.schur_a[0].diagonal(), p.schur_b[0].diagonal(), frob(p.a) + frob(p.b))
+        unknowns = []
+
+        def spy(K, rhs, **kwargs):
+            unknowns.append(np.shape(K)[1])
+            return lstsq_solve(K, rhs, **kwargs)
+
+        monkeypatch.setattr(singular, "lstsq_solve", spy)
+        report = singular.decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((n, n)))
+        k_a, k_b = report.cluster_sizes
+        assert (k_a, k_b) == (shared_a.sum(), shared_b.sum())
+        assert 1 <= k_a * k_b < n * n
+        assert unknowns == [k_a * k_b]
+        assert not np.any(report.u) and report.lstsq_residual <= report.threshold
+
     def test_too_narrow_cluster_widens_to_the_whole_spectra(self, rng, monkeypatch):
         # with a cluster tolerance below the Jordan splitting, the shared
         # eigenvalues land in "regular" blocks; an out-of-range right-hand
