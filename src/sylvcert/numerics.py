@@ -249,15 +249,18 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
     # column by column, so each column gets exactly the solution its own
     # one-column solve would
-    columns = rhs.reshape(rhs.shape[0], -1).T
-    solution = np.zeros((K.shape[1], len(columns)), dtype=np.complex128)
+    columns = [rhs] if rhs.ndim == 1 else rhs.T
     if rank:
         left, right = U[:, :rank].conj().T, Vh[:rank].conj().T
-        for j, column in enumerate(columns):
-            solution[:, j] = right @ ((left @ column) / s[:rank])
-    residual = np.array([np.linalg.norm(K @ x - column) for x, column in zip(solution.T, columns)])
+        solutions = [right @ ((left @ column) / s[:rank]) for column in columns]
+    else:
+        solutions = [np.zeros(K.shape[1], dtype=np.complex128) for _ in columns]
+    residuals = [float(np.linalg.norm(K @ x - column)) for x, column in zip(solutions, columns)]
     if rhs.ndim == 1:
-        solution, residual = solution[:, 0], float(residual[0])
+        solution, residual = solutions[0], residuals[0]
+    else:
+        solution = np.array(solutions, dtype=np.complex128).reshape(len(solutions), K.shape[1]).T
+        residual = np.array(residuals)
     return LstsqResult(solution=solution, residual_norm=residual,
                        rank=rank, cutoff=cutoff, near_cutoff=near,
                        null_space=Vh[rank:].conj().T)

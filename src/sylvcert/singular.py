@@ -262,47 +262,50 @@ def _shared_first(a, b, schur_a, schur_b) -> tuple:
             (int(select_a.sum()), int(select_b.sum())), data_scale, tolerance)
 
 
-def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
-    """Solve ta y - y tb = r_i blockwise for each slice r_i of the (k, n, m)
-    stack r, for Schur factors whose leading k_a and k_b eigenvalues form the
-    shared cluster.
+def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
+    """Solve ta y - y tb = r blockwise for each r in the list ``rhs``, for
+    Schur factors whose leading k_a and k_b eigenvalues form the shared
+    cluster.
 
     Blocks (2,1), (2,2) and (1,2) pair disjoint spectra and are solved by
     trsyl in that order around the shared block (1,1), the only one decided
     by rank-revealing least squares, with the rank rule of the full nm
-    operator; one SVD of the shared block serves every slice.  Returns
-    (y, lstsq result or None, solved): ``solved`` is False for a slice whose
-    regular block amplifies its right-hand side past the rank rule's cutoff,
-    and its y is then meaningless.
+    operator; one SVD of the shared block serves every r.  Returns
+    (ys, lstsq result or None): ys holds the y of each r, or None where a
+    regular block amplifies its right-hand side past the rank rule's cutoff.
     """
     n, m = ta.shape[0], tb.shape[0]
     cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
     a11, a12, a22 = ta[:k_a, :k_a], ta[:k_a, k_a:], ta[k_a:, k_a:]
     b11, b12, b22 = tb[:k_b, :k_b], tb[:k_b, k_b:], tb[k_b:, k_b:]
-    y = np.zeros(r.shape, dtype=np.complex128)
-    solved = np.ones(len(r), dtype=bool)
-    for i, r_i in enumerate(r):
-        y21 = _regular_block(a22, b11, r_i[k_a:, :k_b], cutoff)
+    ys = []
+    for r in rhs:
+        y21 = _regular_block(a22, b11, r[k_a:, :k_b], cutoff)
         y22 = None if y21 is None else \
-            _regular_block(a22, b22, r_i[k_a:, k_b:] + y21 @ b12, cutoff)
-        if y22 is None:
-            solved[i] = False
-        else:
-            y[i, k_a:, :k_b], y[i, k_a:, k_b:] = y21, y22
+            _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, cutoff)
+        y = None
+        if y22 is not None:
+            y = np.zeros((n, m), dtype=np.complex128)
+            y[k_a:, :k_b], y[k_a:, k_b:] = y21, y22
+        ys.append(y)
+    solved = [(y, r) for y, r in zip(ys, rhs) if y is not None]
     shared = None
-    if k_a and k_b and solved.any():
-        heads = [vec(r[i, :k_a, :k_b] - a12 @ y[i, k_a:, :k_b]) for i in np.flatnonzero(solved)]
-        shared = lstsq_solve(kron_vec_operator(a11, b11, -1), np.column_stack(heads),
+    if k_a and k_b and solved:
+        heads = np.array([vec(r[:k_a, :k_b] - a12 @ y[k_a:, :k_b]) for y, r in solved]).T
+        shared = lstsq_solve(kron_vec_operator(a11, b11, -1), heads,
                              scale_reference=data_scale, cutoff_shape=(n * m, n * m))
-        y[solved, :k_a, :k_b] = [unvec(z, k_a, k_b) for z in shared.solution.T]
-    for i in np.flatnonzero(solved):
-        y12 = _regular_block(a11, b22, r[i, :k_a, k_b:] - a12 @ y[i, k_a:, k_b:]
-                             + y[i, :k_a, :k_b] @ b12, cutoff)
+        for (y, _), z in zip(solved, shared.solution.T):
+            y[:k_a, :k_b] = unvec(z, k_a, k_b)
+    for index, (y, r) in enumerate(zip(ys, rhs)):
+        if y is None:
+            continue
+        y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y[k_a:, k_b:]
+                             + y[:k_a, :k_b] @ b12, cutoff)
         if y12 is None:
-            solved[i] = False
+            ys[index] = None
         else:
-            y[i, :k_a, k_b:] = y12
-    return y, shared, solved
+            y[:k_a, k_b:] = y12
+    return ys, shared
 
 
 def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
@@ -322,12 +325,12 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
     amplifies its right-hand side past the rank cutoff, or a nonzero u comes
     out so large that u = 0 would pass the threshold too, the cluster widens
-    to all of both spectra and the same code decides the whole equation,
-    for the slices that need it.  The
-    residual is then taken on the full u in the original coordinates against
-    tol * (||rhs|| + (||a|| + ||b||) ||u||), relative to the data, so scaling
-    rhs alone cannot move the decision; residuals within a factor 10 of it
-    are flagged marginal rather than forced into a binary answer.
+    to all of both spectra for that slice and the same code decides the
+    whole equation.  The residual is then taken on the full u in the
+    original coordinates against tol * (||rhs|| + (||a|| + ||b||) ||u||),
+    relative to the data, so scaling rhs alone cannot move the decision;
+    residuals within a factor 10 of it are flagged marginal rather than
+    forced into a binary answer.
     """
     (ta, qa), (tb, qb), cluster, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b)
     n, m = ta.shape[0], tb.shape[0]
@@ -338,29 +341,33 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     r = qa.conj().T @ slices @ qb
 
     reports: list = [None] * len(slices)
-    pending = np.arange(len(slices))
+    pending = list(range(len(slices)))
     # the whole spectra form the fallback cluster, where every block is shared
     for k_a, k_b in (cluster, (n, m)):
-        y, shared, solved = _schur_reduced_solve(ta, tb, r[pending], k_a, k_b, data_scale)
+        ys, shared = _schur_reduced_solve(ta, tb, [r[i] for i in pending], k_a, k_b, data_scale)
         rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
         widen = []
-        for i, y_i, ok in zip(pending, y, solved):
-            u = qa @ y_i @ qb.conj().T
-            rhs_norm = frob(slices[i])
-            # a u so large that u = 0 would pass the threshold too decides nothing
-            if not ok or (tol * data_scale * frob(u) > rhs_norm and (k_a, k_b) != (n, m)):
+        for i, y in zip(pending, ys):
+            if y is None:
+                widen.append(i)
+                continue
+            u = qa @ y @ qb.conj().T
+            u_norm, rhs_norm = frob(u), frob(slices[i])
+            # a u so large that u = 0 would pass the threshold too decides
+            # nothing; u = 0 at rhs = 0 decides
+            if tol * data_scale * u_norm > rhs_norm and (k_a, k_b) != (n, m):
                 widen.append(i)
                 continue
             residual = frob(a @ u - u @ b - slices[i])
-            threshold = tol * (rhs_norm + data_scale * frob(u))
+            threshold = tol * (rhs_norm + data_scale * u_norm)
             reports[i] = UVSystemReport(
                 u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
                 marginal=threshold < residual <= 10.0 * threshold,
                 near_cutoff=shared is not None and shared.near_cutoff,
                 cluster_sizes=(k_a, k_b), cluster_tolerance=tolerance)
-        pending = np.array(widen, dtype=int)
-        if not len(pending):
+        if not widen:
             break
+        pending = widen
     return reports[0] if stack.ndim == 2 else reports
 
 
@@ -374,7 +381,7 @@ def sylvester_kernel(a, b, schur_a, schur_b) -> list:
     n, m = ta.shape[0], tb.shape[0]
     for k_a, k_b in (cluster, (n, m)):
         # at rhs = 0 every block solves to zero, so no regular block blows up
-        _, shared, _ = _schur_reduced_solve(ta, tb, np.zeros((1, n, m)), k_a, k_b, data_scale)
+        _, shared = _schur_reduced_solve(ta, tb, [np.zeros((n, m))], k_a, k_b, data_scale)
         heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
                                 shared.cutoff) for y11 in heads]
