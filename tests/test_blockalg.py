@@ -188,3 +188,7 @@ class TestCommutesWithDiagPair:
         b = rng.normal(size=(3, 3))
         with pytest.raises(PreconditionError):
             commutes_with_diag_pair(random_block(rng), a, b)
+        # upper triangular, but its diagonal block does not commute with a
+        x = BlockMatrix.upper(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)), np.eye(1))
+        with pytest.raises(PreconditionError):
+            commutes_with_diag_pair(x, np.diag([1.0, 2.0]), np.eye(1))
