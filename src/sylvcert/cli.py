@@ -13,11 +13,17 @@ Exit codes for ``diagnose``: 0 solvable, 1 unsolvable, 2 ill-conditioned,
 3 file/schema errors, 4 internal errors.  ``batch`` exits 3 when any row
 errored, 0 otherwise.  Human-readable summaries go to stdout, diagnostics to
 stderr; full JSON reports are written to ``--output``.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused: ``parse_args`` keeps no state between calls.  An
+arithmetic fault (``OverflowError``, ``ZeroDivisionError``) is no verdict:
+it exits 4 like any internal error, and marks its ``batch`` row as an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,6 +71,7 @@ _SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sylvcert",
@@ -89,6 +96,12 @@ def _effective(args, spec) -> tuple:
     alpha = args.alpha if args.alpha is not None else spec.alpha
     tol = args.tol if args.tol is not None else spec.tol
     return alpha, tol
+
+
+def _error_text(exc: Exception) -> str:
+    """An error's message; an arithmetic fault, whose message is terse, also
+    names its type."""
+    return f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
 
 
 def _now() -> str:
@@ -233,8 +246,8 @@ def cmd_batch(args) -> int:
             row["oracle_agreement"] = verdict.oracle_agreement
             if verdict.oracle_agreement is not None:
                 agreements.append(verdict.oracle_agreement)
-        except SylvcertError as exc:
-            row["error"] = str(exc)
+        except (SylvcertError, ArithmeticError) as exc:
+            row["error"] = _error_text(exc)
             any_error = True
         rows.append(row)
 
@@ -277,8 +290,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except SylvcertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SylvcertError, ArithmeticError) as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

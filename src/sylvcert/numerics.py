@@ -208,7 +208,12 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
     n, m = a.shape[0], b.shape[0]
-    return np.kron(np.eye(m), a) + sign * np.kron(b.T, np.eye(n))
+    # K[j, p, l, q] multiplies x[q, l] in entry [p, j] of a x + sign * x b,
+    # so a fills the blocks j = l and b[l, j] the entries p = q
+    K = np.zeros((m, n, m, n), dtype=np.complex128)
+    K[np.arange(m), :, np.arange(m), :] = a
+    K[:, np.arange(n), :, np.arange(n)] += sign * b.T
+    return K.reshape(n * m, n * m)
 
 
 @dataclass(frozen=True)

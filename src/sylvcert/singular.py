@@ -262,6 +262,16 @@ def _shared_first(a, b, schur_a, schur_b) -> tuple:
             (int(select_a.sum()), int(select_b.sum())), data_scale, tolerance)
 
 
+def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, heads, data_scale: float):
+    """Minimum-norm least squares on the shared block of Schur factors ta,
+    tb whose leading k_a and k_b eigenvalues form the cluster: a11 y - y b11
+    = h for vec(h) in ``heads`` (one vector or a block of columns), rank
+    judged by the rule of the full nm operator at the scale ``data_scale``."""
+    nm = ta.shape[0] * tb.shape[0]
+    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), heads,
+                       scale_reference=data_scale, cutoff_shape=(nm, nm))
+
+
 def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
     """Solve ta y - y tb = r blockwise for each r in the list ``rhs``, for
     Schur factors whose leading k_a and k_b eigenvalues form the shared
@@ -292,8 +302,7 @@ def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
     shared = None
     if k_a and k_b and solved:
         heads = np.array([vec(r[:k_a, :k_b] - a12 @ y[k_a:, :k_b]) for y, r in solved]).T
-        shared = lstsq_solve(kron_vec_operator(a11, b11, -1), heads,
-                             scale_reference=data_scale, cutoff_shape=(n * m, n * m))
+        shared = _shared_block_lstsq(ta, tb, k_a, k_b, heads, data_scale)
         for (y, _), z in zip(solved, shared.solution.T):
             y[:k_a, :k_b] = unvec(z, k_a, k_b)
     for index, (y, r) in enumerate(zip(ys, rhs)):
@@ -373,16 +382,19 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
 
 def sylvester_kernel(a, b, schur_a, schur_b) -> list:
     """Orthonormal basis of {x : a x = x b}, in a deterministic order, read
-    off :func:`decide_sylvester` at rhs = 0 on the Schur factors (t, q) of a
-    and b: each null vector z of its shared block extends by trsyl through
-    a11 y12 - y12 b22 = z b12, the other blocks are zero, and an extension
-    that blows up widens the cluster to the whole spectra."""
+    off the decision's shared block at rhs = 0 on the Schur factors (t, q)
+    of a and b: each null vector z of the shared block extends by one trsyl
+    through a11 y12 - y12 b22 = z b12, the other blocks are zero, and an
+    extension that blows up widens the cluster to the whole spectra."""
     (ta, qa), (tb, qb), cluster, data_scale, _ = _shared_first(a, b, schur_a, schur_b)
     n, m = ta.shape[0], tb.shape[0]
     for k_a, k_b in (cluster, (n, m)):
-        # at rhs = 0 every block solves to zero, so no regular block blows up
-        _, shared = _schur_reduced_solve(ta, tb, [np.zeros((n, m))], k_a, k_b, data_scale)
-        heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
+        # at rhs = 0 the regular blocks of the decision are zero, so only
+        # the shared block's null vectors need solving for
+        heads = []
+        if k_a and k_b:
+            shared = _shared_block_lstsq(ta, tb, k_a, k_b, np.zeros(k_a * k_b), data_scale)
+            heads = [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
                                 shared.cutoff) for y11 in heads]
         if all(y12 is not None for y12 in tails):

@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from sylvcert import singular
+from sylvcert import cli, singular
 from sylvcert.cli import main
 from sylvcert.errors import SchemaError, WitnessError
-from sylvcert.instances import regular_pair
+from sylvcert.instances import regular_pair, rhs_in_range, shared_jordan_pair
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS
 from sylvcert.roots import solve_unipotent_quadratic, unipotent_bridge_check
 from sylvcert.io import (load_problem, matrix_to_pairs, pairs_to_matrix, parse_problem_text,
@@ -26,6 +26,14 @@ def write_problem(path, a, b, c, **options):
                           np.asarray(c, dtype=complex), **options)
     path.write_text(serialize_report(doc), encoding="utf-8")
     return path
+
+
+def overflowing_problem(path):
+    """A solvable 3x3 shared-Jordan problem scaled by 1e150: the cubic
+    threshold (||a|| + ||b||)^3 of the witness overflows a float."""
+    rng = np.random.default_rng(0)
+    a, b = shared_jordan_pair(rng, 3, 3)
+    return write_problem(path, 1e150 * a, 1e150 * b, 1e150 * rhs_in_range(rng, a, b))
 
 
 def stripped(text):
@@ -249,6 +257,30 @@ class TestDiagnoseCommand:
         doc = parse_report(text)
         assert serialize_report(doc) == text
 
+    def test_arithmetic_fault_exits_internal_not_unsolvable(self, tmp_path, capsys):
+        # equilibrating at the entry of diagnose will turn this into a verdict
+        problem = overflowing_problem(tmp_path / "big.json")
+        assert main(["diagnose", str(problem)]) == 4
+        err = capsys.readouterr().err
+        assert "error: OverflowError" in err and "Traceback" not in err
+
+    def test_parser_reused_without_leaking_flags(self, tmp_path):
+        problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
+        out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        assert main(["diagnose", str(problem), "--oracle", "--seed", "42", "-o", str(out1)]) == 0
+        assert main(["diagnose", str(problem), "-o", str(out2)]) == 0
+        first, second = parse_report(out1.read_text()), parse_report(out2.read_text())
+        assert first["checks"]["oracle_cross_check"]["status"] == "pass"
+        assert first["environment"]["seed"] == 42
+        assert second["checks"]["oracle_cross_check"]["status"] == "skipped"
+        assert second["environment"]["seed"] is None
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diagnose", str(problem), "--no-such-flag"])
+        assert excinfo.value.code == 2
+        assert main(["diagnose", str(write_problem(tmp_path / "u.json", [[1]], [[1]], [[1]]))]) == 1
+        # built on the first call of the process, whatever test made it
+        assert cli._build_parser.cache_info().misses <= 1
+
     def test_seed_recorded(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
         out = tmp_path / "v.json"
@@ -366,6 +398,16 @@ class TestBatchCommand:
         doc = parse_report(out.read_text())
         by_name = {row["file"]: row for row in doc["rows"]}
         assert by_name["broken.json"]["error"] is not None
+        assert by_name["good.json"]["status"] == "solvable"
+
+
+    def test_arithmetic_fault_row_isolated(self, tmp_path):
+        write_problem(tmp_path / "good.json", [[2]], [[1]], [[3]])
+        overflowing_problem(tmp_path / "big.json")
+        out = tmp_path / "batch.json"
+        assert main(["batch", str(tmp_path), "-o", str(out)]) == 3
+        by_name = {row["file"]: row for row in parse_report(out.read_text())["rows"]}
+        assert by_name["big.json"]["error"].startswith("OverflowError")
         assert by_name["good.json"]["status"] == "solvable"
 
 

@@ -11,6 +11,9 @@ searches on stacked arrays, not typed block products.  One bridge operation
 takes each factorization once: one coupling decision for all four branches,
 three least-squares solves (the two kernels and that decision), no typed
 product and one typed inverse, where the code before it took 4, 7, 5 and 5.
+Outside the oracle a Kronecker operator is built only by
+``kron_vec_operator``, and the homogeneous kernel solves no block that is
+zero at rhs = 0.
 """
 
 import ast
@@ -24,7 +27,7 @@ import sylvcert
 from sylvcert.instances import rhs_in_range, shared_jordan_pair
 from sylvcert.roots import (block_roots, homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic, verify_unipotent_identity)
-from sylvcert.singular import prepare
+from sylvcert.singular import prepare, sylvester_kernel
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
@@ -108,6 +111,11 @@ def callers_of(callee: str) -> set:
     return callers
 
 
+def test_kronecker_products_taken_only_by_the_oracle():
+    # the main route builds its operators through numerics.kron_vec_operator
+    assert callers_of("kron") == {("oracle", "build_operator"), ("oracle", "oracle_solve")}
+
+
 def test_complex_schur_called_only_where_factors_are_made():
     assert callers_of("complex_schur") == SCHUR_CALLERS
 
@@ -170,3 +178,13 @@ def test_bridge_operation_factors_once(monkeypatch):
     assert solve_unipotent_quadratic(p).q_values
     assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "block_mul": 0,
                      "block_inverse": 1}
+
+
+def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
+    # the blocks that are zero at rhs = 0 are not solved for
+    calls = counted(monkeypatch, ("triangular_sylvester",))
+    p = prepare(*bridge_data())
+    x_basis = sylvester_kernel(p.a, p.b, p.schur_a, p.schur_b)
+    y_basis = sylvester_kernel(p.b, p.a, p.schur_b, p.schur_a)
+    assert x_basis and y_basis
+    assert calls == {"triangular_sylvester": len(x_basis) + len(y_basis)}

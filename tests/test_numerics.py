@@ -143,6 +143,18 @@ class TestKronVecOperator:
         with pytest.raises(ParameterError):
             kron_vec_operator([[1]], [[1]], 2)
 
+    def test_equals_the_kronecker_form(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 9):
+            for m in range(1, 9):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+                # a transposed view is a non-contiguous input
+                for a_in, b_in in ((a, b), (a.T, b.T)):
+                    for sign in (+1, -1):
+                        expected = np.kron(np.eye(m), a_in) + sign * np.kron(b_in.T, np.eye(n))
+                        assert np.array_equal(kron_vec_operator(a_in, b_in, sign), expected)
+
 
 class TestLstsq:
     def test_identity_system(self):

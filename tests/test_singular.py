@@ -193,12 +193,12 @@ class TestSchurReducedDecision:
         monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
         clusters = []
 
-        def spy(ta, tb, r, k_a, k_b, data_scale):
+        def spy(ta, tb, k_a, k_b, heads, data_scale):
             clusters.append((k_a, k_b))
-            return solve(ta, tb, r, k_a, k_b, data_scale)
+            return solve(ta, tb, k_a, k_b, heads, data_scale)
 
-        solve = singular._schur_reduced_solve
-        monkeypatch.setattr(singular, "_schur_reduced_solve", spy)
+        solve = singular._shared_block_lstsq
+        monkeypatch.setattr(singular, "_shared_block_lstsq", spy)
         p = prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]])
         basis = sylvester_kernel(p.a, p.b, p.schur_a, p.schur_b)
         assert clusters == [(1, 1), (1, 2)]
