@@ -15,7 +15,11 @@ errored, 0 otherwise.  Human-readable summaries go to stdout, diagnostics to
 stderr; full JSON reports are written to ``--output``.
 
 The argument parser is built once per process, on the first :func:`main`
-call, and reused: ``parse_args`` keeps no state between calls.  An
+call, and reused: ``parse_args`` keeps no state between calls.  That saves
+its build (about 1 ms) only where one process calls ``main(argv)`` many
+times, as a program driving the CLI from Python does (the test suite and the
+``cli_small`` bench workload are two); the ``sylvcert`` console script calls
+``main`` once per process and builds the parser once either way.  An
 arithmetic fault (``OverflowError``, ``ZeroDivisionError``) is no verdict:
 it exits 4 like any internal error, and marks its ``batch`` row as an error.
 """

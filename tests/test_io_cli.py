@@ -267,6 +267,8 @@ class TestDiagnoseCommand:
     def test_parser_reused_without_leaking_flags(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        main(["diagnose", str(problem)])  # the parser exists before the counted calls
+        before = cli._build_parser.cache_info()
         assert main(["diagnose", str(problem), "--oracle", "--seed", "42", "-o", str(out1)]) == 0
         assert main(["diagnose", str(problem), "-o", str(out2)]) == 0
         first, second = parse_report(out1.read_text()), parse_report(out2.read_text())
@@ -278,8 +280,9 @@ class TestDiagnoseCommand:
             main(["diagnose", str(problem), "--no-such-flag"])
         assert excinfo.value.code == 2
         assert main(["diagnose", str(write_problem(tmp_path / "u.json", [[1]], [[1]], [[1]]))]) == 1
-        # built on the first call of the process, whatever test made it
-        assert cli._build_parser.cache_info().misses <= 1
+        after = cli._build_parser.cache_info()
+        # each of the four calls took the parser from the cache; none built one
+        assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
     def test_seed_recorded(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
