@@ -2,9 +2,8 @@
 equation a x - x b = c, covering the singular case where the spectra of a
 and b intersect."""
 
-from .blockalg import (BlockMatrix, CommutantMembership, block_identity,
-                       block_inverse, block_mul, classify_triangular_commutant,
-                       commutes_with_diag_pair, diag_embed)
+from .blockalg import (CommutantMembership, classify_triangular_commutant,
+                       commutes_with_diag_pair)
 from .errors import (BranchCutError, ConvergenceError, DimensionError, GateError,
                      InversionError, NumericError, ParameterError,
                      PreconditionError, SchemaError, SylvcertError, WitnessError)

@@ -201,14 +201,15 @@ def cmd_roots(args) -> int:
     if not quad.q_values:
         note = ("no unipotent solution in the enumerated root family; "
                 "the two-equation system verdict is authoritative")
+    n = problem.n
     doc = {
         "schema_version": sio.SCHEMA_VERSION,
         "base_roots": [
             {"branch": i,
-             "square_residual": float((br @ br - quad.base).norm()),
+             "square_residual": float(frob(br @ br - quad.base)),
              "blocks": {
-                 "a11": sio.matrix_to_pairs(br.a11), "a12": sio.matrix_to_pairs(br.a12),
-                 "a21": sio.matrix_to_pairs(br.a21), "a22": sio.matrix_to_pairs(br.a22)}}
+                 "a11": sio.matrix_to_pairs(br[:n, :n]), "a12": sio.matrix_to_pairs(br[:n, n:]),
+                 "a21": sio.matrix_to_pairs(br[n:, :n]), "a22": sio.matrix_to_pairs(br[n:, n:])}}
             for i, br in enumerate(quad.base_roots)],
         "y_solution_count": len(quad.y_solutions),
         "unipotent": unipotent,

@@ -19,15 +19,14 @@ stack of the four P_12.  The x-side intertwiners are read off the problem
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and
-for such operands the typed block product is the ordinary product of the
-flattened matrices.  The search therefore runs on stacked dense
-``(k, n+m, n+m)`` arrays, all branches or all candidates in one product, and
-:class:`~sylvcert.blockalg.BlockMatrix` wraps only what it returns.  Each
-stacked product is checked to be finite with zero lower-left blocks.  The
-branch inverses are closed-form, L D^-1 L^-1 for a branch root L D L^-1,
-from one typed inverse of the two principal roots.  The equivalence's
-operands are block triangular on one side or block diagonal, and it too
-runs on dense arrays.
+for such operands the block algebra's typed product is the ordinary product.
+The search therefore runs on dense arrays split after row and column
+``n = p.n``, and returns them: stacked ``(k, n+m, n+m)`` arrays, all branches
+or all candidates in one product.  Each stacked product is checked to be
+finite with zero lower-left blocks, and base and target to be finite.  The
+branch inverses are closed-form, L D^-1 L^-1 for a branch root L D L^-1, from
+one inverse of each principal root.  The equivalence's operands are block
+triangular on one side or block diagonal, and it too runs on dense arrays.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GateError, NumericError, PreconditionError
-from .blockalg import (BlockMatrix, block_inverse, block_mul,
-                       commutes_with_diag_pair, diag_embed)
+from .errors import DimensionError, GateError, NumericError, PreconditionError
+from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
 from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, solve_left
 from .regular import compute_offset
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
@@ -54,22 +52,23 @@ BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 class RootCandidate:
     """A candidate square root of the (a^2, b^2) diagonal embedding."""
 
-    root: BlockMatrix
+    root: np.ndarray  # dense (n+m)-square, split after row and column n
     is_square_root: bool
     is_primary: bool
-    similarity: BlockMatrix | None  # U with U^-1 (a, -b)-embedding U = root
+    similarity: np.ndarray  # U with U^-1 (a, -b)-embedding U = root
     residuals: dict = field(default_factory=dict)
 
 
 @dataclass
 class QuadraticSolveResult:
-    """Solutions of the quadratic block equation Y base Y = target."""
+    """Solutions of the quadratic block equation Y base Y = target; every
+    matrix is dense (n+m)-square, split after row and column n."""
 
-    base: BlockMatrix
-    target: BlockMatrix
-    offset: np.ndarray  # r = a^-1 s b + a s b^-1, base.a12 - target.a12
-    base_roots: list
-    y_solutions: list
+    base: np.ndarray
+    target: np.ndarray
+    offset: np.ndarray  # r = a^-1 s b + a s b^-1, the upper-right blocks' difference
+    base_roots: np.ndarray  # (4, n+m, n+m), in BRANCHES order
+    y_solutions: np.ndarray  # (k, n+m, n+m)
     q_values: list
     notes: list = field(default_factory=list)
 
@@ -112,15 +111,18 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     _check_intertwiner(a, b, x, side, tol)
 
     # every operand is block triangular on the side of x, or block diagonal,
-    # so the ordinary product and inverse are the typed ones
+    # so the ordinary product and inverse are the typed ones; the lower side
+    # is the transpose of an upper one
+    eye_n, eye_m = np.eye(p.n), np.eye(p.m)
     if side == "upper":
         coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
+        root, similarity = block_upper(a, x, -b), block_upper(eye_n, coupled, eye_m)
     else:
         coupled = -schur_sylvester(p.schur_b, p.schur_a, x, +1)
-    root = _triangular(a, x, -b, side)
-    similarity = _triangular(np.eye(p.n), coupled, np.eye(p.m), side)
-    d_minus = _triangular(a, np.zeros((p.n, p.m)), -b)
-    d_square = _triangular(a @ a, np.zeros((p.n, p.m)), b @ b)
+        root, similarity = block_upper(a.T, x.T, -b.T).T, block_upper(eye_n, coupled.T, eye_m).T
+    _finite(similarity, "similarity")
+    d_minus = block_upper(a, 0, -b)
+    d_square = block_upper(a @ a, 0, b @ b)
 
     square_residual = frob(root @ root - d_square)
     similarity_residual = frob(solve_left(similarity, d_minus @ similarity) - root)
@@ -128,10 +130,10 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     is_root = square_residual <= tol * scale
     is_primary = frob(x) <= tol * max(frob(root), 1e-300)
     return RootCandidate(
-        root=_blocks(root, p.n),
+        root=root,
         is_square_root=is_root,
         is_primary=is_primary,
-        similarity=_blocks(similarity, p.n),
+        similarity=similarity,
         residuals={"square": square_residual, "similarity": similarity_residual},
     )
 
@@ -159,30 +161,11 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     x = p.kernel[0]
     candidate = similarity_root_from_intertwiner(p, x, "upper", tol)
     b_holds = (candidate.is_square_root and not candidate.is_primary
-               and candidate.residuals["similarity"] <= tol * max(candidate.root.norm(), 1.0))
+               and candidate.residuals["similarity"] <= tol * max(frob(candidate.root), 1.0))
 
-    commutant = BlockMatrix.upper(np.eye(p.n), x, np.eye(p.m))
+    commutant = block_upper(np.eye(p.n), x, np.eye(p.m))
     c_holds = commutes_with_diag_pair(commutant, p.a, p.b, tol)
     return True, b_holds, c_holds
-
-
-def _triangular(a11, off, a22, side: str = "upper") -> np.ndarray:
-    """The dense block triangular matrix with diagonal blocks a11, a22 and
-    the off-diagonal block ``off`` above (upper side) or below (lower side)."""
-    n, m = a11.shape[0], a22.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n], out[n:, n:] = a11, a22
-    if side == "upper":
-        out[:n, n:] = off
-    else:
-        out[n:, :n] = off
-    return out
-
-
-def _blocks(x: np.ndarray, n: int) -> BlockMatrix:
-    """The typed block matrix with the blocks of the dense x, split after row
-    and column n."""
-    return BlockMatrix(x[:n, :n], x[:n, n:], x[n:, :n], x[n:, n:])
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -203,11 +186,11 @@ def _checked(stack: np.ndarray, n: int) -> np.ndarray:
 def _base_and_target(p: SylvesterProblem):
     """The problem's companion solution s, its offset r, and the dense base
     [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of the quadratic
-    equation."""
+    equation, each checked finite."""
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     offset = compute_offset(p.a, p.b, companion)
-    return (companion, offset, _triangular(p.a, -companion, -p.b),
-            _triangular(p.a, -(companion + offset), -p.b))
+    return (companion, offset, _finite(block_upper(p.a, -companion, -p.b), "base"),
+            _finite(block_upper(p.a, -(companion + offset), -p.b), "target"))
 
 
 def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
@@ -218,21 +201,22 @@ def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
     A branch root is L D L^-1 for the coupling L = [[I, -e], [0, I]] and the
     diagonal D = (s1 sqrt(a), s2 sqrt(b)) with s1 = +-1, s2 = +-i, so its
     inverse is L D^-1 L^-1 with D^-1 = (conj(s1) sqrt(a)^-1, conj(s2) sqrt(b)^-1):
-    the sign reciprocals are exact, and the two principal roots are
-    inverted once for all branches.
+    the sign reciprocals are exact, and each principal root is inverted
+    once for all branches.
     """
     n, m = p.n, p.m
     e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
     signs = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
     sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
-    sqrt_inverse = block_inverse(diag_embed(sqrt_a, sqrt_b))
+    inv_a = _inverse_block(sqrt_a, "upper-left")
+    inv_b = _inverse_block(sqrt_b, "lower-right")
     inner = np.zeros((2, len(BRANCHES), n + m, n + m), dtype=np.complex128)
     inner[0, :, :n, :n] = signs[:, 0, None, None] * sqrt_a
     inner[0, :, n:, n:] = signs[:, 1, None, None] * sqrt_b
-    inner[1, :, :n, :n] = signs[:, 0, None, None].conj() * sqrt_inverse.a11
-    inner[1, :, n:, n:] = signs[:, 1, None, None].conj() * sqrt_inverse.a22
-    coupling = _triangular(np.eye(n), -e1, np.eye(m))
-    coupling_inverse = _triangular(np.eye(n), e1, np.eye(m))
+    inner[1, :, :n, :n] = signs[:, 0, None, None].conj() * inv_a
+    inner[1, :, n:, n:] = signs[:, 1, None, None].conj() * inv_b
+    coupling = block_upper(np.eye(n), -e1, np.eye(m))
+    coupling_inverse = block_upper(np.eye(n), e1, np.eye(m))
     roots, inverses = _checked(coupling @ inner @ coupling_inverse, n)
     residuals = np.linalg.norm(_checked(roots @ roots, n) - base, axis=(1, 2))
     bound = tol * max(frob(base), 1.0)
@@ -247,14 +231,14 @@ def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
 def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     """The four sign-branch square roots of the base matrix
     [[a, -s], [0, -b]] for the problem's companion solution s, each verified
-    to square back to it.
+    to square back to it, as a dense (4, n+m, n+m) stack.
 
     Every branch is the coupling conjugation of the diagonal
     ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), enumerated in (k1, k2) order.
     """
     companion, _, base, _ = _base_and_target(p)
     roots, _ = _branch_roots(p, companion, base, tol)
-    return [_blocks(root, p.n) for root in roots]
+    return roots
 
 
 def solve_unipotent_quadratic(p: SylvesterProblem,
@@ -287,11 +271,11 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     candidates: list = []
     owners: list = []  # the branch of each candidate
     for index, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
-        principal = _triangular(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
+        principal = block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates += [principal, -principal]
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
-            candidates += [_triangular(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
+            candidates += [block_upper(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
         else:
             notes.append(f"branch {index}: coupling equation inconsistent "
                          f"(residual {coupling.lstsq_residual:.3g})")
@@ -315,9 +299,8 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
                  & (np.linalg.norm(y[kept, n:, n:] - np.eye(m), axis=(1, 2))
                     <= UNIPOTENT_TOL * np.sqrt(m)))
 
-    return QuadraticSolveResult(base=_blocks(base, n), target=_blocks(target, n),
-                                offset=offset, base_roots=[_blocks(root, n) for root in roots],
-                                y_solutions=[_blocks(y[i], n) for i in kept],
+    return QuadraticSolveResult(base=base, target=target, offset=offset, base_roots=roots,
+                                y_solutions=y[kept],
                                 q_values=[y[i, :n, n:].copy()
                                           for i, u in zip(kept, unipotent) if u],
                                 notes=notes)
@@ -351,10 +334,11 @@ def verify_unipotent_identity(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) 
     in both its block form and the reduced form q b - a q = r; the two
     residuals must agree."""
     q = as_complex_matrix(q, "q")
+    if q.shape != (p.n, p.m):
+        raise DimensionError(f"q must be {p.n}x{p.m}, got {q.shape}")
     _, offset, base, target = _base_and_target(p)
-    base, target = _blocks(base, p.n), _blocks(target, p.n)
-    y = BlockMatrix.upper(np.eye(p.n), q, np.eye(p.m))
-    block_residual = (block_mul(block_mul(y, base), y) - target).norm()
+    y = block_upper(np.eye(p.n), q, np.eye(p.m))
+    block_residual = frob(y @ base @ y - target)
     reduced_residual, threshold = unipotent_identity_residual(q, p, offset, tol)
     if abs(block_residual - reduced_residual) > 1e-9 * threshold / tol + 1e-12:
         raise PreconditionError(

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -260,9 +261,13 @@ class TestDiagnoseCommand:
     def test_arithmetic_fault_exits_internal_not_unsolvable(self, tmp_path, capsys):
         # equilibrating at the entry of diagnose will turn this into a verdict
         problem = overflowing_problem(tmp_path / "big.json")
-        assert main(["diagnose", str(problem)]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["diagnose", str(problem)]) == 4
+        assert caught == []
         err = capsys.readouterr().err
-        assert "error: OverflowError" in err and "Traceback" not in err
+        # the overflowing residuals fail closed without a numpy warning
+        assert err.startswith("error: OverflowError") and err.count("\n") == 1
 
     def test_parser_reused_without_leaking_flags(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
@@ -404,11 +409,16 @@ class TestBatchCommand:
         assert by_name["good.json"]["status"] == "solvable"
 
 
-    def test_arithmetic_fault_row_isolated(self, tmp_path):
+    def test_arithmetic_fault_row_isolated(self, tmp_path, capsys):
         write_problem(tmp_path / "good.json", [[2]], [[1]], [[3]])
         overflowing_problem(tmp_path / "big.json")
         out = tmp_path / "batch.json"
-        assert main(["batch", str(tmp_path), "-o", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["batch", str(tmp_path), "-o", str(out)]) == 3
+        assert caught == []
+        # the fault is the row's error on stdout; nothing reaches stderr
+        assert capsys.readouterr().err == ""
         by_name = {row["file"]: row for row in parse_report(out.read_text())["rows"]}
         assert by_name["big.json"]["error"].startswith("OverflowError")
         assert by_name["good.json"]["status"] == "solvable"

@@ -7,10 +7,10 @@ eigenvalues the spectra share is decided by one rule, in ``gate``, and the
 homogeneous kernel is read off the decision's factors, never a dense SVD.
 Inverses are applied by one solve routine, never formed, and the root
 bridge reads the companion solution and its offset off the problem and
-searches on stacked arrays, not typed block products.  One bridge operation
-takes each factorization once: one coupling decision for all four branches,
-three least-squares solves (the two kernels and that decision), no typed
-product and one typed inverse, where the code before it took 4, 7, 5 and 5.
+searches on dense stacked arrays; no typed block-matrix class or typed
+product exists.  One bridge operation takes each factorization once: one
+coupling decision for all four branches, three least-squares solves (the two
+kernels and that decision) and two block inversions, one per principal root.
 Outside the oracle a Kronecker operator is built only by
 ``kron_vec_operator``, and the homogeneous kernel solves no block that is
 zero at rhs = 0.
@@ -69,6 +69,7 @@ def names_in(tree: ast.Module) -> set:
             names.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.split(".")[-1] for alias in node.names)
+            names.update(alias.asname for alias in node.names if alias.asname)
     return names
 
 
@@ -121,8 +122,8 @@ def test_complex_schur_called_only_where_factors_are_made():
 
 
 def test_inverses_are_applied_by_one_solve_routine():
-    # block_inverse returns the typed inverse itself, and instance generators
-    # build test data from a similarity and its inverse
+    # the root bridge inverts the two principal roots, and instance
+    # generators build test data from a similarity and its inverse
     assert {caller for caller in callers_of("inv") if caller[0] != "instances"} \
         == {("blockalg", "_inverse_block")}
     # the oracle keeps its own operators
@@ -132,6 +133,19 @@ def test_inverses_are_applied_by_one_solve_routine():
 def test_bridge_reads_companion_and_offset_off_the_problem():
     for function in (block_roots, solve_unipotent_quadratic, verify_unipotent_identity):
         assert not {"companion", "offset"} & set(inspect.signature(function).parameters)
+
+
+RETIRED_BLOCK_NAMES = {"BlockMatrix", "block_mul", "diag_embed"}
+
+
+def test_no_module_defines_or_imports_the_typed_block_algebra():
+    # every block operand is dense and block upper triangular, where the
+    # typed product is the ordinary one
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not (defined | names_in(tree)) & RETIRED_BLOCK_NAMES, path.stem
 
 
 def counted(monkeypatch, names) -> dict:
@@ -147,7 +161,7 @@ def counted(monkeypatch, names) -> dict:
 
     modules = [module for key, module in sys.modules.items() if key.startswith("sylvcert")]
     for name in names:
-        original = getattr(sylvcert.singular, name, None) or getattr(sylvcert, name)
+        original = next(getattr(module, name) for module in modules if hasattr(module, name))
         spy = counting(name, original)
         for module in modules:
             if getattr(module, name, None) is original:
@@ -161,23 +175,21 @@ def bridge_data():
     return a, b, rhs_in_range(rng, a, b)
 
 
-def test_root_search_takes_no_typed_products_and_no_eigenvalues(monkeypatch):
-    calls = counted(monkeypatch, ("block_mul", "eigenvalues"))
+def test_root_search_takes_no_eigenvalues(monkeypatch):
+    calls = counted(monkeypatch, ("eigenvalues",))
     p = prepare(*bridge_data())
     block_roots(p)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"block_mul": 0, "eigenvalues": 0}
+    assert calls == {"eigenvalues": 0}
 
 
 def test_bridge_operation_factors_once(monkeypatch):
-    calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "block_mul",
-                                  "block_inverse"))
+    calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "_inverse_block"))
     p = prepare(*bridge_data())
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "block_mul": 0,
-                     "block_inverse": 1}
+    assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "_inverse_block": 2}
 
 
 def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):

@@ -1,8 +1,9 @@
 """Property tests: the gate, the decision and the homogeneous kernel read one
 rule for where the spectra meet, the kernel agrees with the dense oracle, the
 shift is the smallest admissible three-digit shift, a stack of right-hand
-sides is decided slice by slice as separate decisions would be, and the
-stacked root search agrees with the typed block-product search it replaced.
+sides is decided slice by slice as separate decisions would be, the stacked
+root search agrees with a search of one candidate at a time, and the root
+bridge's outcome is unchanged under a unitary similarity of the problem.
 
 Examples are derandomized, so every run draws the same pairs.
 """
@@ -15,7 +16,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from sylvcert import gate
-from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
 from sylvcert.errors import DimensionError, PreconditionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
@@ -207,28 +207,34 @@ def test_decision_rejects_a_misshapen_rhs():
         decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((3, 2)))
 
 
-# -- the root search on typed block products, as the reference ----------------
+# -- the root search one candidate at a time, as the reference -----------------
+
+def upper(x11, x12, x22):
+    """[[x11, x12], [0, x22]], assembled here rather than by the package."""
+    return np.block([[x11, x12], [np.zeros((x22.shape[0], x11.shape[0])), x22]])
+
 
 def reference_block_roots(p, tol=DEFAULT_TOL):
-    """The four branch roots, one typed block product at a time."""
+    """The four branch roots, one product at a time."""
     a, b = p.a, p.b
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
-    base = BlockMatrix.upper(a, -companion, -b)
+    base = upper(a, -companion, -b)
 
     # scipy's principal root, with no Schur factors shared with the search
     sqrt_a = scipy.linalg.sqrtm(a)
     sqrt_b = scipy.linalg.sqrtm(b)
-    left = BlockMatrix.upper(np.eye(p.n), -e1, np.eye(p.m))
-    right = BlockMatrix.upper(np.eye(p.n), e1, np.eye(p.m))
+    left = upper(np.eye(p.n), -e1, np.eye(p.m))
+    right = upper(np.eye(p.n), e1, np.eye(p.m))
 
     roots = []
     for k1 in (0, 1):
         for k2 in (0, 1):
-            inner = diag_embed(((-1) ** k1) * sqrt_a, ((-1) ** k2) * 1j * sqrt_b)
-            root = block_mul(block_mul(left, inner), right)
-            residual = (block_mul(root, root) - base).norm()
-            if residual > tol * max(base.norm(), 1.0):
+            inner = upper(((-1) ** k1) * sqrt_a, np.zeros((p.n, p.m)),
+                          ((-1) ** k2) * 1j * sqrt_b)
+            root = left @ inner @ right
+            residual = frob(root @ root - base)
+            if residual > tol * max(frob(base), 1.0):
                 raise PreconditionError(
                     f"branch ({k1},{k2}) failed to square to the base matrix "
                     f"(residual {residual:.3g})")
@@ -238,12 +244,12 @@ def reference_block_roots(p, tol=DEFAULT_TOL):
 
 def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
     """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
-    candidate and one typed block product at a time."""
-    a, b = p.a, p.b
+    candidate and one product at a time, each root inverted by numpy."""
+    a, b, n = p.a, p.b, p.n
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     offset = compute_offset(p.a, p.b, companion)
-    base = BlockMatrix.upper(p.a, -companion, -p.b)
-    target = BlockMatrix.upper(p.a, -(companion + offset), -p.b)
+    base = upper(p.a, -companion, -p.b)
+    target = upper(p.a, -(companion + offset), -p.b)
     roots = reference_block_roots(p, tol)
 
     notes: list = []
@@ -254,42 +260,43 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
     b2, schur_b2 = b @ b, (tb @ tb, qb)
 
     for index, root in enumerate(roots):
-        root_inv = block_inverse(root)
-        P = block_mul(block_mul(root, target), root)
+        root_inv = np.linalg.inv(root)
+        P = root @ target @ root
+        p12 = P[:n, n:]
 
-        principal = BlockMatrix.upper(a, schur_sylvester(p.schur_a, p.schur_b, P.a12, +1), b)
+        principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates = [principal, -principal]
 
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, P.a12, tol)
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
             for d1 in (a, -a):
                 for d2 in (b, -b):
-                    candidates.append(BlockMatrix.upper(d1, d1 @ s - s @ d2, d2))
+                    candidates.append(upper(d1, d1 @ s - s @ d2, d2))
         else:
             notes.append(f"branch {index}: coupling equation inconsistent "
                          f"(residual {coupling.lstsq_residual:.3g})")
 
         for z in candidates:
-            y = block_mul(block_mul(root_inv, z), root_inv)
-            residual = (block_mul(block_mul(y, base), y) - target).norm()
-            scale = base.norm() * (1.0 + y.norm()) ** 2 + target.norm()
+            y = root_inv @ z @ root_inv
+            residual = frob(y @ base @ y - target)
+            scale = frob(base) * (1.0 + frob(y)) ** 2 + frob(target)
             if residual > tol * scale:
                 continue
-            if any((y - seen).norm() <= 1e-8 * (1.0 + y.norm()) for seen in y_solutions):
+            if any(frob(y - seen) <= 1e-8 * (1.0 + frob(y)) for seen in y_solutions):
                 continue
             y_solutions.append(y)
-            if (frob(y.a11 - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
-                    and frob(y.a22 - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
-                    and frob(y.a21) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + y.norm())):
-                q_values.append(y.a12)
+            if (frob(y[:n, :n] - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
+                    and frob(y[n:, n:] - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
+                    and frob(y[n:, :n]) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + frob(y))):
+                q_values.append(y[:n, n:])
 
     return roots, y_solutions, q_values, notes
 
 
 @st.composite
-def bridge_problems(draw):
-    """Prepared problems with a shared Jordan block or a shared semisimple
+def bridge_data(draw):
+    """(a, b, c) with a shared Jordan block or a shared semisimple
     eigenvalue, n, m <= 8, and c in or out of the range."""
     family = draw(st.sampled_from((shared_jordan_pair, shared_semisimple_pair)))
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -297,7 +304,12 @@ def bridge_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a, b = family(rng, n, m)
     c = rhs_in_range(rng, a, b) if in_range else rhs_outside_range(rng, a, b)
-    return prepare(a, b, c)
+    return a, b, c
+
+
+def bridge_problems():
+    """Prepared problems of :func:`bridge_data`."""
+    return bridge_data().map(lambda data: prepare(*data))
 
 
 def relative_gap(x, y) -> float:
@@ -306,15 +318,46 @@ def relative_gap(x, y) -> float:
 
 @PROPERTY
 @given(bridge_problems())
-def test_stacked_root_search_matches_the_typed_reference(p):
+def test_stacked_root_search_matches_the_one_at_a_time_reference(p):
     roots, y_solutions, q_values, notes = reference_unipotent_quadratic(p)
     quad = solve_unipotent_quadratic(p)
     assert quad.notes == notes
     assert len(quad.y_solutions) == len(y_solutions)
     assert len(quad.q_values) == len(q_values)
     for root, expected in zip(quad.base_roots, roots, strict=True):
-        assert relative_gap(root.flatten(), expected.flatten()) <= 1e-12
+        assert relative_gap(root, expected) <= 1e-12
     for y, expected in zip(quad.y_solutions, y_solutions):
-        assert relative_gap(y.flatten(), expected.flatten()) <= 1e-10
+        assert relative_gap(y, expected) <= 1e-10
     for q, expected in zip(quad.q_values, q_values):
         assert relative_gap(q, expected) <= 1e-10
+
+
+# -- invariance of the root bridge under unitary similarity ---------------------
+
+def random_unitary(rng, size):
+    """A Haar-distributed unitary: the Q of a complex Gaussian, with the phases
+    of R's diagonal moved into it."""
+    q, r = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+def bridge_outcome(a, b, c) -> tuple:
+    """Both nullities, the equivalence triple, the q count and the
+    y_solutions count of one bridge operation."""
+    p = prepare(a, b, c)
+    x_basis, y_basis = homogeneous_nullspaces(p)
+    triple = homogeneous_equivalence(p)
+    quad = solve_unipotent_quadratic(p)
+    return len(x_basis), len(y_basis), triple, len(quad.q_values), len(quad.y_solutions)
+
+
+@PROPERTY
+@given(bridge_data(), st.integers(0, 2 ** 32 - 1))
+def test_bridge_outcome_invariant_under_unitary_similarity(data, seed):
+    # (W a W^*, V b V^*, W c V^*) has the solutions W x V^*: every kernel,
+    # root and unipotent solution maps over, so no count may change
+    a, b, c = data
+    rng = np.random.default_rng(seed)
+    w, v = random_unitary(rng, a.shape[0]), random_unitary(rng, b.shape[0])
+    transformed = (w @ a @ w.conj().T, v @ b @ v.conj().T, w @ c @ v.conj().T)
+    assert bridge_outcome(*transformed) == bridge_outcome(a, b, c)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sylvcert import numerics, regular, roots, singular
-from sylvcert.blockalg import BlockMatrix, block_inverse, block_mul, diag_embed
-from sylvcert.errors import NumericError, PreconditionError
+from sylvcert.blockalg import block_upper
+from sylvcert.errors import DimensionError, NumericError, PreconditionError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, principal_sqrt, schur_sylvester
@@ -88,36 +88,37 @@ class TestKernelOnce:
         assert len(homogeneous_nullspaces(p)[0]) == 1
 
 
-def typed_similarity_root(p, x, side):
+def reference_similarity_root(p, x, side):
     """(root, similarity, square residual, similarity residual) of
-    :func:`similarity_root_from_intertwiner` by typed block products."""
-    eye_n, eye_m = np.eye(p.n), np.eye(p.m)
+    :func:`similarity_root_from_intertwiner`, with the blocks placed by hand
+    and the similarity inverted by numpy."""
+    n = p.n
+    root = np.zeros((p.n + p.m,) * 2, dtype=complex)
+    root[:n, :n], root[n:, n:] = p.a, -p.b
+    similarity = np.eye(p.n + p.m, dtype=complex)
     if side == "upper":
-        coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
-        root = BlockMatrix.upper(p.a, x, -p.b)
-        similarity = BlockMatrix.upper(eye_n, coupled, eye_m)
+        root[:n, n:] = x
+        similarity[:n, n:] = schur_sylvester(p.schur_a, p.schur_b, x, +1)
     else:
-        coupled = schur_sylvester(p.schur_b, p.schur_a, x, +1)
-        root = BlockMatrix.lower(p.a, x, -p.b)
-        similarity = BlockMatrix.lower(eye_n, -coupled, eye_m)
-    conjugated = block_mul(block_mul(block_inverse(similarity), diag_embed(p.a, -p.b)),
-                           similarity)
-    return (root, similarity,
-            (block_mul(root, root) - diag_embed(p.a @ p.a, p.b @ p.b)).norm(),
-            (conjugated - root).norm())
+        root[n:, :n] = x
+        similarity[n:, :n] = -schur_sylvester(p.schur_b, p.schur_a, x, +1)
+    d_minus, d_square = (np.zeros((p.n + p.m,) * 2, dtype=complex) for _ in range(2))
+    d_minus[:n, :n], d_minus[n:, n:] = p.a, -p.b
+    d_square[:n, :n], d_square[n:, n:] = p.a @ p.a, p.b @ p.b
+    conjugated = np.linalg.inv(similarity) @ d_minus @ similarity
+    return root, similarity, frob(root @ root - d_square), frob(conjugated - root)
 
 
 class TestSimilarityRoots:
     @pytest.mark.parametrize("side", ["upper", "lower"])
-    def test_dense_similarity_root_matches_typed_products(self, side):
+    def test_similarity_root_matches_a_dense_reference(self, side):
         for p in itertools.islice(seeded_bridge_problems(), 6):
             x_basis, y_basis = homogeneous_nullspaces(p)
             x = x_basis[0] if side == "upper" else y_basis[0]
             candidate = similarity_root_from_intertwiner(p, x, side)
-            root, similarity, square, conjugation = typed_similarity_root(p, x, side)
-            assert frob(candidate.root.flatten() - root.flatten()) == 0.0
-            assert frob(candidate.similarity.flatten() - similarity.flatten()) \
-                <= 1e-12 * similarity.norm()
+            root, similarity, square, conjugation = reference_similarity_root(p, x, side)
+            assert frob(candidate.root - root) == 0.0
+            assert frob(candidate.similarity - similarity) <= 1e-12 * frob(similarity)
             scale = frob(p.a) ** 2 + frob(p.b) ** 2
             assert abs(candidate.residuals["square"] - square) <= 1e-12 * scale
             assert abs(candidate.residuals["similarity"] - conjugation) <= 1e-12 * scale
@@ -128,8 +129,7 @@ class TestSimilarityRoots:
         candidate = similarity_root_from_intertwiner(p, np.zeros((2, 1)))
         assert candidate.is_square_root
         assert candidate.is_primary
-        d_minus = diag_embed(p.a, -p.b)
-        assert (candidate.root - d_minus).norm() == 0.0
+        np.testing.assert_array_equal(candidate.root, block_upper(p.a, 0, -p.b))
 
     def test_upper_side_nonprimary(self):
         p = prepare(np.diag([1.0, 2.0]), [[1.0]], np.zeros((2, 1)))
@@ -138,7 +138,7 @@ class TestSimilarityRoots:
         assert candidate.is_square_root and not candidate.is_primary
         assert candidate.residuals["similarity"] <= 1e-9
         # the similarity's coupling block intertwines as well
-        t = candidate.similarity.a12
+        t = candidate.similarity[:p.n, p.n:]
         assert frob(p.a @ t - t @ p.b) <= 1e-9 * (1 + frob(t))
 
     def test_lower_side_nonprimary(self):
@@ -147,7 +147,7 @@ class TestSimilarityRoots:
         candidate = similarity_root_from_intertwiner(p, y, "lower")
         assert candidate.is_square_root and not candidate.is_primary
         assert candidate.residuals["similarity"] <= 1e-9
-        t = candidate.similarity.a21
+        t = candidate.similarity[p.n:, :p.n]
         assert frob(p.b @ t - t @ p.a) <= 1e-9 * (1 + frob(t))
 
     def test_non_intertwiner_rejected(self):
@@ -214,8 +214,8 @@ class TestBlockRoots:
     def test_scalar_branches(self):
         p = prepare([[2]], [[1]], [[0]])
         roots = block_roots(p)
-        assert len(roots) == 4
-        diagonals = [(complex(r.a11[0, 0]), complex(r.a22[0, 0])) for r in roots]
+        assert roots.shape == (4, 2, 2)
+        diagonals = [(complex(r[0, 0]), complex(r[1, 1])) for r in roots]
         expected = [(np.sqrt(2), 1j), (np.sqrt(2), -1j), (-np.sqrt(2), 1j), (-np.sqrt(2), -1j)]
         for expected_pair in expected:
             assert any(abs(d[0] - expected_pair[0]) < 1e-12
@@ -226,17 +226,17 @@ class TestBlockRoots:
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
         companion = companion_solve_direct(p.a, p.b, p.c).solution
-        base = BlockMatrix.upper(p.a, -companion, -p.b)
+        base = block_upper(p.a, -companion, -p.b)
         for root in block_roots(p):
-            assert (block_mul(root, root) - base).norm() <= 1e-9 * base.norm()
-            block_inverse(root)  # must be invertible
+            assert frob(root @ root - base) <= 1e-9 * frob(base)
+            assert np.linalg.cond(root) < 1e8  # invertible
 
     def test_first_branch_eigenvalue_placement(self, rng):
         a, b = shared_semisimple_pair(rng, 2, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
         root = block_roots(p)[0]
-        actual = np.linalg.eigvals(root.flatten())
+        actual = np.linalg.eigvals(root)
         expected = np.concatenate([np.sqrt(np.linalg.eigvals(p.a).astype(complex)),
                                    1j * np.sqrt(np.linalg.eigvals(p.b).astype(complex))])
         assert_multiset_close(actual, expected, tol=1e-8)
@@ -246,7 +246,7 @@ class TestUnipotentQuadratic:
     def test_zero_rhs_identity_among_solutions(self):
         p = prepare([[2]], [[1]], [[0]])
         quad = solve_unipotent_quadratic(p)
-        assert (quad.base - quad.target).norm() == 0.0
+        assert frob(quad.base - quad.target) == 0.0
         assert any(frob(q) <= 1e-12 for q in quad.q_values)
 
     def test_scalar_solvable_matches_witness(self):
@@ -265,14 +265,28 @@ class TestUnipotentQuadratic:
         # yet the quadratic equation itself has (non-unipotent) solutions
         assert len(quad.y_solutions) >= 1
 
+    def test_results_are_dense_block_upper_triangular(self, rng):
+        a, b = shared_jordan_pair(rng, 3, 2)
+        p = prepare(a, b, rhs_in_range(rng, a, b))
+        quad = solve_unipotent_quadratic(p)
+        assert quad.base.shape == quad.target.shape == (5, 5)
+        assert quad.base_roots.shape == (4, 5, 5)
+        assert quad.y_solutions.ndim == 3 and quad.y_solutions.shape[1:] == (5, 5)
+        for x in (quad.base, quad.target, *quad.base_roots, *quad.y_solutions):
+            assert not np.any(x[3:, :3])
+        np.testing.assert_array_equal(quad.base[:3, :3], p.a)
+        np.testing.assert_array_equal(quad.target[3:, 3:], -p.b)
+        np.testing.assert_allclose(quad.base[:3, 3:] - quad.target[:3, 3:], quad.offset,
+                                   rtol=0, atol=1e-12 * frob(quad.base))
+
     def test_all_y_solve_quadratic(self, rng):
         a, b = shared_jordan_pair(rng, 2, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
         quad = solve_unipotent_quadratic(p)
         for y in quad.y_solutions:
-            residual = (block_mul(block_mul(y, quad.base), y) - quad.target).norm()
-            assert residual <= 1e-8 * max(quad.target.norm(), 1.0) * (1 + y.norm()) ** 2
+            residual = frob(y @ quad.base @ y - quad.target)
+            assert residual <= 1e-8 * max(frob(quad.target), 1.0) * (1 + frob(y)) ** 2
 
     def test_solvability_bridge(self, rng):
         # a unipotent solution exists in the enumerated family exactly when
@@ -300,7 +314,7 @@ def seeded_bridge_problems():
 
 def branch_products(quad):
     """P = R target R for each branch root R, in branch order."""
-    return [block_mul(block_mul(root, quad.target), root) for root in quad.base_roots]
+    return [root @ quad.target @ root for root in quad.base_roots]
 
 
 class TestBranchCoupling:
@@ -313,8 +327,9 @@ class TestBranchCoupling:
             (ta, qa), (tb, qb) = p.schur_a, p.schur_b
             a2, b2 = p.a @ p.a, p.b @ p.b
             for index, P in enumerate(branch_products(quad)):
-                decision = decide_sylvester(a2, b2, (ta @ ta, qa), (tb @ tb, qb), P.a12)
-                reference = oracle_solve("sylvester", a2, b2, P.a12)
+                p12 = P[:p.n, p.n:]
+                decision = decide_sylvester(a2, b2, (ta @ ta, qa), (tb @ tb, qb), p12)
+                reference = oracle_solve("sylvester", a2, b2, p12)
                 assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff)
                 consistent = decision.lstsq_residual <= decision.threshold
                 assert consistent == reference.consistent, (p.n, p.m, index)
@@ -345,8 +360,8 @@ class TestBranchCoupling:
             branches = branch_products(quad)
             assert len(branches) == 4
             for P in branches:
-                assert frob(principal_sqrt(P.a11) - p.a) <= 1e-10 * frob(p.a)
-                assert frob(principal_sqrt(P.a22) - p.b) <= 1e-10 * frob(p.b)
+                assert frob(principal_sqrt(P[:p.n, :p.n]) - p.a) <= 1e-10 * frob(p.a)
+                assert frob(principal_sqrt(P[p.n:, p.n:]) - p.b) <= 1e-10 * frob(p.b)
 
 
 class TestStackedSearchFailsClosed:
@@ -369,6 +384,13 @@ class TestStackedSearchFailsClosed:
 
 
 class TestUnipotentIdentity:
+    def test_q_of_the_wrong_shape_rejected(self):
+        p = prepare(np.eye(2), [[1.0]], np.zeros((2, 1)))
+        with pytest.raises(DimensionError):
+            verify_unipotent_identity(np.zeros((1, 2)), p)
+        with pytest.raises(DimensionError):
+            verify_unipotent_identity([[0.0]], p)  # would broadcast into the 2x1 block
+
     def test_zero_offset(self):
         p = prepare([[2]], [[1]], [[0]])
         assert verify_unipotent_identity(np.zeros((1, 1)), p)
