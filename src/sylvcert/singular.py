@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,7 +158,9 @@ def check_entry(status: str, residual: float | None = None,
 
 
 def _bounded_check(residual: float, threshold: float) -> dict:
-    return check_entry("pass" if residual <= threshold else "fail", residual, threshold)
+    # fail closed: a non-finite residual or threshold bounds nothing
+    passed = math.isfinite(residual) and math.isfinite(threshold) and residual <= threshold
+    return check_entry("pass" if passed else "fail", residual, threshold)
 
 
 def _skipped(note: str) -> dict:
@@ -538,8 +541,10 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     if solvable:
         certificate = (frob(a0 @ x - x @ b0 - c0), tol * _certificate_scale(a0, b0, c0, x))
         residuals, thresholds = witness.residuals, witness.thresholds
-        # the pair identity farthest from holding, each against its own threshold
-        worst = max(PAIR_IDENTITIES, key=lambda key: residuals[key] / max(thresholds[key], 1e-300))
+        # the pair identity farthest from holding, each against its own
+        # threshold; a NaN ratio ranks worst, so it cannot hide behind the others
+        ratios = {key: residuals[key] / max(thresholds[key], 1e-300) for key in PAIR_IDENTITIES}
+        worst = max(ratios, key=lambda key: math.inf if math.isnan(ratios[key]) else ratios[key])
         checks["solution_certificate"] = _bounded_check(*certificate)
         checks["solution_formulas_agree"] = _bounded_check(
             residuals["solution_formula_gap"], thresholds["solution_formula_gap"])

@@ -567,6 +567,21 @@ class TestScaleRobustness:
         assert verdict.oracle_agreement
 
 
+    def test_non_finite_identity_residual_fails_the_cascade(self):
+        # a^3 v overflows into NaN at this scale while the other identities
+        # stay finite; the cascade must report it, not pass on the others.
+        # The solution's own residual norm overflows too, which equilibrating
+        # at the entry of diagnose will remove.
+        rng = np.random.default_rng(0)
+        a, b = shared_jordan_pair(rng, 3, 3)
+        c = rhs_in_range(rng, a, b)
+        with np.errstate(over="ignore"):
+            verdict = diagnose(1e90 * a, 1e90 * b, 1e225 * c)
+        assert np.isnan(verdict.witness.residuals["cubic"])
+        cascade = verdict.checks["identity_cascade"]
+        assert cascade["status"] == "fail" and np.isnan(cascade["residual"])
+
+
 class TestKnifeEdgeHonesty:
     def test_no_confident_oracle_disagreement_across_eigenvalue_gap(self):
         # as the eigenvalue gap h crosses the rank cutoff the verdict must
