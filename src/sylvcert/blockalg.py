@@ -1,4 +1,5 @@
-"""The paper's triangular commutant checks on dense 2x2 block matrices.
+"""Dense 2x2 block matrices for the root bridge: the block upper-triangular
+builder, the block inverse and the commutant check.
 
 An element of the block algebra over (square n, rectangular n x m,
 rectangular m x n, square m) blocks is held as the dense (n+m)-square matrix
@@ -11,12 +12,10 @@ dense one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, InversionError, PreconditionError
-from .numerics import as_complex_matrix, frob, rank_cutoff
+from .numerics import as_complex_matrix, frob
 
 
 def block_upper(x11, x12, x22) -> np.ndarray:
@@ -39,35 +38,6 @@ def _inverse_block(blk: np.ndarray, name: str) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
-class CommutantMembership:
-    """Flags for membership in the upper-triangular commutant monoid.
-
-    Membership in the monoid needs the first three flags; the invertible
-    subgroup needs all four.
-    """
-
-    is_upper_triangular: bool
-    commutes_with_a: bool
-    commutes_with_b: bool
-    invertible_diagonal: bool
-
-    @property
-    def in_monoid(self) -> bool:
-        return self.is_upper_triangular and self.commutes_with_a and self.commutes_with_b
-
-    @property
-    def in_group(self) -> bool:
-        return self.in_monoid and self.invertible_diagonal
-
-
-def _numerically_invertible(blk: np.ndarray) -> bool:
-    s = np.linalg.svd(blk, compute_uv=False)
-    if not s.size or s[0] == 0:
-        return False
-    return bool(s[-1] > rank_cutoff(blk.shape, s[0]))
-
-
 def _operands(x, a, b) -> tuple:
     """x, a and b as complex matrices, x checked to be (n+m)-square for
     n x n a and m x m b."""
@@ -88,22 +58,6 @@ def _monoid_flags(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> tu
     comm_a = frob(x11 @ a - a @ x11) <= tol * (frob(a) * frob(x11) + 1e-300) + 1e-300
     comm_b = frob(b @ x22 - x22 @ b) <= tol * (frob(b) * frob(x22) + 1e-300) + 1e-300
     return frob(x[n:, :n]) <= tol * scale, bool(comm_a), bool(comm_b)
-
-
-def classify_triangular_commutant(x, a, b, tol: float = 1e-9) -> CommutantMembership:
-    """Decide the monoid/group membership flags of the dense block matrix x,
-    split after row and column ``a.shape[0]``, with residuals relative to the
-    block norms."""
-    x, a, b = _operands(x, a, b)
-    n = a.shape[0]
-    upper, comm_a, comm_b = _monoid_flags(x, a, b, tol)
-    return CommutantMembership(
-        is_upper_triangular=upper,
-        commutes_with_a=comm_a,
-        commutes_with_b=comm_b,
-        invertible_diagonal=_numerically_invertible(x[:n, :n])
-        and _numerically_invertible(x[n:, n:]),
-    )
 
 
 def commutes_with_diag_pair(x, a, b, tol: float = 1e-9) -> bool:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import SpectrumReport
 
 DEFAULT_ALPHA = math.pi / 4
 DEFAULT_MARGIN = 0.05
@@ -46,8 +45,6 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _spectrum_values(spectrum) -> np.ndarray:
-    if isinstance(spectrum, SpectrumReport):
-        return spectrum.eigenvalues
     return np.atleast_1d(np.asarray(spectrum, dtype=np.complex128))
 
 

@@ -136,9 +136,26 @@ def problem_to_dict(a, b, c, alpha: float | None = None, tol: float | None = Non
     return doc
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by its name, "inf",
+    "-inf" or "nan": JSON has no number for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def serialize_report(doc: dict) -> str:
-    """Fixed-order UTF-8 JSON with a trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+    """Fixed-order UTF-8 JSON with a trailing newline.  A residual that
+    overflowed is written as the string "inf" or "nan"."""
+    try:
+        text = json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False)
+    except ValueError:  # a non-finite float; finite reports skip the walk
+        text = json.dumps(_json_safe(doc), indent=2, ensure_ascii=True, allow_nan=False)
+    return text + "\n"
 
 
 def parse_report(text: str) -> dict:

@@ -63,36 +63,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues of one square matrix and the smallest real part among them."""
-
-    eigenvalues: np.ndarray
-    min_real_part: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.atleast_1d(np.asarray(self.eigenvalues, dtype=np.complex128)))
-
-
-def eigenvalues(m) -> SpectrumReport:
-    """Eigenvalues of a square matrix as an unordered multiset.
-
-    Exactly the diagonal for triangular input; otherwise LAPACK.
-    """
-    m = require_square(as_complex_matrix(m))
-    n = m.shape[0]
-    if n == 1 or not np.any(np.tril(m, k=-1)) or not np.any(np.triu(m, k=1)):
-        vals = m.diagonal().copy()
-    else:
-        try:
-            vals = np.linalg.eigvals(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigenvalue iteration failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("eigenvalue computation produced non-finite values")
-    return SpectrumReport(eigenvalues=vals, min_real_part=float(np.min(vals.real)))
-
-
 def complex_schur(m) -> tuple:
     """Complex Schur factors (t, q) of a square matrix: m = q t q^*, t upper
     triangular with the eigenvalues on its diagonal, q unitary."""

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
+from sylvcert.numerics import complex_schur, schur_sylvester
 
 
 @pytest.fixture
@@ -20,6 +21,12 @@ def assert_multiset_close(left, right, tol=1e-8):
         best = int(np.argmin(gaps))
         assert gaps[best] <= tol, f"no partner for {value} within {tol} (closest {gaps[best]})"
         right.pop(best)
+
+
+def companion_solution(a, b, c):
+    """The unique solution of a s + s b = c on a raw pair, by the decision's
+    own Bartels-Stewart step."""
+    return schur_sylvester(complex_schur(a), complex_schur(b), c, +1)
 
 
 def shared_cluster_pair(rng, k, second, n, m):

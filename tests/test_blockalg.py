@@ -1,9 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from sylvcert.blockalg import (_inverse_block, block_upper, classify_triangular_commutant,
+from sylvcert.blockalg import (_inverse_block, _monoid_flags, _operands, block_upper,
                                commutes_with_diag_pair)
 from sylvcert.errors import DimensionError, InversionError, PreconditionError
+from sylvcert.numerics import rank_cutoff
 
 
 def cplx(rng, rows, cols):
@@ -22,6 +25,41 @@ def sylvester_nullspace(a, b):
     _, s, Vh = np.linalg.svd(K)
     rank = int(np.sum(s > 1e-10 * s[0]))
     return [Vh[i].conj().reshape((n, m), order="F") for i in range(rank, n * m)]
+
+
+@dataclass(frozen=True)
+class _Membership:
+    """Flags for membership in the paper's upper-triangular commutant: the
+    monoid needs the first three, its invertible subgroup all four."""
+
+    is_upper_triangular: bool
+    commutes_with_a: bool
+    commutes_with_b: bool
+    invertible_diagonal: bool
+
+    @property
+    def in_monoid(self) -> bool:
+        return self.is_upper_triangular and self.commutes_with_a and self.commutes_with_b
+
+    @property
+    def in_group(self) -> bool:
+        return self.in_monoid and self.invertible_diagonal
+
+
+def _numerically_invertible(blk) -> bool:
+    s = np.linalg.svd(blk, compute_uv=False)
+    return bool(s.size and s[0] > 0 and s[-1] > rank_cutoff(blk.shape, s[0]))
+
+
+def _classify(x, a, b, tol=1e-9) -> _Membership:
+    """The membership flags of the dense block matrix x, split after row and
+    column ``a.shape[0]``, by the monoid test ``commutes_with_diag_pair``
+    requires."""
+    x, a, b = _operands(x, a, b)
+    n = a.shape[0]
+    return _Membership(*_monoid_flags(x, a, b, tol),
+                       invertible_diagonal=_numerically_invertible(x[:n, :n])
+                       and _numerically_invertible(x[n:, n:]))
 
 
 class TestBlockUpper:
@@ -83,29 +121,29 @@ class TestCommutantClassification:
     def test_unit_is_group_member(self, rng):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3))
-        membership = classify_triangular_commutant(np.eye(5), a, b)
+        membership = _classify(np.eye(5), a, b)
         assert membership.in_group
 
     def test_diag_pair_membership_needs_invertible_blocks(self, rng):
         a, b = cplx(rng, 2, 2), cplx(rng, 3, 3)
-        assert classify_triangular_commutant(block_upper(a, 0, b), a, b).in_group
+        assert _classify(block_upper(a, 0, b), a, b).in_group
         singular_a = np.diag([1.0, 0.0])
-        membership = classify_triangular_commutant(block_upper(singular_a, 0, b), singular_a, b)
+        membership = _classify(block_upper(singular_a, 0, b), singular_a, b)
         assert membership.in_monoid
         assert not membership.in_group
 
     def test_lower_left_block_breaks_membership(self, rng):
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3))
-        assert not classify_triangular_commutant(random_block(rng), a, b).is_upper_triangular
+        assert not _classify(random_block(rng), a, b).is_upper_triangular
 
     def test_group_element_inverse(self, rng):
         # a member of the invertible triangular commutant over commuting picks
         a, b = cplx(rng, 2, 2), cplx(rng, 3, 3)
         u = block_upper(np.eye(2) + 0.5 * a, cplx(rng, 2, 3), np.eye(3) + 0.5 * b)
-        assert classify_triangular_commutant(u, a, b).in_group
+        assert _classify(u, a, b).in_group
         # the group is closed: the inverse classifies into the same group
-        assert classify_triangular_commutant(np.linalg.inv(u), a, b).in_group
+        assert _classify(np.linalg.inv(u), a, b).in_group
 
     def test_group_closed_under_product(self, rng):
         a, b = cplx(rng, 2, 2), cplx(rng, 2, 2)
@@ -114,18 +152,18 @@ class TestCommutantClassification:
             u1 = np.eye(2) + rng.uniform(0.1, 0.6) * a + rng.uniform(0.0, 0.3) * a @ a
             u4 = np.eye(2) + rng.uniform(0.1, 0.6) * b
             members.append(block_upper(u1, cplx(rng, 2, 2), u4))
-        assert classify_triangular_commutant(members[0] @ members[1], a, b).in_group
+        assert _classify(members[0] @ members[1], a, b).in_group
 
     def test_split_read_from_a(self, rng):
         # the same 5x5 matrix splits after row 2 for a 2x2 a and after row 3
         # for a 3x3 a, where the dense x22 reaches into the lower-left block
         x = block_upper(np.eye(2), cplx(rng, 2, 3), cplx(rng, 3, 3))
-        assert classify_triangular_commutant(x, np.eye(2), np.eye(3)).is_upper_triangular
-        assert not classify_triangular_commutant(x, np.eye(3), np.eye(2)).is_upper_triangular
+        assert _classify(x, np.eye(2), np.eye(3)).is_upper_triangular
+        assert not _classify(x, np.eye(3), np.eye(2)).is_upper_triangular
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            classify_triangular_commutant(np.eye(5), np.eye(2), np.eye(2))
+            _classify(np.eye(5), np.eye(2), np.eye(2))
         with pytest.raises(DimensionError):
             commutes_with_diag_pair(np.eye(4)[:, :3], np.eye(2), np.eye(2))
 

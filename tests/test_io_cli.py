@@ -30,8 +30,9 @@ def write_problem(path, a, b, c, **options):
 
 
 def overflowing_problem(path):
-    """A solvable 3x3 shared-Jordan problem scaled by 1e150: the cubic
-    threshold (||a|| + ||b||)^3 of the witness overflows a float."""
+    """A solvable 3x3 shared-Jordan problem scaled by 1e150: (||a|| + ||b||)^3
+    in the witness's cubic threshold overflows a float, and its cubic
+    residual reads NaN."""
     rng = np.random.default_rng(0)
     a, b = shared_jordan_pair(rng, 3, 3)
     return write_problem(path, 1e150 * a, 1e150 * b, 1e150 * rhs_in_range(rng, a, b))
@@ -258,15 +259,35 @@ class TestDiagnoseCommand:
         doc = parse_report(text)
         assert serialize_report(doc) == text
 
-    def test_arithmetic_fault_exits_internal_not_unsolvable(self, tmp_path, capsys):
-        # equilibrating at the entry of diagnose will turn this into a verdict
+    def test_overflowing_identity_is_a_verdict(self, tmp_path, capsys):
+        # the overflowing cubic fails the cascade closed, without a numpy
+        # warning; the certificate itself holds
         problem = overflowing_problem(tmp_path / "big.json")
+        out = tmp_path / "v.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["diagnose", str(problem)]) == 4
+            assert main(["diagnose", str(problem), "-o", str(out)]) == 0
         assert caught == []
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        doc = parse_report(text)
+        assert serialize_report(doc) == text
+        assert doc["verdict"]["status"] == "solvable"
+        assert doc["checks"]["solution_certificate"]["status"] == "pass"
+        # JSON has no number for it: the overflowed residual is named
+        cascade = doc["checks"]["identity_cascade"]
+        assert cascade["status"] == "fail" and cascade["residual"] == "nan"
+        assert doc["witness"]["residuals"]["cubic"] == "nan"
+
+    def test_arithmetic_fault_exits_internal_not_unsolvable(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(cli, "diagnose", overflowing)
+        problem = write_problem(tmp_path / "p.json", [[2]], [[1]], [[3]])
+        assert main(["diagnose", str(problem)]) == 4
         err = capsys.readouterr().err
-        # the overflowing residuals fail closed without a numpy warning
         assert err.startswith("error: OverflowError") and err.count("\n") == 1
 
     def test_parser_reused_without_leaking_flags(self, tmp_path):
@@ -409,9 +430,17 @@ class TestBatchCommand:
         assert by_name["good.json"]["status"] == "solvable"
 
 
-    def test_arithmetic_fault_row_isolated(self, tmp_path, capsys):
+    def test_arithmetic_fault_row_isolated(self, tmp_path, capsys, monkeypatch):
         write_problem(tmp_path / "good.json", [[2]], [[1]], [[3]])
+        write_problem(tmp_path / "fault.json", [[3]], [[1]], [[3]])
         overflowing_problem(tmp_path / "big.json")
+
+        def overflow_on_fault(a, b, c, **kwargs):
+            if a[0, 0] == 3:
+                raise OverflowError(34, "Numerical result out of range")
+            return diagnose(a, b, c, **kwargs)
+
+        monkeypatch.setattr(cli, "diagnose", overflow_on_fault)
         out = tmp_path / "batch.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -420,7 +449,8 @@ class TestBatchCommand:
         # the fault is the row's error on stdout; nothing reaches stderr
         assert capsys.readouterr().err == ""
         by_name = {row["file"]: row for row in parse_report(out.read_text())["rows"]}
-        assert by_name["big.json"]["error"].startswith("OverflowError")
+        assert by_name["fault.json"]["error"].startswith("OverflowError")
+        assert by_name["big.json"]["status"] == "solvable"
         assert by_name["good.json"]["status"] == "solvable"
 
 

@@ -3,10 +3,11 @@ import pytest
 
 from sylvcert.errors import (BranchCutError, DimensionError, InversionError, NumericError,
                              ParameterError)
-from sylvcert.numerics import (as_complex_matrix, complex_schur, eigenvalues,
-                               kron_vec_operator, lstsq_solve, mat_exp, principal_sqrt,
-                               rank_cutoff, reorder_schur, schur_sylvester,
-                               triangular_sylvester, unvec, vec)
+from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
+from sylvcert.numerics import (as_complex_matrix, complex_schur, kron_vec_operator,
+                               lstsq_solve, mat_exp, principal_sqrt, rank_cutoff,
+                               reorder_schur, schur_sylvester, triangular_sylvester,
+                               unvec, vec)
 
 from conftest import assert_multiset_close
 
@@ -46,32 +47,32 @@ class TestValidation:
             as_complex_matrix(np.zeros((2, 2, 2)))
 
 
+def spectrum(m) -> np.ndarray:
+    """The eigenvalues as the pipeline reads them: the Schur diagonal."""
+    return complex_schur(m)[0].diagonal()
+
+
 class TestEigenvalues:
     def test_one_by_one(self):
-        report = eigenvalues([[2]])
-        assert_multiset_close(report.eigenvalues, [2.0], tol=0)
-        assert report.min_real_part == 2.0
+        assert_multiset_close(spectrum([[2]]), [2.0], tol=0)
 
     def test_triangular_exact(self):
-        report = eigenvalues([[1, 1], [0, 1]])
-        assert list(report.eigenvalues) == [1.0, 1.0]
+        assert list(spectrum([[1, 1], [0, 1]])) == [1.0, 1.0]
 
     def test_random_triangular_diagonal_exact(self, rng):
         t = np.triu(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        report = eigenvalues(t)
-        assert list(report.eigenvalues) == list(np.diag(t))
+        assert list(spectrum(t)) == list(np.diag(t))
 
     def test_matches_characteristic_polynomial_roots(self, rng):
         # oracle: char-poly coefficients from traces, roots from the
         # companion matrix of those coefficients
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         expected = np.roots(characteristic_polynomial(m))
-        report = eigenvalues(m)
-        assert_multiset_close(report.eigenvalues, expected, tol=1e-8)
+        assert_multiset_close(spectrum(m), expected, tol=1e-8)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            eigenvalues(np.zeros((2, 3)))
+            complex_schur(np.zeros((2, 3)))
 
 
 class TestMatExp:
@@ -112,7 +113,7 @@ class TestPrincipalSqrt:
             m = v @ np.diag(eigs) @ np.linalg.inv(v)
             s = principal_sqrt(m)
             assert np.linalg.norm(s @ s - m) <= 1e-10 * np.linalg.norm(m)
-            assert eigenvalues(s).min_real_part > 0
+            assert spectrum(s).real.min() > 0
 
     def test_branch_cut_rejected(self):
         with pytest.raises(BranchCutError):
@@ -231,6 +232,19 @@ class TestSchurKernels:
         for sign, bb in ((1, b), (-1, -b)):
             x = schur_sylvester(complex_schur(a), complex_schur(bb), c, sign)
             np.testing.assert_allclose(a @ x + sign * x @ bb, c, atol=1e-11)
+        # the companion equation a x + x b = c in closed form: a scalar, and
+        # a = I, b = 1, which halves c
+        x = schur_sylvester(complex_schur([[2]]), complex_schur([[1]]), [[3]], +1)
+        np.testing.assert_allclose(x, [[1.0]], atol=1e-14)
+        c = rng.normal(size=(2, 1))
+        x = schur_sylvester(complex_schur(np.eye(2)), complex_schur([[1.0]]), c, +1)
+        np.testing.assert_allclose(x, c / 2, atol=1e-14)
+        # rectangular, from the Schur forms of a and b only: no nm x nm operator
+        a = matrix_with_eigenvalues(rng, random_sector_eigenvalues(rng, 40))
+        b = matrix_with_eigenvalues(rng, random_sector_eigenvalues(rng, 30))
+        c = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
+        x = schur_sylvester(complex_schur(a), complex_schur(b), c, +1)
+        assert np.linalg.norm(a @ x + x @ b - c) <= 1e-10 * np.linalg.norm(c)
 
     def test_triangular_sylvester_shared_eigenvalue_rejected(self):
         t = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)

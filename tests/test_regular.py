@@ -1,53 +1,23 @@
 import numpy as np
 import pytest
 
-from sylvcert.errors import GateError, InversionError, PreconditionError
+from sylvcert.errors import InversionError, PreconditionError
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
 from sylvcert.numerics import mat_exp
-from sylvcert.regular import (companion_solve_direct, companion_solve_quadrature,
-                              compute_offset, solve_generalized_regular)
+from sylvcert.oracle import oracle_solve
+from sylvcert.regular import companion_solve_quadrature, compute_offset
+
+from conftest import companion_solution
 
 
 def sector_matrix(rng, k, alpha=np.pi / 4):
     return matrix_with_eigenvalues(rng, random_sector_eigenvalues(rng, k, alpha))
 
 
-class TestDirect:
-    def test_scalar(self):
-        res = companion_solve_direct([[2]], [[1]], [[3]])
-        np.testing.assert_allclose(res.solution, [[1.0]], atol=1e-14)
-
-    def test_identity_left_factor_halves(self, rng):
-        c = rng.normal(size=(2, 1))
-        res = companion_solve_direct(np.eye(2), [[1.0]], c)
-        np.testing.assert_allclose(res.solution, c / 2, atol=1e-14)
-
-    def test_random_instance_residual(self, rng):
-        a = sector_matrix(rng, 4)
-        b = sector_matrix(rng, 3)
-        c = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        res = companion_solve_direct(a, b, c)
-        assert res.residual <= 1e-10 * np.linalg.norm(c)
-
-    def test_gate_violation_rejected(self):
-        with pytest.raises(GateError):
-            companion_solve_direct([[-1.0]], [[1.0]], [[1.0]])
-
-    def test_rectangular_bartels_stewart_residual(self, rng):
-        # Schur forms of a and b only; no nm x nm operator is formed
-        a = sector_matrix(rng, 40)
-        b = sector_matrix(rng, 30)
-        c = rng.normal(size=(40, 30)) + 1j * rng.normal(size=(40, 30))
-        res = companion_solve_direct(a, b, c)
-        assert res.method == "direct"
-        assert res.residual <= 1e-10 * np.linalg.norm(c)
-
-
 class TestQuadrature:
     def test_scalar_integral(self):
         res = companion_solve_quadrature([[2]], [[1]], [[3]])
         np.testing.assert_allclose(res.solution, [[1.0]], atol=1e-10)
-        assert res.method == "quadrature"
         assert res.nodes_used > 0
 
     def test_decoupled_diagonal(self):
@@ -59,9 +29,9 @@ class TestQuadrature:
             a = sector_matrix(rng, 5)
             b = sector_matrix(rng, 4)
             c = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-            direct = companion_solve_direct(a, b, c).solution
+            reference = companion_solution(a, b, c)
             quad = companion_solve_quadrature(a, b, c).solution
-            assert np.linalg.norm(direct - quad) <= 1e-8 * np.linalg.norm(direct)
+            assert np.linalg.norm(reference - quad) <= 1e-8 * np.linalg.norm(reference)
 
     def test_decay_bound_at_truncation(self, rng):
         a = sector_matrix(rng, 3)
@@ -82,9 +52,9 @@ class TestQuadrature:
         a = scale * np.array([[1.0, 0.2], [0.0, 2.0]], dtype=complex)
         b = scale * np.array([[1.5]], dtype=complex)
         c = scale * np.array([[1.0], [0.5]], dtype=complex)
-        direct = companion_solve_direct(a, b, c).solution
+        reference = companion_solution(a, b, c)
         quad = companion_solve_quadrature(a, b, c).solution
-        assert np.linalg.norm(direct - quad) <= 1e-8 * np.linalg.norm(direct)
+        assert np.linalg.norm(reference - quad) <= 1e-8 * np.linalg.norm(reference)
 
 
 class TestOffset:
@@ -105,7 +75,7 @@ class TestOffset:
         a = sector_matrix(rng, 3)
         b = sector_matrix(rng, 2)
         c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        companion = companion_solve_direct(a, b, c).solution
+        companion = companion_solution(a, b, c)
         offset = compute_offset(a, b, companion)
         lhs = a @ offset + offset @ b
         rhs = np.linalg.inv(a) @ c @ b + a @ c @ np.linalg.inv(b)
@@ -117,31 +87,19 @@ class TestOffset:
 
 
 class TestGeneralizedRegular:
-    def test_zero_rhs_gives_zero(self, rng):
-        a = sector_matrix(rng, 3, alpha=np.pi / 3.5)
-        b = sector_matrix(rng, 2, alpha=np.pi / 3.5)
-        xi = solve_generalized_regular(a, b, np.zeros((3, 2)))
-        assert np.linalg.norm(xi) <= 1e-12
-
-    def test_scalar(self):
-        xi = solve_generalized_regular([[1.0]], [[1.0]], [[3.0]])
-        np.testing.assert_allclose(xi, [[1.0]], atol=1e-14)
-
     def test_closed_form_candidate(self, rng):
-        # rhs assembled so that a s b^-1 is the unique solution
+        # rhs assembled so that a s b^-1 is the unique solution of
+        # a^2 x + a x b + x b^2 = rhs, regular inside the pi/3 sector
         a = sector_matrix(rng, 3, alpha=np.pi / 4)
         b = sector_matrix(rng, 2, alpha=np.pi / 4)
         c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        s = companion_solve_direct(a, b, c).solution
+        s = companion_solution(a, b, c)
         b_inv = np.linalg.inv(b)
         rhs = a @ a @ s + a @ s @ b + a @ a @ a @ s @ b_inv
-        xi = solve_generalized_regular(a, b, rhs)
+        xi = oracle_solve("gen_square", a, b, rhs)
+        assert xi.consistent and xi.nullity == 0
         expected = a @ s @ b_inv
-        assert np.linalg.norm(xi - expected) <= 1e-9 * np.linalg.norm(expected)
-
-    def test_sector_gate(self):
-        with pytest.raises(GateError):
-            solve_generalized_regular([[np.exp(1.2j)]], [[1.0]], [[1.0]])
+        assert np.linalg.norm(xi.solution - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 class TestCrossMethodUniqueness:
@@ -150,7 +108,7 @@ class TestCrossMethodUniqueness:
             a = sector_matrix(rng, 3)
             b = sector_matrix(rng, 3)
             c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            direct = companion_solve_direct(a, b, c)
+            reference = companion_solution(a, b, c)
             quad = companion_solve_quadrature(a, b, c)
-            gap = np.linalg.norm(direct.solution - quad.solution)
-            assert gap <= 1e-8 * max(np.linalg.norm(direct.solution), 1e-30)
+            gap = np.linalg.norm(reference - quad.solution)
+            assert gap <= 1e-8 * max(np.linalg.norm(reference), 1e-30)

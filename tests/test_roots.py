@@ -10,12 +10,11 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, principal_sqrt, schur_sylvester
 from sylvcert.oracle import oracle_solve
-from sylvcert.regular import companion_solve_direct
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
                             solve_unipotent_quadratic, verify_unipotent_identity)
-from sylvcert.singular import decide_sylvester, prepare, solve_uv_system
+from sylvcert.singular import decide_sylvester, prepare, solve_uv_report
 
 from conftest import assert_multiset_close, shared_cluster_pair
 
@@ -225,7 +224,7 @@ class TestBlockRoots:
         a, b = shared_semisimple_pair(rng, 3, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
-        companion = companion_solve_direct(p.a, p.b, p.c).solution
+        companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
         base = block_upper(p.a, -companion, -p.b)
         for root in block_roots(p):
             assert frob(root @ root - base) <= 1e-9 * frob(base)
@@ -254,7 +253,7 @@ class TestUnipotentQuadratic:
         quad = solve_unipotent_quadratic(p)
         assert len(quad.q_values) >= 1
         np.testing.assert_allclose(quad.q_values[0], [[-2.5]], atol=1e-10)
-        w = solve_uv_system(p)
+        w = solve_uv_report(p).witness
         np.testing.assert_allclose(w.q, quad.q_values[0], atol=1e-9)
 
     def test_scalar_unsolvable_no_unipotent(self):
@@ -297,7 +296,7 @@ class TestUnipotentQuadratic:
             c = rhs_in_range(rng, a, b) if solvable else rhs_outside_range(rng, a, b)
             p = prepare(a, b, c)
             quad = solve_unipotent_quadratic(p)
-            witness = solve_uv_system(p)
+            witness = solve_uv_report(p).witness
             assert (len(quad.q_values) > 0) == (witness is not None)
 
 
@@ -405,5 +404,5 @@ class TestUnipotentIdentity:
         a, b = shared_jordan_pair(rng, 2, 2)
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
-        w = solve_uv_system(p)
+        w = solve_uv_report(p).witness
         assert verify_unipotent_identity(w.q, p)
