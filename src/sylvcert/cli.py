@@ -36,7 +36,7 @@ import numpy as np
 
 from . import io as sio
 from .errors import SchemaError, SylvcertError
-from .numerics import frob, solve_left, solve_right
+from .numerics import frob, schur_solve
 from .roots import (homogeneous_equivalence, homogeneous_nullspaces,
                     solve_unipotent_quadratic, unipotent_bridge_check)
 from .singular import (VerdictStatus, check_entry, diagnose, prepare,
@@ -183,11 +183,12 @@ def cmd_roots(args) -> int:
     a, b, c = problem.a, problem.b, problem.c
 
     unipotent = []
-    u_plus_v = solve_left(a, solve_right(c, b))  # a^-1 c b^-1
+    # a^-1 c b^-1, by solves on the problem's Schur factors
+    u_plus_v = schur_solve(problem.schur_a, schur_solve(problem.schur_b, c, "right"))
     for q in quad.q_values:
         identity_residual, _ = unipotent_identity_residual(q, problem, quad.offset, tol)
         # q = v - u, so u = (u + v - q) / 2
-        x = solution_from_u(a, b, 0.5 * (u_plus_v - q))
+        x = solution_from_u(problem, 0.5 * (u_plus_v - q))
         unipotent.append({
             "q": sio.matrix_to_pairs(q),
             "identity_residual": identity_residual,

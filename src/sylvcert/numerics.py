@@ -1,8 +1,8 @@
 """Dense complex-matrix kernels used by every other module.
 
-Matrices are plain ``numpy.ndarray`` values with dtype complex128.  All
-functions validate their inputs (shape coherence, finiteness) and are pure:
-no argument is mutated and results are freshly allocated.
+Matrices are plain ``numpy.ndarray`` values with dtype complex128.  Inputs are
+validated (finiteness) once, by :func:`as_complex_matrix`; kernels on factors
+or validated arrays check shapes only.  No argument is mutated.
 """
 
 from __future__ import annotations
@@ -44,6 +44,17 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr.copy()
 
 
+def as_sylvester_data(a, b, c) -> tuple:
+    """(a, b, c) through :func:`as_complex_matrix`, a and b square, c n x m."""
+    a = require_square(as_complex_matrix(a, "a"), "a")
+    b = require_square(as_complex_matrix(b, "b"), "b")
+    c = as_complex_matrix(c, "c")
+    if c.shape != (a.shape[0], b.shape[0]):
+        raise DimensionError(
+            f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
+    return a, b, c
+
+
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
@@ -64,13 +75,15 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def complex_schur(m) -> tuple:
-    """Complex Schur factors (t, q) of a square matrix: m = q t q^*, t upper
-    triangular with the eigenvalues on its diagonal, q unitary."""
-    m = require_square(as_complex_matrix(m))
-    try:
-        t, q = scipy.linalg.schur(m, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Schur iteration failed: {exc}") from exc
+    """Complex Schur factors (t, q) of a finite square matrix: m = q t q^*, t
+    upper triangular with the eigenvalues on its diagonal, q unitary.  LAPACK
+    gees after scipy.linalg.schur's workspace query, so the factors are
+    scipy's; a complex128 ``m`` is neither copied nor checked again."""
+    m = require_square(np.asarray(m, dtype=np.complex128))
+    lwork = int(lapack.zgees(lambda _: None, m, lwork=-1)[-2][0].real)
+    t, _, _, q, _, info = lapack.zgees(lambda _: None, m, lwork=lwork)
+    if info != 0:
+        raise NumericError(f"Schur iteration failed (gees info {info})")
     return t, q
 
 
@@ -109,6 +122,24 @@ def schur_sylvester(schur_a, schur_b, c, sign: int) -> np.ndarray:
     return qa @ y @ qb.conj().T
 
 
+def schur_solve(schur, m, side: str = "left") -> np.ndarray:
+    """a^-1 m (``side="left"``) or m a^-1 (``side="right"``) for the matrix a
+    with complex Schur factors (t, q): q t^-1 q^* by one triangular solve
+    (LAPACK trtrs), so a is neither inverted nor factored again.  Raises
+    :class:`InversionError` on a zero diagonal of t or a non-finite result."""
+    t, q = schur
+    if side == "left":
+        y, info = lapack.ztrtrs(t, q.conj().T @ m)
+        x = q @ y
+    else:
+        # m q t^-1 is the transpose of t^-T (m q)^T
+        y, info = lapack.ztrtrs(t, (m @ q).T, trans=1)
+        x = y.T @ q.conj().T
+    if info > 0 or not np.isfinite(x).all():
+        raise InversionError("matrix to invert is singular to working precision")
+    return x
+
+
 def solve_left(a, m) -> np.ndarray:
     """a^-1 m by an LU solve, without forming the inverse.
 
@@ -143,7 +174,7 @@ def mat_exp(m) -> np.ndarray:
 def principal_sqrt(m) -> np.ndarray:
     """Principal matrix square root: s with s @ s = m, spectrum in the open
     right half-plane; :func:`schur_sqrt` on the Schur factors of ``m``."""
-    return schur_sqrt(complex_schur(m))
+    return schur_sqrt(complex_schur(as_complex_matrix(m)))
 
 
 def schur_sqrt(schur) -> np.ndarray:
@@ -173,8 +204,8 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
     For a of shape (n, n) and b of shape (m, m) returns the (nm, nm) matrix K
     with K @ vec(x) = vec(a x + sign * x b) for every n x m matrix x.
     """
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    b = require_square(as_complex_matrix(b, "b"), "b")
+    a = require_square(np.asarray(a, dtype=np.complex128), "a")
+    b = require_square(np.asarray(b, dtype=np.complex128), "b")
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
     n, m = a.shape[0], b.shape[0]
@@ -213,7 +244,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     operator whose rank rule applies when K is one diagonal block of it.
     ``null_space`` spans the null space of K when K has no fewer rows than columns.
     """
-    K = as_complex_matrix(K, "K")
+    K = np.asarray(K, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != K.shape[0]:
         raise DimensionError(f"rhs of shape {rhs.shape} does not match K rows {K.shape[0]}")

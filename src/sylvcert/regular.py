@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .numerics import (as_complex_matrix, complex_schur, frob, mat_exp, require_square,
-                       solve_left, solve_right)
+from .numerics import as_sylvester_data, complex_schur, frob, mat_exp, schur_solve
 
 QUADRATURE_NODES_PER_PANEL = 32
 MAX_PANELS = 256
@@ -35,16 +34,6 @@ class RegularSolveResult:
     residual: float
     truncation_T: float | None = None
     nodes_used: int | None = None
-
-
-def _validate_triple(a, b, c):
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    b = require_square(as_complex_matrix(b, "b"), "b")
-    c = as_complex_matrix(c, "c")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise PreconditionError(
-            f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
-    return a, b, c
 
 
 def _decay_constant(m: np.ndarray, delta: float) -> float:
@@ -76,7 +65,7 @@ def companion_solve_quadrature(a, b, c, tol: float = 1e-10) -> RegularSolveResul
     panels are refined dyadically until two successive composite
     Gauss-Legendre estimates agree within tol/2.
     """
-    a, b, c = _validate_triple(a, b, c)
+    a, b, c = as_sylvester_data(a, b, c)
     delta_a = float(complex_schur(a)[0].diagonal().real.min())
     delta_b = float(complex_schur(b)[0].diagonal().real.min())
     if min(delta_a, delta_b) <= 0:
@@ -121,9 +110,17 @@ def companion_solve_quadrature(a, b, c, tol: float = 1e-10) -> RegularSolveResul
         f"quadrature did not reach tolerance {tol:g} within {MAX_PANELS} panels")
 
 
-def compute_offset(a, b, companion) -> np.ndarray:
+def reduced_rhs(p, companion) -> np.ndarray:
+    """a s b^-1 for the companion solution s of the prepared problem p: the
+    right-hand side of the reduced equation a u - u b = a s b^-1, by a solve
+    on the Schur factors of b."""
+    return schur_solve(p.schur_b, p.a @ companion, "right")
+
+
+def compute_offset(p, companion, rhs) -> np.ndarray:
     """The derived quantity a^-1 s b + a s b^-1 for the companion solution s
-    (the right-hand-side offset of the swapped pair equation)."""
-    a, b, companion = _validate_triple(a, b, companion)
-    return solve_left(a, companion @ b) + solve_right(a @ companion, b)
+    of the prepared problem p (the right-hand-side offset of the swapped pair
+    equation), given its second term ``rhs`` = :func:`reduced_rhs`; the first
+    is a solve on the Schur factors of a."""
+    return schur_solve(p.schur_a, companion @ p.b) + rhs
 

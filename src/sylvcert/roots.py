@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionError, GateError, NumericError, PreconditionError
 from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
 from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, solve_left
-from .regular import compute_offset
+from .regular import compute_offset, reduced_rhs
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
                        check_entry, decide_sylvester, intertwiner_basis,
                        skipped_on_refusal, unipotent_identity_residual)
@@ -188,7 +188,7 @@ def _base_and_target(p: SylvesterProblem):
     [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of the quadratic
     equation, each checked finite."""
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    offset = compute_offset(p.a, p.b, companion)
+    offset = compute_offset(p, companion, reduced_rhs(p, companion))
     return (companion, offset, _finite(block_upper(p.a, -companion, -p.b), "base"),
             _finite(block_upper(p.a, -(companion + offset), -p.b), "target"))
 

@@ -29,6 +29,10 @@ this way makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
 identity a u + v b = s + offset, the cubic constraint and the two gates of
 :func:`particular_solution` are the independent checks, each certified as a
 residual against a threshold at its own scale.
+
+:func:`diagnose` validates its input once; :func:`prepare` factors and norms
+each shifted matrix once, and every a^-1 and b^-1 above is a triangular solve
+on those Schur factors (``numerics.schur_solve``).
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ import numpy as np
 from .errors import DimensionError, InversionError, WitnessError
 from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
-from .numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
-                       lstsq_solve, rank_cutoff, reorder_schur, require_square,
-                       schur_sylvester, solve_left, solve_right, triangular_sylvester,
-                       unvec, vec)
+from .numerics import (as_complex_matrix, as_sylvester_data, complex_schur, frob,
+                       kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
+                       require_square, schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
-from .regular import QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset
+from .regular import (QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset,
+                      reduced_rhs)
 
 DEFAULT_TOL = 1e-8
 
@@ -75,6 +79,8 @@ class SylvesterProblem:
     lambda_shift: float
     schur_a: tuple  # complex Schur factors (t, q) of the shifted a
     schur_b: tuple  # complex Schur factors (t, q) of the shifted b
+    norm_a: float  # ||a||_F of the shifted a
+    norm_b: float  # ||b||_F of the shifted b
 
     @property
     def n(self) -> int:
@@ -83,6 +89,26 @@ class SylvesterProblem:
     @property
     def m(self) -> int:
         return self.b.shape[0]
+
+    @classmethod
+    def prepare(cls, a, b, c, alpha: float) -> SylvesterProblem:
+        """:func:`prepare` on validated arrays: each matrix is factored and
+        normed once, and every inverse of a or b is a solve on these factors."""
+        ta, qa = complex_schur(a)
+        tb, qb = complex_schur(b)
+        lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
+        id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
+        a, b = a + lam * id_a, b + lam * id_b
+        norm_a, norm_b = frob(a), frob(b)
+        shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
+                                                    norm_a + norm_b)
+        gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
+                          in_sector_b=sector_contains(tb.diagonal(), alpha),
+                          spectra_intersect=bool(shared_a.any()),
+                          intersection_tolerance=float(tolerance), suggested_lambda=lam)
+        return cls(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
+                   schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb),
+                   norm_a=norm_a, norm_b=norm_b)
 
     @functools.cached_property
     def kernel(self) -> tuple:
@@ -180,25 +206,7 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged.
     The gate's intersection is the decision's cluster on the shifted pair."""
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    b = require_square(as_complex_matrix(b, "b"), "b")
-    c = as_complex_matrix(c, "c")
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DimensionError(
-            f"c must be {a.shape[0]}x{b.shape[0]}, got {c.shape[0]}x{c.shape[1]}")
-    ta, qa = complex_schur(a)
-    tb, qb = complex_schur(b)
-    lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
-    id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
-    a, b = a + lam * id_a, b + lam * id_b
-    shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
-                                                frob(a) + frob(b))
-    gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
-                      in_sector_b=sector_contains(tb.diagonal(), alpha),
-                      spectra_intersect=bool(shared_a.any()),
-                      intersection_tolerance=float(tolerance), suggested_lambda=lam)
-    return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
-                            schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb))
+    return SylvesterProblem.prepare(*as_sylvester_data(a, b, c), alpha)
 
 
 def unipotent_identity_residual(q, p: SylvesterProblem, offset,
@@ -206,7 +214,7 @@ def unipotent_identity_residual(q, p: SylvesterProblem, offset,
     """Residual of the reduced unipotent identity q b - a q = r for the
     offset r, and the threshold it is judged against."""
     residual = frob(q @ p.b - p.a @ q - offset)
-    threshold = tol * (frob(offset) + (frob(p.a) + frob(p.b)) * frob(q) + 1e-300)
+    threshold = tol * (frob(offset) + (p.norm_a + p.norm_b) * frob(q) + 1e-300)
     return residual, threshold
 
 
@@ -221,18 +229,21 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
     decision applied; au_vb, cubic and unipotent_identity are independent.
     """
     a, b = p.a, p.b
-    pair_sum = solve_left(a, solve_right(p.c, b))
+    pair_sum = schur_solve(p.schur_a, schur_solve(p.schur_b, p.c, "right"))
     v = pair_sum - u
     q = v - u
-    na, nb, nu, nv = frob(a), frob(b), frob(u), frob(v)
+    na, nb, nu, nv = p.norm_a, p.norm_b, frob(u), frob(v)
     # a residual that overflows is non-finite and fails its check; numpy
-    # need not warn about it on stderr
+    # need not warn about it on stderr.  Each cubic term multiplies onto the
+    # pair from the inside out, so no power of a is formed that could
+    # overflow before it meets a zero v
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = {
             "av_ub": frob(a @ v + u @ b - companion),
             "au_vb": frob(a @ u + v @ b - (companion + offset)),
             "u_plus_v": frob(u + v - pair_sum),
-            "cubic": frob(a @ a @ a @ v + a @ a @ v @ b + u @ b @ b @ b + a @ u @ b @ b),
+            "cubic": frob(a @ (a @ (a @ v)) + a @ (a @ v) @ b + u @ b @ b @ b
+                          + a @ u @ b @ b),
         }
     # each identity at the scale of its own terms; the cube as float
     # products, so an overflow reads inf (not OverflowError) and fails its
@@ -445,26 +456,25 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
     :func:`decide_sylvester`; a consistent decision is completed to the
     witness pair (u, v)."""
-    a, b = p.a, p.b
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    rhs = solve_right(a @ companion, b)
-    report = decide_sylvester(a, b, p.schur_a, p.schur_b, rhs, tol)
+    rhs = reduced_rhs(p, companion)
+    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, tol)
     report.companion = companion
     if report.lstsq_residual <= report.threshold:
         report.witness = _witness_from_u(p, report.u, companion,
-                                         compute_offset(a, b, companion), tol,
+                                         compute_offset(p, companion, rhs), tol,
                                          report.threshold)
     return report
 
 
-def solution_from_u(a, b, u) -> np.ndarray:
-    """The solution formula in u, x = a^-1 u b^2 + u b."""
-    a, b, u = as_complex_matrix(a, "a"), as_complex_matrix(b, "b"), as_complex_matrix(u, "u")
-    return solve_left(a, u @ b @ b) + u @ b
+def solution_from_u(p: SylvesterProblem, u) -> np.ndarray:
+    """The solution formula in u, x = a^-1 u b^2 + u b, on the prepared
+    problem's a, b and the Schur factors of a."""
+    return schur_solve(p.schur_a, u @ p.b @ p.b) + u @ p.b
 
 
-def _certificate_scale(a, b, c, x) -> float:
-    return (frob(a) + frob(b)) * frob(x) + frob(c) + 1e-300
+def _certificate_scale(data_scale: float, c, x_norm: float) -> float:
+    return data_scale * x_norm + frob(c) + 1e-300
 
 
 def particular_solution(w: UVWitness, p: SylvesterProblem,
@@ -476,15 +486,16 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
     the witness under ``solution_formula_gap``.
     """
     a, b, c = p.a, p.b, p.c
-    x_u = solution_from_u(a, b, w.u)
-    x_v = -(solve_right(a @ a @ w.v, b) + a @ w.v)
+    x_u = solution_from_u(p, w.u)
+    x_v = -(schur_solve(p.schur_b, a @ a @ w.v, "right") + a @ w.v)
     # a norm that overflows is non-finite and fails its gate; numpy need
     # not warn about it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         gap = frob(x_u - x_v)
-        gap_threshold = tol * (frob(x_u) + frob(x_v))
+        x_norm = frob(x_u)
+        gap_threshold = tol * (x_norm + frob(x_v))
         residual = frob(a @ x_u - x_u @ b - c)
-        scale = _certificate_scale(a, b, c, x_u)
+        scale = _certificate_scale(p.norm_a + p.norm_b, c, x_norm)
     w.residuals["solution_formula_gap"] = gap
     w.thresholds["solution_formula_gap"] = gap_threshold
     if not _within(gap, gap_threshold):
@@ -511,10 +522,8 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     ``unipotent_bridge`` reads ``skipped`` here, and
     :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
-    a0 = require_square(as_complex_matrix(a, "a"), "a")
-    b0 = require_square(as_complex_matrix(b, "b"), "b")
-    c0 = as_complex_matrix(c, "c")
-    p = prepare(a0, b0, c0, alpha=alpha)
+    a0, b0, c0 = as_sylvester_data(a, b, c)
+    p = SylvesterProblem.prepare(a0, b0, c0, alpha)
 
     rep = x = gate = None
     if not np.any(c0):
@@ -542,7 +551,9 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     checks = {"system_consistency": check_entry("pass" if solvable else "fail",
                                                 system_residual, system_threshold)}
     if solvable:
-        certificate = (frob(a0 @ x - x @ b0 - c0), tol * _certificate_scale(a0, b0, c0, x))
+        x_norm = frob(x)
+        certificate = (frob(a0 @ x - x @ b0 - c0),
+                       tol * _certificate_scale(frob(a0) + frob(b0), c0, x_norm))
         residuals, thresholds = witness.residuals, witness.thresholds
         # the pair identity farthest from holding, each against its own
         # threshold; a NaN ratio ranks worst, so it cannot hide behind the others
@@ -589,7 +600,7 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                    certificate_residual=certificate[0], certificate_threshold=certificate[1],
                    system_residual=system_residual, system_threshold=system_threshold,
                    oracle_agreement=oracle_agreement, problem=p,
-                   solution_norm=None if x is None else frob(x),
+                   solution_norm=x_norm if solvable else None,
                    ill_conditioned_gate=gate,
                    cluster_sizes=None if rep is None else rep.cluster_sizes,
                    cluster_tolerance=None if rep is None else rep.cluster_tolerance,

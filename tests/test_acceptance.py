@@ -15,7 +15,7 @@ from sylvcert.instances import (matrix_with_eigenvalues, random_sector_eigenvalu
 from sylvcert.io import parse_report, problem_to_dict, serialize_report
 from sylvcert.numerics import frob, lstsq_solve, schur_sylvester
 from sylvcert.oracle import oracle_solve
-from sylvcert.regular import companion_solve_quadrature, compute_offset
+from sylvcert.regular import companion_solve_quadrature, compute_offset, reduced_rhs
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces, solve_unipotent_quadratic)
 from sylvcert.singular import (VerdictStatus, commutator_identity_verdict, diagnose,
@@ -137,7 +137,7 @@ def test_criterion_5_pair_cascade():
         c = rhs_in_range(rng, a, b) if solvable else rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
         companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-        offset = compute_offset(p.a, p.b, companion)
+        offset = compute_offset(p, companion, reduced_rhs(p, companion))
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
         scale = (frob(companion) + frob(offset)
@@ -204,7 +204,7 @@ def test_criterion_8_square_root_identities():
         c = rhs_in_range(rng, a, b) if solvable else rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
         companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-        offset = compute_offset(p.a, p.b, companion)
+        offset = compute_offset(p, companion, reduced_rhs(p, companion))
         base = block_upper(p.a, -companion, -p.b)
         for root in block_roots(p):
             if frob(root @ root - base) > 1e-9 * max(frob(base), 1e-30):

@@ -32,7 +32,7 @@ def write_problem(path, a, b, c, **options):
 def overflowing_problem(path):
     """A solvable 3x3 shared-Jordan problem scaled by 1e150: (||a|| + ||b||)^3
     in the witness's cubic threshold overflows a float, and its cubic
-    residual reads NaN."""
+    residual reads inf."""
     rng = np.random.default_rng(0)
     a, b = shared_jordan_pair(rng, 3, 3)
     return write_problem(path, 1e150 * a, 1e150 * b, 1e150 * rhs_in_range(rng, a, b))
@@ -276,8 +276,8 @@ class TestDiagnoseCommand:
         assert doc["checks"]["solution_certificate"]["status"] == "pass"
         # JSON has no number for it: the overflowed residual is named
         cascade = doc["checks"]["identity_cascade"]
-        assert cascade["status"] == "fail" and cascade["residual"] == "nan"
-        assert doc["witness"]["residuals"]["cubic"] == "nan"
+        assert cascade["status"] == "fail" and cascade["residual"] == "inf"
+        assert doc["witness"]["residuals"]["cubic"] == "inf"
 
     def test_arithmetic_fault_exits_internal_not_unsolvable(self, tmp_path, capsys,
                                                             monkeypatch):

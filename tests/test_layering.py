@@ -13,7 +13,8 @@ coupling decision for all four branches, three least-squares solves (the two
 kernels and that decision) and two block inversions, one per principal root.
 Outside the oracle a Kronecker operator is built only by
 ``kron_vec_operator``, and the homogeneous kernel solves no block that is
-zero at rhs = 0.
+zero at rhs = 0.  ``diagnose`` validates its input once, factors each matrix
+once and applies every inverse as a solve on those factors.
 """
 
 import ast
@@ -28,7 +29,7 @@ import sylvcert
 from sylvcert.instances import rhs_in_range, shared_jordan_pair
 from sylvcert.roots import (block_roots, homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic, verify_unipotent_identity)
-from sylvcert.singular import prepare, sylvester_kernel
+from sylvcert.singular import diagnose, prepare, sylvester_kernel
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
@@ -229,3 +230,13 @@ def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
     y_basis = sylvester_kernel(p.b, p.a, p.schur_b, p.schur_a)
     assert x_basis and y_basis
     assert calls == {"triangular_sylvester": len(x_basis) + len(y_basis)}
+
+
+def test_diagnose_factors_and_validates_once(monkeypatch):
+    # the input is validated once at the boundary, each matrix is factored
+    # once, and every inverse is a solve on those factors
+    calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix",
+                                  "solve_left", "solve_right"))
+    assert diagnose(*bridge_data()).status.value == "solvable"
+    assert calls == {"complex_schur": 2, "as_complex_matrix": 3,
+                     "solve_left": 0, "solve_right": 0}

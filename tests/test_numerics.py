@@ -6,8 +6,9 @@ from sylvcert.errors import (BranchCutError, DimensionError, InversionError, Num
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
 from sylvcert.numerics import (as_complex_matrix, complex_schur, kron_vec_operator,
                                lstsq_solve, mat_exp, principal_sqrt, rank_cutoff,
-                               reorder_schur, schur_sylvester, triangular_sylvester,
-                               unvec, vec)
+                               reorder_schur, schur_solve, schur_sylvester,
+                               triangular_sylvester, unvec, vec)
+from sylvcert.singular import prepare
 
 from conftest import assert_multiset_close
 
@@ -254,3 +255,30 @@ class TestSchurKernels:
     def test_triangular_sylvester_empty_block(self):
         x = triangular_sylvester(np.eye(2), np.zeros((0, 0)), np.zeros((2, 0)), -1)
         assert x.shape == (2, 0)
+
+
+class TestSchurSolve:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 6)])
+    def test_agrees_with_an_lu_solve(self, rng, n, m):
+        # random pairs, shifted into the sector by prepare; the right-hand
+        # sides are rectangular, and a single column
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        p = prepare(a, b, np.zeros((n, m)))
+        for k in (1, 3):
+            left = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+            right = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+            for got, expected in (
+                    (schur_solve(p.schur_a, left), np.linalg.solve(p.a, left)),
+                    (schur_solve(p.schur_b, right, "right"),
+                     np.linalg.solve(p.b.T, right.T).T)):
+                assert got.shape == expected.shape
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_zero_diagonal_raises(self):
+        t = np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex)
+        q = np.eye(2, dtype=complex)
+        with pytest.raises(InversionError):
+            schur_solve((t, q), np.ones((2, 1)))
+        with pytest.raises(InversionError):
+            schur_solve((t, q), np.ones((1, 2)), "right")

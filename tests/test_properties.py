@@ -22,7 +22,7 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, lstsq_solve, schur_sylvester
 from sylvcert.oracle import build_operator, oracle_solve
-from sylvcert.regular import compute_offset
+from sylvcert.regular import compute_offset, reduced_rhs
 from sylvcert.roots import (UNIPOTENT_TOL, homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
 from sylvcert.singular import DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report
@@ -247,7 +247,7 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
     candidate and one product at a time, each root inverted by numpy."""
     a, b, n = p.a, p.b, p.n
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    offset = compute_offset(p.a, p.b, companion)
+    offset = compute_offset(p, companion, reduced_rhs(p, companion))
     base = upper(p.a, -companion, -p.b)
     target = upper(p.a, -(companion + offset), -p.b)
     roots = reference_block_roots(p, tol)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from sylvcert.errors import InversionError, PreconditionError
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
 from sylvcert.numerics import mat_exp
 from sylvcert.oracle import oracle_solve
-from sylvcert.regular import companion_solve_quadrature, compute_offset
+from sylvcert.regular import companion_solve_quadrature, compute_offset, reduced_rhs
+from sylvcert.singular import prepare
 
 from conftest import companion_solution
 
@@ -57,33 +60,44 @@ class TestQuadrature:
         assert np.linalg.norm(reference - quad) <= 1e-8 * np.linalg.norm(reference)
 
 
+def offset_of(a, b, s):
+    """The offset of the companion value s on the prepared problem of (a, b)."""
+    p = prepare(a, b, np.zeros((len(a), len(b))))
+    s = np.asarray(s, dtype=complex)
+    return p, compute_offset(p, s, reduced_rhs(p, s))
+
+
 class TestOffset:
     def test_scalar_value(self):
-        offset = compute_offset([[2]], [[1]], [[1]])
+        _, offset = offset_of([[2]], [[1]], [[1]])
         np.testing.assert_allclose(offset, [[2.5]], atol=1e-14)
 
     def test_scalar_identity_form(self, rng):
+        # both in the sector, so prepare does not shift them
         a = rng.uniform(1.0, 2.0)
         b = rng.uniform(1.0, 2.0)
         s = rng.normal()
-        offset = compute_offset([[a]], [[b]], [[s]])
+        _, offset = offset_of([[a]], [[b]], [[s]])
         np.testing.assert_allclose(offset, [[s * (b / a + a / b)]], atol=1e-13)
 
     def test_characterizing_equation(self, rng):
         # a r + r b = a^-1 c b + a c b^-1 where r is built from the companion
         # solution of c; this pins the offset as that equation's unique answer
-        a = sector_matrix(rng, 3)
-        b = sector_matrix(rng, 2)
         c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        p = prepare(sector_matrix(rng, 3), sector_matrix(rng, 2), c)
+        a, b = p.a, p.b
         companion = companion_solution(a, b, c)
-        offset = compute_offset(a, b, companion)
+        offset = compute_offset(p, companion, reduced_rhs(p, companion))
         lhs = a @ offset + offset @ b
         rhs = np.linalg.inv(a) @ c @ b + a @ c @ np.linalg.inv(b)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_singular_factor_rejected(self):
+        # prepare shifts a singular a away; a zero Schur diagonal still raises
+        p, _ = offset_of([[2.0]], [[1.0]], [[1.0]])
+        p = dataclasses.replace(p, schur_a=(np.zeros((1, 1), dtype=complex), p.schur_a[1]))
         with pytest.raises(InversionError):
-            compute_offset([[0.0]], [[1.0]], [[1.0]])
+            compute_offset(p, p.c, reduced_rhs(p, p.c))
 
 
 class TestGeneralizedRegular:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,8 +12,8 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, schur_sylvester, unvec
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
-from sylvcert.regular import QUADRATURE_GAP_TOL, compute_offset
-from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus,
+from sylvcert.regular import QUADRATURE_GAP_TOL, compute_offset, reduced_rhs
+from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry,
                                commutator_identity_verdict, diagnose,
                                particular_solution, prepare, solution_from_u,
                                solve_uv_report, sylvester_kernel)
@@ -376,9 +377,12 @@ class TestParticularSolution:
             particular_solution(w, p)
 
     def test_singular_a_raises_the_package_error(self):
-        # a SylvcertError, so the CLI's handler reports it
+        # a SylvcertError, so the CLI's handler reports it; prepare shifts a
+        # singular a away, so the zero is put on the Schur diagonal
+        p = prepare([[2]], [[1]], [[1]])
+        p = dataclasses.replace(p, schur_a=(np.zeros((1, 1), dtype=complex), p.schur_a[1]))
         with pytest.raises(InversionError):
-            solution_from_u([[0]], [[1]], [[1]])
+            solution_from_u(p, np.ones((1, 1), dtype=complex))
 
     def test_scalar_solvable_full_pipeline(self):
         verdict = diagnose([[2]], [[1]], [[3]])
@@ -617,6 +621,16 @@ class TestScaleRobustness:
         assert verdict.status is VerdictStatus.ILL_CONDITIONED
         assert verdict.ill_conditioned_gate == "solution_certificate"
 
+    def test_zero_rhs_at_overflowing_scale_passes_the_cascade(self):
+        # u = v = 0 satisfies every identity exactly; the cubic terms reach
+        # the zero v before any power of a that would overflow
+        rng = np.random.default_rng(0)
+        a, b = shared_jordan_pair(rng, 3, 3)
+        verdict = diagnose(1e150 * a, 1e150 * b, np.zeros((3, 3)))
+        assert verdict.status is VerdictStatus.SOLVABLE
+        assert all(entry["status"] != "fail" for entry in verdict.checks.values())
+        assert verdict.checks["identity_cascade"] == check_entry("pass", 0.0, 0.0)
+
     @pytest.mark.parametrize("ab_scale, c_scale", [
         *itertools.product((1.0, 1e80, 1e90, 1e100, 1e120, 1e150),
                            (1.0, 1e100, 1e200, 1e225, 1e250, 1e290)),
@@ -672,7 +686,7 @@ class TestPairCascade:
         c = rhs_in_range(rng, a, b)
         p = prepare(a, b, c)
         companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-        offset = compute_offset(p.a, p.b, companion)
+        offset = compute_offset(p, companion, reduced_rhs(p, companion))
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
         scale = (frob(companion) + frob(offset)
@@ -695,7 +709,7 @@ class TestPairCascade:
         c = rhs_outside_range(rng, a, b)
         p = prepare(a, b, c)
         companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-        offset = compute_offset(p.a, p.b, companion)
+        offset = compute_offset(p, companion, reduced_rhs(p, companion))
         rows = pair_equation_rows(p.a, p.b, companion, offset, p.c)
         keys = list(rows)
         scale = (frob(companion) + frob(offset)
