@@ -78,7 +78,7 @@ def complex_schur(m) -> tuple:
     """Complex Schur factors (t, q) of a finite square matrix: m = q t q^*, t
     upper triangular with the eigenvalues on its diagonal, q unitary.  LAPACK
     gees after scipy.linalg.schur's workspace query, so the factors are
-    scipy's; a complex128 ``m`` is neither copied nor checked again."""
+    scipy's; a validated complex128 ``m`` goes to LAPACK unchecked."""
     m = require_square(np.asarray(m, dtype=np.complex128))
     lwork = int(lapack.zgees(lambda _: None, m, lwork=-1)[-2][0].real)
     t, _, _, q, _, info = lapack.zgees(lambda _: None, m, lwork=lwork)
