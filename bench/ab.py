@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of perfbench/run.py, written to a BENCH_*.json.
 
-    python3 bench/ab.py --parent REF [--change REF] --out BENCH_name.json
-        [--workloads one_cluster cli_small bridge] [--seeds 411-420]
-        [--seconds 35] [--traced-seed 101] [--workdir DIR] [--note TEXT]
+    python3 bench/ab.py --parent REF [--change REF] --out BENCH_name.json [--note TEXT]
 
-Both refs are exported from git (``git archive``) into fresh directories, so
-each side runs its own committed sources and its own committed perfbench,
-and the repository itself is left untouched.  For every seed, and every
-workload within it, one pair runs the two sides one after the other; even
-pairs run the parent first, odd pairs the change.  Then each side makes one
-traced run (``--trace 1``) on the traced seed.
+Both refs are exported from git (``git archive``) into a temporary directory,
+so each side runs its own committed sources and its own committed perfbench,
+and the repository itself is left untouched; the directory is removed when
+the run ends.  For every seed in SEEDS, and every workload of the change's
+BENCHMARK.json within it, one pair runs the two sides one after the other
+for the benchmark's ``run_seconds``; even pairs run the parent first, odd
+pairs the change.  Then each side makes one traced run (``--trace 1``) on
+TRACED_SEED.
 
 The summary gives, per end-to-end metric of BENCHMARK.json (read from the
 change), each side's median and quartiles (numpy linear percentiles), the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIR_KEYS = ("correct", "attempted", "failed")
+SEEDS = range(411, 421)
+TRACED_SEED = 101
 
 
 def git(*args: str) -> str:
@@ -103,40 +106,40 @@ def traced_entry(record: dict, sha: str) -> dict:
             "failed": record["failed"], "verdict_mismatches": record["verdict_mismatches"]}
 
 
-def seed_range(text: str) -> list:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--change", default="HEAD", help="git ref of the change (HEAD)")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["one_cluster", "cli_small", "bridge"])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("411-420"),
-                        help="first-last, one pair per seed and workload")
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--traced-seed", type=int, default=101)
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the two checkouts go (a new temporary directory)")
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="sylvcert-ab-"))
+    workdir = Path(tempfile.mkdtemp(prefix="sylvcert-ab-"))
+    try:
+        doc = measure(workdir, args.parent, args.change)
+    finally:
+        shutil.rmtree(workdir)
+    doc["note"] = args.note
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+def measure(workdir: Path, parent: str, change: str) -> dict:
+    """The pairs, summaries and traced runs of the two refs, exported into
+    ``workdir``."""
     checkouts = {"parent": workdir / "parent", "change": workdir / "change"}
     shas = {side: export(ref, checkouts[side])
-            for side, ref in (("parent", args.parent), ("change", args.change))}
+            for side, ref in (("parent", parent), ("change", change))}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [metric["name"] for metric in benchmark["end_to_end"]]
+    seconds = benchmark["run_seconds"]
 
-    pairs = {workload: [] for workload in args.workloads}
+    pairs = {workload["name"]: [] for workload in benchmark["workloads"]}
     environment = None
-    for index, seed in enumerate(args.seeds):
+    for index, seed in enumerate(SEEDS):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        for workload in args.workloads:
-            records = {side: run(checkouts[side], workload, seed, args.seconds, 0)
+        for workload in pairs:
+            records = {side: run(checkouts[side], workload, seed, seconds, 0)
                        for side in order}
             environment = records["change"]["environment"]
             pairs[workload].append({"seed": seed, "first": order[0],
@@ -144,37 +147,32 @@ def main(argv=None) -> int:
                                        for side in ("parent", "change")}})
     workloads = {}
     for workload, runs in pairs.items():
-        traced = {side: traced_entry(run(checkouts[side], workload, args.traced_seed,
-                                         args.seconds, 1), shas[side])
+        traced = {side: traced_entry(run(checkouts[side], workload, TRACED_SEED, seconds, 1),
+                                     shas[side])
                   for side in ("parent", "change")}
         workloads[workload] = {"pairs": runs, "summary": summarize(runs, benchmark["end_to_end"]),
-                               f"traced_seed{args.traced_seed}": traced}
+                               f"traced_seed{TRACED_SEED}": traced}
+        for name in names:
+            s = workloads[workload]["summary"][name]
+            print(f"{workload:<12} {name:<16} parent {s['parent']['median']:>10.4g} "
+                  f"change {s['change']['median']:>10.4g} wins {s['change_wins']} "
+                  f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']})")
 
-    seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
-    doc = {
-        "what": (f"{len(args.seeds)} alternating parent/change pairs of perfbench/run.py per "
-                 f"workload, --seconds {args.seconds:g} --trace 0, one seed per pair ({seeds}; "
-                 "even pairs run the parent first); then one traced run per side, seed "
-                 f"{args.traced_seed}, --trace 1. summary gives each side's median and "
-                 "quartiles (numpy linear percentiles) over the seeds, the pairs the change "
-                 "wins, and the change's relative worsening against the benchmark's bound"),
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+    return {
+        "what": (f"{len(SEEDS)} alternating parent/change pairs of perfbench/run.py per "
+                 f"workload, --seconds {seconds:g} --trace 0, one seed per pair "
+                 f"({SEEDS[0]}-{SEEDS[-1]}; even pairs run the parent first); then one traced "
+                 f"run per side, seed {TRACED_SEED}, --trace 1. summary gives each side's "
+                 "median and quartiles (numpy linear percentiles) over the seeds, the pairs "
+                 "the change wins, and the change's relative worsening against the "
+                 "benchmark's bound"),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "workloads": workloads,
         "environment": environment,
-        "note": args.note,
     }
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for workload, entry in workloads.items():
-        for name in names:
-            s = entry["summary"][name]
-            print(f"{workload:<12} {name:<16} parent {s['parent']['median']:>10.4g} "
-                  f"change {s['change']['median']:>10.4g} wins {s['change_wins']} "
-                  f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']})")
-    return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

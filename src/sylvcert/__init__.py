@@ -8,7 +8,7 @@ from .errors import (BranchCutError, ConvergenceError, DimensionError, GateError
                      PreconditionError, SchemaError, SylvcertError, WitnessError)
 from .gate import GateReport, choose_shift, sector_contains, shared_eigenvalues
 from .numerics import (LstsqResult, as_complex_matrix, kron_vec_operator, lstsq_solve,
-                       mat_exp, principal_sqrt, solve_left, solve_right, unvec, vec)
+                       mat_exp, principal_sqrt, solve_left, unvec, vec)
 from .oracle import OracleResult, build_operator, oracle_solve
 from .regular import RegularSolveResult, companion_solve_quadrature, compute_offset
 from .roots import (QuadraticSolveResult, RootCandidate, block_roots,

@@ -1,8 +1,9 @@
 """Dense complex-matrix kernels used by every other module.
 
-Matrices are plain ``numpy.ndarray`` values with dtype complex128.  Inputs are
-validated (finiteness) once, by :func:`as_complex_matrix`; kernels on factors
-or validated arrays check shapes only.  No argument is mutated.
+Matrices are plain ``numpy.ndarray`` values with dtype complex128.  Input is
+checked for finiteness where it enters (:func:`as_complex_matrix`,
+:func:`complex_schur`); the kernels on Schur factors take the factors as
+:func:`complex_schur` made them.  No argument is mutated.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ def complex_schur(m) -> tuple:
     """Complex Schur factors (t, q) of a finite square matrix: m = q t q^*, t
     upper triangular with the eigenvalues on its diagonal, q unitary.  LAPACK
     gees after scipy.linalg.schur's workspace query, so the factors are
-    scipy's; a validated complex128 ``m`` goes to LAPACK unchecked."""
+    scipy's; a complex128 ``m`` is checked for finiteness but not copied."""
     m = require_square(np.asarray(m, dtype=np.complex128))
+    if not np.isfinite(m).all():
+        raise NumericError("matrix contains NaN or Inf entries")
     lwork = int(lapack.zgees(lambda _: None, m, lwork=-1)[-2][0].real)
     t, _, _, q, _, info = lapack.zgees(lambda _: None, m, lwork=lwork)
     if info != 0:
@@ -155,11 +158,6 @@ def solve_left(a, m) -> np.ndarray:
     return x
 
 
-def solve_right(m, b) -> np.ndarray:
-    """m b^-1, as the transpose of (b^T)^-1 m^T; see :func:`solve_left`."""
-    return solve_left(np.transpose(b), np.transpose(m)).T
-
-
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))
@@ -204,8 +202,8 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
     For a of shape (n, n) and b of shape (m, m) returns the (nm, nm) matrix K
     with K @ vec(x) = vec(a x + sign * x b) for every n x m matrix x.
     """
-    a = require_square(np.asarray(a, dtype=np.complex128), "a")
-    b = require_square(np.asarray(b, dtype=np.complex128), "b")
+    a = require_square(as_complex_matrix(a, "a"), "a")
+    b = require_square(as_complex_matrix(b, "b"), "b")
     if sign not in (1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
     n, m = a.shape[0], b.shape[0]
@@ -244,7 +242,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     operator whose rank rule applies when K is one diagonal block of it.
     ``null_space`` spans the null space of K when K has no fewer rows than columns.
     """
-    K = np.asarray(K, dtype=np.complex128)
+    K = as_complex_matrix(K, "K")
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != K.shape[0]:
         raise DimensionError(f"rhs of shape {rhs.shape} does not match K rows {K.shape[0]}")

@@ -30,9 +30,9 @@ identity a u + v b = s + offset, the cubic constraint and the two gates of
 :func:`particular_solution` are the independent checks, each certified as a
 residual against a threshold at its own scale.
 
-:func:`diagnose` validates its input once; :func:`prepare` factors and norms
-each shifted matrix once, and every a^-1 and b^-1 above is a triangular solve
-on those Schur factors (``numerics.schur_solve``).
+:func:`prepare` validates the input, then factors and norms each shifted
+matrix once, and every a^-1 and b^-1 above is a triangular solve on those
+Schur factors (``numerics.schur_solve``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
 from .numerics import (as_complex_matrix, as_sylvester_data, complex_schur, frob,
                        kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
-                       require_square, schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
+                       require_square, schur_solve, schur_sylvester, triangular_sylvester,
+                       unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import (QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset,
                       reduced_rhs)
@@ -89,26 +90,6 @@ class SylvesterProblem:
     @property
     def m(self) -> int:
         return self.b.shape[0]
-
-    @classmethod
-    def prepare(cls, a, b, c, alpha: float) -> SylvesterProblem:
-        """:func:`prepare` on validated arrays: each matrix is factored and
-        normed once, and every inverse of a or b is a solve on these factors."""
-        ta, qa = complex_schur(a)
-        tb, qb = complex_schur(b)
-        lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
-        id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
-        a, b = a + lam * id_a, b + lam * id_b
-        norm_a, norm_b = frob(a), frob(b)
-        shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
-                                                    norm_a + norm_b)
-        gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
-                          in_sector_b=sector_contains(tb.diagonal(), alpha),
-                          spectra_intersect=bool(shared_a.any()),
-                          intersection_tolerance=float(tolerance), suggested_lambda=lam)
-        return cls(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
-                   schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb),
-                   norm_a=norm_a, norm_b=norm_b)
 
     @functools.cached_property
     def kernel(self) -> tuple:
@@ -205,8 +186,25 @@ def skipped_on_refusal(gate: str) -> dict:
 def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged.
-    The gate's intersection is the decision's cluster on the shifted pair."""
-    return SylvesterProblem.prepare(*as_sylvester_data(a, b, c), alpha)
+    The gate's intersection is the decision's cluster on the shifted pair.
+    Each matrix is factored and normed once, and every inverse of a or b is
+    a solve on these factors."""
+    a, b, c = as_sylvester_data(a, b, c)
+    ta, qa = complex_schur(a)
+    tb, qb = complex_schur(b)
+    lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
+    id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
+    a, b = a + lam * id_a, b + lam * id_b
+    norm_a, norm_b = frob(a), frob(b)
+    shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
+                                                norm_a + norm_b)
+    gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
+                      in_sector_b=sector_contains(tb.diagonal(), alpha),
+                      spectra_intersect=bool(shared_a.any()),
+                      intersection_tolerance=float(tolerance), suggested_lambda=lam)
+    return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
+                            schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb),
+                            norm_a=norm_a, norm_b=norm_b)
 
 
 def unipotent_identity_residual(q, p: SylvesterProblem, offset,
@@ -522,8 +520,9 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     ``unipotent_bridge`` reads ``skipped`` here, and
     :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
-    a0, b0, c0 = as_sylvester_data(a, b, c)
-    p = SylvesterProblem.prepare(a0, b0, c0, alpha)
+    p = prepare(a, b, c, alpha=alpha)
+    # the certificate's unshifted pair; prepare has checked (a, b, c)
+    a0, b0, c0 = as_complex_matrix(a, "a"), as_complex_matrix(b, "b"), p.c
 
     rep = x = gate = None
     if not np.any(c0):

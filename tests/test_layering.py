@@ -142,12 +142,13 @@ def test_bridge_reads_companion_and_offset_off_the_problem():
 RETIRED_BLOCK_NAMES = ("BlockMatrix", "block_mul", "diag_embed")
 # exports that only tests read: the decision's one companion route is
 # numerics.schur_sylvester on the problem's Schur factors, whose diagonals
-# are the spectra; the paper-identity checks live in the tests that read them
+# are the spectra, and every b^-1 is numerics.schur_solve on those factors;
+# the paper-identity checks live in the tests that read them
 RETIRED_TEST_ONLY_NAMES = (
     "CommutantMembership", "SpectrumReport", "classify_triangular_commutant",
     "companion_solve_direct", "complete_intertwined_pair", "eigenvalues",
-    "reduced_singular_routes", "solve_generalized_regular", "solve_uv_system",
-    "verify_commutant_identity")
+    "reduced_singular_routes", "solve_generalized_regular", "solve_right",
+    "solve_uv_system", "verify_commutant_identity")
 
 
 @pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES)
@@ -232,11 +233,11 @@ def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
     assert calls == {"triangular_sylvester": len(x_basis) + len(y_basis)}
 
 
-def test_diagnose_factors_and_validates_once(monkeypatch):
-    # the input is validated once at the boundary, each matrix is factored
-    # once, and every inverse is a solve on those factors
-    calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix",
-                                  "solve_left", "solve_right"))
+def test_diagnose_factors_once_and_solves_on_the_factors(monkeypatch):
+    # each matrix is factored once and every inverse is a solve on those
+    # factors; the copies are prepare's (a, b, c), the certificate's unshifted
+    # a and b, and the exported kron_vec_operator (a, b) and lstsq_solve (K)
+    # checking their own input on the one shared block of this pair
+    calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix", "solve_left"))
     assert diagnose(*bridge_data()).status.value == "solvable"
-    assert calls == {"complex_schur": 2, "as_complex_matrix": 3,
-                     "solve_left": 0, "solve_right": 0}
+    assert calls == {"complex_schur": 2, "as_complex_matrix": 8, "solve_left": 0}

@@ -47,6 +47,21 @@ class TestValidation:
         with pytest.raises(DimensionError):
             as_complex_matrix(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("call", [
+        lambda bad: lstsq_solve(bad, [1.0]),
+        lambda bad: kron_vec_operator(bad, [[1.0]], -1),
+        lambda bad: kron_vec_operator([[1.0]], bad, -1),
+        complex_schur,
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_exported_kernels_reject_non_finite_input(self, call, value):
+        with pytest.raises(NumericError):
+            call([[value]])
+
+    def test_lstsq_takes_a_scalar_operator(self):
+        res = lstsq_solve(2.0, [4.0])
+        np.testing.assert_allclose(res.solution, [2.0])
+
 
 def spectrum(m) -> np.ndarray:
     """The eigenvalues as the pipeline reads them: the Schur diagonal."""
