@@ -40,7 +40,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
         arr = arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise DimensionError(f"{name} must be at most 2-dimensional, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise NumericError(f"{name} contains NaN or Inf entries")
     return arr.copy()
 
