@@ -16,6 +16,11 @@ change), each side's median and quartiles (numpy linear percentiles), the
 pairs the change wins (ties count for neither), the ratio of the medians,
 the change's relative worsening against the metric's bound, and whether the
 medians differ by more than the parent's interquartile range.
+
+A perfbench run that exits non-zero ends the measurement: the file still
+gets every pair and traced run made before it, the failing run is named
+under ``failed_run`` (side, workload, seed, trace, exit code), and the
+script exits 1.
 """
 
 from __future__ import annotations
@@ -51,12 +56,23 @@ def export(ref: str, directory: Path) -> str:
     return sha
 
 
+class RunFailed(Exception):
+    """A perfbench run exited non-zero; ``record`` names it."""
+
+    def __init__(self, record: dict):
+        super().__init__(record)
+        self.record = record
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``checkout``; returns the record it wrote."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     print(f"{checkout.name}: {' '.join(command[1:])}", flush=True)
-    subprocess.run(command, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+    code = subprocess.run(command, cwd=checkout, stdout=subprocess.DEVNULL).returncode
+    if code != 0:
+        raise RunFailed({"side": checkout.name, "workload": workload, "seed": seed,
+                         "trace": trace, "exit_code": code})
     result = checkout / ".perfbench_work" / f"result-{workload}-seed{seed}-trace{trace}.json"
     return json.loads(result.read_text(encoding="utf-8"))
 
@@ -121,6 +137,9 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir)
     doc["note"] = args.note
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if doc["failed_run"] is not None:
+        print(f"failed run: {doc['failed_run']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -135,28 +154,38 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
     seconds = benchmark["run_seconds"]
 
     pairs = {workload["name"]: [] for workload in benchmark["workloads"]}
-    environment = None
-    for index, seed in enumerate(SEEDS):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+    traced = {}
+    environment = failed_run = None
+    try:
+        for index, seed in enumerate(SEEDS):
+            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            for workload in pairs:
+                records = {side: run(checkouts[side], workload, seed, seconds, 0)
+                           for side in order}
+                environment = records["change"]["environment"]
+                pairs[workload].append({"seed": seed, "first": order[0],
+                                        **{side: pair_entry(records[side], names)
+                                           for side in ("parent", "change")}})
         for workload in pairs:
-            records = {side: run(checkouts[side], workload, seed, seconds, 0)
-                       for side in order}
-            environment = records["change"]["environment"]
-            pairs[workload].append({"seed": seed, "first": order[0],
-                                    **{side: pair_entry(records[side], names)
-                                       for side in ("parent", "change")}})
+            traced[workload] = {
+                side: traced_entry(run(checkouts[side], workload, TRACED_SEED, seconds, 1),
+                                   shas[side])
+                for side in ("parent", "change")}
+    except RunFailed as exc:
+        # keep what was measured before it
+        failed_run = exc.record
     workloads = {}
     for workload, runs in pairs.items():
-        traced = {side: traced_entry(run(checkouts[side], workload, TRACED_SEED, seconds, 1),
-                                     shas[side])
-                  for side in ("parent", "change")}
-        workloads[workload] = {"pairs": runs, "summary": summarize(runs, benchmark["end_to_end"]),
-                               f"traced_seed{TRACED_SEED}": traced}
-        for name in names:
-            s = workloads[workload]["summary"][name]
-            print(f"{workload:<12} {name:<16} parent {s['parent']['median']:>10.4g} "
-                  f"change {s['change']['median']:>10.4g} wins {s['change_wins']} "
-                  f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']})")
+        entry = workloads[workload] = {"pairs": runs}
+        if runs:
+            entry["summary"] = summarize(runs, benchmark["end_to_end"])
+            for name in names:
+                s = entry["summary"][name]
+                print(f"{workload:<12} {name:<16} parent {s['parent']['median']:>10.4g} "
+                      f"change {s['change']['median']:>10.4g} wins {s['change_wins']} "
+                      f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']})")
+        if workload in traced:
+            entry[f"traced_seed{TRACED_SEED}"] = traced[workload]
 
     return {
         "what": (f"{len(SEEDS)} alternating parent/change pairs of perfbench/run.py per "
@@ -172,6 +201,7 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
         "change_sha": shas["change"],
         "workloads": workloads,
         "environment": environment,
+        "failed_run": failed_run,
     }
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ fixed order so reports diff cleanly.  Every pass/fail entry in a report names
 the residual and the threshold that decided it.  Reports carry a
 ``generated_at`` timestamp which is the only field excluded from determinism
 comparisons.
+
+Reports are written by this module's own writer in one pass: its bytes are
+those of ``json.dumps(doc, indent=2, ensure_ascii=True)``, with json's own
+scalar text, except that a non-finite float is written as the string "inf",
+"-inf" or "nan".  Each [re, im] pair of finite floats takes one format call.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,7 +35,7 @@ DEFAULT_OPTIONS = {"alpha": math.pi / 4, "tol": 1e-8, "method": "direct"}
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def pairs_to_matrix(data, name: str) -> np.ndarray:
@@ -136,26 +142,66 @@ def problem_to_dict(a, b, c, alpha: float | None = None, tol: float | None = Non
     return doc
 
 
-def _json_safe(value):
-    """``value`` with every non-finite float replaced by its name, "inf",
-    "-inf" or "nan": JSON has no number for them."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(float(value))
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(item) for item in value]
-    return value
+def _write(value, chunks: list, newline: str) -> None:
+    """Append the JSON text of ``value`` to ``chunks``, in json's type order
+    and with json's scalar text; ``newline`` is the line break and indent of
+    the line ``value`` starts on."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        chunks.append(text if -math.inf < value < math.inf else f'"{text}"')
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner, deeper = newline + "  ", newline + "    "
+        separator = "[" + inner
+        for item in value:
+            chunks.append(separator)
+            separator = "," + inner
+            # a [re, im] pair of finite floats in one format, without a call
+            if type(item) is list and len(item) == 2:
+                re, im = item
+                if type(re) is float is type(im) and -math.inf < re < math.inf \
+                        and -math.inf < im < math.inf:
+                    chunks.append("[%s%r,%s%r%s]" % (deeper, re, deeper, im, inner))
+                    continue
+            _write(item, chunks, inner)
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():  # a key that is no str raises TypeError
+            chunks.append(separator + encode_basestring_ascii(key) + ": ")
+            _write(item, chunks, inner)
+            separator = "," + inner
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def serialize_report(doc: dict) -> str:
-    """Fixed-order UTF-8 JSON with a trailing newline.  A residual that
-    overflowed is written as the string "inf" or "nan"."""
-    try:
-        text = json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False)
-    except ValueError:  # a non-finite float; finite reports skip the walk
-        text = json.dumps(_json_safe(doc), indent=2, ensure_ascii=True, allow_nan=False)
-    return text + "\n"
+    """The report as the bytes of ``json.dumps(doc, indent=2,
+    ensure_ascii=True)`` plus a trailing newline, except that a non-finite
+    float (a residual that overflowed) is written as the string "inf",
+    "-inf" or "nan".  Keys must be strings; any other key, or a value json
+    cannot encode, raises TypeError."""
+    chunks: list = []
+    _write(doc, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def parse_report(text: str) -> dict:

@@ -59,29 +59,37 @@ def _pair(a, b):
     return a, b
 
 
+def _kron(x, y) -> np.ndarray:
+    """Kronecker product of two matrices from its definition, entry (i, j)
+    of x times y as block (i, j): the multiply np.kron performs, without its
+    axis bookkeeping."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
+
+
 def build_operator(eq: str, a, b) -> np.ndarray:
     """Explicit matrix of the named equation's left-hand side."""
     a, b = _pair(a, b)
     n, m = a.shape[0], b.shape[0]
     id_n, id_m = np.eye(n), np.eye(m)
     if eq == "sylvester":
-        K = np.kron(id_m, a) - np.kron(b.T, id_n)
+        K = _kron(id_m, a) - _kron(b.T, id_n)
     elif eq == "regular_plus":
-        K = np.kron(id_m, a) + np.kron(b.T, id_n)
+        K = _kron(id_m, a) + _kron(b.T, id_n)
     elif eq == "gen_square":
-        A = np.kron(id_m, a)
-        B = np.kron(b.T, id_n)
+        A = _kron(id_m, a)
+        B = _kron(b.T, id_n)
         K = A @ A + A @ B + B @ B
     elif eq == "homogeneous":
-        K = np.kron(id_m, a) - np.kron(b.T, id_n)
+        K = _kron(id_m, a) - _kron(b.T, id_n)
     elif eq == "adjoint_homogeneous":
-        K = np.kron(id_n, b) - np.kron(a.T, id_m)
+        K = _kron(id_n, b) - _kron(a.T, id_m)
     elif eq == "uv_stacked":
         a2, a3 = a @ a, a @ a @ a
         b2, b3 = b @ b, b @ b @ b
-        row1 = np.hstack([np.kron(id_m, a), np.kron(b.T, id_n)])
-        row2 = np.hstack([np.kron(id_m, a3) + np.kron(b.T, a @ a),
-                          np.kron(b3.T, id_n) + np.kron(b2.T, a)])
+        row1 = np.hstack([_kron(id_m, a), _kron(b.T, id_n)])
+        row2 = np.hstack([_kron(id_m, a3) + _kron(b.T, a @ a),
+                          _kron(b3.T, id_n) + _kron(b2.T, a)])
         K = np.vstack([row1, row2])
     else:
         raise ParameterError(f"unknown equation id {eq!r}; choose one of {EQUATIONS}")
@@ -123,7 +131,7 @@ def oracle_solve(eq: str, a, b, c=None, tol: float = DEFAULT_ORACLE_TOL) -> Orac
         c = as_complex_matrix(c, "c")
         if c.shape != (n, m):
             raise DimensionError(f"c must be {n}x{m}")
-        plus = np.kron(np.eye(m), a) + np.kron(b.T, np.eye(n))
+        plus = _kron(np.eye(m), a) + _kron(b.T, np.eye(n))
         cbar = np.linalg.solve(plus, vec(c))
         rhs = np.concatenate([cbar, np.zeros(n * m, dtype=np.complex128)])
     else:

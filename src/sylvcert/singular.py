@@ -236,12 +236,13 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
     # pair from the inside out, so no power of a is formed that could
     # overflow before it meets a zero v
     with np.errstate(over="ignore", invalid="ignore"):
+        av, ub, au, vb = a @ v, u @ b, a @ u, v @ b
+        aav, ubb, aub = a @ av, ub @ b, au @ b
         residuals = {
-            "av_ub": frob(a @ v + u @ b - companion),
-            "au_vb": frob(a @ u + v @ b - (companion + offset)),
+            "av_ub": frob(av + ub - companion),
+            "au_vb": frob(au + vb - (companion + offset)),
             "u_plus_v": frob(u + v - pair_sum),
-            "cubic": frob(a @ (a @ (a @ v)) + a @ (a @ v) @ b + u @ b @ b @ b
-                          + a @ u @ b @ b),
+            "cubic": frob(a @ aav + aav @ b + ubb @ b + aub @ b),
         }
     # each identity at the scale of its own terms; the cube as float
     # products, so an overflow reads inf (not OverflowError) and fails its
@@ -366,8 +367,8 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     stack = np.asarray(rhs, dtype=np.complex128)
     if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
         raise DimensionError(f"rhs must be {n}x{m} or a stack of them, got shape {stack.shape}")
-    slices = stack.reshape(-1, n, m)  # a single rhs is the one-slice stack
-    r = qa.conj().T @ slices @ qb
+    slices = [stack] if stack.ndim == 2 else stack  # a single rhs: a list of one slice
+    r = [qa.conj().T @ stack @ qb] if stack.ndim == 2 else qa.conj().T @ stack @ qb
 
     reports: list = [None] * len(slices)
     pending = list(range(len(slices)))
@@ -468,7 +469,8 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
 def solution_from_u(p: SylvesterProblem, u) -> np.ndarray:
     """The solution formula in u, x = a^-1 u b^2 + u b, on the prepared
     problem's a, b and the Schur factors of a."""
-    return schur_solve(p.schur_a, u @ p.b @ p.b) + u @ p.b
+    ub = u @ p.b
+    return schur_solve(p.schur_a, ub @ p.b) + ub
 
 
 def _certificate_scale(data_scale: float, c, x_norm: float) -> float:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import settings
 
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
 from sylvcert.numerics import complex_schur, schur_sylvester
+
+# derandomized, so every run draws the same examples
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 @pytest.fixture

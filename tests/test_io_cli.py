@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sylvcert import cli, singular
 from sylvcert.cli import main
@@ -17,7 +19,7 @@ from sylvcert.io import (load_problem, matrix_to_pairs, pairs_to_matrix, parse_p
                          parse_report, problem_to_dict, serialize_report)
 from sylvcert.singular import diagnose, unipotent_identity_residual
 
-from conftest import shared_cluster_pair
+from conftest import PROPERTY, shared_cluster_pair
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -65,6 +67,99 @@ class TestMatrixCodec:
             pairs_to_matrix([[[1, 0, 0]]], "m")
         with pytest.raises(SchemaError):
             pairs_to_matrix([[[1]]], "m")
+
+    @pytest.mark.parametrize("m", [
+        np.array([[-0.0 + 0.0j, complex(0.0, -0.0)], [1.5 - 2j, complex(-0.0, -0.0)]]),
+        np.array([[3 - 1j]]),
+        np.array([1 + 2j, -0.0 + 5e-324j, 1e16 - 0.1j]),
+    ], ids=["signed-zeros", "1x1", "1-D"])
+    def test_pairs_are_the_entries_as_floats(self, m):
+        expected = [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
+        pairs = matrix_to_pairs(m)
+        assert pairs == expected
+        # equality cannot see the sign of a zero; the text and the types can
+        assert json.dumps(pairs) == json.dumps(expected)
+        assert {type(x) for row in pairs for pair in row for x in pair} == {float}
+
+
+def reference_report(doc) -> str:
+    """The stdlib's bytes for a report: indent-2 JSON, and on a non-finite
+    float a second pass that writes each one as the string of its name."""
+    def json_safe(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return repr(float(value))
+        if isinstance(value, dict):
+            return {key: json_safe(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [json_safe(item) for item in value]
+        return value
+
+    try:
+        text = json.dumps(doc, indent=2, ensure_ascii=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(json_safe(doc), indent=2, ensure_ascii=True, allow_nan=False)
+    return text + "\n"
+
+
+class Label(str):
+    """A str subclass, as VerdictStatus is."""
+
+
+KEYS = st.one_of(st.text(max_size=6),
+                 st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", " ", "\U0001f600", ""]))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 1.7976931348623157e308]))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), FINITE,
+    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30]),
+    KEYS, KEYS.map(Label), st.sampled_from(list(singular.VerdictStatus)),
+    FINITE.map(np.float64),
+    # [re, im] pairs, and near-pairs the writer must not take for one
+    st.lists(FINITE, min_size=2, max_size=2), st.tuples(FINITE, FINITE),
+    st.lists(st.one_of(FINITE, FINITE.map(np.float64), st.integers(-3, 3)),
+             min_size=2, max_size=2))
+
+
+def documents(scalars):
+    return st.recursive(scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4)), max_leaves=24)
+
+
+class TestReportWriter:
+    @PROPERTY
+    @given(documents(SCALARS))
+    def test_bytes_are_the_stdlib_indent_2_json(self, doc):
+        assert serialize_report(doc) == json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+    @PROPERTY
+    @given(st.recursive(
+        st.one_of(SCALARS, st.sampled_from([math.inf, -math.inf, math.nan]),
+                  st.sampled_from([np.float64("inf"), np.float64("-inf")]),
+                  st.lists(st.sampled_from([1.0, math.inf, math.nan]), min_size=2, max_size=2)),
+        lambda children: st.one_of(st.lists(children, max_size=4),
+                                   st.dictionaries(KEYS, children, max_size=4)),
+        max_leaves=24))
+    def test_non_finite_floats_are_named_at_any_depth(self, doc):
+        assert serialize_report(doc) == reference_report(doc)
+
+    def test_a_matrix_report_is_the_stdlib_json(self, rng):
+        m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        doc = {"x": matrix_to_pairs(m), "empty": [[], {}], "residual": math.inf}
+        assert serialize_report(doc) == reference_report(doc)
+
+    @pytest.mark.parametrize("pair", [
+        [math.inf, 1.0], [1.0, -math.inf], [math.nan, 0.5], [np.float64(0.1), 1.0],
+        [1.0, np.float64(-0.0)], [True, 1.0], [1, 2.0], (0.1, 0.2)])
+    def test_entries_that_are_not_finite_float_pairs(self, pair):
+        doc = {"m": [[[0.5, -0.0], pair]], "pair": pair}
+        assert serialize_report(doc) == reference_report(doc)
+
+    @pytest.mark.parametrize("value", [object(), np.bool_(True), np.int64(1), {1: 2},
+                                       {"a": [1.0, {"b": (object(),)}]}, {(): None}])
+    def test_unserializable_value_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            serialize_report({"value": value})
 
 
 class TestProblemParsing:

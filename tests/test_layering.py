@@ -115,8 +115,10 @@ def callers_of(callee: str) -> set:
 
 
 def test_kronecker_products_taken_only_by_the_oracle():
-    # the main route builds its operators through numerics.kron_vec_operator
-    assert callers_of("kron") == {("oracle", "build_operator"), ("oracle", "oracle_solve")}
+    # the main route builds its operators through numerics.kron_vec_operator;
+    # the oracle takes its own products through its private _kron
+    assert callers_of("_kron") == {("oracle", "build_operator"), ("oracle", "oracle_solve")}
+    assert callers_of("kron") == set()
 
 
 def test_complex_schur_called_only_where_factors_are_made():

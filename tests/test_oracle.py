@@ -4,7 +4,7 @@ import pytest
 from sylvcert.errors import ParameterError
 from sylvcert.instances import regular_pair, shared_semisimple_pair
 from sylvcert.numerics import lstsq_solve, vec
-from sylvcert.oracle import EQUATIONS, build_operator, oracle_solve
+from sylvcert.oracle import EQUATIONS, _kron, build_operator, oracle_solve
 
 
 class TestScalarCases:
@@ -88,6 +88,17 @@ class TestRankConsistencyEquivalence:
 
 
 class TestOperators:
+    def test_kron_is_numpys_bit_for_bit(self, rng):
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a, b, r = cplx(3, 3), cplx(4, 4), cplx(2, 5)
+        a[0, 0] = complex(-0.0, 0.0)
+        for x, y in [(np.eye(4), a), (b.T, np.eye(3)), (a, b), (b.T, a @ a), (r, b),
+                     (r.T, a), (a.T, r.T), (cplx(1, 1), r), (np.eye(1), np.eye(2))]:
+            assert _kron(x, y).tobytes() == np.kron(x, y).tobytes()
+            assert _kron(x, y).shape == np.kron(x, y).shape
+
     def test_all_equations_buildable(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sylvcert import gate
 from sylvcert.errors import DimensionError, PreconditionError
@@ -27,9 +27,7 @@ from sylvcert.roots import (UNIPOTENT_TOL, homogeneous_equivalence, homogeneous_
                             solve_unipotent_quadratic)
 from sylvcert.singular import DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report
 
-from conftest import shared_cluster_pair
-
-PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+from conftest import PROPERTY, shared_cluster_pair
 
 
 @st.composite
