@@ -57,11 +57,7 @@ def export(ref: str, directory: Path) -> str:
 
 
 class RunFailed(Exception):
-    """A perfbench run exited non-zero; ``record`` names it."""
-
-    def __init__(self, record: dict):
-        super().__init__(record)
-        self.record = record
+    """A perfbench run exited non-zero; its one argument names the run."""
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -173,7 +169,7 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
                 for side in ("parent", "change")}
     except RunFailed as exc:
         # keep what was measured before it
-        failed_run = exc.record
+        failed_run = exc.args[0]
     workloads = {}
     for workload, runs in pairs.items():
         entry = workloads[workload] = {"pairs": runs}
