@@ -19,8 +19,8 @@ medians differ by more than the parent's interquartile range.
 
 A perfbench run that exits non-zero ends the measurement: the file still
 gets every pair and traced run made before it, the failing run is named
-under ``failed_run`` (side, workload, seed, trace, exit code), and the
-script exits 1.
+under ``failed_run`` (side, workload, seed, trace, exit code), only a
+workload with a pair for every seed gets a summary, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
     workloads = {}
     for workload, runs in pairs.items():
         entry = workloads[workload] = {"pairs": runs}
-        if runs:
+        if len(runs) == len(SEEDS):  # a cut-short workload gets no summary
             entry["summary"] = summarize(runs, benchmark["end_to_end"])
             for name in names:
                 s = entry["summary"][name]
@@ -190,7 +190,10 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
                  f"run per side, seed {TRACED_SEED}, --trace 1. summary gives each side's "
                  "median and quartiles (numpy linear percentiles) over the seeds, the pairs "
                  "the change wins, and the change's relative worsening against the "
-                 "benchmark's bound"),
+                 "benchmark's bound"
+                 + ("" if failed_run is None else
+                    f"; cut short by failed_run: a workload with fewer than {len(SEEDS)} "
+                    "pairs gets no summary")),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0",
         "parent_sha": shas["parent"],

@@ -261,9 +261,6 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     # one-column solve would
     if rhs.ndim == 1:
         solution, residual = solve_column(rhs)
-    elif rhs.shape[1] == 1:
-        x, norm = solve_column(rhs[:, 0])
-        solution, residual = x[:, None], np.array([norm])
     else:
         solved = [solve_column(column) for column in rhs.T]
         solution = np.array([x for x, _ in solved], dtype=np.complex128).reshape(

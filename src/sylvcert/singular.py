@@ -367,8 +367,8 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     stack = np.asarray(rhs, dtype=np.complex128)
     if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
         raise DimensionError(f"rhs must be {n}x{m} or a stack of them, got shape {stack.shape}")
-    slices = [stack] if stack.ndim == 2 else stack  # a single rhs: a list of one slice
-    r = [qa.conj().T @ stack @ qb] if stack.ndim == 2 else qa.conj().T @ stack @ qb
+    slices = stack.reshape(-1, n, m)  # a single rhs is the one-slice stack
+    r = qa.conj().T @ slices @ qb
 
     reports: list = [None] * len(slices)
     pending = list(range(len(slices)))
