@@ -251,21 +251,20 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
-    left, right = U[:, :rank].conj().T, Vh[:rank].conj().T
-
-    def solve_column(column):
-        x = right @ ((left @ column) / s[:rank]) if rank else np.zeros(K.shape[1], np.complex128)
-        return x, float(np.linalg.norm(K @ x - column))
-
     # column by column, so each column gets exactly the solution its own
     # one-column solve would
-    if rhs.ndim == 1:
-        solution, residual = solve_column(rhs)
+    columns = [rhs] if rhs.ndim == 1 else rhs.T
+    if rank:
+        left, right = U[:, :rank].conj().T, Vh[:rank].conj().T
+        solutions = [right @ ((left @ column) / s[:rank]) for column in columns]
     else:
-        solved = [solve_column(column) for column in rhs.T]
-        solution = np.array([x for x, _ in solved], dtype=np.complex128).reshape(
-            len(solved), K.shape[1]).T
-        residual = np.array([norm for _, norm in solved])
+        solutions = [np.zeros(K.shape[1], dtype=np.complex128) for _ in columns]
+    residuals = [float(np.linalg.norm(K @ x - column)) for x, column in zip(solutions, columns)]
+    if rhs.ndim == 1:
+        solution, residual = solutions[0], residuals[0]
+    else:
+        solution = np.array(solutions, dtype=np.complex128).reshape(len(solutions), K.shape[1]).T
+        residual = np.array(residuals)
     return LstsqResult(solution=solution, residual_norm=residual,
                        rank=rank, cutoff=cutoff, near_cutoff=near,
                        null_space=Vh[rank:].conj().T)
