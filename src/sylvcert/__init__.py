@@ -8,16 +8,15 @@ from .errors import (BranchCutError, ConvergenceError, DimensionError, GateError
                      PreconditionError, SchemaError, SylvcertError, WitnessError)
 from .gate import GateReport, choose_shift, sector_contains, shared_eigenvalues
 from .numerics import (LstsqResult, as_complex_matrix, kron_vec_operator, lstsq_solve,
-                       mat_exp, principal_sqrt, solve_left, unvec, vec)
+                       mat_exp, unvec, vec)
 from .oracle import OracleResult, build_operator, oracle_solve
 from .regular import RegularSolveResult, companion_solve_quadrature, compute_offset
 from .roots import (QuadraticSolveResult, RootCandidate, block_roots,
                     homogeneous_equivalence, homogeneous_nullspaces,
-                    similarity_root_from_intertwiner, solve_unipotent_quadratic,
-                    verify_unipotent_identity)
+                    similarity_root_from_intertwiner, solve_unipotent_quadratic)
 from .singular import (SylvesterProblem, UVSystemReport, UVWitness, Verdict,
-                       VerdictStatus, commutator_identity_verdict, diagnose,
-                       particular_solution, prepare, solve_uv_report, sylvester_kernel)
+                       VerdictStatus, diagnose, particular_solution, prepare,
+                       solve_uv_report, sylvester_kernel)
 
 __version__ = "0.1.0"
 

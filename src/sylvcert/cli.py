@@ -186,7 +186,7 @@ def cmd_roots(args) -> int:
     # a^-1 c b^-1, by solves on the problem's Schur factors
     u_plus_v = schur_solve(problem.schur_a, schur_solve(problem.schur_b, c, "right"))
     for q in quad.q_values:
-        identity_residual, _ = unipotent_identity_residual(q, problem, quad.offset, tol)
+        identity_residual, _ = unipotent_identity_residual(q, problem, problem.offset, tol)
         # q = v - u, so u = (u + v - q) / 2
         x = solution_from_u(problem, 0.5 * (u_plus_v - q))
         unipotent.append({

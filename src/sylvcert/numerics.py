@@ -143,21 +143,6 @@ def schur_solve(schur, m, side: str = "left") -> np.ndarray:
     return x
 
 
-def solve_left(a, m) -> np.ndarray:
-    """a^-1 m by an LU solve, without forming the inverse.
-
-    Raises :class:`InversionError` when a is singular or the solution is
-    not finite (a singular to working precision).
-    """
-    try:
-        x = np.linalg.solve(a, m)
-    except np.linalg.LinAlgError as exc:
-        raise InversionError("matrix to invert is singular") from exc
-    if not np.all(np.isfinite(x)):
-        raise InversionError("matrix to invert is singular to working precision")
-    return x
-
-
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))
@@ -167,12 +152,6 @@ def mat_exp(m) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise NumericError("matrix exponential overflowed")
     return np.asarray(result, dtype=np.complex128)
-
-
-def principal_sqrt(m) -> np.ndarray:
-    """Principal matrix square root: s with s @ s = m, spectrum in the open
-    right half-plane; :func:`schur_sqrt` on the Schur factors of ``m``."""
-    return schur_sqrt(complex_schur(as_complex_matrix(m)))
 
 
 def schur_sqrt(schur) -> np.ndarray:

@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, GateError, NumericError, PreconditionError
+from .errors import GateError, NumericError, PreconditionError
 from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
-from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester, solve_left
-from .regular import compute_offset, reduced_rhs
+from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
                        check_entry, decide_sylvester, intertwiner_basis,
                        skipped_on_refusal, unipotent_identity_residual)
@@ -62,11 +61,11 @@ class RootCandidate:
 @dataclass
 class QuadraticSolveResult:
     """Solutions of the quadratic block equation Y base Y = target; every
-    matrix is dense (n+m)-square, split after row and column n."""
+    matrix is dense (n+m)-square, split after row and column n.  The
+    upper-right blocks of base and target differ by the problem's offset."""
 
     base: np.ndarray
     target: np.ndarray
-    offset: np.ndarray  # r = a^-1 s b + a s b^-1, the upper-right blocks' difference
     base_roots: np.ndarray  # (4, n+m, n+m), in BRANCHES order
     y_solutions: np.ndarray  # (k, n+m, n+m)
     q_values: list
@@ -125,7 +124,9 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     d_square = block_upper(a @ a, 0, b @ b)
 
     square_residual = frob(root @ root - d_square)
-    similarity_residual = frob(solve_left(similarity, d_minus @ similarity) - root)
+    # similarity = I + e with e^2 = 0, so its inverse is I - e = 2I - similarity
+    inverse = 2 * np.eye(p.n + p.m) - similarity
+    similarity_residual = frob(inverse @ (d_minus @ similarity) - root)
     scale = max(frob(d_square), 1e-300)
     is_root = square_residual <= tol * scale
     is_primary = frob(x) <= tol * max(frob(root), 1e-300)
@@ -184,16 +185,15 @@ def _checked(stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def _base_and_target(p: SylvesterProblem):
-    """The problem's companion solution s, its offset r, and the dense base
-    [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]] of the quadratic
-    equation, each checked finite."""
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    offset = compute_offset(p, companion, reduced_rhs(p, companion))
-    return (companion, offset, _finite(block_upper(p.a, -companion, -p.b), "base"),
-            _finite(block_upper(p.a, -(companion + offset), -p.b), "target"))
+    """The dense base [[a, -s], [0, -b]] and target [[a, -(s + r)], [0, -b]]
+    of the quadratic equation for the problem's companion solution s and its
+    offset r, each checked finite."""
+    s = p.companion
+    return (_finite(block_upper(p.a, -s, -p.b), "base"),
+            _finite(block_upper(p.a, -(s + p.offset), -p.b), "target"))
 
 
-def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
+def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     """The four branch roots of ``base`` and their inverses, as two
     (4, n+m, n+m) stacks in :data:`BRANCHES` order; each root is verified to
     square back to it.
@@ -205,7 +205,7 @@ def _branch_roots(p: SylvesterProblem, companion, base, tol: float) -> tuple:
     once for all branches.
     """
     n, m = p.n, p.m
-    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -p.companion, +1)
     signs = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
     sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
     inv_a = _inverse_block(sqrt_a, "upper-left")
@@ -236,8 +236,8 @@ def block_roots(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     Every branch is the coupling conjugation of the diagonal
     ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), enumerated in (k1, k2) order.
     """
-    companion, _, base, _ = _base_and_target(p)
-    roots, _ = _branch_roots(p, companion, base, tol)
+    base, _ = _base_and_target(p)
+    roots, _ = _branch_roots(p, base, tol)
     return roots
 
 
@@ -258,8 +258,8 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     enumerated family; the (u, v) system remains the authoritative verdict.
     """
     a, b, n, m = p.a, p.b, p.n, p.m
-    companion, offset, base, target = _base_and_target(p)
-    roots, inverses = _branch_roots(p, companion, base, tol)
+    base, target = _base_and_target(p)
+    roots, inverses = _branch_roots(p, base, tol)
     products = _checked(roots @ target @ roots, n)
 
     # t^2 is the Schur factor of a^2 in the basis of t; one decision takes
@@ -299,7 +299,7 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
                  & (np.linalg.norm(y[kept, n:, n:] - np.eye(m), axis=(1, 2))
                     <= UNIPOTENT_TOL * np.sqrt(m)))
 
-    return QuadraticSolveResult(base=base, target=target, offset=offset, base_roots=roots,
+    return QuadraticSolveResult(base=base, target=target, base_roots=roots,
                                 y_solutions=y[kept],
                                 q_values=[y[i, :n, n:].copy()
                                           for i, u in zip(kept, unipotent) if u],
@@ -321,26 +321,10 @@ def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:
     entry = check_entry("pass" if found == solvable else "fail")
     if found:
         entry["residual"], entry["threshold"] = min(
-            (unipotent_identity_residual(q, p, quad.offset, tol) for q in quad.q_values),
+            (unipotent_identity_residual(q, p, p.offset, tol) for q in quad.q_values),
             key=lambda pair: pair[0] / pair[1])
     elif not solvable:
         entry["note"] = ("no unipotent solution in the enumerated root family; "
                          "this bounds the search, the system verdict is authoritative")
     return entry
 
-
-def verify_unipotent_identity(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) -> bool:
-    """Check that [[I, q], [0, I]] conjugates the base matrix into the target,
-    in both its block form and the reduced form q b - a q = r; the two
-    residuals must agree."""
-    q = as_complex_matrix(q, "q")
-    if q.shape != (p.n, p.m):
-        raise DimensionError(f"q must be {p.n}x{p.m}, got {q.shape}")
-    _, offset, base, target = _base_and_target(p)
-    y = block_upper(np.eye(p.n), q, np.eye(p.m))
-    block_residual = frob(y @ base @ y - target)
-    reduced_residual, threshold = unipotent_identity_residual(q, p, offset, tol)
-    if abs(block_residual - reduced_residual) > 1e-9 * threshold / tol + 1e-12:
-        raise PreconditionError(
-            "block and reduced residuals disagree; inconsistent evaluation")
-    return reduced_residual <= threshold

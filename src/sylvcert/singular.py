@@ -24,15 +24,16 @@ reordered so the k_a x k_b block of eigenvalues shared within the cluster
 tolerance leads; only that block is decided by minimum-norm least squares with
 an explicit, reported threshold, the rest and the companion equation by
 Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The
-stacked 2nm system stays the oracle's ``uv_stacked`` reference.  Completing v
-this way makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
+tests keep the stacked 2nm system as their reference.  Completing v this way
+makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
 identity a u + v b = s + offset, the cubic constraint and the two gates of
 :func:`particular_solution` are the independent checks, each certified as a
 residual against a threshold at its own scale.
 
 :func:`prepare` validates the input, then factors and norms each shifted
 matrix once, and every a^-1 and b^-1 above is a triangular solve on those
-Schur factors (``numerics.schur_solve``).
+Schur factors (``numerics.schur_solve``).  The companion solution s,
+a s b^-1 and the offset are taken at most once per problem, on first use.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
 from .numerics import (as_complex_matrix, as_sylvester_data, complex_schur, frob,
                        kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
-                       require_square, schur_solve, schur_sylvester, triangular_sylvester,
-                       unvec, vec)
+                       schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import (QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset,
                       reduced_rhs)
@@ -99,6 +99,24 @@ class SylvesterProblem:
         ``__dict__``, not an attribute.)"""
         return intertwiner_basis(self.a, self.b, self.schur_a, self.schur_b)
 
+    @functools.cached_property
+    def companion(self) -> np.ndarray:
+        """The unique solution s of a s + s b = c, by Bartels-Stewart on the
+        problem's factors, taken once per problem."""
+        return schur_sylvester(self.schur_a, self.schur_b, self.c, +1)
+
+    @functools.cached_property
+    def reduced(self) -> np.ndarray:
+        """a s b^-1, the right-hand side of the reduced equation, taken once
+        per problem by :func:`~sylvcert.regular.reduced_rhs`."""
+        return reduced_rhs(self, self.companion)
+
+    @functools.cached_property
+    def offset(self) -> np.ndarray:
+        """The offset r = a^-1 s b + a s b^-1, taken once per problem by
+        :func:`~sylvcert.regular.compute_offset`."""
+        return compute_offset(self, self.companion, self.reduced)
+
 
 @dataclass
 class UVWitness:
@@ -118,7 +136,7 @@ class UVWitness:
 @dataclass
 class UVSystemReport:
     """Outcome of :func:`decide_sylvester` for a u - u b = rhs; for the (u, v)
-    system, ``companion`` is the s it used and ``witness`` the completed pair."""
+    system, ``witness`` is the completed pair."""
 
     u: np.ndarray  # the least-squares answer, in the original coordinates
     lstsq_residual: float
@@ -129,7 +147,6 @@ class UVSystemReport:
     cluster_sizes: tuple = (0, 0)  # (k_a, k_b): eigenvalues in the shared block
     cluster_tolerance: float = 0.0
     witness: UVWitness | None = None
-    companion: np.ndarray | None = None
 
 
 @dataclass
@@ -455,13 +472,9 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
     :func:`decide_sylvester`; a consistent decision is completed to the
     witness pair (u, v)."""
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    rhs = reduced_rhs(p, companion)
-    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, tol)
-    report.companion = companion
+    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, tol)
     if report.lstsq_residual <= report.threshold:
-        report.witness = _witness_from_u(p, report.u, companion,
-                                         compute_offset(p, companion, rhs), tol,
+        report.witness = _witness_from_u(p, report.u, p.companion, p.offset, tol,
                                          report.threshold)
     return report
 
@@ -581,14 +594,14 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     elif status is VerdictStatus.ILL_CONDITIONED:
         checks["oracle_cross_check"] = skipped_on_refusal(gate)
     else:
-        reference = oracle_solve("sylvester", a0, b0, c0, tol=tol)
+        reference = oracle_solve(a0, b0, c0, tol=tol)
         oracle_agreement = bool(reference.consistent == solvable)
         checks["oracle_cross_check"] = check_entry(
             "pass" if oracle_agreement else "fail", reference.residual, reference.threshold)
 
     if with_quadrature and rep is not None:
         quad = companion_solve_quadrature(p.a, p.b, c0).solution
-        gap = frob(rep.companion - quad) / max(frob(rep.companion), 1e-300)
+        gap = frob(p.companion - quad) / max(frob(p.companion), 1e-300)
         checks["integral_representation"] = _bounded_check(gap, QUADRATURE_GAP_TOL)
     elif with_quadrature:
         checks["integral_representation"] = _skipped(
@@ -607,11 +620,3 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                    cluster_tolerance=None if rep is None else rep.cluster_tolerance,
                    checks=checks)
 
-
-def commutator_identity_verdict(a, tol: float = DEFAULT_TOL,
-                                with_oracle: bool = True) -> Verdict:
-    """Verdict for a x - x a = I, which is never solvable (the left side has
-    zero trace in every matrix representation, the right side does not)."""
-    a = require_square(as_complex_matrix(a, "a"), "a")
-    identity = np.eye(a.shape[0], dtype=np.complex128)
-    return diagnose(a, a, identity, tol=tol, with_oracle=with_oracle)

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
 
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
-from sylvcert.numerics import complex_schur, schur_sylvester
+from sylvcert.numerics import complex_schur, lstsq_solve, schur_sylvester
+from sylvcert.oracle import OracleResult
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -83,3 +86,67 @@ def pair_equation_residuals(a, b, companion, offset, c, u, v):
         "u_plus_v": np.linalg.norm(u + v - pair_sum),
         "cubic": np.linalg.norm(a @ a @ a @ v + a @ a @ v @ b + u @ b @ b @ b + a @ u @ b @ b),
     }
+
+
+# Dense references for two equations of the paper that the package never
+# forms, with operators built here by np.kron, so they share no operator code
+# with the package.  Each is decided like the oracle's equation: rank judged
+# at the scale of the highest power of ||a|| + ||b|| in the operator.
+
+def _left_right(a, b):
+    """Matrices of x |-> a x and x |-> x b under column-stacking vectorization."""
+    n, m = a.shape[0], b.shape[0]
+    return np.kron(np.eye(m), a), np.kron(b.T, np.eye(n))
+
+
+def gen_square_operator(a, b):
+    """Matrix of x |-> a^2 x + a x b + x b^2."""
+    left, right = _left_right(a, b)
+    return left @ left + left @ right + right @ right
+
+
+def uv_stacked_operator(a, b):
+    """Matrix of the paper's stacked (v, u) system on [vec(v); vec(u)]:
+    rows a v + u b, then a^3 v + a^2 v b + u b^3 + a u b^2."""
+    n, m = a.shape[0], b.shape[0]
+    left, right = _left_right(a, b)
+    cubic = np.hstack([np.kron(np.eye(m), a @ a @ a) + np.kron(b.T, a @ a),
+                       np.kron((b @ b @ b).T, np.eye(n)) + np.kron((b @ b).T, a)])
+    return np.vstack([np.hstack([left, right]), cubic])
+
+
+def _dense_decision(K, rhs, a, b, degree, tol):
+    data_scale = float(np.linalg.norm(a)) + float(np.linalg.norm(b))
+    res = lstsq_solve(K, rhs, scale_reference=max(data_scale ** d for d in range(1, degree + 1)))
+    threshold = tol * (float(np.linalg.norm(K)) * float(np.linalg.norm(res.solution))
+                       + float(np.linalg.norm(rhs)))
+    consistent = res.residual_norm <= threshold
+    return OracleResult(solution=res.solution if consistent else None,
+                        residual=res.residual_norm, nullity=K.shape[1] - res.rank,
+                        consistent=consistent, threshold=threshold, rank=res.rank,
+                        near_cutoff=res.near_cutoff)
+
+
+def gen_square_reference(a, b, rhs, tol=1e-8):
+    """Dense decision of a^2 x + a x b + x b^2 = rhs; the solution is n x m."""
+    a, b, rhs = (np.asarray(x, dtype=np.complex128) for x in (a, b, rhs))
+    result = _dense_decision(gen_square_operator(a, b), rhs.reshape(-1, order="F"),
+                             a, b, 2, tol)
+    if result.consistent:
+        result = dataclasses.replace(result, solution=result.solution.reshape(rhs.shape, order="F"))
+    return result
+
+
+def uv_stacked_reference(a, b, c, tol=1e-8):
+    """Dense decision of the stacked (v, u) system for the companion solution
+    s of a s + s b = c (by a dense solve); the solution is the (v, u) pair."""
+    a, b, c = (np.asarray(x, dtype=np.complex128) for x in (a, b, c))
+    left, right = _left_right(a, b)
+    companion = np.linalg.solve(left + right, c.reshape(-1, order="F"))
+    rhs = np.concatenate([companion, np.zeros(c.size, dtype=np.complex128)])
+    result = _dense_decision(uv_stacked_operator(a, b), rhs, a, b, 3, tol)
+    if result.consistent:
+        pair = np.stack([half.reshape(c.shape, order="F")
+                         for half in np.split(result.solution, 2)])
+        result = dataclasses.replace(result, solution=pair)
+    return result

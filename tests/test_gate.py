@@ -86,7 +86,7 @@ class TestShiftEquivalence:
             b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             c = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
             lam = rng.uniform(0.0, 5.0)
-            result = oracle_solve("sylvester", a, b, c)
+            result = oracle_solve(a, b, c)
             if result.solution is None:
                 continue
             x = result.solution

@@ -235,7 +235,7 @@ class TestDiagnoseCommand:
         entry = parse_report(out.read_text())["checks"]["unipotent_bridge"]
         p = singular.prepare(a, b, c)
         quad = solve_unipotent_quadratic(p)
-        pairs = [unipotent_identity_residual(q, p, quad.offset) for q in quad.q_values]
+        pairs = [unipotent_identity_residual(q, p, p.offset) for q in quad.q_values]
         assert len(pairs) >= 2
         assert (entry["residual"], entry["threshold"]) in pairs
         assert entry["residual"] <= entry["threshold"]

@@ -1,23 +1,26 @@
 """Static layering rules of the package, checked on its source with ``ast``.
 
-The dense Kronecker oracle corroborates verdicts only while the main route
-shares no code with it, and every Schur factorization of a problem's pair is
-taken once, by ``prepare``, or by the standalone quadrature check.  Which
-eigenvalues the spectra share is decided by one rule, in ``gate``, and the
-homogeneous kernel is read off the decision's factors, never a dense SVD.
-Inverses are applied by one solve routine, never formed, and the root
-bridge reads the companion solution and its offset off the problem and
-searches on dense stacked arrays; no typed block-matrix class or typed
-product exists.  One bridge operation takes each factorization once: one
-coupling decision for all four branches, three least-squares solves (the two
-kernels and that decision) and two block inversions, one per principal root.
-Outside the oracle a Kronecker operator is built only by
-``kron_vec_operator``, and the homogeneous kernel solves no block that is
-zero at rhs = 0.  ``diagnose`` validates its input once, factors each matrix
-once and applies every inverse as a solve on those factors.
+The dense Kronecker oracle decides a x - x b = c alone, and corroborates
+verdicts only while the main route shares no code with it; every Schur
+factorization of a problem's pair is taken once, by ``prepare``, or by the
+standalone quadrature check.  Which eigenvalues the spectra share is decided
+by one rule, in ``gate``, and the homogeneous kernel is read off the
+decision's factors, never a dense SVD.  Inverses are applied by one solve
+routine, never formed, and no dense solve is taken.  The root bridge reads
+the companion solution and its offset off the problem, where each is taken
+at most once, and searches on dense stacked arrays; no typed block-matrix
+class or typed product exists.  One bridge operation takes each
+factorization once: one coupling decision for all four branches, three
+least-squares solves (the two kernels and that decision) and two block
+inversions, one per principal root.  Outside the oracle a Kronecker operator
+is built only by ``kron_vec_operator``, and the homogeneous kernel solves no
+block that is zero at rhs = 0.  ``diagnose`` validates its input once,
+factors each matrix once and applies every inverse as a solve on those
+factors.  Every function the benchmark's tracer names exists.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
 import sys
@@ -26,17 +29,19 @@ import numpy as np
 import pytest
 
 import sylvcert
-from sylvcert.instances import rhs_in_range, shared_jordan_pair
-from sylvcert.roots import (block_roots, homogeneous_equivalence, homogeneous_nullspaces,
-                            solve_unipotent_quadratic, verify_unipotent_identity)
+from sylvcert.instances import rhs_in_range, rhs_outside_range, shared_jordan_pair
+from sylvcert import cli
+from sylvcert.io import problem_to_dict, serialize_report
+from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
+                            homogeneous_nullspaces, solve_unipotent_quadratic,
+                            unipotent_bridge_check)
 from sylvcert.singular import diagnose, prepare, sylvester_kernel
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 ORACLE_FREE = ("roots", "regular", "gate", "blockalg", "numerics", "cli")
-# principal_sqrt makes the factors of a matrix that has none; the root
-# bridge takes its roots from the problem's factors by schur_sqrt
-SCHUR_CALLERS = {("singular", "prepare"), ("regular", "companion_solve_quadrature"),
-                 ("numerics", "principal_sqrt")}
+# the root bridge takes its roots from the problem's factors by schur_sqrt
+SCHUR_CALLERS = {("singular", "prepare"), ("regular", "companion_solve_quadrature")}
 
 
 def parse(module: str) -> ast.Module:
@@ -117,7 +122,7 @@ def callers_of(callee: str) -> set:
 def test_kronecker_products_taken_only_by_the_oracle():
     # the main route builds its operators through numerics.kron_vec_operator;
     # the oracle takes its own products through its private _kron
-    assert callers_of("_kron") == {("oracle", "build_operator"), ("oracle", "oracle_solve")}
+    assert callers_of("_kron") == {("oracle", "build_operator")}
     assert callers_of("kron") == set()
 
 
@@ -130,12 +135,12 @@ def test_inverses_are_applied_by_one_solve_routine():
     # generators build test data from a similarity and its inverse
     assert {caller for caller in callers_of("inv") if caller[0] != "instances"} \
         == {("blockalg", "_inverse_block")}
-    # the oracle keeps its own operators
-    assert callers_of("solve") == {("numerics", "solve_left"), ("oracle", "oracle_solve")}
+    # no dense solve: the root bridge's similarity is I + e with e^2 = 0
+    assert callers_of("solve") == set()
 
 
 def test_bridge_reads_companion_and_offset_off_the_problem():
-    for function in (block_roots, solve_unipotent_quadratic, verify_unipotent_identity):
+    for function in (block_roots, solve_unipotent_quadratic, _branch_roots):
         assert not {"companion", "offset"} & set(inspect.signature(function).parameters)
 
 
@@ -148,12 +153,17 @@ RETIRED_BLOCK_NAMES = ("BlockMatrix", "block_mul", "diag_embed")
 # the paper-identity checks live in the tests that read them
 RETIRED_TEST_ONLY_NAMES = (
     "CommutantMembership", "SpectrumReport", "classify_triangular_commutant",
-    "companion_solve_direct", "complete_intertwined_pair", "eigenvalues",
-    "reduced_singular_routes", "solve_generalized_regular", "solve_right",
-    "solve_uv_system", "verify_commutant_identity")
+    "commutator_identity_verdict", "companion_solve_direct", "complete_intertwined_pair",
+    "eigenvalues", "principal_sqrt", "reduced_singular_routes", "solve_generalized_regular",
+    "solve_left", "solve_right", "solve_uv_system", "verify_commutant_identity",
+    "verify_unipotent_identity")
+# the oracle decides a x - x b = c alone; the tests keep the paper's other
+# equations as their own references
+RETIRED_ORACLE_NAMES = ("EQUATIONS", "_EQUATION_DEGREE", "_decide")
 
 
-@pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES)
+@pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES
+                         + RETIRED_ORACLE_NAMES)
 def test_no_module_defines_or_imports_a_retired_name(name):
     assert name not in sylvcert.__all__
     for path in PACKAGE.glob("*.py"):
@@ -240,6 +250,50 @@ def test_diagnose_factors_once_and_solves_on_the_factors(monkeypatch):
     # factors; the copies are prepare's (a, b, c), the certificate's unshifted
     # a and b, and the exported kron_vec_operator (a, b) and lstsq_solve (K)
     # checking their own input on the one shared block of this pair
-    calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix", "solve_left"))
+    calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix"))
     assert diagnose(*bridge_data()).status.value == "solvable"
-    assert calls == {"complex_schur": 2, "as_complex_matrix": 8, "solve_left": 0}
+    assert calls == {"complex_schur": 2, "as_complex_matrix": 8}
+
+
+
+def test_roots_command_takes_the_companion_and_offset_once(monkeypatch, tmp_path):
+    # the root search and the (u, v) decision read them off one problem
+    path = tmp_path / "problem.json"
+    path.write_text(serialize_report(problem_to_dict(*bridge_data())), encoding="utf-8")
+    calls = counted(monkeypatch, ("compute_offset", "reduced_rhs"))
+    assert cli.main(["roots", str(path)]) == 0
+    assert calls == {"compute_offset": 1, "reduced_rhs": 1}
+
+
+def test_bridge_check_reuses_the_diagnosed_companion_and_offset(monkeypatch):
+    calls = counted(monkeypatch, ("compute_offset", "reduced_rhs"))
+    verdict = diagnose(*bridge_data())
+    assert unipotent_bridge_check(verdict)["status"] == "pass"
+    assert calls == {"compute_offset": 1, "reduced_rhs": 1}
+
+
+def test_unsolvable_verdict_takes_no_offset(monkeypatch):
+    rng = np.random.default_rng(101)
+    a, b = shared_jordan_pair(rng, 6, 6)
+    calls = counted(monkeypatch, ("compute_offset", "reduced_rhs"))
+    assert diagnose(a, b, rhs_outside_range(rng, a, b)).status.value == "unsolvable"
+    assert calls == {"compute_offset": 0, "reduced_rhs": 1}
+
+
+def tracer_targets() -> set:
+    """The (module, function name) pairs the benchmark's tracer resolves by
+    name, read from its source without importing it: each module of
+    ``MODULES`` (name None) and each entry of ``EXTRA_TARGETS``."""
+    values = {node.targets[0].id: node.value
+              for node in ast.parse(TRACING.read_text(encoding="utf-8")).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    return ({(module, None) for module in ast.literal_eval(values["MODULES"])}
+            | set(ast.literal_eval(values["EXTRA_TARGETS"])))
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    targets = tracer_targets()
+    assert {("roots", "block_roots"), ("oracle", "build_operator")} <= targets
+    for module, name in targets:
+        namespace = importlib.import_module(f"sylvcert.{module}")
+        assert name is None or inspect.isfunction(getattr(namespace, name, None)), (module, name)

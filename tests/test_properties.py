@@ -67,14 +67,15 @@ def test_kernel_needs_the_gate_and_matches_the_oracle(pair):
     if x_basis or y_basis:
         assert p.gate.spectra_intersect
         assert homogeneous_equivalence(p)[0] == bool(x_basis)
-    for basis, equation in ((x_basis, "homogeneous"), (y_basis, "adjoint_homogeneous")):
-        reference = oracle_solve(equation, p.a, p.b)
+    # a x = x b is the oracle's equation at c = 0, and b y = y a the one on (b, a)
+    for basis, (left, right) in ((x_basis, (p.a, p.b)), (y_basis, (p.b, p.a))):
+        reference = oracle_solve(left, right, np.zeros((left.shape[0], right.shape[0])))
         if reference.near_cutoff:
             continue
         assert len(basis) == reference.nullity
         if basis:
             # the oracle's null space: its operator's trailing right singular vectors
-            _, _, vh = np.linalg.svd(build_operator(equation, p.a, p.b))
+            _, _, vh = np.linalg.svd(build_operator(left, right))
             angles = scipy.linalg.subspace_angles(vectors(basis),
                                                   vh[-reference.nullity:].conj().T)
             assert angles.max() <= 1e-6

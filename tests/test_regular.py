@@ -6,11 +6,10 @@ import pytest
 from sylvcert.errors import InversionError, PreconditionError
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
 from sylvcert.numerics import mat_exp
-from sylvcert.oracle import oracle_solve
 from sylvcert.regular import companion_solve_quadrature, compute_offset, reduced_rhs
 from sylvcert.singular import prepare
 
-from conftest import companion_solution
+from conftest import companion_solution, gen_square_reference
 
 
 def sector_matrix(rng, k, alpha=np.pi / 4):
@@ -110,7 +109,7 @@ class TestGeneralizedRegular:
         s = companion_solution(a, b, c)
         b_inv = np.linalg.inv(b)
         rhs = a @ a @ s + a @ s @ b + a @ a @ a @ s @ b_inv
-        xi = oracle_solve("gen_square", a, b, rhs)
+        xi = gen_square_reference(a, b, rhs)
         assert xi.consistent and xi.nullity == 0
         expected = a @ s @ b_inv
         assert np.linalg.norm(xi.solution - expected) <= 1e-9 * np.linalg.norm(expected)

@@ -8,15 +8,32 @@ from sylvcert.blockalg import block_upper
 from sylvcert.errors import DimensionError, NumericError, PreconditionError
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, principal_sqrt, schur_sylvester
+from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, schur_sqrt,
+                               schur_sylvester)
 from sylvcert.oracle import oracle_solve
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
-                            solve_unipotent_quadratic, verify_unipotent_identity)
-from sylvcert.singular import decide_sylvester, prepare, solve_uv_report
+                            solve_unipotent_quadratic)
+from sylvcert.singular import (DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report,
+                               unipotent_identity_residual)
 
 from conftest import assert_multiset_close, shared_cluster_pair
+
+
+def verify_unipotent_identity(q, p, tol=DEFAULT_TOL) -> bool:
+    """Whether [[I, q], [0, I]] conjugates the base matrix into the target,
+    judged on the reduced form q b - a q = r; the block form's residual must
+    agree with it."""
+    q = as_complex_matrix(q, "q")
+    if q.shape != (p.n, p.m):
+        raise DimensionError(f"q must be {p.n}x{p.m}, got {q.shape}")
+    base, target = roots._base_and_target(p)
+    y = block_upper(np.eye(p.n), q, np.eye(p.m))
+    block_residual = frob(y @ base @ y - target)
+    reduced_residual, threshold = unipotent_identity_residual(q, p, p.offset, tol)
+    assert abs(block_residual - reduced_residual) <= 1e-9 * threshold / tol + 1e-12
+    return reduced_residual <= threshold
 
 
 class TestNullspaces:
@@ -275,7 +292,7 @@ class TestUnipotentQuadratic:
             assert not np.any(x[3:, :3])
         np.testing.assert_array_equal(quad.base[:3, :3], p.a)
         np.testing.assert_array_equal(quad.target[3:, 3:], -p.b)
-        np.testing.assert_allclose(quad.base[:3, 3:] - quad.target[:3, 3:], quad.offset,
+        np.testing.assert_allclose(quad.base[:3, 3:] - quad.target[:3, 3:], p.offset,
                                    rtol=0, atol=1e-12 * frob(quad.base))
 
     def test_all_y_solve_quadratic(self, rng):
@@ -328,7 +345,7 @@ class TestBranchCoupling:
             for index, P in enumerate(branch_products(quad)):
                 p12 = P[:p.n, p.n:]
                 decision = decide_sylvester(a2, b2, (ta @ ta, qa), (tb @ tb, qb), p12)
-                reference = oracle_solve("sylvester", a2, b2, p12)
+                reference = oracle_solve(a2, b2, p12)
                 assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff)
                 consistent = decision.lstsq_residual <= decision.threshold
                 assert consistent == reference.consistent, (p.n, p.m, index)
@@ -359,8 +376,8 @@ class TestBranchCoupling:
             branches = branch_products(quad)
             assert len(branches) == 4
             for P in branches:
-                assert frob(principal_sqrt(P[:p.n, :p.n]) - p.a) <= 1e-10 * frob(p.a)
-                assert frob(principal_sqrt(P[p.n:, p.n:]) - p.b) <= 1e-10 * frob(p.b)
+                assert frob(schur_sqrt(complex_schur(P[:p.n, :p.n])) - p.a) <= 1e-10 * frob(p.a)
+                assert frob(schur_sqrt(complex_schur(P[p.n:, p.n:])) - p.b) <= 1e-10 * frob(p.b)
 
 
 class TestStackedSearchFailsClosed:

@@ -13,12 +13,12 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
 from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, schur_sylvester, unvec
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from sylvcert.regular import QUADRATURE_GAP_TOL, compute_offset, reduced_rhs
-from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry,
-                               commutator_identity_verdict, diagnose,
+from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry, diagnose,
                                particular_solution, prepare, solution_from_u,
                                solve_uv_report, sylvester_kernel)
 
-from conftest import pair_equation_residuals, pair_equation_rows, shared_cluster_pair
+from conftest import (pair_equation_residuals, pair_equation_rows, shared_cluster_pair,
+                      uv_stacked_reference)
 
 JORDAN_A = np.array([[1, 1], [0, 1]], dtype=complex)
 UNIT_B = np.array([[1]], dtype=complex)
@@ -28,7 +28,7 @@ def agrees_with_oracle(verdict, a, b, c) -> bool:
     """True unless the verdict is binary and the dense oracle decides otherwise."""
     if verdict.status is VerdictStatus.ILL_CONDITIONED:
         return True
-    reference = oracle_solve("sylvester", a, b, c)
+    reference = oracle_solve(a, b, c)
     return (verdict.status is VerdictStatus.SOLVABLE) == reference.consistent
 
 
@@ -99,7 +99,7 @@ class TestUVSystem:
             c = rhs_in_range(rng, a, b) if seed % 4 < 2 else rhs_outside_range(rng, a, b)
             p = prepare(a, b, c)
             report = solve_uv_report(p)
-            stacked = oracle_solve("uv_stacked", p.a, p.b, p.c)
+            stacked = uv_stacked_reference(p.a, p.b, p.c)
             assert (report.witness is not None) == stacked.consistent, (seed, n, m)
             if report.witness is not None:
                 x = particular_solution(report.witness, p)
@@ -399,8 +399,8 @@ class TestReducedRoutes:
         where one is inconsistent: both are consistent exactly when the
         original equation is solvable."""
         companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-        res_u = oracle_solve("sylvester", p.a, p.b, p.a @ companion @ np.linalg.inv(p.b))
-        res_v = oracle_solve("sylvester", p.a, p.b, -np.linalg.inv(p.a) @ companion @ p.b)
+        res_u = oracle_solve(p.a, p.b, p.a @ companion @ np.linalg.inv(p.b))
+        res_v = oracle_solve(p.a, p.b, -np.linalg.inv(p.a) @ companion @ p.b)
         return (res_u.solution if res_u.consistent else None,
                 res_v.solution if res_v.consistent else None)
 
@@ -423,7 +423,7 @@ class TestReducedRoutes:
             p = prepare(a, b, c)
             u_route, v_route = self._routes(p)
             system = solve_uv_report(p).witness
-            stacked = oracle_solve("uv_stacked", p.a, p.b, p.c)
+            stacked = uv_stacked_reference(p.a, p.b, p.c)
             assert (u_route is None) == (v_route is None)
             assert (v_route is not None) == (system is not None) == stacked.consistent
 
@@ -482,19 +482,23 @@ class TestCommutantIdentity:
 
 
 class TestCommutatorIdentityVerdict:
+    """a x - x a = I is never solvable: the left side has zero trace in
+    every matrix representation, the right side does not."""
+
     def test_scalar(self):
-        verdict = commutator_identity_verdict([[2]])
+        verdict = diagnose([[2]], [[2]], np.eye(1), with_oracle=True)
         assert verdict.status is VerdictStatus.UNSOLVABLE
         assert verdict.oracle_agreement
 
     def test_diagonal(self):
-        verdict = commutator_identity_verdict(np.diag([1.0, 2.0]))
+        a = np.diag([1.0, 2.0])
+        verdict = diagnose(a, a, np.eye(2), with_oracle=True)
         assert verdict.status is VerdictStatus.UNSOLVABLE
 
     def test_random_in_sector(self, rng):
         from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
         a = matrix_with_eigenvalues(rng, random_sector_eigenvalues(rng, 3))
-        verdict = commutator_identity_verdict(a)
+        verdict = diagnose(a, a, np.eye(3), with_oracle=True)
         assert verdict.status is VerdictStatus.UNSOLVABLE
         # the residual is bounded away from zero at the trace scale
         assert verdict.system_residual > np.sqrt(3) / (10 * (1 + frob(verdict.problem.a)) ** 3)
