@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -90,8 +88,7 @@ def pair_equation_residuals(a, b, companion, offset, c, u, v):
 
 # Dense references for two equations of the paper that the package never
 # forms, with operators built here by np.kron, so they share no operator code
-# with the package.  Each is decided like the oracle's equation: rank judged
-# at the scale of the highest power of ||a|| + ||b|| in the operator.
+# with the package.
 
 def _left_right(a, b):
     """Matrices of x |-> a x and x |-> x b under column-stacking vectorization."""
@@ -115,13 +112,16 @@ def uv_stacked_operator(a, b):
     return np.vstack([np.hstack([left, right]), cubic])
 
 
-def _dense_decision(K, rhs, a, b, degree, tol):
+def _dense_decision(K, rhs, a, b, degree, shaped, tol):
+    """Least-squares decision of K z = rhs like the oracle's, with the rank
+    judged at the largest power up to ``degree`` of ||a|| + ||b|` and the
+    solution passed through ``shaped``."""
     data_scale = float(np.linalg.norm(a)) + float(np.linalg.norm(b))
     res = lstsq_solve(K, rhs, scale_reference=max(data_scale ** d for d in range(1, degree + 1)))
     threshold = tol * (float(np.linalg.norm(K)) * float(np.linalg.norm(res.solution))
                        + float(np.linalg.norm(rhs)))
     consistent = res.residual_norm <= threshold
-    return OracleResult(solution=res.solution if consistent else None,
+    return OracleResult(solution=shaped(res.solution) if consistent else None,
                         residual=res.residual_norm, nullity=K.shape[1] - res.rank,
                         consistent=consistent, threshold=threshold, rank=res.rank,
                         near_cutoff=res.near_cutoff)
@@ -130,11 +130,8 @@ def _dense_decision(K, rhs, a, b, degree, tol):
 def gen_square_reference(a, b, rhs, tol=1e-8):
     """Dense decision of a^2 x + a x b + x b^2 = rhs; the solution is n x m."""
     a, b, rhs = (np.asarray(x, dtype=np.complex128) for x in (a, b, rhs))
-    result = _dense_decision(gen_square_operator(a, b), rhs.reshape(-1, order="F"),
-                             a, b, 2, tol)
-    if result.consistent:
-        result = dataclasses.replace(result, solution=result.solution.reshape(rhs.shape, order="F"))
-    return result
+    return _dense_decision(gen_square_operator(a, b), rhs.reshape(-1, order="F"), a, b, 2,
+                           lambda z: z.reshape(rhs.shape, order="F"), tol)
 
 
 def uv_stacked_reference(a, b, c, tol=1e-8):
@@ -144,9 +141,6 @@ def uv_stacked_reference(a, b, c, tol=1e-8):
     left, right = _left_right(a, b)
     companion = np.linalg.solve(left + right, c.reshape(-1, order="F"))
     rhs = np.concatenate([companion, np.zeros(c.size, dtype=np.complex128)])
-    result = _dense_decision(uv_stacked_operator(a, b), rhs, a, b, 3, tol)
-    if result.consistent:
-        pair = np.stack([half.reshape(c.shape, order="F")
-                         for half in np.split(result.solution, 2)])
-        result = dataclasses.replace(result, solution=pair)
-    return result
+    return _dense_decision(uv_stacked_operator(a, b), rhs, a, b, 3,
+                           lambda z: np.stack([half.reshape(c.shape, order="F")
+                                               for half in np.split(z, 2)]), tol)
