@@ -53,10 +53,17 @@ def pairs_to_matrix(data, name: str) -> np.ndarray:
                               f"{len(row)}, expected {width}")
         entries = []
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(part, (int, float)) for part in entry)):
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError(f"{name}[{i}][{j}] must be a [re, im] pair of numbers")
-            re, im = float(entry[0]), float(entry[1])
+            re, im = entry
+            # bool is a subclass of int, but JSON true and false are no numbers
+            if (not isinstance(re, (int, float)) or not isinstance(im, (int, float))
+                    or type(re) is bool or type(im) is bool):
+                raise SchemaError(f"{name}[{i}][{j}] must be a [re, im] pair of numbers")
+            try:
+                re, im = float(re), float(im)
+            except OverflowError:
+                raise SchemaError(f"{name}[{i}][{j}] is too large for a float") from None
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise SchemaError(f"{name}[{i}][{j}] is not finite")
             entries.append(complex(re, im))
@@ -108,9 +115,12 @@ def parse_problem_text(text: str, source: str = "<string>") -> ProblemSpec:
     alpha = options.get("alpha", DEFAULT_OPTIONS["alpha"])
     tol = options.get("tol", DEFAULT_OPTIONS["tol"])
     method = options.get("method", DEFAULT_OPTIONS["method"])
-    if not isinstance(alpha, (int, float)) or not 0 < float(alpha) < math.pi / 2:
+    # an int compares with a float exactly, so one too large for a float fails
+    # the range test instead of overflowing
+    if not isinstance(alpha, (int, float)) or type(alpha) is bool \
+            or not 0 < alpha < math.pi / 2:
         raise SchemaError(f"{source}: options.alpha must lie in (0, pi/2)")
-    if not isinstance(tol, (int, float)) or not 0 < float(tol) < 1:
+    if not isinstance(tol, (int, float)) or type(tol) is bool or not 0 < tol < 1:
         raise SchemaError(f"{source}: options.tol must lie in (0, 1)")
     if method not in METHODS:
         raise SchemaError(f"{source}: options.method must be one of {METHODS}")

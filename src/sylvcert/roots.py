@@ -8,12 +8,18 @@ Y B Y = T for B, T the companion-coupled embeddings built from the problem
 data; unipotent solutions [[I, q], [0, I]] certify solvability of the
 original equation through q b - a q = r.
 
+The four branch roots come in two sign classes: the branches (1,1) and
+(1,0) are the exact negatives of (0,0) and (0,1).  R and -R give the same
+P = R target R, the same coupling and the same Y = R^-1 Z R^-1 for every
+candidate Z, so the search runs on branches 0 and 1 alone and loses no
+solution.
+
 Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
-couplings a^2 s - s b^2 = P_12 of the four branches share their left-hand
-side and are decided by one call of the main decision's kernel,
+couplings a^2 s - s b^2 = P_12 of the two sign classes share their
+left-hand side and are decided by one call of the main decision's kernel,
 :func:`~sylvcert.singular.decide_sylvester`, on the squared factors and the
-stack of the four P_12.  The x-side intertwiners are read off the problem
+stack of the two P_12.  The x-side intertwiners are read off the problem
 (``SylvesterProblem.kernel``, taken once), the y-side ones are
 :func:`~sylvcert.singular.intertwiner_basis` on the swapped factors.
 
@@ -45,6 +51,8 @@ from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
 UNIPOTENT_TOL = 1e-7
 # (k1, k2) of the branch ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), in branch order
 BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the sign class of each branch: branch 3 is -branch 0 and branch 2 is -branch 1
+SIGN_CLASS = (0, 1, 1, 0)
 
 
 @dataclass
@@ -246,6 +254,12 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     """Solve Y base Y = target over the enumerated root family and extract
     the unipotent solutions.
 
+    The family is searched once per sign class, on branches 0 and 1: the
+    roots of branches 3 and 2 are their exact negatives, and R and -R give
+    the same P, the same coupling and the same Y for every Z below, so the
+    other two branches would only repeat their candidates.  Every branch
+    still gets its coupling note, read from its class.
+
     For each branch root R of the base matrix, P = R target R has diagonal
     blocks a^2 and b^2 with spectra in the sector, so its principal root is
     [[a, z], [0, b]] with a z + z b = P_12.  Candidates Z for the root of P
@@ -260,26 +274,27 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     a, b, n, m = p.a, p.b, p.n, p.m
     base, target = _base_and_target(p)
     roots, inverses = _branch_roots(p, base, tol)
-    products = _checked(roots @ target @ roots, n)
+    classes = roots[:2]  # branches 0 and 1, one per sign class
+    products = _checked(classes @ target @ classes, n)
 
     # t^2 is the Schur factor of a^2 in the basis of t; one decision takes
-    # the coupling equations of all four branches
+    # the coupling equations of both classes
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
     couplings = decide_sylvester(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb),
                                  products[:, :n, n:], tol)
-    notes: list = []
+    notes = [f"branch {index}: coupling equation inconsistent "
+             f"(residual {coupling.lstsq_residual:.3g})"
+             for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
+             if not coupling.lstsq_residual <= coupling.threshold]
     candidates: list = []
-    owners: list = []  # the branch of each candidate
-    for index, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
+    owners: list = []  # the class of each candidate
+    for k, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
         principal = block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates += [principal, -principal]
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
             candidates += [block_upper(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
-        else:
-            notes.append(f"branch {index}: coupling equation inconsistent "
-                         f"(residual {coupling.lstsq_residual:.3g})")
-        owners += [index] * (len(candidates) - len(owners))
+        owners += [k] * (len(candidates) - len(owners))
 
     owner_inverses = inverses[owners]
     y = _checked(owner_inverses @ _checked(np.stack(candidates), n) @ owner_inverses, n)

@@ -3,9 +3,13 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
+from sylvcert.errors import PreconditionError
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
-from sylvcert.numerics import complex_schur, lstsq_solve, schur_sylvester
+from sylvcert.numerics import complex_schur, frob, lstsq_solve, schur_sylvester
 from sylvcert.oracle import OracleResult
+from sylvcert.regular import compute_offset, reduced_rhs
+from sylvcert.roots import UNIPOTENT_TOL
+from sylvcert.singular import DEFAULT_TOL, decide_sylvester
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -144,3 +148,95 @@ def uv_stacked_reference(a, b, c, tol=1e-8):
     return _dense_decision(uv_stacked_operator(a, b), rhs, a, b, 3,
                            lambda z: np.stack([half.reshape(c.shape, order="F")
                                                for half in np.split(z, 2)]), tol)
+
+
+# The root search one candidate and one product at a time, as the reference
+# for the stacked search of the package.
+
+def upper(x11, x12, x22):
+    """[[x11, x12], [0, x22]], assembled here rather than by the package."""
+    return np.block([[x11, x12], [np.zeros((x22.shape[0], x11.shape[0])), x22]])
+
+
+def reference_block_roots(p, tol=DEFAULT_TOL):
+    """The four branch roots, one product at a time."""
+    a, b = p.a, p.b
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
+    base = upper(a, -companion, -b)
+
+    # scipy's principal root, with no Schur factors shared with the search
+    sqrt_a = scipy.linalg.sqrtm(a)
+    sqrt_b = scipy.linalg.sqrtm(b)
+    left = upper(np.eye(p.n), -e1, np.eye(p.m))
+    right = upper(np.eye(p.n), e1, np.eye(p.m))
+
+    roots = []
+    for k1 in (0, 1):
+        for k2 in (0, 1):
+            inner = upper(((-1) ** k1) * sqrt_a, np.zeros((p.n, p.m)),
+                          ((-1) ** k2) * 1j * sqrt_b)
+            root = left @ inner @ right
+            residual = frob(root @ root - base)
+            if residual > tol * max(frob(base), 1.0):
+                raise PreconditionError(
+                    f"branch ({k1},{k2}) failed to square to the base matrix "
+                    f"(residual {residual:.3g})")
+            roots.append(root)
+    return roots
+
+
+def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
+    """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
+    candidate and one product at a time, each root inverted by numpy."""
+    a, b, n = p.a, p.b, p.n
+    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
+    offset = compute_offset(p, companion, reduced_rhs(p, companion))
+    base = upper(p.a, -companion, -p.b)
+    target = upper(p.a, -(companion + offset), -p.b)
+    roots = reference_block_roots(p, tol)
+
+    notes: list = []
+    y_solutions: list = []
+    q_values: list = []
+    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+    a2, schur_a2 = a @ a, (ta @ ta, qa)
+    b2, schur_b2 = b @ b, (tb @ tb, qb)
+
+    for index, root in enumerate(roots):
+        root_inv = np.linalg.inv(root)
+        P = root @ target @ root
+        p12 = P[:n, n:]
+
+        principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
+        candidates = [principal, -principal]
+
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
+        if coupling.lstsq_residual <= coupling.threshold:
+            s = coupling.u
+            for d1 in (a, -a):
+                for d2 in (b, -b):
+                    candidates.append(upper(d1, d1 @ s - s @ d2, d2))
+        else:
+            notes.append(f"branch {index}: coupling equation inconsistent "
+                         f"(residual {coupling.lstsq_residual:.3g})")
+
+        for z in candidates:
+            y = root_inv @ z @ root_inv
+            residual = frob(y @ base @ y - target)
+            scale = frob(base) * (1.0 + frob(y)) ** 2 + frob(target)
+            if residual > tol * scale:
+                continue
+            if any(frob(y - seen) <= 1e-8 * (1.0 + frob(y)) for seen in y_solutions):
+                continue
+            y_solutions.append(y)
+            if (frob(y[:n, :n] - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
+                    and frob(y[n:, n:] - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
+                    and frob(y[n:, :n]) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + frob(y))):
+                q_values.append(y[:n, n:])
+
+    return roots, y_solutions, q_values, notes
+
+
+def relative_gap(x, y) -> float:
+    return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -329,6 +330,41 @@ class TestDiagnoseCommand:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["diagnose", str(bad)]) == 3
         assert "line" in capsys.readouterr().err
+
+    # 10^400 is an exact JSON integer but exceeds every float; converting it
+    # used to leak OverflowError (exit 4)
+    @pytest.mark.parametrize("field, value, message", [
+        ("a", [[[10 ** 400, 0]]], "a[0][0] is too large for a float"),
+        ("alpha", 10 ** 400, "options.alpha must lie in (0, pi/2)"),
+        ("tol", 10 ** 400, "options.tol must lie in (0, 1)"),
+    ], ids=["matrix-entry", "alpha", "tol"])
+    def test_integer_too_large_for_a_float_exit_three(self, tmp_path, capsys, field, value,
+                                                      message):
+        self._assert_rejected(tmp_path, capsys, field, value, message)
+
+    # bool is an int in Python, but true and false are no numbers in a problem
+    @pytest.mark.parametrize("field, value, message", [
+        ("a", [[[True, False]]], "a[0][0] must be a [re, im] pair of numbers"),
+        ("c", [[[1.0, True]]], "c[0][0] must be a [re, im] pair of numbers"),
+        ("alpha", True, "options.alpha must lie in (0, pi/2)"),
+        ("tol", False, "options.tol must lie in (0, 1)"),
+    ], ids=["matrix-entry", "imaginary-part", "alpha", "tol"])
+    def test_boolean_for_a_number_exit_three(self, tmp_path, capsys, field, value, message):
+        self._assert_rejected(tmp_path, capsys, field, value, message)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, field, value, message):
+        doc = {"schema_version": "1", "a": [[[2, 0]]], "b": [[[1, 0]]], "c": [[[3, 0]]]}
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["options"] = {field: value}
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_problem(problem)
+        assert main(["diagnose", str(problem)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["diagnose", str(tmp_path / "absent.json")]) == 3

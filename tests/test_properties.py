@@ -16,18 +16,18 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from sylvcert import gate
-from sylvcert.errors import DimensionError, PreconditionError
+from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, lstsq_solve, schur_sylvester
+from sylvcert.numerics import lstsq_solve
 from sylvcert.oracle import build_operator, oracle_solve
-from sylvcert.regular import compute_offset, reduced_rhs
-from sylvcert.roots import (UNIPOTENT_TOL, homogeneous_equivalence, homogeneous_nullspaces,
+from sylvcert.roots import (homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
-from sylvcert.singular import DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report
+from sylvcert.singular import decide_sylvester, diagnose, prepare, solve_uv_report
 
-from conftest import PROPERTY, shared_cluster_pair
+from conftest import (PROPERTY, reference_unipotent_quadratic, relative_gap,
+                      shared_cluster_pair)
 
 
 @st.composite
@@ -206,92 +206,7 @@ def test_decision_rejects_a_misshapen_rhs():
         decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((3, 2)))
 
 
-# -- the root search one candidate at a time, as the reference -----------------
-
-def upper(x11, x12, x22):
-    """[[x11, x12], [0, x22]], assembled here rather than by the package."""
-    return np.block([[x11, x12], [np.zeros((x22.shape[0], x11.shape[0])), x22]])
-
-
-def reference_block_roots(p, tol=DEFAULT_TOL):
-    """The four branch roots, one product at a time."""
-    a, b = p.a, p.b
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    e1 = schur_sylvester(p.schur_a, p.schur_b, -companion, +1)
-    base = upper(a, -companion, -b)
-
-    # scipy's principal root, with no Schur factors shared with the search
-    sqrt_a = scipy.linalg.sqrtm(a)
-    sqrt_b = scipy.linalg.sqrtm(b)
-    left = upper(np.eye(p.n), -e1, np.eye(p.m))
-    right = upper(np.eye(p.n), e1, np.eye(p.m))
-
-    roots = []
-    for k1 in (0, 1):
-        for k2 in (0, 1):
-            inner = upper(((-1) ** k1) * sqrt_a, np.zeros((p.n, p.m)),
-                          ((-1) ** k2) * 1j * sqrt_b)
-            root = left @ inner @ right
-            residual = frob(root @ root - base)
-            if residual > tol * max(frob(base), 1.0):
-                raise PreconditionError(
-                    f"branch ({k1},{k2}) failed to square to the base matrix "
-                    f"(residual {residual:.3g})")
-            roots.append(root)
-    return roots
-
-
-def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
-    """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
-    candidate and one product at a time, each root inverted by numpy."""
-    a, b, n = p.a, p.b, p.n
-    companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
-    offset = compute_offset(p, companion, reduced_rhs(p, companion))
-    base = upper(p.a, -companion, -p.b)
-    target = upper(p.a, -(companion + offset), -p.b)
-    roots = reference_block_roots(p, tol)
-
-    notes: list = []
-    y_solutions: list = []
-    q_values: list = []
-    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    a2, schur_a2 = a @ a, (ta @ ta, qa)
-    b2, schur_b2 = b @ b, (tb @ tb, qb)
-
-    for index, root in enumerate(roots):
-        root_inv = np.linalg.inv(root)
-        P = root @ target @ root
-        p12 = P[:n, n:]
-
-        principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
-        candidates = [principal, -principal]
-
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
-        if coupling.lstsq_residual <= coupling.threshold:
-            s = coupling.u
-            for d1 in (a, -a):
-                for d2 in (b, -b):
-                    candidates.append(upper(d1, d1 @ s - s @ d2, d2))
-        else:
-            notes.append(f"branch {index}: coupling equation inconsistent "
-                         f"(residual {coupling.lstsq_residual:.3g})")
-
-        for z in candidates:
-            y = root_inv @ z @ root_inv
-            residual = frob(y @ base @ y - target)
-            scale = frob(base) * (1.0 + frob(y)) ** 2 + frob(target)
-            if residual > tol * scale:
-                continue
-            if any(frob(y - seen) <= 1e-8 * (1.0 + frob(y)) for seen in y_solutions):
-                continue
-            y_solutions.append(y)
-            if (frob(y[:n, :n] - np.eye(p.n)) <= UNIPOTENT_TOL * np.sqrt(p.n)
-                    and frob(y[n:, n:] - np.eye(p.m)) <= UNIPOTENT_TOL * np.sqrt(p.m)
-                    and frob(y[n:, :n]) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + frob(y))):
-                q_values.append(y[:n, n:])
-
-    return roots, y_solutions, q_values, notes
-
+# -- the root search against its one-at-a-time reference ----------------------
 
 @st.composite
 def bridge_data(draw):
@@ -309,10 +224,6 @@ def bridge_data(draw):
 def bridge_problems():
     """Prepared problems of :func:`bridge_data`."""
     return bridge_data().map(lambda data: prepare(*data))
-
-
-def relative_gap(x, y) -> float:
-    return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300))
 
 
 @PROPERTY
@@ -360,3 +271,58 @@ def test_bridge_outcome_invariant_under_unitary_similarity(data, seed):
     w, v = random_unitary(rng, a.shape[0]), random_unitary(rng, b.shape[0])
     transformed = (w @ a @ w.conj().T, v @ b @ v.conj().T, w @ c @ v.conj().T)
     assert bridge_outcome(*transformed) == bridge_outcome(a, b, c)
+
+
+# -- invariance of the verdict --------------------------------------------------
+# Each transformation maps the solutions of a x - x b = c one to one onto those
+# of the transformed equation, so it cannot change whether a solution exists.
+
+def status(a, b, c) -> str:
+    return diagnose(a, b, c).status.value
+
+
+@PROPERTY
+@given(bridge_data(), st.integers(0, 2 ** 32 - 1))
+def test_verdict_invariant_under_unitary_similarity(data, seed):
+    # (W a W^*, V b V^*, W c V^*) has the solutions W x V^*
+    a, b, c = data
+    rng = np.random.default_rng(seed)
+    w, v = random_unitary(rng, a.shape[0]), random_unitary(rng, b.shape[0])
+    assert status(w @ a @ w.conj().T, v @ b @ v.conj().T, w @ c @ v.conj().T) \
+        == status(a, b, c)
+
+
+@PROPERTY
+@given(bridge_data())
+def test_verdict_invariant_under_transposition(data):
+    # a x - x b = c exactly when b^T x^T - x^T a^T = -c^T
+    a, b, c = data
+    assert status(b.T, a.T, -c.T) == status(a, b, c)
+
+
+@PROPERTY
+@given(bridge_data(), st.floats(-5.0, 5.0), st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+def test_verdict_invariant_under_a_common_shift(data, real, imag):
+    # (a + mu I) x - x (b + mu I) = a x - x b, for a real or a complex mu
+    a, b, c = data
+    mu = complex(real, imag)
+    shifted = (a + mu * np.eye(a.shape[0]), b + mu * np.eye(b.shape[0]), c)
+    assert status(*shifted) == status(a, b, c)
+
+
+@PROPERTY
+@given(bridge_data(), st.integers(-150, 150))
+def test_verdict_invariant_under_scaling_the_whole_problem(data, exponent):
+    # (t a) x - x (t b) = t c has the solutions of a x - x b = c
+    a, b, c = data
+    t = 10.0 ** exponent
+    assert status(t * a, t * b, t * c) == status(a, b, c)
+
+
+@PROPERTY
+@given(bridge_data(), st.integers(-100, 100))
+def test_verdict_invariant_under_scaling_c(data, exponent):
+    # a x - x b = t c has the solutions t x; past 1e+-200 see
+    # test_singular.test_extreme_scales_never_give_the_opposite_answer
+    a, b, c = data
+    assert status(a, b, 10.0 ** exponent * c) == status(a, b, c)

@@ -18,7 +18,8 @@ from sylvcert.roots import (block_roots, homogeneous_equivalence,
 from sylvcert.singular import (DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report,
                                unipotent_identity_residual)
 
-from conftest import assert_multiset_close, shared_cluster_pair
+from conftest import (assert_multiset_close, reference_unipotent_quadratic, relative_gap,
+                      shared_cluster_pair)
 
 
 def verify_unipotent_identity(q, p, tol=DEFAULT_TOL) -> bool:
@@ -378,6 +379,63 @@ class TestBranchCoupling:
             for P in branches:
                 assert frob(schur_sqrt(complex_schur(P[:p.n, :p.n])) - p.a) <= 1e-10 * frob(p.a)
                 assert frob(schur_sqrt(complex_schur(P[p.n:, p.n:])) - p.b) <= 1e-10 * frob(p.b)
+
+
+class TestSignClasses:
+    def test_last_two_branches_are_the_negatives_of_the_first_two(self):
+        # (-1, -i) and (-1, i) flip both signs of (1, i) and (1, -i), and the
+        # stacked products negate exactly
+        for p in seeded_bridge_problems():
+            roots = solve_unipotent_quadratic(p).base_roots
+            assert np.array_equal(roots[3], -roots[0])
+            assert np.array_equal(roots[2], -roots[1])
+
+    def test_search_takes_one_two_slice_decision_and_two_principal_solves(self, monkeypatch):
+        decided, solved = [], []
+        decide, solve = roots.decide_sylvester, roots.schur_sylvester
+
+        def decide_spy(*args):
+            decided.append(np.asarray(args[4]).shape)
+            return decide(*args)
+
+        def solve_spy(schur_a, schur_b, rhs, sign):
+            solved.append(rhs)
+            return solve(schur_a, schur_b, rhs, sign)
+
+        monkeypatch.setattr(roots, "decide_sylvester", decide_spy)
+        monkeypatch.setattr(roots, "schur_sylvester", solve_spy)
+        for p in itertools.islice(seeded_bridge_problems(), 4):
+            companion = p.companion
+            decided.clear()
+            solved.clear()
+            quad = solve_unipotent_quadratic(p)
+            assert decided == [(2, p.n, p.m)]
+            # the coupling of the branch roots, then one principal root per class
+            assert len(solved) == 3
+            np.testing.assert_array_equal(solved[0], -companion)
+            for rhs, root in zip(solved[1:], quad.base_roots[:2], strict=True):
+                np.testing.assert_array_equal(rhs, (root @ quad.target @ root)[:p.n, p.n:])
+
+    @pytest.mark.parametrize("family", [shared_jordan_pair, shared_semisimple_pair])
+    @pytest.mark.parametrize("in_range", [True, False])
+    def test_matches_the_four_branch_reference_at_the_bridge_size(self, family, in_range):
+        # the property test draws n, m <= 8; the bridge workload runs up to 12
+        for seed in range(3):
+            rng = np.random.default_rng([12, seed, int(in_range)])
+            a, b = family(rng, 12, 12)
+            c = rhs_in_range(rng, a, b) if in_range else rhs_outside_range(rng, a, b)
+            p = prepare(a, b, c)
+            base_roots, y_solutions, q_values, notes = reference_unipotent_quadratic(p)
+            quad = solve_unipotent_quadratic(p)
+            assert quad.notes == notes
+            assert len(quad.y_solutions) == len(y_solutions)
+            assert len(quad.q_values) == len(q_values) and bool(q_values) == in_range
+            for root, expected in zip(quad.base_roots, base_roots, strict=True):
+                assert relative_gap(root, expected) <= 1e-12
+            for y, expected in zip(quad.y_solutions, y_solutions, strict=True):
+                assert relative_gap(y, expected) <= 1e-10
+            for q, expected in zip(quad.q_values, q_values, strict=True):
+                assert relative_gap(q, expected) <= 1e-10
 
 
 class TestStackedSearchFailsClosed:
