@@ -2,8 +2,10 @@
 rule for where the spectra meet, the kernel agrees with the dense oracle, the
 shift is the smallest admissible three-digit shift, a stack of right-hand
 sides is decided slice by slice as separate decisions would be, the stacked
-root search agrees with a search of one candidate at a time, and the root
-bridge's outcome is unchanged under a unitary similarity of the problem.
+root search agrees with a search of one candidate at a time, the root
+bridge's outcome is unchanged under a unitary similarity of the problem, and
+the verdict is unchanged under every transformation that keeps solvability:
+unitary similarity, transposition, a common shift and scaling.
 
 Examples are derandomized, so every run draws the same pairs.
 """

@@ -386,9 +386,9 @@ class TestSignClasses:
         # (-1, -i) and (-1, i) flip both signs of (1, i) and (1, -i), and the
         # stacked products negate exactly
         for p in seeded_bridge_problems():
-            roots = solve_unipotent_quadratic(p).base_roots
-            assert np.array_equal(roots[3], -roots[0])
-            assert np.array_equal(roots[2], -roots[1])
+            branch_roots = solve_unipotent_quadratic(p).base_roots
+            assert np.array_equal(branch_roots[3], -branch_roots[0])
+            assert np.array_equal(branch_roots[2], -branch_roots[1])
 
     def test_search_takes_one_two_slice_decision_and_two_principal_solves(self, monkeypatch):
         decided, solved = [], []
