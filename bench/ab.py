@@ -14,8 +14,11 @@ TRACED_SEED.
 The summary gives, per end-to-end metric of BENCHMARK.json (read from the
 change), each side's median and quartiles (numpy linear percentiles), the
 pairs the change wins (ties count for neither), the ratio of the medians,
-the change's relative worsening against the metric's bound, and whether the
-medians differ by more than the parent's interquartile range.
+the change's relative worsening against the metric's bound, whether the
+medians differ by more than the parent's interquartile range, and whether
+the rule for claiming a gain is met (``gain_rule_met``): the change wins at
+least nine tenths of the pairs and its median is further from the parent's
+than the parent's interquartile range.
 
 A perfbench run that exits non-zero ends the measurement: the file still
 gets every pair and traced run made before it, the failing run is named
@@ -94,15 +97,15 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         sides = {"parent": spread(parent), "change": spread(change)}
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         ratio = sides["change"]["median"] / sides["parent"]["median"]
+        apart = abs(sides["change"]["median"] - sides["parent"]["median"]) > sides["parent"]["iqr"]
         summary[name] = {
             **sides,
             "change_wins": f"{wins}/{len(pairs)}",
             "median_ratio_change_over_parent": round(ratio, 4),
             "relative_worsening": round(1.0 - ratio if higher else ratio - 1.0, 4),
             "bound": metric["bound"],
-            "medians_differ_by_more_than_parent_iqr": bool(
-                abs(sides["change"]["median"] - sides["parent"]["median"])
-                > sides["parent"]["iqr"]),
+            "medians_differ_by_more_than_parent_iqr": apart,
+            "gain_rule_met": 10 * wins >= 9 * len(pairs) and apart,
         }
     summary["failed_total"] = {side: sum(pair[side]["failed"] for pair in pairs)
                                for side in ("parent", "change")}
@@ -179,7 +182,8 @@ def measure(workdir: Path, parent: str, change: str) -> dict:
                 s = entry["summary"][name]
                 print(f"{workload:<12} {name:<16} parent {s['parent']['median']:>10.4g} "
                       f"change {s['change']['median']:>10.4g} wins {s['change_wins']} "
-                      f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']})")
+                      f"worsening {s['relative_worsening']:+.4f} (bound {s['bound']}) "
+                      f"gain rule {'met' if s['gain_rule_met'] else 'not met'}")
         if workload in traced:
             entry[f"traced_seed{TRACED_SEED}"] = traced[workload]
 

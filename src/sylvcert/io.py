@@ -35,7 +35,8 @@ DEFAULT_OPTIONS = {"alpha": math.pi / 4, "tol": 1e-8, "method": "direct"}
 
 def matrix_to_pairs(m: np.ndarray) -> list:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    # the float view of a C-ordered complex array interleaves re and im
+    return np.ascontiguousarray(m).view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def pairs_to_matrix(data, name: str) -> np.ndarray:

@@ -4,10 +4,18 @@ Matrices are plain ``numpy.ndarray`` values with dtype complex128.  Input is
 checked for finiteness where it enters (:func:`as_complex_matrix`,
 :func:`complex_schur`); the kernels on Schur factors take the factors as
 :func:`complex_schur` made them.  No argument is mutated.
+
+Each primitive is one BLAS or LAPACK call, made directly: :func:`frob` is
+one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd`` and
+:func:`complex_schur` one ``gees`` (its workspace size is asked once per
+order).  At the sizes the pipeline meets most, numpy's wrappers around
+these calls would cost about as much as the arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,8 @@ from .errors import (BranchCutError, DimensionError, InversionError, NumericErro
 # Relative singular-value cutoff: sigma_i <= max(rows, cols) * 2**-40 * sigma_max
 # is treated as zero when deciding ranks and consistency.
 RANK_CUTOFF_FACTOR = 2.0 ** -40
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 def rank_cutoff(shape, sigma_max: float, scale_reference: float = 0.0) -> float:
@@ -63,7 +73,16 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm as ``np.linalg.norm`` takes it, by one BLAS dot over the
+    float64 view (re, im interleaved for a complex array): inf on overflow,
+    with numpy's ``overflow encountered in dot`` warning, NaN propagates,
+    and an empty array gives 0.0.  The sum runs in another order than
+    numpy's, so the last digits may differ."""
+    v = np.asarray(m).ravel()
+    # float64 is dotted as it is, anything else through a complex128 view
+    if v.dtype is not _FLOAT64:
+        v = v.astype(np.complex128, copy=False).view(np.float64)
+    return math.sqrt(v.dot(v))
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -75,16 +94,28 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.asarray(v).reshape((rows, cols), order="F")
 
 
+def _no_sort(_) -> None:
+    return None
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    # gees's workspace query answers by the order alone, so it is asked once
+    # per order, on a zero matrix
+    return int(lapack.zgees(_no_sort, np.zeros((n, n), dtype=np.complex128),
+                            lwork=-1)[-2][0].real)
+
+
 def complex_schur(m) -> tuple:
     """Complex Schur factors (t, q) of a finite square matrix: m = q t q^*, t
-    upper triangular with the eigenvalues on its diagonal, q unitary.  LAPACK
-    gees after scipy.linalg.schur's workspace query, so the factors are
-    scipy's; a complex128 ``m`` is checked for finiteness but not copied."""
+    upper triangular with the eigenvalues on its diagonal, q unitary.  One
+    LAPACK gees with the workspace scipy.linalg.schur would query, so the
+    factors are scipy's; a complex128 ``m`` is checked for finiteness but
+    not copied."""
     m = require_square(np.asarray(m, dtype=np.complex128))
     if not np.isfinite(m).all():
         raise NumericError("matrix contains NaN or Inf entries")
-    lwork = int(lapack.zgees(lambda _: None, m, lwork=-1)[-2][0].real)
-    t, _, _, q, _, info = lapack.zgees(lambda _: None, m, lwork=lwork)
+    t, _, _, q, _, info = lapack.zgees(_no_sort, m, lwork=_gees_lwork(m.shape[0]))
     if info != 0:
         raise NumericError(f"Schur iteration failed (gees info {info})")
     return t, q
@@ -225,7 +256,14 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != K.shape[0]:
         raise DimensionError(f"rhs of shape {rhs.shape} does not match K rows {K.shape[0]}")
-    U, s, Vh = np.linalg.svd(K, full_matrices=False)
+    if K.size:
+        U, s, Vh, info = lapack.zgesdd(K, full_matrices=0)
+        if info != 0:
+            raise NumericError(f"SVD failed to converge (gesdd info {info})")
+    else:
+        # gesdd rejects an empty operator (and says so on stderr)
+        U, s, Vh = (np.zeros((K.shape[0], 0), dtype=np.complex128), np.zeros(0),
+                    np.zeros((0, K.shape[1]), dtype=np.complex128))
     sigma_max = float(s[0]) if s.size else 0.0
     cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
@@ -238,7 +276,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
         solutions = [right @ ((left @ column) / s[:rank]) for column in columns]
     else:
         solutions = [np.zeros(K.shape[1], dtype=np.complex128) for _ in columns]
-    residuals = [float(np.linalg.norm(K @ x - column)) for x, column in zip(solutions, columns)]
+    residuals = [frob(K @ x - column) for x, column in zip(solutions, columns)]
     if rhs.ndim == 1:
         solution, residual = solutions[0], residuals[0]
     else:

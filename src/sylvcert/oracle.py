@@ -58,8 +58,10 @@ def _kron(x, y) -> np.ndarray:
 
 
 def build_operator(a, b) -> np.ndarray:
-    """Explicit matrix of x |-> a x - x b under column-stacking vectorization."""
-    a, b = _pair(a, b)
+    """Explicit matrix of x |-> a x - x b under column-stacking vectorization,
+    for square matrices a and b (:func:`oracle_solve` hands it the pair it
+    has validated)."""
+    a, b = np.asarray(a), np.asarray(b)
     return _kron(np.eye(b.shape[0]), a) - _kron(b.T, np.eye(a.shape[0]))
 
 
@@ -76,7 +78,7 @@ def oracle_solve(a, b, c, tol: float = DEFAULT_ORACLE_TOL) -> OracleResult:
     rhs = vec(c)
 
     res = lstsq_solve(K, rhs, scale_reference=frob(a) + frob(b))
-    threshold = tol * (frob(K) * float(np.linalg.norm(res.solution)) + float(np.linalg.norm(rhs)))
+    threshold = tol * (frob(K) * frob(res.solution) + frob(rhs))
     consistent = res.residual_norm <= threshold
     return OracleResult(
         solution=unvec(res.solution, n, m) if consistent else None,

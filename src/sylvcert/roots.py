@@ -83,8 +83,11 @@ class QuadraticSolveResult:
 def homogeneous_nullspaces(p: SylvesterProblem):
     """Orthonormal bases for the solution spaces of a x = x b (n x m side,
     the problem's own ``kernel``) and b y = y a (m x n side), ordered
-    deterministically, as fresh lists of read-only arrays."""
-    return list(p.kernel), list(intertwiner_basis(p.b, p.a, p.schur_b, p.schur_a))
+    deterministically, as fresh lists of read-only arrays.  The y side reads
+    the problem's cluster with the sides swapped."""
+    select_a, select_b, scale, tolerance = p.cluster
+    return list(p.kernel), list(intertwiner_basis(p.b, p.a, p.schur_b, p.schur_a,
+                                                  (select_b, select_a, scale, tolerance)))
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
@@ -202,9 +205,10 @@ def _base_and_target(p: SylvesterProblem):
 
 
 def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
-    """The four branch roots of ``base`` and their inverses, as two
-    (4, n+m, n+m) stacks in :data:`BRANCHES` order; each root is verified to
-    square back to it.
+    """The four branch roots of ``base``, a (4, n+m, n+m) stack in
+    :data:`BRANCHES` order, each verified to square back to it, and the
+    inverses of branches 0 and 1, the two the search reads, a (2, n+m, n+m)
+    stack.
 
     A branch root is L D L^-1 for the coupling L = [[I, -e], [0, I]] and the
     diagonal D = (s1 sqrt(a), s2 sqrt(b)) with s1 = +-1, s2 = +-i, so its
@@ -218,14 +222,16 @@ def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
     inv_a = _inverse_block(sqrt_a, "upper-left")
     inv_b = _inverse_block(sqrt_b, "lower-right")
-    inner = np.zeros((2, len(BRANCHES), n + m, n + m), dtype=np.complex128)
-    inner[0, :, :n, :n] = signs[:, 0, None, None] * sqrt_a
-    inner[0, :, n:, n:] = signs[:, 1, None, None] * sqrt_b
-    inner[1, :, :n, :n] = signs[:, 0, None, None].conj() * inv_a
-    inner[1, :, n:, n:] = signs[:, 1, None, None].conj() * inv_b
+    # the diagonals of the four roots, then of the inverses of branches 0 and 1
+    inner = np.zeros((6, n + m, n + m), dtype=np.complex128)
+    inner[:4, :n, :n] = signs[:, 0, None, None] * sqrt_a
+    inner[:4, n:, n:] = signs[:, 1, None, None] * sqrt_b
+    inner[4:, :n, :n] = signs[:2, 0, None, None].conj() * inv_a
+    inner[4:, n:, n:] = signs[:2, 1, None, None].conj() * inv_b
     coupling = block_upper(np.eye(n), -e1, np.eye(m))
     coupling_inverse = block_upper(np.eye(n), e1, np.eye(m))
-    roots, inverses = _checked(coupling @ inner @ coupling_inverse, n)
+    product = _checked(coupling @ inner @ coupling_inverse, n)
+    roots, inverses = product[:4], product[4:]
     residuals = np.linalg.norm(_checked(roots @ roots, n) - base, axis=(1, 2))
     bound = tol * max(frob(base), 1.0)
     for (k1, k2), residual in zip(BRANCHES, residuals):

@@ -31,9 +31,10 @@ identity a u + v b = s + offset, the cubic constraint and the two gates of
 residual against a threshold at its own scale.
 
 :func:`prepare` validates the input, then factors and norms each shifted
-matrix once, and every a^-1 and b^-1 above is a triangular solve on those
-Schur factors (``numerics.schur_solve``).  The companion solution s,
-a s b^-1 and the offset are taken at most once per problem, on first use.
+matrix once and marks the shared cluster once, and every a^-1 and b^-1 above
+is a triangular solve on those Schur factors (``numerics.schur_solve``).  The
+companion solution s, a s b^-1 and the offset are taken at most once per
+problem, on first use.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ import numpy as np
 from .errors import DimensionError, InversionError, WitnessError
 from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
-from .numerics import (as_complex_matrix, as_sylvester_data, complex_schur, frob,
-                       kron_vec_operator, lstsq_solve, rank_cutoff, reorder_schur,
-                       schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
+from .numerics import (as_sylvester_data, complex_schur, frob, kron_vec_operator,
+                       lstsq_solve, rank_cutoff, reorder_schur, schur_solve,
+                       schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import (QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset,
                       reduced_rhs)
@@ -82,6 +83,11 @@ class SylvesterProblem:
     schur_b: tuple  # complex Schur factors (t, q) of the shifted b
     norm_a: float  # ||a||_F of the shifted a
     norm_b: float  # ||b||_F of the shifted b
+    # (select_a, select_b, scale, tolerance): the shared eigenvalues of each
+    # shifted Schur diagonal by gate.shared_eigenvalues at the scale
+    # norm_a + norm_b, in the form decide_sylvester takes as ``cluster``
+    cluster: tuple
+    unshifted: tuple  # the validated (a, b) before the shift
 
     @property
     def n(self) -> int:
@@ -97,7 +103,7 @@ class SylvesterProblem:
         per problem by :func:`intertwiner_basis` on the problem's factors.
         (A frozen dataclass may cache it: the property writes the instance
         ``__dict__``, not an attribute.)"""
-        return intertwiner_basis(self.a, self.b, self.schur_a, self.schur_b)
+        return intertwiner_basis(self.a, self.b, self.schur_a, self.schur_b, self.cluster)
 
     @functools.cached_property
     def companion(self) -> np.ndarray:
@@ -204,24 +210,27 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged.
     The gate's intersection is the decision's cluster on the shifted pair.
-    Each matrix is factored and normed once, and every inverse of a or b is
-    a solve on these factors."""
-    a, b, c = as_sylvester_data(a, b, c)
-    ta, qa = complex_schur(a)
-    tb, qb = complex_schur(b)
+    Each matrix is factored and normed once, the cluster is marked once,
+    and every inverse of a or b is a solve on these factors."""
+    a0, b0, c = as_sylvester_data(a, b, c)
+    ta, qa = complex_schur(a0)
+    tb, qb = complex_schur(b0)
     lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
-    id_a, id_b = np.eye(a.shape[0]), np.eye(b.shape[0])
-    a, b = a + lam * id_a, b + lam * id_b
+    id_a, id_b = np.eye(a0.shape[0]), np.eye(b0.shape[0])
+    a, b = a0 + lam * id_a, b0 + lam * id_b
+    schur_a, schur_b = (ta + lam * id_a, qa), (tb + lam * id_b, qb)
     norm_a, norm_b = frob(a), frob(b)
-    shared_a, _, tolerance = shared_eigenvalues(ta.diagonal() + lam, tb.diagonal() + lam,
-                                                norm_a + norm_b)
+    # the decision's cluster, as _shared_first would mark it
+    shared_a, shared_b, tolerance = shared_eigenvalues(
+        schur_a[0].diagonal(), schur_b[0].diagonal(), norm_a + norm_b)
     gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
                       in_sector_b=sector_contains(tb.diagonal(), alpha),
                       spectra_intersect=bool(shared_a.any()),
                       intersection_tolerance=float(tolerance), suggested_lambda=lam)
     return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
-                            schur_a=(ta + lam * id_a, qa), schur_b=(tb + lam * id_b, qb),
-                            norm_a=norm_a, norm_b=norm_b)
+                            schur_a=schur_a, schur_b=schur_b, norm_a=norm_a, norm_b=norm_b,
+                            cluster=(shared_a, shared_b, norm_a + norm_b, tolerance),
+                            unshifted=(a0, b0))
 
 
 def unipotent_identity_residual(q, p: SylvesterProblem, offset,
@@ -290,12 +299,18 @@ def _regular_block(ta, tb, rhs, cutoff: float) -> np.ndarray | None:
     return None if frob(y) > 0.1 / cutoff * frob(rhs) else y
 
 
-def _shared_first(a, b, schur_a, schur_b) -> tuple:
+def _shared_first(a, b, schur_a, schur_b, cluster=None) -> tuple:
     """Schur factors of a and b reordered so the shared eigenvalues lead, the
-    cluster sizes (k_a, k_b), the data scale ||a|| + ||b|| and the tolerance."""
+    cluster sizes (k_a, k_b), the data scale ||a|| + ||b|| and the tolerance;
+    ``cluster`` (select_a, select_b, scale, tolerance) is marked here on the
+    Schur diagonals unless the caller holds it."""
     (ta, qa), (tb, qb) = schur_a, schur_b
-    data_scale = frob(a) + frob(b)
-    select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), data_scale)
+    if cluster is None:
+        data_scale = frob(a) + frob(b)
+        select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(),
+                                                           data_scale)
+    else:
+        select_a, select_b, data_scale, tolerance = cluster
     return (reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
             (int(select_a.sum()), int(select_b.sum())), data_scale, tolerance)
 
@@ -355,9 +370,12 @@ def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
     return ys, shared
 
 
-def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
+def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL,
+                     cluster: tuple | None = None):
     """Decide the possibly singular equation a u - u b = rhs on the complex
-    Schur factors (t, q) of a and b.
+    Schur factors (t, q) of a and b.  A caller that holds the pair's cluster
+    (``SylvesterProblem.cluster``) hands it in as ``cluster``; otherwise it
+    is marked here, by the same rule.
 
     ``rhs`` is one n x m right-hand side, decided into one
     :class:`UVSystemReport`, or a (k, n, m) stack of them, decided into a
@@ -379,7 +397,8 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     residuals within a factor 10 of it are flagged marginal rather than
     forced into a binary answer.
     """
-    (ta, qa), (tb, qb), cluster, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b)
+    (ta, qa), (tb, qb), sizes, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b,
+                                                                     cluster)
     n, m = ta.shape[0], tb.shape[0]
     stack = np.asarray(rhs, dtype=np.complex128)
     if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
@@ -390,7 +409,7 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     reports: list = [None] * len(slices)
     pending = list(range(len(slices)))
     # the whole spectra form the fallback cluster, where every block is shared
-    for k_a, k_b in (cluster, (n, m)):
+    for k_a, k_b in (sizes, (n, m)):
         ys, shared = _schur_reduced_solve(ta, tb, [r[i] for i in pending], k_a, k_b, data_scale)
         rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
         widen = []
@@ -418,15 +437,16 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL):
     return reports[0] if stack.ndim == 2 else reports
 
 
-def sylvester_kernel(a, b, schur_a, schur_b) -> list:
+def sylvester_kernel(a, b, schur_a, schur_b, cluster: tuple | None = None) -> list:
     """Orthonormal basis of {x : a x = x b}, in a deterministic order, read
     off the decision's shared block at rhs = 0 on the Schur factors (t, q)
     of a and b: each null vector z of the shared block extends by one trsyl
     through a11 y12 - y12 b22 = z b12, the other blocks are zero, and an
-    extension that blows up widens the cluster to the whole spectra."""
-    (ta, qa), (tb, qb), cluster, data_scale, _ = _shared_first(a, b, schur_a, schur_b)
+    extension that blows up widens the cluster to the whole spectra.
+    ``cluster`` is as for :func:`decide_sylvester`."""
+    (ta, qa), (tb, qb), sizes, data_scale, _ = _shared_first(a, b, schur_a, schur_b, cluster)
     n, m = ta.shape[0], tb.shape[0]
-    for k_a, k_b in (cluster, (n, m)):
+    for k_a, k_b in (sizes, (n, m)):
         # at rhs = 0 the regular blocks of the decision are zero, so only
         # the shared block's null vectors need solving for
         heads = []
@@ -449,7 +469,7 @@ def _phase_fix(x: np.ndarray) -> np.ndarray:
     """x times the unit scalar that makes its first entry of non-negligible
     modulus, in column-stacking order, real and positive."""
     v = vec(x)
-    norm = np.linalg.norm(v)
+    norm = frob(v)
     if norm == 0:
         return x
     pivot = v[np.argmax(np.abs(v) > 1e-12 * norm)]
@@ -458,10 +478,10 @@ def _phase_fix(x: np.ndarray) -> np.ndarray:
     return x * (abs(pivot) / pivot)
 
 
-def intertwiner_basis(a, b, schur_a, schur_b) -> tuple:
+def intertwiner_basis(a, b, schur_a, schur_b, cluster: tuple | None = None) -> tuple:
     """The :func:`sylvester_kernel` basis of {x : a x = x b}, each element's
     phase fixed, as read-only arrays."""
-    basis = tuple(_phase_fix(x) for x in sylvester_kernel(a, b, schur_a, schur_b))
+    basis = tuple(_phase_fix(x) for x in sylvester_kernel(a, b, schur_a, schur_b, cluster))
     for x in basis:
         x.flags.writeable = False
     return basis
@@ -472,7 +492,7 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
     :func:`decide_sylvester`; a consistent decision is completed to the
     witness pair (u, v)."""
-    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, tol)
+    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, tol, p.cluster)
     if report.lstsq_residual <= report.threshold:
         report.witness = _witness_from_u(p, report.u, p.companion, p.offset, tol,
                                          report.threshold)
@@ -536,8 +556,8 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
     p = prepare(a, b, c, alpha=alpha)
-    # the certificate's unshifted pair; prepare has checked (a, b, c)
-    a0, b0, c0 = as_complex_matrix(a, "a"), as_complex_matrix(b, "b"), p.c
+    # the certificate's unshifted pair, as prepare validated it
+    (a0, b0), c0 = p.unshifted, p.c
 
     rep = x = gate = None
     if not np.any(c0):

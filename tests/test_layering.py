@@ -235,6 +235,20 @@ def test_bridge_operation_factors_once(monkeypatch):
     assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "_inverse_block": 2}
 
 
+def test_the_cluster_is_marked_once_per_pair(monkeypatch):
+    # prepare marks it for the gate; the (u, v) decision and both intertwiner
+    # bases read it off the problem, and only the bridge's coupling on the
+    # squared pair marks its own
+    calls = counted(monkeypatch, ("shared_eigenvalues",))
+    assert diagnose(*bridge_data()).status.value == "solvable"
+    assert calls == {"shared_eigenvalues": 1}
+    p = prepare(*bridge_data())
+    homogeneous_nullspaces(p)
+    assert homogeneous_equivalence(p) == (True, True, True)
+    assert solve_unipotent_quadratic(p).q_values
+    assert calls == {"shared_eigenvalues": 3}
+
+
 def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
     # the blocks that are zero at rhs = 0 are not solved for
     calls = counted(monkeypatch, ("triangular_sylvester",))
@@ -247,12 +261,13 @@ def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
 
 def test_diagnose_factors_once_and_solves_on_the_factors(monkeypatch):
     # each matrix is factored once and every inverse is a solve on those
-    # factors; the copies are prepare's (a, b, c), the certificate's unshifted
-    # a and b, and the exported kron_vec_operator (a, b) and lstsq_solve (K)
-    # checking their own input on the one shared block of this pair
+    # factors; the copies are prepare's (a, b, c), which the certificate
+    # reads unshifted too, and the exported kron_vec_operator (a, b) and
+    # lstsq_solve (K) checking their own input on the one shared block of
+    # this pair
     calls = counted(monkeypatch, ("complex_schur", "as_complex_matrix"))
     assert diagnose(*bridge_data()).status.value == "solvable"
-    assert calls == {"complex_schur": 2, "as_complex_matrix": 8}
+    assert calls == {"complex_schur": 2, "as_complex_matrix": 6}
 
 
 

@@ -1,10 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sylvcert.errors import (BranchCutError, DimensionError, InversionError, NumericError,
                              ParameterError)
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
-from sylvcert.numerics import (as_complex_matrix, complex_schur, kron_vec_operator,
+from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
                                lstsq_solve, mat_exp, rank_cutoff, reorder_schur,
                                schur_solve, schur_sqrt, schur_sylvester,
                                triangular_sylvester, unvec, vec)
@@ -173,7 +177,48 @@ class TestKronVecOperator:
                         assert np.array_equal(kron_vec_operator(a_in, b_in, sign), expected)
 
 
+class TestFrob:
+    @pytest.mark.parametrize("make", [
+        lambda x: x,
+        np.asfortranarray,
+        lambda x: x.T,
+        lambda x: x[::2, 1::2],
+        lambda x: x.real,
+        lambda x: x[0],
+        lambda x: x[:0],
+    ], ids=["c_order", "f_order", "transposed", "strided", "real", "1d", "empty"])
+    def test_agrees_with_numpy(self, rng, make):
+        m = make(rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6)))
+        assert isinstance(frob(m), float)
+        assert math.isclose(frob(m), float(np.linalg.norm(m)), rel_tol=1e-15)
+
+    def test_overflow_is_inf_with_numpy_warning(self):
+        m = np.full((3, 3), 1e200 + 1e200j)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            assert frob(m) == math.inf
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frob(m) == math.inf
+
+    def test_nan_propagates(self):
+        assert math.isnan(frob(np.array([[1.0, np.nan]], dtype=np.complex128)))
+        assert math.isnan(frob(np.array([np.inf, np.nan])))
+
+
 class TestLstsq:
+    def test_empty_operator_keeps_its_empty_result(self, capfd):
+        # gesdd would reject a 0-size operator and write to stderr
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            res = lstsq_solve(np.zeros((rows, cols)), np.zeros(rows))
+            np.testing.assert_array_equal(res.solution, np.zeros(cols))
+            assert (res.residual_norm, res.rank, res.cutoff, res.near_cutoff) == \
+                (0.0, 0, 0.0, False)
+            assert res.null_space.shape == (cols, 0)
+            block = lstsq_solve(np.zeros((rows, cols)), np.zeros((rows, 2)))
+            assert block.solution.shape == (cols, 2)
+            np.testing.assert_array_equal(block.residual_norm, [0.0, 0.0])
+        assert capfd.readouterr() == ("", "")
+
     def test_identity_system(self):
         res = lstsq_solve(np.eye(2), [1, 2])
         np.testing.assert_allclose(res.solution, [1, 2])
@@ -218,6 +263,19 @@ class TestLstsq:
 
 
 class TestSchurKernels:
+    def test_factors_are_scipys_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 71):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            t, q = complex_schur(m)
+            t_ref, q_ref = scipy.linalg.schur(m, output="complex")
+            assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref), n
+
+    def test_nan_still_rejected_after_the_order_is_cached(self):
+        complex_schur(np.eye(3))
+        with pytest.raises(NumericError):
+            complex_schur(np.diag([1.0, np.nan, 2.0]))
+
     def test_schur_factors_reproduce_the_matrix(self, rng):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         t, q = complex_schur(m)

@@ -11,7 +11,7 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
 from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, schur_sqrt,
                                schur_sylvester)
 from sylvcert.oracle import oracle_solve
-from sylvcert.roots import (block_roots, homogeneous_equivalence,
+from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
                             solve_unipotent_quadratic)
@@ -247,6 +247,17 @@ class TestBlockRoots:
         for root in block_roots(p):
             assert frob(root @ root - base) <= 1e-9 * frob(base)
             assert np.linalg.cond(root) < 1e8  # invertible
+
+    def test_inverses_of_the_two_sign_classes(self, rng):
+        # the search reads the inverses of branches 0 and 1 only
+        a, b = shared_jordan_pair(rng, 3, 2)
+        p = prepare(a, b, rhs_in_range(rng, a, b))
+        base = block_upper(p.a, -p.companion, -p.b)
+        roots, inverses = _branch_roots(p, base, DEFAULT_TOL)
+        assert roots.shape == (4, 5, 5) and inverses.shape == (2, 5, 5)
+        np.testing.assert_array_equal(roots, block_roots(p))
+        for root, inverse in zip(roots[:2], inverses, strict=True):
+            assert frob(root @ inverse - np.eye(5)) <= 1e-10 * np.linalg.cond(root)
 
     def test_first_branch_eigenvalue_placement(self, rng):
         a, b = shared_semisimple_pair(rng, 2, 2)

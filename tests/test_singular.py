@@ -13,9 +13,10 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
 from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, schur_sylvester, unvec
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from sylvcert.regular import QUADRATURE_GAP_TOL, compute_offset, reduced_rhs
+from sylvcert.roots import homogeneous_nullspaces
 from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry, diagnose,
-                               particular_solution, prepare, solution_from_u,
-                               solve_uv_report, sylvester_kernel)
+                               intertwiner_basis, particular_solution, prepare,
+                               solution_from_u, solve_uv_report, sylvester_kernel)
 
 from conftest import (pair_equation_residuals, pair_equation_rows, shared_cluster_pair,
                       uv_stacked_reference)
@@ -203,6 +204,30 @@ class TestSchurReducedDecision:
         assert clusters == [(1, 1), (1, 2)]
         assert len(basis) == 1 and abs(frob(basis[0]) - 1.0) <= 1e-12
         assert frob(p.a @ basis[0] - basis[0] @ p.b) <= 1e-12
+
+    def test_held_cluster_gives_the_reports_of_a_fresh_mark(self, rng):
+        # the problem-level callers hand prepare's cluster in; marking it
+        # afresh on the same factors gives the same reports and bases, bit
+        # for bit
+        for a, b in (shared_jordan_pair(rng, 4, 3), shared_semisimple_pair(rng, 3, 3)):
+            p = prepare(a, b, rhs_in_range(rng, a, b))
+            stack = np.stack([p.reduced, rhs_outside_range(rng, p.a, p.b),
+                              np.zeros((p.n, p.m))])
+            held = singular.decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack,
+                                             cluster=p.cluster)
+            fresh = singular.decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack)
+            for got, expected in zip(held, fresh, strict=True):
+                assert np.array_equal(got.u, expected.u)
+                assert (got.lstsq_residual, got.threshold, got.rank, got.marginal,
+                        got.near_cutoff, got.cluster_sizes, got.cluster_tolerance) == \
+                    (expected.lstsq_residual, expected.threshold, expected.rank,
+                     expected.marginal, expected.near_cutoff, expected.cluster_sizes,
+                     expected.cluster_tolerance)
+            x_basis, y_basis = homogeneous_nullspaces(p)
+            for got, expected in ((x_basis, intertwiner_basis(p.a, p.b, p.schur_a, p.schur_b)),
+                                  (y_basis, intertwiner_basis(p.b, p.a, p.schur_b, p.schur_a))):
+                assert len(got) == len(expected) >= 1
+                assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
     def test_stress_ladder_agrees_with_oracle(self):
         # shared Jordan clusters of size 2-4, split by about eps^(1/k), some
