@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes for ``diagnose``: 0 solvable, 1 unsolvable, 2 ill-conditioned,
 3 file/schema errors, 4 internal errors.  ``batch`` exits 3 when any row
-errored, 0 otherwise.  Human-readable summaries go to stdout, diagnostics to
-stderr; full JSON reports are written to ``--output``.
+errored, 0 otherwise; an ``--alpha`` or ``--tol`` out of its file option's
+range exits 3 on every subcommand, before any file is read.  Human-readable
+summaries go to stdout, diagnostics to stderr; JSON reports go to ``--output``.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: ``parse_args`` keeps no state between calls.  That saves
@@ -186,7 +187,7 @@ def cmd_roots(args) -> int:
     # a^-1 c b^-1, by solves on the problem's Schur factors
     u_plus_v = schur_solve(problem.schur_a, schur_solve(problem.schur_b, c, "right"))
     for q in quad.q_values:
-        identity_residual, _ = unipotent_identity_residual(q, problem, problem.offset, tol)
+        identity_residual, _ = unipotent_identity_residual(q, problem, tol)
         # q = v - u, so u = (u + v - q) / 2
         x = solution_from_u(problem, 0.5 * (u_plus_v - q))
         unipotent.append({
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         "batch": cmd_batch,
     }
     try:
+        for name in ("alpha", "tol"):
+            if getattr(args, name) is not None:
+                sio.check_option(name, getattr(args, name), f"--{name}")
         return handlers[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

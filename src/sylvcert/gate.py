@@ -30,13 +30,12 @@ CLUSTER_TOLERANCE_FACTOR = float(np.finfo(float).eps) ** 0.25
 
 @dataclass(frozen=True)
 class GateReport:
-    """Pre-shift sector membership, the shift, and whether the shifted spectra meet."""
+    """Pre-shift sector membership and whether the shifted spectra meet."""
 
     in_sector_a: bool
     in_sector_b: bool
     spectra_intersect: bool
     intersection_tolerance: float
-    suggested_lambda: float
 
 
 def _check_alpha(alpha: float) -> None:

@@ -24,13 +24,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import SchemaError
-from .singular import Verdict, UVWitness
+from .singular import SylvesterProblem, UVWitness, Verdict
 
 SCHEMA_VERSION = "1"
 KNOWN_SCHEMA_VERSIONS = ("1",)
 METHODS = ("direct", "quadrature")
 
 DEFAULT_OPTIONS = {"alpha": math.pi / 4, "tol": 1e-8, "method": "direct"}
+# the open interval each numeric option must lie in, and its text
+OPTION_RANGES = {"alpha": (0.0, math.pi / 2, "(0, pi/2)"), "tol": (0.0, 1.0, "(0, 1)")}
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
@@ -113,19 +115,24 @@ def parse_problem_text(text: str, source: str = "<string>") -> ProblemSpec:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise SchemaError(f"{source}: options must be an object")
-    alpha = options.get("alpha", DEFAULT_OPTIONS["alpha"])
-    tol = options.get("tol", DEFAULT_OPTIONS["tol"])
+    alpha, tol = (check_option(name, options.get(name, DEFAULT_OPTIONS[name]),
+                               f"{source}: options.{name}") for name in ("alpha", "tol"))
     method = options.get("method", DEFAULT_OPTIONS["method"])
-    # an int compares with a float exactly, so one too large for a float fails
-    # the range test instead of overflowing
-    if not isinstance(alpha, (int, float)) or type(alpha) is bool \
-            or not 0 < alpha < math.pi / 2:
-        raise SchemaError(f"{source}: options.alpha must lie in (0, pi/2)")
-    if not isinstance(tol, (int, float)) or type(tol) is bool or not 0 < tol < 1:
-        raise SchemaError(f"{source}: options.tol must lie in (0, 1)")
     if method not in METHODS:
         raise SchemaError(f"{source}: options.method must be one of {METHODS}")
-    return ProblemSpec(a=a, b=b, c=c, alpha=float(alpha), tol=float(tol), method=str(method))
+    return ProblemSpec(a=a, b=b, c=c, alpha=alpha, tol=tol, method=str(method))
+
+
+def check_option(name: str, value, label: str) -> float:
+    """``value`` of the option ``name`` as a float; :class:`SchemaError`
+    "``label`` must lie in ..." when it is no number inside its interval."""
+    low, high, interval = OPTION_RANGES[name]
+    # an int compares with a float exactly, so one too large for a float
+    # fails the range test instead of overflowing
+    if not isinstance(value, (int, float)) or type(value) is bool \
+            or not low < value < high:
+        raise SchemaError(f"{label} must lie in {interval}")
+    return float(value)
 
 
 def load_problem(path) -> ProblemSpec:
@@ -224,12 +231,12 @@ def parse_report(text: str) -> dict:
         ) from exc
 
 
-def _witness_to_dict(w: UVWitness) -> dict:
+def _witness_to_dict(w: UVWitness, p: SylvesterProblem) -> dict:
     return {
         "u": matrix_to_pairs(w.u),
         "v": matrix_to_pairs(w.v),
-        "companion": matrix_to_pairs(w.companion),
-        "offset": matrix_to_pairs(w.offset),
+        "companion": matrix_to_pairs(p.companion),
+        "offset": matrix_to_pairs(p.offset),
         "q": matrix_to_pairs(w.q),
         "uv_norm": float(w.uv_norm),
         "residuals": {key: float(value) for key, value in sorted(w.residuals.items())},
@@ -253,7 +260,8 @@ def environment_dict(verdict: Verdict, tol: float, seed: int | None) -> dict:
 
 def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None,
                     timestamp: str | None = None) -> dict:
-    gate = verdict.problem.gate
+    p = verdict.problem
+    gate = p.gate
     doc = {
         "schema_version": SCHEMA_VERSION,
         "verdict": {
@@ -267,16 +275,16 @@ def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None,
             "solution_norm": None if verdict.solution_norm is None else float(verdict.solution_norm),
             "ill_conditioned_gate": verdict.ill_conditioned_gate,
         },
-        "witness": None if verdict.witness is None else _witness_to_dict(verdict.witness),
+        "witness": None if verdict.witness is None else _witness_to_dict(verdict.witness, p),
         "gate": {
             "in_sector_a": gate.in_sector_a,
             "in_sector_b": gate.in_sector_b,
             "spectra_intersect": gate.spectra_intersect,
             "intersection_tolerance": gate.intersection_tolerance,
-            "suggested_lambda": gate.suggested_lambda,
+            "suggested_lambda": p.lambda_shift,
             "cluster_sizes": None if verdict.cluster_sizes is None else list(verdict.cluster_sizes),
-            "cluster_tolerance": None if verdict.cluster_tolerance is None
-            else float(verdict.cluster_tolerance),
+            "cluster_tolerance": None if verdict.cluster_sizes is None
+            else gate.intersection_tolerance,
         },
         "environment": environment_dict(verdict, tol, seed),
         "checks": verdict.checks,

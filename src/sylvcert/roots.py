@@ -18,10 +18,10 @@ Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
 couplings a^2 s - s b^2 = P_12 of the two sign classes share their
 left-hand side and are decided by one call of the main decision's kernel,
-:func:`~sylvcert.singular.decide_sylvester`, on the squared factors and the
-stack of the two P_12.  The x-side intertwiners are read off the problem
-(``SylvesterProblem.kernel``, taken once), the y-side ones are
-:func:`~sylvcert.singular.intertwiner_basis` on the swapped factors.
+:func:`~sylvcert.singular.decide_sylvester`, on the stack of the two P_12 and
+the squared factors, ordered by :func:`~sylvcert.singular.cluster_first`.
+The x-side intertwiners are read off the problem (``SylvesterProblem.kernel``,
+taken once), the y-side ones are its factors' kernel with the sides swapped.
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and
@@ -45,8 +45,8 @@ from .errors import GateError, NumericError, PreconditionError
 from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
 from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
-                       check_entry, decide_sylvester, intertwiner_basis,
-                       skipped_on_refusal, unipotent_identity_residual)
+                       check_entry, cluster_first, decide_sylvester, skipped_on_refusal,
+                       sylvester_kernel, unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
 # (k1, k2) of the branch ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), in branch order
@@ -85,9 +85,8 @@ def homogeneous_nullspaces(p: SylvesterProblem):
     the problem's own ``kernel``) and b y = y a (m x n side), ordered
     deterministically, as fresh lists of read-only arrays.  The y side reads
     the problem's cluster with the sides swapped."""
-    select_a, select_b, scale, tolerance = p.cluster
-    return list(p.kernel), list(intertwiner_basis(p.b, p.a, p.schur_b, p.schur_a,
-                                                  (select_b, select_a, scale, tolerance)))
+    k_a, k_b, scale = p.cluster
+    return list(p.kernel), list(sylvester_kernel(p.schur_b, p.schur_a, (k_b, k_a, scale)))
 
 
 def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
@@ -283,11 +282,14 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     classes = roots[:2]  # branches 0 and 1, one per sign class
     products = _checked(classes @ target @ classes, n)
 
-    # t^2 is the Schur factor of a^2 in the basis of t; one decision takes
-    # the coupling equations of both classes
+    # t^2 is the Schur factor of a^2 in the basis of t, ordered by the
+    # squared pair's own cluster; one decision takes the coupling equations
+    # of both classes
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    couplings = decide_sylvester(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb),
-                                 products[:, :n, n:], tol)
+    a2, b2 = a @ a, b @ b
+    schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
+                                                   frob(a2) + frob(b2))
+    couplings = decide_sylvester(a2, b2, schur_a2, schur_b2, products[:, :n, n:], cluster, tol)
     notes = [f"branch {index}: coupling equation inconsistent "
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
@@ -342,7 +344,7 @@ def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:
     entry = check_entry("pass" if found == solvable else "fail")
     if found:
         entry["residual"], entry["threshold"] = min(
-            (unipotent_identity_residual(q, p, p.offset, tol) for q in quad.q_values),
+            (unipotent_identity_residual(q, p, tol) for q in quad.q_values),
             key=lambda pair: pair[0] / pair[1])
     elif not solvable:
         entry["note"] = ("no unipotent solution in the enumerated root family; "

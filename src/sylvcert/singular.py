@@ -19,11 +19,12 @@ mixed sum and solves the reduced equation
 
 with :func:`decide_sylvester`, the one kernel for singular Sylvester equations
 (the root bridge decides its coupling equation with it too).  It works in the
-complex Schur coordinates that :func:`prepare` computes once per problem,
-reordered so the k_a x k_b block of eigenvalues shared within the cluster
-tolerance leads; only that block is decided by minimum-norm least squares with
-an explicit, reported threshold, the rest and the companion equation by
-Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The
+complex Schur coordinates that :func:`prepare` computes once per problem and
+:func:`cluster_first` orders once, so the k_a x k_b block of eigenvalues
+shared within the cluster tolerance leads; only that block is decided by
+minimum-norm least squares with an explicit, reported threshold, the rest and
+the companion equation by Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3)
+instead of O((nm)^3).  The
 tests keep the stacked 2nm system as their reference.  Completing v this way
 makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
 identity a u + v b = s + offset, the cubic constraint and the two gates of
@@ -31,10 +32,11 @@ identity a u + v b = s + offset, the cubic constraint and the two gates of
 residual against a threshold at its own scale.
 
 :func:`prepare` validates the input, then factors and norms each shifted
-matrix once and marks the shared cluster once, and every a^-1 and b^-1 above
-is a triangular solve on those Schur factors (``numerics.schur_solve``).  The
-companion solution s, a s b^-1 and the offset are taken at most once per
-problem, on first use.
+matrix once, and :func:`cluster_first` marks the shared cluster and orders
+the factors once; the decision and the kernel read both off the problem, and
+never mark or reorder.  Every a^-1 and b^-1 above is a triangular solve on
+those Schur factors (``numerics.schur_solve``).  The companion solution s,
+a s b^-1 and the offset are taken at most once per problem, on first use.
 """
 
 from __future__ import annotations
@@ -79,13 +81,13 @@ class SylvesterProblem:
     gate: GateReport
     alpha: float
     lambda_shift: float
-    schur_a: tuple  # complex Schur factors (t, q) of the shifted a
-    schur_b: tuple  # complex Schur factors (t, q) of the shifted b
+    # complex Schur factors (t, q) of the shifted a and b, cluster first
+    schur_a: tuple
+    schur_b: tuple
     norm_a: float  # ||a||_F of the shifted a
     norm_b: float  # ||b||_F of the shifted b
-    # (select_a, select_b, scale, tolerance): the shared eigenvalues of each
-    # shifted Schur diagonal by gate.shared_eigenvalues at the scale
-    # norm_a + norm_b, in the form decide_sylvester takes as ``cluster``
+    # (k_a, k_b, scale): the leading k_a and k_b eigenvalues of the factors
+    # are shared at the scale norm_a + norm_b (see cluster_first)
     cluster: tuple
     unshifted: tuple  # the validated (a, b) before the shift
 
@@ -100,10 +102,10 @@ class SylvesterProblem:
     @functools.cached_property
     def kernel(self) -> tuple:
         """Read-only basis of the intertwiners {x : a x = x b}, taken once
-        per problem by :func:`intertwiner_basis` on the problem's factors.
+        per problem by :func:`sylvester_kernel` on the problem's factors.
         (A frozen dataclass may cache it: the property writes the instance
         ``__dict__``, not an attribute.)"""
-        return intertwiner_basis(self.a, self.b, self.schur_a, self.schur_b, self.cluster)
+        return sylvester_kernel(self.schur_a, self.schur_b, self.cluster)
 
     @functools.cached_property
     def companion(self) -> np.ndarray:
@@ -127,12 +129,11 @@ class SylvesterProblem:
 @dataclass
 class UVWitness:
     """The certified pair (u, v) plus the derived quantities that make the
-    verdict auditable."""
+    verdict auditable; the companion solution and the offset it was checked
+    against are the problem's."""
 
     u: np.ndarray
     v: np.ndarray
-    companion: np.ndarray          # unique solution of a s + s b = c
-    offset: np.ndarray             # a^-1 s b + a s b^-1
     q: np.ndarray                  # v - u
     residuals: dict = field(default_factory=dict)
     thresholds: dict = field(default_factory=dict)  # same keys as residuals
@@ -151,7 +152,6 @@ class UVSystemReport:
     marginal: bool  # residual within 10x of the threshold: too close to call
     near_cutoff: bool = False  # the rank decision itself sat near the cutoff
     cluster_sizes: tuple = (0, 0)  # (k_a, k_b): eigenvalues in the shared block
-    cluster_tolerance: float = 0.0
     witness: UVWitness | None = None
 
 
@@ -172,7 +172,6 @@ class Verdict:
     solution_norm: float | None = None
     ill_conditioned_gate: str | None = None  # the check that refused a binary answer
     cluster_sizes: tuple | None = None
-    cluster_tolerance: float | None = None
     checks: dict = field(default_factory=dict)
 
 
@@ -210,40 +209,37 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged.
     The gate's intersection is the decision's cluster on the shifted pair.
-    Each matrix is factored and normed once, the cluster is marked once,
-    and every inverse of a or b is a solve on these factors."""
+    Each matrix is factored and normed once, :func:`cluster_first` marks the
+    cluster and orders the factors once, and every inverse of a or b is a
+    solve on these factors."""
     a0, b0, c = as_sylvester_data(a, b, c)
     ta, qa = complex_schur(a0)
     tb, qb = complex_schur(b0)
     lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
     id_a, id_b = np.eye(a0.shape[0]), np.eye(b0.shape[0])
     a, b = a0 + lam * id_a, b0 + lam * id_b
-    schur_a, schur_b = (ta + lam * id_a, qa), (tb + lam * id_b, qb)
     norm_a, norm_b = frob(a), frob(b)
-    # the decision's cluster, as _shared_first would mark it
-    shared_a, shared_b, tolerance = shared_eigenvalues(
-        schur_a[0].diagonal(), schur_b[0].diagonal(), norm_a + norm_b)
+    schur_a, schur_b, cluster, tolerance = cluster_first(
+        (ta + lam * id_a, qa), (tb + lam * id_b, qb), norm_a + norm_b)
     gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
                       in_sector_b=sector_contains(tb.diagonal(), alpha),
-                      spectra_intersect=bool(shared_a.any()),
-                      intersection_tolerance=float(tolerance), suggested_lambda=lam)
+                      spectra_intersect=cluster[0] > 0,
+                      intersection_tolerance=float(tolerance))
     return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
                             schur_a=schur_a, schur_b=schur_b, norm_a=norm_a, norm_b=norm_b,
-                            cluster=(shared_a, shared_b, norm_a + norm_b, tolerance),
-                            unshifted=(a0, b0))
+                            cluster=cluster, unshifted=(a0, b0))
 
 
-def unipotent_identity_residual(q, p: SylvesterProblem, offset,
-                                tol: float = DEFAULT_TOL) -> tuple:
+def unipotent_identity_residual(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) -> tuple:
     """Residual of the reduced unipotent identity q b - a q = r for the
-    offset r, and the threshold it is judged against."""
+    problem's offset r, and the threshold it is judged against."""
+    offset = p.offset
     residual = frob(q @ p.b - p.a @ q - offset)
     threshold = tol * (frob(offset) + (p.norm_a + p.norm_b) * frob(q) + 1e-300)
     return residual, threshold
 
 
-def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
-                    offset: np.ndarray, tol: float,
+def _witness_from_u(p: SylvesterProblem, u: np.ndarray, tol: float,
                     decision_threshold: float) -> UVWitness:
     """Complete u to the pair (u, v = a^-1 c b^-1 - u) and record every pair
     identity's residual with its threshold.
@@ -252,7 +248,7 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
     equation's own residual, so it is judged against the threshold the
     decision applied; au_vb, cubic and unipotent_identity are independent.
     """
-    a, b = p.a, p.b
+    a, b, companion, offset = p.a, p.b, p.companion, p.offset
     pair_sum = schur_solve(p.schur_a, schur_solve(p.schur_b, p.c, "right"))
     v = pair_sum - u
     q = v - u
@@ -281,9 +277,8 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, companion: np.ndarray,
         "cubic": tol * (nu + nv) * data_scale * data_scale * data_scale,
     }
     residuals["unipotent_identity"], thresholds["unipotent_identity"] = \
-        unipotent_identity_residual(q, p, offset, tol)
-    return UVWitness(u=u, v=v, companion=companion, offset=offset, q=q,
-                     residuals=residuals, thresholds=thresholds,
+        unipotent_identity_residual(q, p, tol)
+    return UVWitness(u=u, v=v, q=q, residuals=residuals, thresholds=thresholds,
                      uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
 
 
@@ -299,20 +294,17 @@ def _regular_block(ta, tb, rhs, cutoff: float) -> np.ndarray | None:
     return None if frob(y) > 0.1 / cutoff * frob(rhs) else y
 
 
-def _shared_first(a, b, schur_a, schur_b, cluster=None) -> tuple:
-    """Schur factors of a and b reordered so the shared eigenvalues lead, the
-    cluster sizes (k_a, k_b), the data scale ||a|| + ||b|| and the tolerance;
-    ``cluster`` (select_a, select_b, scale, tolerance) is marked here on the
-    Schur diagonals unless the caller holds it."""
+def cluster_first(schur_a, schur_b, scale: float) -> tuple:
+    """The one place the shared cluster is marked: the complex Schur factors
+    (t, q) of a and b reordered so the eigenvalues that
+    :func:`~sylvcert.gate.shared_eigenvalues` marks at ``scale``
+    (||a|| + ||b||) lead, the ``cluster`` (k_a, k_b, scale) that
+    :func:`decide_sylvester` and :func:`sylvester_kernel` take with them, and
+    the cluster tolerance."""
     (ta, qa), (tb, qb) = schur_a, schur_b
-    if cluster is None:
-        data_scale = frob(a) + frob(b)
-        select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(),
-                                                           data_scale)
-    else:
-        select_a, select_b, data_scale, tolerance = cluster
+    select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
     return (reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
-            (int(select_a.sum()), int(select_b.sum())), data_scale, tolerance)
+            (int(select_a.sum()), int(select_b.sum()), scale), tolerance)
 
 
 def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, heads, data_scale: float):
@@ -370,22 +362,19 @@ def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
     return ys, shared
 
 
-def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL,
-                     cluster: tuple | None = None):
+def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
+                     tol: float = DEFAULT_TOL):
     """Decide the possibly singular equation a u - u b = rhs on the complex
-    Schur factors (t, q) of a and b.  A caller that holds the pair's cluster
-    (``SylvesterProblem.cluster``) hands it in as ``cluster``; otherwise it
-    is marked here, by the same rule.
+    Schur factors (t, q) of a and b as :func:`cluster_first` orders them,
+    with the ``cluster`` (k_a, k_b, scale) it returns: the leading k_a and
+    k_b eigenvalues are shared at the scale ||a|| + ||b||.
 
     ``rhs`` is one n x m right-hand side, decided into one
     :class:`UVSystemReport`, or a (k, n, m) stack of them, decided into a
-    list of k reports, each the one its slice alone would get: the factors
-    are reordered and the shared block's operator is built and decomposed
-    once for the whole stack.
+    list of k reports, each the one its slice alone would get: the shared
+    block's operator is built and decomposed once for the whole stack.
 
-    The factors are reordered so the eigenvalues that
-    :func:`~sylvcert.gate.shared_eigenvalues` marks at the scale ||a|| + ||b||
-    lead: only the k_a x k_b shared block is decided by minimum-norm least
+    Only the k_a x k_b shared block is decided by minimum-norm least
     squares (rank judged as for the full nm operator at the scale
     ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
     amplifies its right-hand side past the rank cutoff, or a nonzero u comes
@@ -397,8 +386,8 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL,
     residuals within a factor 10 of it are flagged marginal rather than
     forced into a binary answer.
     """
-    (ta, qa), (tb, qb), sizes, data_scale, tolerance = _shared_first(a, b, schur_a, schur_b,
-                                                                     cluster)
+    (ta, qa), (tb, qb) = schur_a, schur_b
+    k_a, k_b, data_scale = cluster
     n, m = ta.shape[0], tb.shape[0]
     stack = np.asarray(rhs, dtype=np.complex128)
     if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
@@ -409,7 +398,7 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL,
     reports: list = [None] * len(slices)
     pending = list(range(len(slices)))
     # the whole spectra form the fallback cluster, where every block is shared
-    for k_a, k_b in (sizes, (n, m)):
+    for k_a, k_b in ((k_a, k_b), (n, m)):
         ys, shared = _schur_reduced_solve(ta, tb, [r[i] for i in pending], k_a, k_b, data_scale)
         rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
         widen = []
@@ -430,39 +419,11 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, tol: float = DEFAULT_TOL,
                 u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
                 marginal=threshold < residual <= 10.0 * threshold,
                 near_cutoff=shared is not None and shared.near_cutoff,
-                cluster_sizes=(k_a, k_b), cluster_tolerance=tolerance)
+                cluster_sizes=(k_a, k_b))
         if not widen:
             break
         pending = widen
     return reports[0] if stack.ndim == 2 else reports
-
-
-def sylvester_kernel(a, b, schur_a, schur_b, cluster: tuple | None = None) -> list:
-    """Orthonormal basis of {x : a x = x b}, in a deterministic order, read
-    off the decision's shared block at rhs = 0 on the Schur factors (t, q)
-    of a and b: each null vector z of the shared block extends by one trsyl
-    through a11 y12 - y12 b22 = z b12, the other blocks are zero, and an
-    extension that blows up widens the cluster to the whole spectra.
-    ``cluster`` is as for :func:`decide_sylvester`."""
-    (ta, qa), (tb, qb), sizes, data_scale, _ = _shared_first(a, b, schur_a, schur_b, cluster)
-    n, m = ta.shape[0], tb.shape[0]
-    for k_a, k_b in (sizes, (n, m)):
-        # at rhs = 0 the regular blocks of the decision are zero, so only
-        # the shared block's null vectors need solving for
-        heads = []
-        if k_a and k_b:
-            shared = _shared_block_lstsq(ta, tb, k_a, k_b, np.zeros(k_a * k_b), data_scale)
-            heads = [unvec(z, k_a, k_b) for z in shared.null_space.T]
-        tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
-                                shared.cutoff) for y11 in heads]
-        if all(y12 is not None for y12 in tails):
-            break
-    if not heads:
-        return []
-    # only the leading k_a rows are nonzero; orthonormal in Schur coordinates
-    # stays orthonormal under the unitary qa, qb
-    q, _ = np.linalg.qr(np.column_stack([vec(np.hstack(pair)) for pair in zip(heads, tails)]))
-    return [qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T for v in q.T]
 
 
 def _phase_fix(x: np.ndarray) -> np.ndarray:
@@ -478,10 +439,34 @@ def _phase_fix(x: np.ndarray) -> np.ndarray:
     return x * (abs(pivot) / pivot)
 
 
-def intertwiner_basis(a, b, schur_a, schur_b, cluster: tuple | None = None) -> tuple:
-    """The :func:`sylvester_kernel` basis of {x : a x = x b}, each element's
-    phase fixed, as read-only arrays."""
-    basis = tuple(_phase_fix(x) for x in sylvester_kernel(a, b, schur_a, schur_b, cluster))
+def sylvester_kernel(schur_a, schur_b, cluster: tuple) -> tuple:
+    """Orthonormal basis of {x : a x = x b}, in a deterministic order, each
+    element's phase fixed, as read-only arrays.  It is read off the
+    decision's shared block at rhs = 0 on the factors and ``cluster`` of
+    :func:`decide_sylvester`: each null vector z of the shared block extends
+    by one trsyl through a11 y12 - y12 b22 = z b12, the other blocks are
+    zero, and an extension that blows up widens the cluster to the whole
+    spectra."""
+    (ta, qa), (tb, qb) = schur_a, schur_b
+    k_a, k_b, data_scale = cluster
+    n, m = ta.shape[0], tb.shape[0]
+    for k_a, k_b in ((k_a, k_b), (n, m)):
+        # at rhs = 0 the regular blocks of the decision are zero, so only
+        # the shared block's null vectors need solving for
+        heads = []
+        if k_a and k_b:
+            shared = _shared_block_lstsq(ta, tb, k_a, k_b, np.zeros(k_a * k_b), data_scale)
+            heads = [unvec(z, k_a, k_b) for z in shared.null_space.T]
+        tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
+                                shared.cutoff) for y11 in heads]
+        if all(y12 is not None for y12 in tails):
+            break
+    if not heads:
+        return ()
+    # only the leading k_a rows are nonzero; orthonormal in Schur coordinates
+    # stays orthonormal under the unitary qa, qb
+    q, _ = np.linalg.qr(np.column_stack([vec(np.hstack(pair)) for pair in zip(heads, tails)]))
+    basis = tuple(_phase_fix(qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T) for v in q.T)
     for x in basis:
         x.flags.writeable = False
     return basis
@@ -492,10 +477,9 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
     :func:`decide_sylvester`; a consistent decision is completed to the
     witness pair (u, v)."""
-    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, tol, p.cluster)
+    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, p.cluster, tol)
     if report.lstsq_residual <= report.threshold:
-        report.witness = _witness_from_u(p, report.u, p.companion, p.offset, tol,
-                                         report.threshold)
+        report.witness = _witness_from_u(p, report.u, tol, report.threshold)
     return report
 
 
@@ -562,7 +546,7 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     rep = x = gate = None
     if not np.any(c0):
         x = np.zeros((p.n, p.m), dtype=np.complex128)
-        witness = _witness_from_u(p, x, x, x, tol, 0.0)
+        witness = _witness_from_u(p, x, tol, 0.0)
         witness.residuals["solution_formula_gap"] = 0.0
         witness.thresholds["solution_formula_gap"] = 0.0
         system_residual, system_threshold = 0.0, tol
@@ -637,6 +621,5 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
                    solution_norm=x_norm if solvable else None,
                    ill_conditioned_gate=gate,
                    cluster_sizes=None if rep is None else rep.cluster_sizes,
-                   cluster_tolerance=None if rep is None else rep.cluster_tolerance,
                    checks=checks)
 

@@ -9,7 +9,7 @@ from sylvcert.numerics import complex_schur, frob, lstsq_solve, schur_sylvester
 from sylvcert.oracle import OracleResult
 from sylvcert.regular import compute_offset, reduced_rhs
 from sylvcert.roots import UNIPOTENT_TOL
-from sylvcert.singular import DEFAULT_TOL, decide_sylvester
+from sylvcert.singular import DEFAULT_TOL, cluster_first, decide_sylvester
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -200,8 +200,9 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
     y_solutions: list = []
     q_values: list = []
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    a2, schur_a2 = a @ a, (ta @ ta, qa)
-    b2, schur_b2 = b @ b, (tb @ tb, qb)
+    a2, b2 = a @ a, b @ b
+    schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
+                                                   frob(a2) + frob(b2))
 
     for index, root in enumerate(roots):
         root_inv = np.linalg.inv(root)
@@ -211,7 +212,7 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
         principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates = [principal, -principal]
 
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, tol)
+        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, cluster, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
             for d1 in (a, -a):

@@ -113,6 +113,6 @@ class TestGateReport:
         assert not report.in_sector_a
         assert not report.in_sector_b
         assert report.spectra_intersect
-        assert report.suggested_lambda > 1.0
+        assert p.lambda_shift > 1.0
         # the intersection is judged on the shifted pair at the cluster tolerance
         assert report.intersection_tolerance == CLUSTER_TOLERANCE_FACTOR * (frob(p.a) + frob(p.b))

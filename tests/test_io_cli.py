@@ -236,7 +236,7 @@ class TestDiagnoseCommand:
         entry = parse_report(out.read_text())["checks"]["unipotent_bridge"]
         p = singular.prepare(a, b, c)
         quad = solve_unipotent_quadratic(p)
-        pairs = [unipotent_identity_residual(q, p, p.offset) for q in quad.q_values]
+        pairs = [unipotent_identity_residual(q, p) for q in quad.q_values]
         assert len(pairs) >= 2
         assert (entry["residual"], entry["threshold"]) in pairs
         assert entry["residual"] <= entry["threshold"]
@@ -264,6 +264,9 @@ class TestDiagnoseCommand:
         doc = parse_report(out.read_text())
         assert doc["gate"]["cluster_sizes"] == [2, 1]
         assert doc["gate"]["cluster_tolerance"] > 0
+        # each value has one home: the gate's tolerance and the problem's shift
+        assert doc["gate"]["cluster_tolerance"] == doc["gate"]["intersection_tolerance"]
+        assert doc["gate"]["suggested_lambda"] == doc["environment"]["shift_lambda"]
         assert doc["verdict"]["ill_conditioned_gate"] is None
 
     def test_failed_witness_gate_exits_ill_conditioned(self, tmp_path, monkeypatch):
@@ -440,6 +443,38 @@ class TestDiagnoseCommand:
         out = tmp_path / "v.json"
         main(["diagnose", str(problem), "--seed", "42", "-o", str(out)])
         assert parse_report(out.read_text())["environment"]["seed"] == 42
+
+
+class TestFlagRanges:
+    # a flag is held to the rule of the file option it overrides; out of
+    # range it used to give a wrong verdict (exit 1 or 2) or an internal
+    # error (exit 4)
+    @pytest.mark.parametrize("command", ["diagnose", "homogeneous", "roots", "batch"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "-1", "--tol must lie in (0, 1)"),
+        ("--tol", "nan", "--tol must lie in (0, 1)"),
+        ("--tol", "inf", "--tol must lie in (0, 1)"),
+        ("--tol", "1", "--tol must lie in (0, 1)"),
+        ("--alpha", "2", "--alpha must lie in (0, pi/2)"),
+        ("--alpha", "0", "--alpha must lie in (0, pi/2)"),
+        ("--alpha", "nan", "--alpha must lie in (0, pi/2)"),
+    ])
+    def test_out_of_range_flag_exits_three_without_a_report(self, tmp_path, capsys, command,
+                                                            flag, value, message):
+        target = CORPUS if command == "batch" else CORPUS / "jordan_solvable.json"
+        out = tmp_path / "report.json"
+        assert main([command, str(target), flag, value, "-o", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_in_range_flag_is_applied(self, tmp_path):
+        out = tmp_path / "report.json"
+        problem = CORPUS / "jordan_solvable.json"
+        assert main(["diagnose", str(problem), "--tol", "1e-6", "--alpha", "1.2",
+                     "-o", str(out)]) == 0
+        doc = parse_report(out.read_text())
+        assert doc["environment"]["tolerances"]["tol"] == 1e-6
+        assert doc["environment"]["alpha"] == 1.2
 
 
 class TestFlagsPerSubcommand:

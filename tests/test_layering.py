@@ -4,8 +4,12 @@ The dense Kronecker oracle decides a x - x b = c alone, and corroborates
 verdicts only while the main route shares no code with it; every Schur
 factorization of a problem's pair is taken once, by ``prepare``, or by the
 standalone quadrature check.  Which eigenvalues the spectra share is decided
-by one rule, in ``gate``, and the homogeneous kernel is read off the
-decision's factors, never a dense SVD.  Inverses are applied by one solve
+by one rule, in ``gate``; ``singular.cluster_first`` alone applies it and
+orders the Schur factors, once per pair, and the decision and the kernel
+read the ordered factors off the problem.  Each derived value has one home:
+no report copies the cluster tolerance, the shift, the companion solution or
+its offset.  The homogeneous kernel is read off the decision's factors,
+never a dense SVD.  Inverses are applied by one solve
 routine, never formed, and no dense solve is taken.  The root bridge reads
 the companion solution and its offset off the problem, where each is taken
 at most once, and searches on dense stacked arrays; no typed block-matrix
@@ -20,6 +24,7 @@ factors.  Every function the benchmark's tracer names exists.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -35,7 +40,9 @@ from sylvcert.io import problem_to_dict, serialize_report
 from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces, solve_unipotent_quadratic,
                             unipotent_bridge_check)
-from sylvcert.singular import diagnose, prepare, sylvester_kernel
+from sylvcert.gate import GateReport
+from sylvcert.singular import (UVSystemReport, UVWitness, Verdict, diagnose, prepare,
+                               sylvester_kernel)
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
@@ -160,10 +167,13 @@ RETIRED_TEST_ONLY_NAMES = (
 # the oracle decides a x - x b = c alone; the tests keep the paper's other
 # equations as their own references
 RETIRED_ORACLE_NAMES = ("EQUATIONS", "_EQUATION_DEGREE", "_decide")
+# prepare orders the factors cluster first once, and the kernel returns the
+# phase-fixed, read-only basis itself
+RETIRED_CLUSTER_NAMES = ("_shared_first", "intertwiner_basis")
 
 
 @pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES
-                         + RETIRED_ORACLE_NAMES)
+                         + RETIRED_ORACLE_NAMES + RETIRED_CLUSTER_NAMES)
 def test_no_module_defines_or_imports_a_retired_name(name):
     assert name not in sylvcert.__all__
     for path in PACKAGE.glob("*.py"):
@@ -249,12 +259,40 @@ def test_the_cluster_is_marked_once_per_pair(monkeypatch):
     assert calls == {"shared_eigenvalues": 3}
 
 
+def test_the_cluster_is_ordered_only_by_cluster_first(monkeypatch):
+    # prepare orders the problem's pair and the bridge its squared pair;
+    # the decision and both kernels reorder nothing
+    assert callers_of("cluster_first") == {("singular", "prepare"),
+                                           ("roots", "solve_unipotent_quadratic")}
+    for callee in ("reorder_schur", "shared_eigenvalues"):
+        assert callers_of(callee) == {("singular", "cluster_first")}, callee
+    calls = counted(monkeypatch, ("reorder_schur",))
+    assert diagnose(*bridge_data()).status.value == "solvable"
+    assert calls == {"reorder_schur": 2}
+    p = prepare(*bridge_data())
+    homogeneous_nullspaces(p)
+    assert homogeneous_equivalence(p) == (True, True, True)
+    assert solve_unipotent_quadratic(p).q_values
+    assert calls == {"reorder_schur": 2 + 4}
+
+
+@pytest.mark.parametrize("cls, copies", [
+    (GateReport, {"suggested_lambda"}),
+    (UVSystemReport, {"cluster_tolerance"}),
+    (Verdict, {"cluster_tolerance"}),
+    (UVWitness, {"companion", "offset"}),
+], ids=["gate", "decision", "verdict", "witness"])
+def test_no_result_copies_a_value_the_problem_holds(cls, copies):
+    assert not copies & {field.name for field in dataclasses.fields(cls)}
+
+
 def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
     # the blocks that are zero at rhs = 0 are not solved for
     calls = counted(monkeypatch, ("triangular_sylvester",))
     p = prepare(*bridge_data())
-    x_basis = sylvester_kernel(p.a, p.b, p.schur_a, p.schur_b)
-    y_basis = sylvester_kernel(p.b, p.a, p.schur_b, p.schur_a)
+    k_a, k_b, scale = p.cluster
+    x_basis = sylvester_kernel(p.schur_a, p.schur_b, p.cluster)
+    y_basis = sylvester_kernel(p.schur_b, p.schur_a, (k_b, k_a, scale))
     assert x_basis and y_basis
     assert calls == {"triangular_sylvester": len(x_basis) + len(y_basis)}
 

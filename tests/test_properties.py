@@ -1,5 +1,6 @@
 """Property tests: the gate, the decision and the homogeneous kernel read one
-rule for where the spectra meet, the kernel agrees with the dense oracle, the
+rule for where the spectra meet, ``prepare``'s factors put that cluster first
+and still factor the shifted pair, the kernel agrees with the dense oracle, the
 shift is the smallest admissible three-digit shift, a stack of right-hand
 sides is decided slice by slice as separate decisions would be, the stacked
 root search agrees with a search of one candidate at a time, the root
@@ -22,11 +23,11 @@ from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import lstsq_solve
+from sylvcert.numerics import frob, lstsq_solve
 from sylvcert.oracle import build_operator, oracle_solve
 from sylvcert.roots import (homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
-from sylvcert.singular import decide_sylvester, diagnose, prepare, solve_uv_report
+from sylvcert.singular import decide_sylvester, diagnose, prepare
 
 from conftest import (PROPERTY, reference_unipotent_quadratic, relative_gap,
                       shared_cluster_pair)
@@ -56,8 +57,29 @@ def vectors(basis) -> np.ndarray:
 @PROPERTY
 @given(pairs())
 def test_gate_tolerance_is_the_decision_cluster_tolerance(pair):
+    # the gate reports the tolerance the decision's cluster was marked at
     p = prepare(*pair)
-    assert p.gate.intersection_tolerance == solve_uv_report(p).cluster_tolerance
+    k_a, k_b, scale = p.cluster
+    assert scale == p.norm_a + p.norm_b
+    assert p.gate.intersection_tolerance == gate.CLUSTER_TOLERANCE_FACTOR * scale
+    assert p.gate.spectra_intersect == (k_a > 0) == (k_b > 0)
+
+
+@PROPERTY
+@given(pairs())
+def test_prepared_factors_are_cluster_first(pair):
+    # the rule marks exactly the leading k_a and k_b diagonal entries, and
+    # the reordered factors still factor the shifted pair
+    p = prepare(*pair)
+    k_a, k_b, scale = p.cluster
+    (ta, _), (tb, _) = p.schur_a, p.schur_b
+    select_a, select_b, _ = gate.shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
+    assert np.array_equal(select_a, np.arange(p.n) < k_a)
+    assert np.array_equal(select_b, np.arange(p.m) < k_b)
+    for (t, q), x in ((p.schur_a, p.a), (p.schur_b, p.b)):
+        assert np.array_equal(t, np.triu(t))
+        assert frob(q.conj().T @ q - np.eye(len(q))) <= 1e-13 * len(q)
+        assert frob(q @ t @ q.conj().T - x) <= 1e-13 * len(q) * frob(x)
 
 
 @PROPERTY
@@ -153,19 +175,18 @@ def assert_same_report(stacked, single):
     assert abs(stacked.lstsq_residual - single.lstsq_residual) \
         <= 1e-12 * max(single.lstsq_residual, 1e-300)
     assert abs(stacked.threshold - single.threshold) <= 1e-12 * max(single.threshold, 1e-300)
-    assert (stacked.rank, stacked.marginal, stacked.near_cutoff, stacked.cluster_sizes,
-            stacked.cluster_tolerance) == (single.rank, single.marginal, single.near_cutoff,
-                                           single.cluster_sizes, single.cluster_tolerance)
+    assert (stacked.rank, stacked.marginal, stacked.near_cutoff, stacked.cluster_sizes) == \
+        (single.rank, single.marginal, single.near_cutoff, single.cluster_sizes)
 
 
 @PROPERTY
 @given(rhs_stacks())
 def test_stacked_decision_matches_separate_decisions(case):
     p, stack = case
-    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack)
+    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack, p.cluster)
     assert isinstance(reports, list) and len(reports) == len(stack)
     for rhs, report in zip(stack, reports, strict=True):
-        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs))
+        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster))
 
 
 def test_stack_with_one_widening_slice_matches_separate_decisions(monkeypatch):
@@ -178,11 +199,11 @@ def test_stack_with_one_widening_slice_matches_separate_decisions(monkeypatch):
     p = prepare(a, b, rhs_in_range(rng, a, b))
     stack = np.stack([rhs_in_range(rng, p.a, p.b), rhs_outside_range(rng, p.a, p.b),
                       np.zeros((4, 3))])
-    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack)
+    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack, p.cluster)
     assert [report.cluster_sizes for report in reports].count((4, 3)) == 1
     assert reports[1].cluster_sizes == (4, 3)
     for rhs, report in zip(stack, reports, strict=True):
-        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs))
+        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster))
 
 
 @PROPERTY
@@ -205,7 +226,7 @@ def test_block_lstsq_matches_its_column_solves(rows, cols, k, seed):
 def test_decision_rejects_a_misshapen_rhs():
     p = prepare(np.eye(2), np.eye(3), np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((3, 2)))
+        decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((3, 2)), p.cluster)
 
 
 # -- the root search against its one-at-a-time reference ----------------------

@@ -15,8 +15,8 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
                             solve_unipotent_quadratic)
-from sylvcert.singular import (DEFAULT_TOL, decide_sylvester, prepare, solve_uv_report,
-                               unipotent_identity_residual)
+from sylvcert.singular import (DEFAULT_TOL, cluster_first, decide_sylvester, prepare,
+                               solve_uv_report, unipotent_identity_residual)
 
 from conftest import (assert_multiset_close, reference_unipotent_quadratic, relative_gap,
                       shared_cluster_pair)
@@ -32,7 +32,7 @@ def verify_unipotent_identity(q, p, tol=DEFAULT_TOL) -> bool:
     base, target = roots._base_and_target(p)
     y = block_upper(np.eye(p.n), q, np.eye(p.m))
     block_residual = frob(y @ base @ y - target)
-    reduced_residual, threshold = unipotent_identity_residual(q, p, p.offset, tol)
+    reduced_residual, threshold = unipotent_identity_residual(q, p, tol)
     assert abs(block_residual - reduced_residual) <= 1e-9 * threshold / tol + 1e-12
     return reduced_residual <= threshold
 
@@ -78,7 +78,9 @@ class TestKernelOnce:
             calls.append(args)
             return kernel(*args)
 
+        # the problem's kernel takes it from singular, the y side from roots
         monkeypatch.setattr(singular, "sylvester_kernel", spy)
+        monkeypatch.setattr(roots, "sylvester_kernel", spy)
         rng = np.random.default_rng(101)
         a, b = shared_jordan_pair(rng, 6, 6)
         c = rhs_in_range(rng, a, b)
@@ -354,9 +356,11 @@ class TestBranchCoupling:
             quad = solve_unipotent_quadratic(p)
             (ta, qa), (tb, qb) = p.schur_a, p.schur_b
             a2, b2 = p.a @ p.a, p.b @ p.b
+            schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
+                                                           frob(a2) + frob(b2))
             for index, P in enumerate(branch_products(quad)):
                 p12 = P[:p.n, p.n:]
-                decision = decide_sylvester(a2, b2, (ta @ ta, qa), (tb @ tb, qb), p12)
+                decision = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, cluster)
                 reference = oracle_solve(a2, b2, p12)
                 assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff)
                 consistent = decision.lstsq_residual <= decision.threshold
