@@ -24,8 +24,8 @@ complex Schur coordinates that :func:`prepare` computes once per problem and
 shared within the cluster tolerance leads; only that block is decided by
 minimum-norm least squares with an explicit, reported threshold, the rest and
 the companion equation by Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3)
-instead of O((nm)^3).  The
-tests keep the stacked 2nm system as their reference.  Completing v this way
+instead of O((nm)^3).  The tests keep the stacked 2nm system as their
+reference.  Completing v this way
 makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
 identity a u + v b = s + offset, the cubic constraint and the two gates of
 :func:`particular_solution` are the independent checks, each certified as a
@@ -426,19 +426,6 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
     return reports[0] if stack.ndim == 2 else reports
 
 
-def _phase_fix(x: np.ndarray) -> np.ndarray:
-    """x times the unit scalar that makes its first entry of non-negligible
-    modulus, in column-stacking order, real and positive."""
-    v = vec(x)
-    norm = frob(v)
-    if norm == 0:
-        return x
-    pivot = v[np.argmax(np.abs(v) > 1e-12 * norm)]
-    if pivot == 0:
-        return x
-    return x * (abs(pivot) / pivot)
-
-
 def sylvester_kernel(schur_a, schur_b, cluster: tuple) -> tuple:
     """Orthonormal basis of {x : a x = x b}, in a deterministic order, each
     element's phase fixed, as read-only arrays.  It is read off the
@@ -470,6 +457,19 @@ def sylvester_kernel(schur_a, schur_b, cluster: tuple) -> tuple:
     for x in basis:
         x.flags.writeable = False
     return basis
+
+
+def _phase_fix(x: np.ndarray) -> np.ndarray:
+    """x times the unit scalar that makes its first entry of non-negligible
+    modulus, in column-stacking order, real and positive."""
+    v = vec(x)
+    norm = frob(v)
+    if norm == 0:
+        return x
+    pivot = v[np.argmax(np.abs(v) > 1e-12 * norm)]
+    if pivot == 0:
+        return x
+    return x * (abs(pivot) / pivot)
 
 
 def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemReport:
