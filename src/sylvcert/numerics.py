@@ -229,8 +229,8 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
 class LstsqResult:
     """Minimum-norm least-squares solve with an explicit rank decision."""
 
-    solution: np.ndarray  # (cols,), or (cols, k) for a (rows, k) right-hand side
-    residual_norm: float | np.ndarray  # one per right-hand-side column
+    solution: np.ndarray  # (cols,)
+    residual_norm: float
     rank: int
     cutoff: float
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
@@ -239,11 +239,10 @@ class LstsqResult:
 
 def lstsq_solve(K, rhs, scale_reference: float = 0.0,
                 cutoff_shape: tuple | None = None) -> LstsqResult:
-    """Minimum-norm least-squares solution of K x = rhs via SVD.
+    """Minimum-norm least-squares solution of K x = rhs via SVD, for one
+    right-hand side of length rows: x = V_r ((U_r^* rhs) / s_r) over the
+    singular triplets past the rank cutoff.
 
-    ``rhs`` is one right-hand side of length rows or a (rows, k) block of
-    them; a block is solved column by column from one SVD, and the solution
-    is (cols, k) with one residual norm per column.
     The rank is the number of singular values above :func:`rank_cutoff`;
     solves are flagged ``near_cutoff`` when a singular value falls within a
     factor 10 of the cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
@@ -254,8 +253,9 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     """
     K = as_complex_matrix(K, "K")
     rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != K.shape[0]:
-        raise DimensionError(f"rhs of shape {rhs.shape} does not match K rows {K.shape[0]}")
+    if rhs.shape != (K.shape[0],):
+        raise DimensionError(f"rhs must be one vector of length {K.shape[0]}, "
+                             f"got shape {rhs.shape}")
     if K.size:
         U, s, Vh, info = lapack.zgesdd(K, full_matrices=0)
         if info != 0:
@@ -268,20 +268,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
     rank = int(np.sum(s > cutoff))
     near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
-    # column by column, so each column gets exactly the solution its own
-    # one-column solve would
-    columns = [rhs] if rhs.ndim == 1 else rhs.T
-    if rank:
-        left, right = U[:, :rank].conj().T, Vh[:rank].conj().T
-        solutions = [right @ ((left @ column) / s[:rank]) for column in columns]
-    else:
-        solutions = [np.zeros(K.shape[1], dtype=np.complex128) for _ in columns]
-    residuals = [frob(K @ x - column) for x, column in zip(solutions, columns)]
-    if rhs.ndim == 1:
-        solution, residual = solutions[0], residuals[0]
-    else:
-        solution = np.array(solutions, dtype=np.complex128).reshape(len(solutions), K.shape[1]).T
-        residual = np.array(residuals)
-    return LstsqResult(solution=solution, residual_norm=residual,
+    solution = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank])
+    return LstsqResult(solution=solution, residual_norm=frob(K @ solution - rhs),
                        rank=rank, cutoff=cutoff, near_cutoff=near,
                        null_space=Vh[rank:].conj().T)

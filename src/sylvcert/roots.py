@@ -17,9 +17,10 @@ solution.
 Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
 couplings a^2 s - s b^2 = P_12 of the two sign classes share their
-left-hand side and are decided by one call of the main decision's kernel,
-:func:`~sylvcert.singular.decide_sylvester`, on the stack of the two P_12 and
-the squared factors, ordered by :func:`~sylvcert.singular.cluster_first`.
+left-hand side: :func:`~sylvcert.singular.cluster_first` orders the squared
+factors once, and the main decision's kernel,
+:func:`~sylvcert.singular.decide_sylvester`, decides each class's P_12 on
+them, so the shared block of the squared pair is decomposed once per class.
 The x-side intertwiners are read off the problem (``SylvesterProblem.kernel``,
 taken once), the y-side ones are its factors' kernel with the sides swapped.
 
@@ -282,14 +283,14 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     classes = roots[:2]  # branches 0 and 1, one per sign class
     products = _checked(classes @ target @ classes, n)
 
-    # t^2 is the Schur factor of a^2 in the basis of t, ordered by the
-    # squared pair's own cluster; one decision takes the coupling equations
-    # of both classes
+    # t^2 is the Schur factor of a^2 in the basis of t, ordered once by the
+    # squared pair's own cluster; each class decides its own coupling
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
     a2, b2 = a @ a, b @ b
     schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
                                                    frob(a2) + frob(b2))
-    couplings = decide_sylvester(a2, b2, schur_a2, schur_b2, products[:, :n, n:], cluster, tol)
+    couplings = [decide_sylvester(a2, b2, schur_a2, schur_b2, p12, cluster, tol)
+                 for p12 in products[:, :n, n:]]
     notes = [f"branch {index}: coupling equation inconsistent "
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)

@@ -307,123 +307,96 @@ def cluster_first(schur_a, schur_b, scale: float) -> tuple:
             (int(select_a.sum()), int(select_b.sum()), scale), tolerance)
 
 
-def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, heads, data_scale: float):
+def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, head, data_scale: float):
     """Minimum-norm least squares on the shared block of Schur factors ta,
     tb whose leading k_a and k_b eigenvalues form the cluster: a11 y - y b11
-    = h for vec(h) in ``heads`` (one vector or a block of columns), rank
-    judged by the rule of the full nm operator at the scale ``data_scale``."""
+    = h for the vector vec(h) ``head``, rank judged by the rule of the full
+    nm operator at the scale ``data_scale``."""
     nm = ta.shape[0] * tb.shape[0]
-    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), heads,
+    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), head,
                        scale_reference=data_scale, cutoff_shape=(nm, nm))
 
 
-def _schur_reduced_solve(ta, tb, rhs, k_a: int, k_b: int, data_scale: float):
-    """Solve ta y - y tb = r blockwise for each r in the list ``rhs``, for
-    Schur factors whose leading k_a and k_b eigenvalues form the shared
-    cluster.
+def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
+    """Solve ta y - y tb = r blockwise, for Schur factors whose leading k_a
+    and k_b eigenvalues form the shared cluster.
 
-    Blocks (2,1), (2,2) and (1,2) pair disjoint spectra and are solved by
-    trsyl in that order around the shared block (1,1), the only one decided
-    by rank-revealing least squares, with the rank rule of the full nm
-    operator; one SVD of the shared block serves every r.  Returns
-    (ys, lstsq result or None): ys holds the y of each r, or None where a
-    regular block amplifies its right-hand side past the rank rule's cutoff.
+    Block row 2, [y21 y22], pairs the unshared eigenvalues of a, each
+    farther than the cluster tolerance from every eigenvalue of b, with all
+    of tb, and is solved by one trsyl; then the shared block (1,1), the only
+    one decided by rank-revealing least squares with the rank rule of the
+    full nm operator; then block (1,2) by trsyl.  Returns (y, lstsq result
+    or None); y is None when a regular solve amplifies its right-hand side
+    past the rank rule's cutoff.
     """
     n, m = ta.shape[0], tb.shape[0]
     cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
-    a11, a12, a22 = ta[:k_a, :k_a], ta[:k_a, k_a:], ta[k_a:, k_a:]
-    b11, b12, b22 = tb[:k_b, :k_b], tb[:k_b, k_b:], tb[k_b:, k_b:]
-    ys = []
-    for r in rhs:
-        y21 = _regular_block(a22, b11, r[k_a:, :k_b], cutoff)
-        y22 = None if y21 is None else \
-            _regular_block(a22, b22, r[k_a:, k_b:] + y21 @ b12, cutoff)
-        y = None
-        if y22 is not None:
-            y = np.zeros((n, m), dtype=np.complex128)
-            y[k_a:, :k_b], y[k_a:, k_b:] = y21, y22
-        ys.append(y)
-    solved = [(y, r) for y, r in zip(ys, rhs) if y is not None]
+    a11, a12 = ta[:k_a, :k_a], ta[:k_a, k_a:]
+    b12, b22 = tb[:k_b, k_b:], tb[k_b:, k_b:]
+    y2 = _regular_block(ta[k_a:, k_a:], tb, r[k_a:], cutoff)
+    if y2 is None:
+        return None, None
+    y = np.zeros((n, m), dtype=np.complex128)
+    y[k_a:] = y2
     shared = None
-    if k_a and k_b and solved:
-        heads = np.array([vec(r[:k_a, :k_b] - a12 @ y[k_a:, :k_b]) for y, r in solved]).T
-        shared = _shared_block_lstsq(ta, tb, k_a, k_b, heads, data_scale)
-        for (y, _), z in zip(solved, shared.solution.T):
-            y[:k_a, :k_b] = unvec(z, k_a, k_b)
-    for index, (y, r) in enumerate(zip(ys, rhs)):
-        if y is None:
-            continue
-        y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y[k_a:, k_b:]
-                             + y[:k_a, :k_b] @ b12, cutoff)
-        if y12 is None:
-            ys[index] = None
-        else:
-            y[:k_a, k_b:] = y12
-    return ys, shared
+    if k_a and k_b:
+        shared = _shared_block_lstsq(ta, tb, k_a, k_b, vec(r[:k_a, :k_b] - a12 @ y2[:, :k_b]),
+                                     data_scale)
+        y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
+    y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y2[:, k_b:] + y[:k_a, :k_b] @ b12,
+                         cutoff)
+    if y12 is None:
+        return None, shared
+    y[:k_a, k_b:] = y12
+    return y, shared
 
 
 def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
-                     tol: float = DEFAULT_TOL):
-    """Decide the possibly singular equation a u - u b = rhs on the complex
-    Schur factors (t, q) of a and b as :func:`cluster_first` orders them,
-    with the ``cluster`` (k_a, k_b, scale) it returns: the leading k_a and
-    k_b eigenvalues are shared at the scale ||a|| + ||b||.
-
-    ``rhs`` is one n x m right-hand side, decided into one
-    :class:`UVSystemReport`, or a (k, n, m) stack of them, decided into a
-    list of k reports, each the one its slice alone would get: the shared
-    block's operator is built and decomposed once for the whole stack.
+                     tol: float = DEFAULT_TOL) -> UVSystemReport:
+    """Decide the possibly singular equation a u - u b = rhs, for one n x m
+    right-hand side, on the complex Schur factors (t, q) of a and b as
+    :func:`cluster_first` orders them, with the ``cluster`` (k_a, k_b,
+    scale) it returns: the leading k_a and k_b eigenvalues are shared at the
+    scale ||a|| + ||b||.
 
     Only the k_a x k_b shared block is decided by minimum-norm least
     squares (rank judged as for the full nm operator at the scale
     ||a|| + ||b||), everything else by Bartels-Stewart.  If a regular block
     amplifies its right-hand side past the rank cutoff, or a nonzero u comes
     out so large that u = 0 would pass the threshold too, the cluster widens
-    to all of both spectra for that slice and the same code decides the
-    whole equation.  The residual is then taken on the full u in the
-    original coordinates against tol * (||rhs|| + (||a|| + ||b||) ||u||),
-    relative to the data, so scaling rhs alone cannot move the decision;
-    residuals within a factor 10 of it are flagged marginal rather than
-    forced into a binary answer.
+    to all of both spectra and the same code decides the whole equation.
+    The residual is then taken on the full u in the original coordinates
+    against tol * (||rhs|| + (||a|| + ||b||) ||u||), relative to the data,
+    so scaling rhs alone cannot move the decision; residuals within a factor
+    10 of it are flagged marginal rather than forced into a binary answer.
     """
     (ta, qa), (tb, qb) = schur_a, schur_b
     k_a, k_b, data_scale = cluster
     n, m = ta.shape[0], tb.shape[0]
-    stack = np.asarray(rhs, dtype=np.complex128)
-    if stack.ndim not in (2, 3) or stack.shape[-2:] != (n, m):
-        raise DimensionError(f"rhs must be {n}x{m} or a stack of them, got shape {stack.shape}")
-    slices = stack.reshape(-1, n, m)  # a single rhs is the one-slice stack
-    r = qa.conj().T @ slices @ qb
-
-    reports: list = [None] * len(slices)
-    pending = list(range(len(slices)))
-    # the whole spectra form the fallback cluster, where every block is shared
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    if rhs.shape != (n, m):
+        raise DimensionError(f"rhs must be {n}x{m}, got shape {rhs.shape}")
+    r = qa.conj().T @ rhs @ qb
+    rhs_norm = frob(rhs)
+    # the whole spectra form the fallback cluster, where every block is
+    # shared and the decision always stands
     for k_a, k_b in ((k_a, k_b), (n, m)):
-        ys, shared = _schur_reduced_solve(ta, tb, [r[i] for i in pending], k_a, k_b, data_scale)
-        rank = n * m - k_a * k_b + (0 if shared is None else shared.rank)
-        widen = []
-        for i, y in zip(pending, ys):
-            if y is None:
-                widen.append(i)
-                continue
+        y, shared = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
+        if y is not None:
             u = qa @ y @ qb.conj().T
-            u_norm, rhs_norm = frob(u), frob(slices[i])
+            u_norm = frob(u)
             # a u so large that u = 0 would pass the threshold too decides
             # nothing; u = 0 at rhs = 0 decides
-            if tol * data_scale * u_norm > rhs_norm and (k_a, k_b) != (n, m):
-                widen.append(i)
-                continue
-            residual = frob(a @ u - u @ b - slices[i])
-            threshold = tol * (rhs_norm + data_scale * u_norm)
-            reports[i] = UVSystemReport(
-                u=u, lstsq_residual=residual, threshold=threshold, rank=rank,
-                marginal=threshold < residual <= 10.0 * threshold,
-                near_cutoff=shared is not None and shared.near_cutoff,
-                cluster_sizes=(k_a, k_b))
-        if not widen:
-            break
-        pending = widen
-    return reports[0] if stack.ndim == 2 else reports
+            if (k_a, k_b) == (n, m) or not tol * data_scale * u_norm > rhs_norm:
+                break
+    residual = frob(a @ u - u @ b - rhs)
+    threshold = tol * (rhs_norm + data_scale * u_norm)
+    return UVSystemReport(
+        u=u, lstsq_residual=residual, threshold=threshold,
+        rank=n * m - k_a * k_b + (0 if shared is None else shared.rank),
+        marginal=threshold < residual <= 10.0 * threshold,
+        near_cutoff=shared is not None and shared.near_cutoff,
+        cluster_sizes=(k_a, k_b))
 
 
 def sylvester_kernel(schur_a, schur_b, cluster: tuple) -> tuple:
@@ -490,39 +463,29 @@ def solution_from_u(p: SylvesterProblem, u) -> np.ndarray:
     return schur_solve(p.schur_a, ub @ p.b) + ub
 
 
-def _certificate_scale(data_scale: float, c, x_norm: float) -> float:
-    return data_scale * x_norm + frob(c) + 1e-300
-
-
 def particular_solution(w: UVWitness, p: SylvesterProblem,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate both closed-form solution expressions from the witness and
-    require them to agree and to satisfy the equation.
+    require them to agree; :func:`diagnose` judges the solution against the
+    equation.
 
     The gap between the two expressions and its threshold are recorded in
     the witness under ``solution_formula_gap``.
     """
-    a, b, c = p.a, p.b, p.c
+    a = p.a
     x_u = solution_from_u(p, w.u)
     x_v = -(schur_solve(p.schur_b, a @ a @ w.v, "right") + a @ w.v)
-    # a norm that overflows is non-finite and fails its gate; numpy need
+    # a norm that overflows is non-finite and fails the gate; numpy need
     # not warn about it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         gap = frob(x_u - x_v)
-        x_norm = frob(x_u)
-        gap_threshold = tol * (x_norm + frob(x_v))
-        residual = frob(a @ x_u - x_u @ b - c)
-        scale = _certificate_scale(p.norm_a + p.norm_b, c, x_norm)
+        gap_threshold = tol * (frob(x_u) + frob(x_v))
     w.residuals["solution_formula_gap"] = gap
     w.thresholds["solution_formula_gap"] = gap_threshold
     if not _within(gap, gap_threshold):
         raise WitnessError(
             f"solution formulas disagree ({gap:.3g} > {gap_threshold:.3g}); "
             "the witness does not certify solvability", gate="solution_formula_gap")
-    if not _within(residual, tol * scale):
-        raise WitnessError(
-            f"certified solution fails the equation ({residual:.3g} > {tol:.1g} * {scale:.3g})",
-            gate="solution_certificate")
     return x_u
 
 
@@ -533,35 +496,57 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     Kronecker oracle and the integral representation of the companion
     solution.
 
-    The certificate residual is evaluated against the original, unshifted
-    data (the shift leaves a x - x b unchanged).  ``checks`` gets one entry
-    per verification step, built where its decision is made;
-    ``unipotent_bridge`` reads ``skipped`` here, and
+    The certificate residual is evaluated once, against the original,
+    unshifted data (the shift leaves a x - x b unchanged); a solution that
+    fails it is refused at gate ``solution_certificate``.  A magnitude the
+    decision cannot resolve, a non-finite residual or threshold behind "no
+    witness" or a solve that breaks down, is refused at gate ``scale``.
+    ``checks`` gets one entry per verification step, built where its
+    decision is made; ``unipotent_bridge`` reads ``skipped`` here, and
     :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
     p = prepare(a, b, c, alpha=alpha)
     # the certificate's unshifted pair, as prepare validated it
     (a0, b0), c0 = p.unshifted, p.c
 
-    rep = x = gate = None
-    if not np.any(c0):
-        x = np.zeros((p.n, p.m), dtype=np.complex128)
-        witness = _witness_from_u(p, x, tol, 0.0)
-        witness.residuals["solution_formula_gap"] = 0.0
-        witness.thresholds["solution_formula_gap"] = 0.0
-        system_residual, system_threshold = 0.0, tol
-    else:
-        rep = solve_uv_report(p, tol)
-        # a fragile rank decision makes neither answer trustworthy, and a
-        # residual just above the threshold makes "no witness" untrustworthy
-        gate = "near_cutoff" if rep.near_cutoff else "marginal_residual" if rep.marginal else None
-        witness = rep.witness
-        if witness is not None and gate is None:
-            try:
-                x = particular_solution(witness, p, tol)
-            except WitnessError as exc:
-                gate = exc.gate
-        system_residual, system_threshold = rep.lstsq_residual, rep.threshold
+    rep = x = witness = gate = None
+    system_residual = system_threshold = math.nan
+    try:
+        if not np.any(c0):
+            x = np.zeros((p.n, p.m), dtype=np.complex128)
+            witness = _witness_from_u(p, x, tol, 0.0)
+            witness.residuals["solution_formula_gap"] = 0.0
+            witness.thresholds["solution_formula_gap"] = 0.0
+            system_residual, system_threshold = 0.0, tol
+        else:
+            rep = solve_uv_report(p, tol)
+            system_residual, system_threshold = rep.lstsq_residual, rep.threshold
+            witness = rep.witness
+            # a fragile rank decision makes neither answer trustworthy; a
+            # residual just above the threshold, or a residual or threshold
+            # that over- or underflowed, makes "no witness" untrustworthy
+            bounded = math.isfinite(system_residual) and math.isfinite(system_threshold)
+            gate = "near_cutoff" if rep.near_cutoff else "marginal_residual" if rep.marginal \
+                else "scale" if witness is None and not bounded else None
+            if witness is not None and gate is None:
+                try:
+                    x = particular_solution(witness, p, tol)
+                except WitnessError as exc:
+                    gate = exc.gate
+    except (InversionError, ArithmeticError):
+        # a solve that breaks down, or a cutoff that underflowed to zero, at
+        # the data's magnitude (ROADMAP item 1)
+        x, gate = None, "scale"
+
+    if x is not None:
+        # a norm that overflows is non-finite and fails the certificate;
+        # numpy need not warn about it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_norm = frob(x)
+            certificate = (frob(a0 @ x - x @ b0 - c0),
+                           tol * ((frob(a0) + frob(b0)) * x_norm + frob(c0) + 1e-300))
+        if not _within(*certificate):
+            x, gate = None, "solution_certificate"
 
     solvable = x is not None
     status = VerdictStatus.SOLVABLE if solvable else \
@@ -569,15 +554,12 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     checks = {"system_consistency": check_entry("pass" if solvable else "fail",
                                                 system_residual, system_threshold)}
     if solvable:
-        x_norm = frob(x)
-        certificate = (frob(a0 @ x - x @ b0 - c0),
-                       tol * _certificate_scale(frob(a0) + frob(b0), c0, x_norm))
         residuals, thresholds = witness.residuals, witness.thresholds
         # the pair identity farthest from holding, each against its own
         # threshold; a NaN ratio ranks worst, so it cannot hide behind the others
         ratios = {key: residuals[key] / max(thresholds[key], 1e-300) for key in PAIR_IDENTITIES}
         worst = max(ratios, key=lambda key: math.inf if math.isnan(ratios[key]) else ratios[key])
-        checks["solution_certificate"] = _bounded_check(*certificate)
+        checks["solution_certificate"] = check_entry("pass", *certificate)
         checks["solution_formulas_agree"] = _bounded_check(
             residuals["solution_formula_gap"], thresholds["solution_formula_gap"])
         checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
@@ -603,7 +585,10 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
         checks["oracle_cross_check"] = check_entry(
             "pass" if oracle_agreement else "fail", reference.residual, reference.threshold)
 
-    if with_quadrature and rep is not None:
+    if with_quadrature and gate == "scale":
+        checks["integral_representation"] = _skipped(
+            "the verdict is ill_conditioned (gate scale): no quadrature was run")
+    elif with_quadrature and rep is not None:
         quad = companion_solve_quadrature(p.a, p.b, c0).solution
         gap = frob(p.companion - quad) / max(frob(p.companion), 1e-300)
         checks["integral_representation"] = _bounded_check(gap, QUADRATURE_GAP_TOL)

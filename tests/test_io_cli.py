@@ -269,6 +269,23 @@ class TestDiagnoseCommand:
         assert doc["gate"]["suggested_lambda"] == doc["environment"]["shift_lambda"]
         assert doc["verdict"]["ill_conditioned_gate"] is None
 
+    @pytest.mark.parametrize("ab_scale, c_scale",
+                             [(1e-100, 1e200), (1e-200, 1.0), (1e-300, 1.0), (1e-150, 1e200)])
+    def test_downscaled_pair_is_refused_at_gate_scale(self, tmp_path, ab_scale, c_scale):
+        # a non-finite decision residual, a rank cutoff that underflowed to
+        # zero and a solve that breaks down each refuse (exit 2), not answer
+        # unsolvable (exit 1) or fail (exit 4).  Equilibration is ROADMAP
+        # item 1, and so are the numpy warnings the first and last file raise
+        rng = np.random.default_rng(0)
+        a, b = shared_jordan_pair(rng, 3, 3)
+        problem = write_problem(tmp_path / "p.json", ab_scale * a, ab_scale * b,
+                                c_scale * rhs_in_range(rng, a, b))
+        out = tmp_path / "v.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["diagnose", str(problem), "-o", str(out)]) == 2
+        verdict = parse_report(out.read_text())["verdict"]
+        assert (verdict["status"], verdict["ill_conditioned_gate"]) == ("ill_conditioned", "scale")
+
     def test_failed_witness_gate_exits_ill_conditioned(self, tmp_path, monkeypatch):
         # a witness that fails its own gate is a refusal (exit 2), not an
         # internal error (exit 4), and the report names the gate

@@ -13,10 +13,12 @@ never a dense SVD.  Inverses are applied by one solve
 routine, never formed, and no dense solve is taken.  The root bridge reads
 the companion solution and its offset off the problem, where each is taken
 at most once, and searches on dense stacked arrays; no typed block-matrix
-class or typed product exists.  One bridge operation takes each
-factorization once: one coupling decision for all four branches, three
-least-squares solves (the two kernels and that decision) and two block
-inversions, one per principal root.  Outside the oracle a Kronecker operator
+class or typed product exists.  One bridge operation takes each Schur
+factorization once and the squared pair's shared block once per sign class:
+one coupling decision per class, four least-squares solves (the two kernels
+and those decisions) and two block inversions, one per principal root.  A
+decision that does not widen makes two triangular Sylvester solves, block
+row 2 and block (1,2).  Outside the oracle a Kronecker operator
 is built only by ``kron_vec_operator``, and the homogeneous kernel solves no
 block that is zero at rhs = 0.  ``diagnose`` validates its input once,
 factors each matrix once and applies every inverse as a solve on those
@@ -41,8 +43,8 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces, solve_unipotent_quadratic,
                             unipotent_bridge_check)
 from sylvcert.gate import GateReport
-from sylvcert.singular import (UVSystemReport, UVWitness, Verdict, diagnose, prepare,
-                               sylvester_kernel)
+from sylvcert.singular import (UVSystemReport, UVWitness, Verdict, decide_sylvester, diagnose,
+                               prepare, sylvester_kernel)
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
@@ -236,13 +238,24 @@ def test_root_search_takes_no_eigenvalues(monkeypatch):
     assert calls == {"complex_schur": 0}
 
 
-def test_bridge_operation_factors_once(monkeypatch):
+def test_bridge_operation_factors_once_and_the_squared_block_once_per_class(monkeypatch):
     calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "_inverse_block"))
     p = prepare(*bridge_data())
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"decide_sylvester": 1, "lstsq_solve": 3, "_inverse_block": 2}
+    assert calls == {"decide_sylvester": 2, "lstsq_solve": 4, "_inverse_block": 2}
+
+
+def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):
+    # block row 2 in one solve, then the shared block by least squares,
+    # then block (1,2)
+    p = prepare(*bridge_data())
+    rhs = p.reduced
+    calls = counted(monkeypatch, ("triangular_sylvester",))
+    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster)
+    assert 0 < report.cluster_sizes[0] < p.n and report.cluster_sizes == p.cluster[:2]
+    assert calls == {"triangular_sylvester": 2}
 
 
 def test_the_cluster_is_marked_once_per_pair(monkeypatch):

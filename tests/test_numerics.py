@@ -214,10 +214,12 @@ class TestLstsq:
             assert (res.residual_norm, res.rank, res.cutoff, res.near_cutoff) == \
                 (0.0, 0, 0.0, False)
             assert res.null_space.shape == (cols, 0)
-            block = lstsq_solve(np.zeros((rows, cols)), np.zeros((rows, 2)))
-            assert block.solution.shape == (cols, 2)
-            np.testing.assert_array_equal(block.residual_norm, [0.0, 0.0])
         assert capfd.readouterr() == ("", "")
+
+    def test_rejects_a_block_rhs(self):
+        # one right-hand side per solve
+        with pytest.raises(DimensionError):
+            lstsq_solve(np.eye(2), np.ones((2, 2)))
 
     def test_identity_system(self):
         res = lstsq_solve(np.eye(2), [1, 2])

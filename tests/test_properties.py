@@ -1,12 +1,13 @@
 """Property tests: the gate, the decision and the homogeneous kernel read one
 rule for where the spectra meet, ``prepare``'s factors put that cluster first
 and still factor the shifted pair, the kernel agrees with the dense oracle, the
-shift is the smallest admissible three-digit shift, a stack of right-hand
-sides is decided slice by slice as separate decisions would be, the stacked
-root search agrees with a search of one candidate at a time, the root
-bridge's outcome is unchanged under a unitary similarity of the problem, and
-the verdict is unchanged under every transformation that keeps solvability:
-unitary similarity, transposition, a common shift and scaling.
+shift is the smallest admissible three-digit shift, only a right-hand side
+outside the range widens a too narrow cluster, the stacked root search
+agrees with a search of one candidate at a time, the root bridge's outcome
+is unchanged under a unitary similarity of the problem, every solvable
+verdict's certificate passes, and the verdict is unchanged under every
+transformation that keeps solvability: unitary similarity, transposition, a
+common shift and scaling.
 
 Examples are derandomized, so every run draws the same pairs.
 """
@@ -23,7 +24,7 @@ from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, lstsq_solve
+from sylvcert.numerics import frob
 from sylvcert.oracle import build_operator, oracle_solve
 from sylvcert.roots import (homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
@@ -150,83 +151,31 @@ def test_shift_is_the_smallest_admissible_three_digit_shift(case):
         assert not admissible(values, float(f"{lam - quantum:.3g}"), alpha)
 
 
-# -- one decision for a stack of right-hand sides ------------------------------
+# -- one decision per right-hand side --------------------------------------------
 
-@st.composite
-def rhs_stacks(draw):
-    """A prepared pair from :func:`pairs` and a (k, n, m) stack of 1-5
-    right-hand sides, each in the range of u -> a u - u b, drawn at random
-    (outside the range on a singular pair) or zero."""
-    a, b, c = draw(pairs())
-    p = prepare(a, b, c)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(("in_range", "random", "zero")),
-                          min_size=1, max_size=5))
-    slices = []
-    for kind in kinds:
-        w = rng.normal(size=(p.n, p.m)) + 1j * rng.normal(size=(p.n, p.m))
-        slices.append(p.a @ w - w @ p.b if kind == "in_range" else
-                      w if kind == "random" else np.zeros((p.n, p.m)))
-    return p, np.stack(slices)
-
-
-def assert_same_report(stacked, single):
-    assert relative_gap(stacked.u, single.u) <= 1e-12
-    assert abs(stacked.lstsq_residual - single.lstsq_residual) \
-        <= 1e-12 * max(single.lstsq_residual, 1e-300)
-    assert abs(stacked.threshold - single.threshold) <= 1e-12 * max(single.threshold, 1e-300)
-    assert (stacked.rank, stacked.marginal, stacked.near_cutoff, stacked.cluster_sizes) == \
-        (single.rank, single.marginal, single.near_cutoff, single.cluster_sizes)
-
-
-@PROPERTY
-@given(rhs_stacks())
-def test_stacked_decision_matches_separate_decisions(case):
-    p, stack = case
-    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack, p.cluster)
-    assert isinstance(reports, list) and len(reports) == len(stack)
-    for rhs, report in zip(stack, reports, strict=True):
-        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster))
-
-
-def test_stack_with_one_widening_slice_matches_separate_decisions(monkeypatch):
+def test_only_the_out_of_range_rhs_widens(monkeypatch):
     # with a cluster tolerance below the Jordan splitting, an out-of-range
-    # slice blows up a "regular" block and widens to the whole spectra; the
-    # in-range and zero slices beside it keep the narrow cluster
+    # rhs blows up a "regular" block and widens to the whole spectra; the
+    # in-range and zero ones keep the narrow cluster
     monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
     rng = np.random.default_rng(5)
     a, b = shared_jordan_pair(rng, 4, 3)
     p = prepare(a, b, rhs_in_range(rng, a, b))
-    stack = np.stack([rhs_in_range(rng, p.a, p.b), rhs_outside_range(rng, p.a, p.b),
-                      np.zeros((4, 3))])
-    reports = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, stack, p.cluster)
-    assert [report.cluster_sizes for report in reports].count((4, 3)) == 1
-    assert reports[1].cluster_sizes == (4, 3)
-    for rhs, report in zip(stack, reports, strict=True):
-        assert_same_report(report, decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster))
-
-
-@PROPERTY
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_block_lstsq_matches_its_column_solves(rows, cols, k, seed):
-    rng = np.random.default_rng(seed)
-    rank = int(rng.integers(0, min(rows, cols) + 1))
-    K = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-    rhs = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
-    block = lstsq_solve(K, rhs, scale_reference=1.0)
-    assert block.solution.shape == (cols, k) and block.residual_norm.shape == (k,)
-    for j in range(k):
-        column = lstsq_solve(K, rhs[:, j], scale_reference=1.0)
-        np.testing.assert_array_equal(block.solution[:, j], column.solution)
-        assert block.residual_norm[j] == column.residual_norm
-        assert (block.rank, block.cutoff, block.near_cutoff) == \
-            (column.rank, column.cutoff, column.near_cutoff)
+    narrow = p.cluster[:2]
+    assert narrow != (4, 3)
+    for rhs, sizes, consistent in ((rhs_in_range(rng, p.a, p.b), narrow, True),
+                                   (rhs_outside_range(rng, p.a, p.b), (4, 3), False),
+                                   (np.zeros((4, 3)), narrow, True)):
+        report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster)
+        assert report.cluster_sizes == sizes
+        assert (report.lstsq_residual <= report.threshold) == consistent
 
 
 def test_decision_rejects_a_misshapen_rhs():
     p = prepare(np.eye(2), np.eye(3), np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((3, 2)), p.cluster)
+    for rhs in (np.zeros((3, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(DimensionError):
+            decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster)
 
 
 # -- the root search against its one-at-a-time reference ----------------------
@@ -294,6 +243,17 @@ def test_bridge_outcome_invariant_under_unitary_similarity(data, seed):
     w, v = random_unitary(rng, a.shape[0]), random_unitary(rng, b.shape[0])
     transformed = (w @ a @ w.conj().T, v @ b @ v.conj().T, w @ c @ v.conj().T)
     assert bridge_outcome(*transformed) == bridge_outcome(a, b, c)
+
+
+# -- the certificate of a solvable verdict -----------------------------------------
+
+@PROPERTY
+@given(bridge_data())
+def test_every_solvable_verdict_passes_its_certificate(data):
+    verdict = diagnose(*data)
+    if verdict.status.value == "solvable":
+        assert verdict.checks["solution_certificate"]["status"] == "pass"
+        assert verdict.certificate_residual <= verdict.certificate_threshold
 
 
 # -- invariance of the verdict --------------------------------------------------

@@ -405,7 +405,7 @@ class TestSignClasses:
             assert np.array_equal(branch_roots[3], -branch_roots[0])
             assert np.array_equal(branch_roots[2], -branch_roots[1])
 
-    def test_search_takes_one_two_slice_decision_and_two_principal_solves(self, monkeypatch):
+    def test_search_takes_one_decision_and_one_principal_solve_per_class(self, monkeypatch):
         decided, solved = [], []
         decide, solve = roots.decide_sylvester, roots.schur_sylvester
 
@@ -424,7 +424,7 @@ class TestSignClasses:
             decided.clear()
             solved.clear()
             quad = solve_unipotent_quadratic(p)
-            assert decided == [(2, p.n, p.m)]
+            assert decided == [(p.n, p.m)] * 2
             # the coupling of the branch roots, then one principal root per class
             assert len(solved) == 3
             np.testing.assert_array_equal(solved[0], -companion)
