@@ -17,8 +17,9 @@ mixed sum and solves the reduced equation
 
     a u - u b = a s b^-1                           (nm unknowns)
 
-with :func:`decide_sylvester`, the one kernel for singular Sylvester equations
-(the root bridge decides its coupling equation with it too).  It works in the
+with :func:`decide_sylvester`, the one kernel for singular Sylvester equations,
+one right-hand side per call (the root bridge decides the coupling equation of
+each sign class with it too).  It works in the
 complex Schur coordinates that :func:`prepare` computes once per problem and
 :func:`cluster_first` orders once, so the k_a x k_b block of eigenvalues
 shared within the cluster tolerance leads; only that block is decided by
@@ -27,9 +28,10 @@ the companion equation by Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3)
 instead of O((nm)^3).  The tests keep the stacked 2nm system as their
 reference.  Completing v this way
 makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
-identity a u + v b = s + offset, the cubic constraint and the two gates of
-:func:`particular_solution` are the independent checks, each certified as a
-residual against a threshold at its own scale.
+identity a u + v b = s + offset, the cubic constraint, the formula gate of
+:func:`particular_solution` and the certificate :func:`diagnose` takes on the
+original data are the independent checks, each certified as a residual
+against a threshold at its own scale.
 
 :func:`prepare` validates the input, then factors and norms each shifted
 matrix once, and :func:`cluster_first` marks the shared cluster and orders

@@ -282,13 +282,19 @@ class TestRefusalsNameTheirGate:
         assert verdict.ill_conditioned_gate == "solution_formula_gap"
 
     def test_failed_certificate_gate_is_ill_conditioned(self, monkeypatch):
-        def failing(w, p, tol=singular.DEFAULT_TOL):
-            raise WitnessError("forced", gate="solution_certificate")
+        # diagnose judges the solution once, on the original data: one that
+        # passes the formula gate but not the equation is refused there
+        real = singular.particular_solution
 
-        monkeypatch.setattr(singular, "particular_solution", failing)
+        def off(w, p, tol=singular.DEFAULT_TOL):
+            return real(w, p, tol) + 1.0
+
+        monkeypatch.setattr(singular, "particular_solution", off)
         verdict = diagnose(JORDAN_A, UNIT_B, [[1], [0]])
         assert verdict.status is VerdictStatus.ILL_CONDITIONED
         assert verdict.ill_conditioned_gate == "solution_certificate"
+        assert verdict.solution is None
+        assert verdict.checks["solution_certificate"]["status"] == "skipped"
 
 
 class TestOracleSizeCap:
