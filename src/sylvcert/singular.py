@@ -284,16 +284,21 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, tol: float,
                      uv_norm=float(np.sqrt(nu ** 2 + nv ** 2)))
 
 
+def _amplifies(y, rhs, cutoff: float) -> bool:
+    # a regular block's gain of 0.1 / cutoff or more is as fragile as a
+    # near-cutoff singular value: the block belongs to the cluster
+    return frob(y) > 0.1 / cutoff * frob(rhs)
+
+
 def _regular_block(ta, tb, rhs, cutoff: float) -> np.ndarray | None:
     """Solution y of ta y - y tb = rhs for spectra outside the shared
     cluster, or None when the solve amplifies rhs by 0.1 / ``cutoff`` or
-    more: that gain is as fragile as a near-cutoff singular value, and the
-    block belongs to the cluster."""
+    more."""
     try:
         y = triangular_sylvester(ta, tb, rhs, -1)
     except InversionError:
         return None
-    return None if frob(y) > 0.1 / cutoff * frob(rhs) else y
+    return None if _amplifies(y, rhs, cutoff) else y
 
 
 def cluster_first(schur_a, schur_b, scale: float) -> tuple:
@@ -328,15 +333,23 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     of tb, and is solved by one trsyl; then the shared block (1,1), the only
     one decided by rank-revealing least squares with the rank rule of the
     full nm operator; then block (1,2) by trsyl.  Returns (y, lstsq result
-    or None); y is None when a regular solve amplifies its right-hand side
-    past the rank rule's cutoff.
+    or None); y is None when a regular block amplifies its right-hand side
+    past the rank rule's cutoff.  Blocks (2,1) and (2,2) are tested apart,
+    so a gain in one cannot hide behind the other's right-hand side.
     """
     n, m = ta.shape[0], tb.shape[0]
     cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
     a11, a12 = ta[:k_a, :k_a], ta[:k_a, k_a:]
     b12, b22 = tb[:k_b, k_b:], tb[k_b:, k_b:]
-    y2 = _regular_block(ta[k_a:, k_a:], tb, r[k_a:], cutoff)
-    if y2 is None:
+    try:
+        y2 = triangular_sylvester(ta[k_a:, k_a:], tb, r[k_a:], -1)
+    except InversionError:
+        return None, None
+    # tb is triangular, so the first k_b columns of y2 are block (2,1)'s own
+    # solution, and the others solve a22 y22 - y22 b22 = r22 + y21 b12
+    y21 = y2[:, :k_b]
+    if (_amplifies(y21, r[k_a:, :k_b], cutoff)
+            or _amplifies(y2[:, k_b:], r[k_a:, k_b:] + y21 @ b12, cutoff)):
         return None, None
     y = np.zeros((n, m), dtype=np.complex128)
     y[k_a:] = y2
@@ -511,7 +524,7 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     # the certificate's unshifted pair, as prepare validated it
     (a0, b0), c0 = p.unshifted, p.c
 
-    rep = x = witness = gate = None
+    rep = x = witness = gate = certificate = None
     system_residual = system_threshold = math.nan
     try:
         if not np.any(c0):
@@ -567,9 +580,13 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
         checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
     else:
         witness = None
-        certificate = (system_residual, system_threshold)
         for name in ("solution_certificate", "solution_formulas_agree", "identity_cascade"):
             checks[name] = check_entry("skipped")
+        if certificate is None:
+            certificate = (system_residual, system_threshold)
+        else:
+            # the certificate refused x: the refusal keeps its evidence
+            checks["solution_certificate"] = check_entry("fail", *certificate)
 
     oracle_agreement = None
     unknowns = p.n * p.m

@@ -10,11 +10,12 @@ from sylvcert.errors import InversionError, WitnessError
 from sylvcert.gate import CLUSTER_TOLERANCE_FACTOR
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
-from sylvcert.numerics import frob, kron_vec_operator, lstsq_solve, schur_sylvester, unvec
+from sylvcert.numerics import (complex_schur, frob, kron_vec_operator, lstsq_solve,
+                               schur_sylvester, unvec)
 from sylvcert.oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from sylvcert.regular import QUADRATURE_GAP_TOL, compute_offset, reduced_rhs
-from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry, diagnose,
-                               particular_solution, prepare, solution_from_u,
+from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entry,
+                               cluster_first, decide_sylvester, diagnose, particular_solution, prepare, solution_from_u,
                                solve_uv_report, sylvester_kernel)
 
 from conftest import (pair_equation_residuals, pair_equation_rows, shared_cluster_pair,
@@ -187,6 +188,29 @@ class TestSchurReducedDecision:
             assert verdict.status is VerdictStatus.SOLVABLE
             assert verdict.certificate_residual <= verdict.certificate_threshold
 
+    @pytest.mark.parametrize("jordan, r21, gap", [
+        (3, 1e-8, 1.01), (3, 1e-10, 1.01), (4, 1e-4, 3.0), (4, 1e-6, 1.5)])
+    def test_block_21_gain_widens_behind_a_larger_block_22_rhs(self, jordan, r21, gap):
+        # a's unshared eigenvalue sits just past the cluster tolerance from
+        # b's shared Jordan block, so block (2,1) amplifies its small
+        # right-hand side past the rank cutoff while block (2,2)'s larger one
+        # keeps the norm of block row 2 tame: the (2,1) gain alone must widen
+        # the cluster, and the decision then agrees with the dense oracle
+        m = jordan + 1
+        b = np.diag([1.0] * jordan + [3.0]).astype(complex)
+        b[:jordan, :jordan] += np.eye(jordan, k=1)
+        a = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        a[1, 1] += gap * CLUSTER_TOLERANCE_FACTOR * (frob(a) + frob(b))
+        rhs = np.zeros((2, m), dtype=complex)
+        rhs[1, 0], rhs[1, jordan] = r21, 1.0
+        schur_a, schur_b, cluster, _ = cluster_first(complex_schur(a), complex_schur(b),
+                                                     frob(a) + frob(b))
+        assert cluster[:2] == (1, jordan)
+        report = decide_sylvester(a, b, schur_a, schur_b, rhs, cluster)
+        assert report.cluster_sizes == (2, m)
+        reference = oracle_solve(a, b, rhs, tol=DEFAULT_TOL)
+        assert (report.lstsq_residual <= report.threshold) == reference.consistent
+
     def test_kernel_widens_like_the_decision(self, monkeypatch):
         # b's second eigenvalue, 1e-12 away, falls outside a too narrow
         # cluster: the null vector of the shared block blows up on its way
@@ -294,7 +318,9 @@ class TestRefusalsNameTheirGate:
         assert verdict.status is VerdictStatus.ILL_CONDITIONED
         assert verdict.ill_conditioned_gate == "solution_certificate"
         assert verdict.solution is None
-        assert verdict.checks["solution_certificate"]["status"] == "skipped"
+        assert verdict.checks["solution_certificate"] == check_entry(
+            "fail", verdict.certificate_residual, verdict.certificate_threshold)
+        assert verdict.certificate_residual > verdict.certificate_threshold
 
 
 class TestOracleSizeCap:
@@ -657,9 +683,10 @@ class TestScaleRobustness:
         # 40 3x3 shared-Jordan and shared-semisimple problems, c in range for
         # even seeds; an over- or underflow may refuse a verdict, never flip
         # it or raise.  The decision's own norms still overflow with a numpy
-        # warning when c is scaled past about 1e200, and its products meet
-        # inf * 0 once c / (a, b) passes about 1e300 (ROADMAP item 1), so
-        # those warnings are off here
+        # warning when c is scaled past about 1e200, and on a downscaled
+        # pair its products meet inf * 0 once c / (a, b) passes about 1e300
+        # (ROADMAP item 1), so those warnings are off here; an invalid value
+        # on the other rows still fails the test
         wrong = []
         for family, seed in itertools.product((shared_jordan_pair, shared_semisimple_pair),
                                               range(20)):
@@ -667,7 +694,7 @@ class TestScaleRobustness:
             a, b = family(rng, 3, 3)
             in_range = seed % 2 == 0
             c = rhs_in_range(rng, a, b) if in_range else rhs_outside_range(rng, a, b)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore" if ab_scale < 1 else "warn"):
                 status = diagnose(ab_scale * a, ab_scale * b, c_scale * c).status
             if status is (VerdictStatus.UNSOLVABLE if in_range else VerdictStatus.SOLVABLE):
                 wrong.append((family.__name__, seed))
