@@ -513,7 +513,8 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
 
     The certificate residual is evaluated once, against the original,
     unshifted data (the shift leaves a x - x b unchanged); a solution that
-    fails it is refused at gate ``solution_certificate``.  A magnitude the
+    fails it is refused at gate ``solution_certificate``, whose check then
+    reads ``fail`` with that residual and threshold.  A magnitude the
     decision cannot resolve, a non-finite residual or threshold behind "no
     witness" or a solve that breaks down, is refused at gate ``scale``.
     ``checks`` gets one entry per verification step, built where its
