@@ -14,8 +14,8 @@ from .regular import RegularSolveResult, companion_solve_quadrature, compute_off
 from .roots import (QuadraticSolveResult, RootCandidate, block_roots,
                     homogeneous_equivalence, homogeneous_nullspaces,
                     similarity_root_from_intertwiner, solve_unipotent_quadratic)
-from .singular import (SylvesterProblem, UVSystemReport, UVWitness, Verdict,
-                       VerdictStatus, diagnose, particular_solution, prepare,
+from .singular import (SylvesterPair, SylvesterProblem, UVSystemReport, UVWitness,
+                       Verdict, VerdictStatus, diagnose, particular_solution, prepare,
                        solve_uv_report, sylvester_kernel)
 
 __version__ = "0.1.0"

@@ -33,11 +33,9 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import io as sio
 from .errors import SchemaError, SylvcertError
-from .numerics import frob, schur_solve
+from .numerics import frob
 from .roots import (homogeneous_equivalence, homogeneous_nullspaces,
                     solve_unipotent_quadratic, unipotent_bridge_check)
 from .singular import (VerdictStatus, check_entry, diagnose, prepare,
@@ -139,7 +137,7 @@ def cmd_diagnose(args) -> int:
 def cmd_homogeneous(args) -> int:
     spec = sio.load_problem(args.file)
     alpha, tol = _effective(args, spec)
-    problem = prepare(spec.a, spec.b, np.zeros_like(spec.c), alpha=alpha)
+    problem = prepare(spec.a, spec.b, spec.c, alpha=alpha)
     x_basis, y_basis = homogeneous_nullspaces(problem)
     if problem.gate.spectra_intersect:
         triple = homogeneous_equivalence(problem, tol)
@@ -184,12 +182,10 @@ def cmd_roots(args) -> int:
     a, b, c = problem.a, problem.b, problem.c
 
     unipotent = []
-    # a^-1 c b^-1, by solves on the problem's Schur factors
-    u_plus_v = schur_solve(problem.schur_a, schur_solve(problem.schur_b, c, "right"))
     for q in quad.q_values:
         identity_residual, _ = unipotent_identity_residual(q, problem, tol)
         # q = v - u, so u = (u + v - q) / 2
-        x = solution_from_u(problem, 0.5 * (u_plus_v - q))
+        x = solution_from_u(problem, 0.5 * (problem.pair_sum - q))
         unipotent.append({
             "q": sio.matrix_to_pairs(q),
             "identity_residual": identity_residual,

@@ -17,12 +17,12 @@ solution.
 Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
 couplings a^2 s - s b^2 = P_12 of the two sign classes share their
-left-hand side: :func:`~sylvcert.singular.cluster_first` orders the squared
-factors once, and the main decision's kernel,
-:func:`~sylvcert.singular.decide_sylvester`, decides each class's P_12 on
-them, so the shared block of the squared pair is decomposed once per class.
-The x-side intertwiners are read off the problem (``SylvesterProblem.kernel``,
-taken once), the y-side ones are its factors' kernel with the sides swapped.
+left-hand side: :func:`~sylvcert.singular.cluster_first` builds the squared
+pair (a^2, b^2) once, from the squared factors, and the main decision's
+kernel, :func:`~sylvcert.singular.decide_sylvester`, decides each class's
+P_12 against it, so its shared block is decomposed once per class.  The
+intertwiners of both sides are the pair's ``kernel`` and ``cokernel``, each
+taken once per pair.
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and
@@ -47,7 +47,7 @@ from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
 from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
                        check_entry, cluster_first, decide_sylvester, skipped_on_refusal,
-                       sylvester_kernel, unipotent_identity_residual)
+                       unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
 # (k1, k2) of the branch ((-1)^k1 sqrt(a), (-1)^k2 i sqrt(b)), in branch order
@@ -82,20 +82,16 @@ class QuadraticSolveResult:
 
 
 def homogeneous_nullspaces(p: SylvesterProblem):
-    """Orthonormal bases for the solution spaces of a x = x b (n x m side,
-    the problem's own ``kernel``) and b y = y a (m x n side), ordered
-    deterministically, as fresh lists of read-only arrays.  The y side reads
-    the problem's cluster with the sides swapped."""
-    k_a, k_b, scale = p.cluster
-    return list(p.kernel), list(sylvester_kernel(p.schur_b, p.schur_a, (k_b, k_a, scale)))
+    """Orthonormal bases for the solution spaces of a x = x b (n x m side)
+    and b y = y a (m x n side), the pair's ``kernel`` and ``cokernel``,
+    ordered deterministically, as fresh lists of read-only arrays."""
+    return list(p.kernel), list(p.cokernel)
 
 
-def _check_intertwiner(a, b, x, side: str, tol: float) -> None:
-    if side == "upper":
-        residual = frob(a @ x - x @ b)
-    else:
-        residual = frob(b @ x - x @ a)
-    scale = (frob(a) + frob(b)) * frob(x) + 1e-300
+def _check_intertwiner(p: SylvesterProblem, x, side: str, tol: float) -> None:
+    a, b = p.a, p.b
+    residual = frob(a @ x - x @ b) if side == "upper" else frob(b @ x - x @ a)
+    scale = (p.norm_a + p.norm_b) * frob(x) + 1e-300
     if residual > tol * scale:
         raise PreconditionError(
             f"{side}-side intertwining residual {residual:.3g} exceeds {tol:.1g} * {scale:.3g}")
@@ -118,7 +114,7 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     expected = (p.n, p.m) if side == "upper" else (p.m, p.n)
     if x.shape != expected:
         raise PreconditionError(f"{side}-side intertwiner must be {expected[0]}x{expected[1]}")
-    _check_intertwiner(a, b, x, side, tol)
+    _check_intertwiner(p, x, side, tol)
 
     # every operand is block triangular on the side of x, or block diagonal,
     # so the ordinary product and inverse are the typed ones; the lower side
@@ -286,11 +282,8 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     # t^2 is the Schur factor of a^2 in the basis of t, ordered once by the
     # squared pair's own cluster; each class decides its own coupling
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    a2, b2 = a @ a, b @ b
-    schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
-                                                   frob(a2) + frob(b2))
-    couplings = [decide_sylvester(a2, b2, schur_a2, schur_b2, p12, cluster, tol)
-                 for p12 in products[:, :n, n:]]
+    squared, _ = cluster_first(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb))
+    couplings = [decide_sylvester(squared, p12, tol) for p12 in products[:, :n, n:]]
     notes = [f"branch {index}: coupling equation inconsistent "
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)

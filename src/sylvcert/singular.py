@@ -19,26 +19,25 @@ mixed sum and solves the reduced equation
 
 with :func:`decide_sylvester`, the one kernel for singular Sylvester equations,
 one right-hand side per call (the root bridge decides the coupling equation of
-each sign class with it too).  It works in the
-complex Schur coordinates that :func:`prepare` computes once per problem and
-:func:`cluster_first` orders once, so the k_a x k_b block of eigenvalues
-shared within the cluster tolerance leads; only that block is decided by
-minimum-norm least squares with an explicit, reported threshold, the rest and
-the companion equation by Bartels-Stewart, in O(n^3 + m^3 + (k_a k_b)^3)
-instead of O((nm)^3).  The tests keep the stacked 2nm system as their
-reference.  Completing v this way
-makes u + v = a^-1 c b^-1 and the mixed sum hold by construction; the
-identity a u + v b = s + offset, the cubic constraint, the formula gate of
+each sign class with it too).  The pair (a, b) is factored once, into the
+:class:`SylvesterPair` that :func:`cluster_first` builds, and each
+right-hand side is decided against it: in complex Schur coordinates ordered
+so the k_a x k_b block of eigenvalues shared within the cluster tolerance
+leads, only that block by minimum-norm least squares with an explicit,
+reported threshold, the rest and the companion equation by Bartels-Stewart,
+in O(n^3 + m^3 + (k_a k_b)^3) instead of O((nm)^3).  The tests keep the
+stacked 2nm system as their reference.  Completing v this way makes
+u + v = a^-1 c b^-1 and the mixed sum hold by construction; the identity
+a u + v b = s + offset, the cubic constraint, the formula gate of
 :func:`particular_solution` and the certificate :func:`diagnose` takes on the
 original data are the independent checks, each certified as a residual
 against a threshold at its own scale.
 
-:func:`prepare` validates the input, then factors and norms each shifted
-matrix once, and :func:`cluster_first` marks the shared cluster and orders
-the factors once; the decision and the kernel read both off the problem, and
-never mark or reorder.  Every a^-1 and b^-1 above is a triangular solve on
-those Schur factors (``numerics.schur_solve``).  The companion solution s,
-a s b^-1 and the offset are taken at most once per problem, on first use.
+:func:`prepare` validates the input, factors each matrix once and builds the
+shifted pair; a :class:`SylvesterProblem` is that pair plus c.  The decision
+and both kernels read the pair and never mark or reorder.  Every a^-1 and
+b^-1 above is a triangular solve on its Schur factors
+(``numerics.schur_solve``).
 """
 
 from __future__ import annotations
@@ -73,25 +72,20 @@ class VerdictStatus(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class SylvesterProblem:
-    """A shift-prepared instance: a and b are invertible with spectra inside
-    the working sector; the solution set equals that of the original data."""
+class SylvesterPair:
+    """The pair (a, b), factored and normed once; every c is decided against
+    it.  Only :func:`cluster_first` builds one (and ``cokernel`` its swap)."""
 
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
-    gate: GateReport
-    alpha: float
-    lambda_shift: float
-    # complex Schur factors (t, q) of the shifted a and b, cluster first
+    # complex Schur factors (t, q) of a and b, cluster first
     schur_a: tuple
     schur_b: tuple
-    norm_a: float  # ||a||_F of the shifted a
-    norm_b: float  # ||b||_F of the shifted b
+    norm_a: float  # ||a||_F
+    norm_b: float  # ||b||_F
     # (k_a, k_b, scale): the leading k_a and k_b eigenvalues of the factors
-    # are shared at the scale norm_a + norm_b (see cluster_first)
+    # are shared at the scale norm_a + norm_b
     cluster: tuple
-    unshifted: tuple  # the validated (a, b) before the shift
 
     @property
     def n(self) -> int:
@@ -103,29 +97,51 @@ class SylvesterProblem:
 
     @functools.cached_property
     def kernel(self) -> tuple:
-        """Read-only basis of the intertwiners {x : a x = x b}, taken once
-        per problem by :func:`sylvester_kernel` on the problem's factors.
-        (A frozen dataclass may cache it: the property writes the instance
-        ``__dict__``, not an attribute.)"""
-        return sylvester_kernel(self.schur_a, self.schur_b, self.cluster)
+        """Read-only basis of {x : a x = x b}, taken once per pair by
+        :func:`sylvester_kernel`.  (A frozen dataclass may cache it: the
+        property writes the instance ``__dict__``, not an attribute.)"""
+        return sylvester_kernel(self)
+
+    @functools.cached_property
+    def cokernel(self) -> tuple:
+        """Read-only basis of {y : b y = y a}: the kernel of the swapped
+        pair, whose cluster is this one with the sides swapped."""
+        k_a, k_b, scale = self.cluster
+        return sylvester_kernel(SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
+                                              self.norm_b, self.norm_a, (k_b, k_a, scale)))
+
+
+@dataclass(frozen=True)
+class SylvesterProblem(SylvesterPair):
+    """A shift-prepared instance: the pair, invertible with spectra inside
+    the working sector, and c; the solution set is that of the original
+    data.  Each value of c below is taken once per problem, on first use."""
+
+    c: np.ndarray
+    gate: GateReport
+    alpha: float
+    lambda_shift: float
+    unshifted: tuple  # the validated (a, b) before the shift
 
     @functools.cached_property
     def companion(self) -> np.ndarray:
-        """The unique solution s of a s + s b = c, by Bartels-Stewart on the
-        problem's factors, taken once per problem."""
+        """The unique solution s of a s + s b = c, by Bartels-Stewart."""
         return schur_sylvester(self.schur_a, self.schur_b, self.c, +1)
 
     @functools.cached_property
     def reduced(self) -> np.ndarray:
-        """a s b^-1, the right-hand side of the reduced equation, taken once
-        per problem by :func:`~sylvcert.regular.reduced_rhs`."""
+        """a s b^-1, by :func:`~sylvcert.regular.reduced_rhs`."""
         return reduced_rhs(self, self.companion)
 
     @functools.cached_property
     def offset(self) -> np.ndarray:
-        """The offset r = a^-1 s b + a s b^-1, taken once per problem by
-        :func:`~sylvcert.regular.compute_offset`."""
+        """The offset r = a^-1 s b + a s b^-1, by :func:`~sylvcert.regular.compute_offset`."""
         return compute_offset(self, self.companion, self.reduced)
+
+    @functools.cached_property
+    def pair_sum(self) -> np.ndarray:
+        """a^-1 c b^-1, the sum u + v of every (u, v) pair."""
+        return schur_solve(self.schur_a, schur_solve(self.schur_b, self.c, "right"))
 
 
 @dataclass
@@ -210,26 +226,22 @@ def skipped_on_refusal(gate: str) -> dict:
 def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     """Shift (a, b, c) so both spectra sit inside the sector of half-angle
     ``alpha`` and record the gate evidence; the solution set is unchanged.
-    The gate's intersection is the decision's cluster on the shifted pair.
-    Each matrix is factored and normed once, :func:`cluster_first` marks the
-    cluster and orders the factors once, and every inverse of a or b is a
-    solve on these factors."""
+    The gate's intersection is the cluster of the shifted pair, which
+    :func:`cluster_first` builds once from each matrix's one factorization;
+    every inverse of a or b is a solve on these factors."""
     a0, b0, c = as_sylvester_data(a, b, c)
     ta, qa = complex_schur(a0)
     tb, qb = complex_schur(b0)
     lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
     id_a, id_b = np.eye(a0.shape[0]), np.eye(b0.shape[0])
-    a, b = a0 + lam * id_a, b0 + lam * id_b
-    norm_a, norm_b = frob(a), frob(b)
-    schur_a, schur_b, cluster, tolerance = cluster_first(
-        (ta + lam * id_a, qa), (tb + lam * id_b, qb), norm_a + norm_b)
+    pair, tolerance = cluster_first(a0 + lam * id_a, b0 + lam * id_b,
+                                    (ta + lam * id_a, qa), (tb + lam * id_b, qb))
     gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
                       in_sector_b=sector_contains(tb.diagonal(), alpha),
-                      spectra_intersect=cluster[0] > 0,
+                      spectra_intersect=pair.cluster[0] > 0,
                       intersection_tolerance=float(tolerance))
-    return SylvesterProblem(a=a, b=b, c=c, gate=gate, alpha=alpha, lambda_shift=lam,
-                            schur_a=schur_a, schur_b=schur_b, norm_a=norm_a, norm_b=norm_b,
-                            cluster=cluster, unshifted=(a0, b0))
+    return SylvesterProblem(**vars(pair), c=c, gate=gate, alpha=alpha, lambda_shift=lam,
+                            unshifted=(a0, b0))
 
 
 def unipotent_identity_residual(q, p: SylvesterProblem, tol: float = DEFAULT_TOL) -> tuple:
@@ -250,8 +262,7 @@ def _witness_from_u(p: SylvesterProblem, u: np.ndarray, tol: float,
     equation's own residual, so it is judged against the threshold the
     decision applied; au_vb, cubic and unipotent_identity are independent.
     """
-    a, b, companion, offset = p.a, p.b, p.companion, p.offset
-    pair_sum = schur_solve(p.schur_a, schur_solve(p.schur_b, p.c, "right"))
+    a, b, companion, offset, pair_sum = p.a, p.b, p.companion, p.offset, p.pair_sum
     v = pair_sum - u
     q = v - u
     na, nb, nu, nv = p.norm_a, p.norm_b, frob(u), frob(v)
@@ -301,17 +312,19 @@ def _regular_block(ta, tb, rhs, cutoff: float) -> np.ndarray | None:
     return None if _amplifies(y, rhs, cutoff) else y
 
 
-def cluster_first(schur_a, schur_b, scale: float) -> tuple:
-    """The one place the shared cluster is marked: the complex Schur factors
-    (t, q) of a and b reordered so the eigenvalues that
-    :func:`~sylvcert.gate.shared_eigenvalues` marks at ``scale``
-    (||a|| + ||b||) lead, the ``cluster`` (k_a, k_b, scale) that
-    :func:`decide_sylvester` and :func:`sylvester_kernel` take with them, and
-    the cluster tolerance."""
+def cluster_first(a, b, schur_a, schur_b) -> tuple:
+    """The :class:`SylvesterPair` of a and b, with their complex Schur
+    factors (t, q), and the cluster tolerance.  The one place the shared
+    cluster is marked: the factors are reordered so the eigenvalues that
+    :func:`~sylvcert.gate.shared_eigenvalues` marks at the scale
+    ||a|| + ||b|| lead."""
     (ta, qa), (tb, qb) = schur_a, schur_b
+    norm_a, norm_b = frob(a), frob(b)
+    scale = norm_a + norm_b
     select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
-    return (reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
-            (int(select_a.sum()), int(select_b.sum()), scale), tolerance)
+    pair = SylvesterPair(a, b, reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
+                         norm_a, norm_b, (int(select_a.sum()), int(select_b.sum()), scale))
+    return pair, tolerance
 
 
 def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, head, data_scale: float):
@@ -366,13 +379,9 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     return y, shared
 
 
-def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
-                     tol: float = DEFAULT_TOL) -> UVSystemReport:
+def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSystemReport:
     """Decide the possibly singular equation a u - u b = rhs, for one n x m
-    right-hand side, on the complex Schur factors (t, q) of a and b as
-    :func:`cluster_first` orders them, with the ``cluster`` (k_a, k_b,
-    scale) it returns: the leading k_a and k_b eigenvalues are shared at the
-    scale ||a|| + ||b||.
+    right-hand side, against the pair's cluster-first factors.
 
     Only the k_a x k_b shared block is decided by minimum-norm least
     squares (rank judged as for the full nm operator at the scale
@@ -385,9 +394,9 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
     so scaling rhs alone cannot move the decision; residuals within a factor
     10 of it are flagged marginal rather than forced into a binary answer.
     """
-    (ta, qa), (tb, qb) = schur_a, schur_b
-    k_a, k_b, data_scale = cluster
-    n, m = ta.shape[0], tb.shape[0]
+    (ta, qa), (tb, qb) = pair.schur_a, pair.schur_b
+    k_a, k_b, data_scale = pair.cluster
+    n, m = pair.n, pair.m
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.shape != (n, m):
         raise DimensionError(f"rhs must be {n}x{m}, got shape {rhs.shape}")
@@ -404,7 +413,7 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
             # nothing; u = 0 at rhs = 0 decides
             if (k_a, k_b) == (n, m) or not tol * data_scale * u_norm > rhs_norm:
                 break
-    residual = frob(a @ u - u @ b - rhs)
+    residual = frob(pair.a @ u - u @ pair.b - rhs)
     threshold = tol * (rhs_norm + data_scale * u_norm)
     return UVSystemReport(
         u=u, lstsq_residual=residual, threshold=threshold,
@@ -414,17 +423,16 @@ def decide_sylvester(a, b, schur_a, schur_b, rhs, cluster: tuple,
         cluster_sizes=(k_a, k_b))
 
 
-def sylvester_kernel(schur_a, schur_b, cluster: tuple) -> tuple:
+def sylvester_kernel(pair: SylvesterPair) -> tuple:
     """Orthonormal basis of {x : a x = x b}, in a deterministic order, each
     element's phase fixed, as read-only arrays.  It is read off the
-    decision's shared block at rhs = 0 on the factors and ``cluster`` of
-    :func:`decide_sylvester`: each null vector z of the shared block extends
-    by one trsyl through a11 y12 - y12 b22 = z b12, the other blocks are
-    zero, and an extension that blows up widens the cluster to the whole
-    spectra."""
-    (ta, qa), (tb, qb) = schur_a, schur_b
-    k_a, k_b, data_scale = cluster
-    n, m = ta.shape[0], tb.shape[0]
+    decision's shared block at rhs = 0: each null vector z of the shared
+    block extends by one trsyl through a11 y12 - y12 b22 = z b12, the other
+    blocks are zero, and an extension that blows up widens the cluster to
+    the whole spectra."""
+    (ta, qa), (tb, qb) = pair.schur_a, pair.schur_b
+    k_a, k_b, data_scale = pair.cluster
+    n, m = pair.n, pair.m
     for k_a, k_b in ((k_a, k_b), (n, m)):
         # at rhs = 0 the regular blocks of the decision are zero, so only
         # the shared block's null vectors need solving for
@@ -465,7 +473,7 @@ def solve_uv_report(p: SylvesterProblem, tol: float = DEFAULT_TOL) -> UVSystemRe
     (substitute v = a^-1 c b^-1 - u into a v + u b = s) with
     :func:`decide_sylvester`; a consistent decision is completed to the
     witness pair (u, v)."""
-    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, p.reduced, p.cluster, tol)
+    report = decide_sylvester(p, p.reduced, tol)
     if report.lstsq_residual <= report.threshold:
         report.witness = _witness_from_u(p, report.u, tol, report.threshold)
     return report

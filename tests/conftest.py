@@ -200,9 +200,7 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
     y_solutions: list = []
     q_values: list = []
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    a2, b2 = a @ a, b @ b
-    schur_a2, schur_b2, cluster, _ = cluster_first((ta @ ta, qa), (tb @ tb, qb),
-                                                   frob(a2) + frob(b2))
+    squared, _ = cluster_first(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb))
 
     for index, root in enumerate(roots):
         root_inv = np.linalg.inv(root)
@@ -212,7 +210,7 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
         principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates = [principal, -principal]
 
-        coupling = decide_sylvester(a2, b2, schur_a2, schur_b2, p12, cluster, tol)
+        coupling = decide_sylvester(squared, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
             for d1 in (a, -a):

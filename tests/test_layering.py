@@ -5,8 +5,9 @@ verdicts only while the main route shares no code with it; every Schur
 factorization of a problem's pair is taken once, by ``prepare``, or by the
 standalone quadrature check.  Which eigenvalues the spectra share is decided
 by one rule, in ``gate``; ``singular.cluster_first`` alone applies it and
-orders the Schur factors, once per pair, and the decision and the kernel
-read the ordered factors off the problem.  Each derived value has one home:
+orders the Schur factors, once per pair, into the one ``SylvesterPair`` that
+the decision and both kernels read; only ``singular`` builds a pair or reads
+its cluster.  Each derived value has one home:
 no report copies the cluster tolerance, the shift, the companion solution or
 its offset.  The homogeneous kernel is read off the decision's factors,
 never a dense SVD.  Inverses are applied by one solve
@@ -44,7 +45,7 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             unipotent_bridge_check)
 from sylvcert.gate import GateReport
 from sylvcert.singular import (UVSystemReport, UVWitness, Verdict, decide_sylvester, diagnose,
-                               prepare, sylvester_kernel)
+                               prepare)
 
 PACKAGE = pathlib.Path(sylvcert.__file__).parent
 TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
@@ -253,7 +254,7 @@ def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):
     p = prepare(*bridge_data())
     rhs = p.reduced
     calls = counted(monkeypatch, ("triangular_sylvester",))
-    report = decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, rhs, p.cluster)
+    report = decide_sylvester(p, rhs)
     assert 0 < report.cluster_sizes[0] < p.n and report.cluster_sizes == p.cluster[:2]
     assert calls == {"triangular_sylvester": 2}
 
@@ -289,6 +290,16 @@ def test_the_cluster_is_ordered_only_by_cluster_first(monkeypatch):
     assert calls == {"reorder_schur": 2 + 4}
 
 
+def test_only_singular_builds_a_pair_or_reads_its_cluster():
+    # the layout of the cluster tuple, and the swap of the cokernel's pair,
+    # live behind one module
+    assert {module for module, _ in callers_of("SylvesterPair")} == {"singular"}
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "cluster"}
+    assert readers == {"singular"}
+
+
 @pytest.mark.parametrize("cls, copies", [
     (GateReport, {"suggested_lambda"}),
     (UVSystemReport, {"cluster_tolerance"}),
@@ -303,9 +314,7 @@ def test_kernel_extends_each_null_vector_by_one_trsyl(monkeypatch):
     # the blocks that are zero at rhs = 0 are not solved for
     calls = counted(monkeypatch, ("triangular_sylvester",))
     p = prepare(*bridge_data())
-    k_a, k_b, scale = p.cluster
-    x_basis = sylvester_kernel(p.schur_a, p.schur_b, p.cluster)
-    y_basis = sylvester_kernel(p.schur_b, p.schur_a, (k_b, k_a, scale))
+    x_basis, y_basis = p.kernel, p.cokernel
     assert x_basis and y_basis
     assert calls == {"triangular_sylvester": len(x_basis) + len(y_basis)}
 

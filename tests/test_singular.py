@@ -163,8 +163,7 @@ class TestSchurReducedDecision:
             return lstsq_solve(K, rhs, **kwargs)
 
         monkeypatch.setattr(singular, "lstsq_solve", spy)
-        report = singular.decide_sylvester(p.a, p.b, p.schur_a, p.schur_b, np.zeros((n, n)),
-                                           p.cluster)
+        report = singular.decide_sylvester(p, np.zeros((n, n)))
         k_a, k_b = report.cluster_sizes
         assert (k_a, k_b) == (shared_a.sum(), shared_b.sum())
         assert 1 <= k_a * k_b < n * n
@@ -203,10 +202,9 @@ class TestSchurReducedDecision:
         a[1, 1] += gap * CLUSTER_TOLERANCE_FACTOR * (frob(a) + frob(b))
         rhs = np.zeros((2, m), dtype=complex)
         rhs[1, 0], rhs[1, jordan] = r21, 1.0
-        schur_a, schur_b, cluster, _ = cluster_first(complex_schur(a), complex_schur(b),
-                                                     frob(a) + frob(b))
-        assert cluster[:2] == (1, jordan)
-        report = decide_sylvester(a, b, schur_a, schur_b, rhs, cluster)
+        pair, _ = cluster_first(a, b, complex_schur(a), complex_schur(b))
+        assert pair.cluster[:2] == (1, jordan)
+        report = decide_sylvester(pair, rhs)
         assert report.cluster_sizes == (2, m)
         reference = oracle_solve(a, b, rhs, tol=DEFAULT_TOL)
         assert (report.lstsq_residual <= report.threshold) == reference.consistent
@@ -225,7 +223,7 @@ class TestSchurReducedDecision:
         solve = singular._shared_block_lstsq
         monkeypatch.setattr(singular, "_shared_block_lstsq", spy)
         p = prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]])
-        basis = sylvester_kernel(p.schur_a, p.schur_b, p.cluster)
+        basis = sylvester_kernel(p)
         assert clusters == [(1, 1), (1, 2)]
         assert len(basis) == 1 and abs(frob(basis[0]) - 1.0) <= 1e-12
         assert frob(p.a @ basis[0] - basis[0] @ p.b) <= 1e-12
