@@ -16,15 +16,25 @@ A diagnose record holds the status, the refusing gate, the gate's sector and
 intersection answers, each check's status and the cluster sizes; a bridge
 record holds the gate's answers, the cluster sizes, the workload check's
 outcome key, flags and notes, the number of quadratic solutions and the
-search's notes.  The 8 corpus files then run through ``sylvcert diagnose
---oracle --quadrature --bridge``, recording the exit code, the status, each
-check's status and every key path of the report.
+search's notes.
 
-Records are compared field by field, after checking that both sides drew
-the same instances.  The script prints every mismatch and the largest
-relative change of a diagnose certificate residual (the residuals are
-rounding-level numbers, so only their size is reported), and exits 1 on any
-mismatch.
+Then each side runs the CLI in process, with ``-o``, on one shared copy of
+the files, so both name the same paths on stdout:
+
+* every file of the change's ``corpus`` through ``diagnose``, ``diagnose
+  --oracle --quadrature --bridge``, ``homogeneous`` and ``roots``;
+* the corpus directory through ``batch`` and ``batch --oracle``;
+* the first seed's ``cli_small`` problem files, as perfbench writes them,
+  through ``diagnose --oracle``.
+
+A CLI record holds the exit code (or the exception that escaped), stdout,
+stderr and the report text without its ``generated_at`` line.
+
+Records are compared field by field, CLI records byte for byte, after
+checking that both sides drew the same instances.  The script prints every
+mismatch (for text, its first differing line) and the largest relative
+change of a diagnose certificate residual (the residuals are rounding-level
+numbers, so only their size is reported), and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -45,7 +55,10 @@ import numpy as np
 from ab import export
 
 WORKLOADS = ("one_cluster", "cli_small", "bridge")
-CORPUS_FLAGS = ("--oracle", "--quadrature", "--bridge")
+# the runs of each corpus file, and of the corpus directory
+FILE_RUNS = (("diagnose",), ("diagnose", "--oracle", "--quadrature", "--bridge"),
+             ("homogeneous",), ("roots",))
+DIRECTORY_RUNS = (("batch",), ("batch", "--oracle"))
 
 
 def _gate(p) -> list:
@@ -78,15 +91,27 @@ def _bridge_record(sylvcert, workloads, inst) -> dict:
             "y_solutions": len(quad.y_solutions), "notes": quad.notes}
 
 
-def _key_paths(doc, prefix: str = "") -> list:
-    if not isinstance(doc, dict):
-        return [prefix]
-    return [path for key, value in doc.items() for path in _key_paths(value, f"{prefix}/{key}")]
+def _cli_record(main, argv: list, report: Path) -> dict:
+    """One in-process CLI run writing its report to ``report``."""
+    report.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([*argv, "-o", str(report)])
+        except Exception as exc:  # a traceback at either side is a result to compare
+            code = f"raised {type(exc).__name__}: {exc}"
+    text = report.read_text(encoding="utf-8") if report.exists() else None
+    if text is not None:
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith('  "generated_at": '))
+    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+            "report": text}
 
 
-def record(checkout: str, seeds: list, out: str) -> None:
+def record(checkout: str, seeds: list, files: str, out: str) -> None:
     """Run in a child interpreter whose path leads with ``checkout``'s
-    ``src`` and ``perfbench``: write that side's records to ``out``."""
+    ``src`` and ``perfbench``: write that side's records to ``out``.  The
+    CLI runs read and write under ``files``, which holds the corpus."""
     import sylvcert
     import sylvcert.cli
     import sylvcert.instances
@@ -94,7 +119,7 @@ def record(checkout: str, seeds: list, out: str) -> None:
 
     if not Path(sylvcert.__file__).resolve().is_relative_to(Path(checkout).resolve()):
         sys.exit(f"parity: imported sylvcert from {sylvcert.__file__}, not {checkout}")
-    doc = {"instances": {}, "operations": {}, "corpus": {}}
+    doc = {"instances": {}, "operations": {}, "cli": {}}
     for workload in WORKLOADS:
         for seed in seeds:
             instances = workloads.generate(workload, seed, sylvcert.instances)
@@ -104,34 +129,40 @@ def record(checkout: str, seeds: list, out: str) -> None:
                 doc["operations"][f"{key}/{index:03d}"] = (
                     _bridge_record(sylvcert, workloads, inst) if workload == "bridge" else
                     _diagnose_record(sylvcert, inst, with_oracle=workload == "cli_small"))
-    with tempfile.TemporaryDirectory() as scratch:
-        report = Path(scratch) / "report.json"
-        for path in sorted((Path(checkout) / "corpus").glob("*.json")):
-            report.unlink(missing_ok=True)
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = sylvcert.cli.main(["diagnose", str(path), *CORPUS_FLAGS,
-                                          "-o", str(report)])
-            entry = {"exit_code": code}
-            if report.exists():
-                report_doc = json.loads(report.read_text(encoding="utf-8"))
-                entry.update(status=report_doc["verdict"]["status"],
-                             checks={name: check["status"]
-                                     for name, check in report_doc["checks"].items()},
-                             keys=_key_paths(report_doc))
-            doc["corpus"][path.name] = entry
+    files = Path(files)
+    corpus, report = files / "corpus", files / "report.json"
+    runs = [[*argv, str(path)] for path in sorted(corpus.glob("*.json")) for argv in FILE_RUNS]
+    runs += [[*argv, str(corpus)] for argv in DIRECTORY_RUNS]
+    # both sides write the same bytes here: the instances are compared too
+    cli_small = workloads.generate("cli_small", seeds[0], sylvcert.instances)
+    workloads.write_problem_files(cli_small, files / "cli_small")
+    runs += [["diagnose", str(inst.path), "--oracle"] for inst in cli_small]
+    for argv in runs:
+        key = " ".join(argv).replace(f"{files}/", "")
+        doc["cli"][key] = _cli_record(sylvcert.cli.main, argv, report)
     Path(out).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def run_side(checkout: Path, seeds: list) -> dict:
+def run_side(checkout: Path, seeds: list, files: Path) -> dict:
     out = checkout / "parity.json"
     path = [str(checkout / "src"), str(checkout / "perfbench")]
     code = (f"import sys; sys.path[:0] = {path!r}; "
             f"sys.path.append({str(Path(__file__).resolve().parent)!r}); import parity; "
-            f"parity.record({str(checkout)!r}, {seeds!r}, {str(out)!r})")
+            f"parity.record({str(checkout)!r}, {seeds!r}, {str(files)!r}, {str(out)!r})")
     print(f"{checkout.name}: recording seeds {seeds[0]}-{seeds[-1]}", flush=True)
     subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True)
     return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _difference(old, new) -> str:
+    """The two values, or for two texts their first differing line."""
+    if isinstance(old, str) and isinstance(new, str):
+        old_lines, new_lines = old.splitlines(), new.splitlines()
+        line = next((i for i, pair in enumerate(zip(old_lines, new_lines))
+                     if pair[0] != pair[1]), min(len(old_lines), len(new_lines)))
+        old, new = old_lines[line:line + 1], new_lines[line:line + 1]
+        return f"line {line + 1}: parent {old!r}, change {new!r}"
+    return f"parent {old!r}, change {new!r}"
 
 
 def compare(parent: dict, change: dict) -> tuple:
@@ -141,7 +172,7 @@ def compare(parent: dict, change: dict) -> tuple:
                   for key in sorted(parent["instances"].keys() | change["instances"].keys())
                   if parent["instances"].get(key) != change["instances"].get(key)]
     drift, where = 0.0, None
-    for section in ("operations", "corpus"):
+    for section in ("operations", "cli"):
         for key in sorted(parent[section].keys() | change[section].keys()):
             old, new = parent[section].get(key), change[section].get(key)
             if old is None or new is None:
@@ -153,8 +184,8 @@ def compare(parent: dict, change: dict) -> tuple:
             r_new = new.pop("certificate_residual", None)
             for field in sorted(old.keys() | new.keys()):
                 if old.get(field) != new.get(field):
-                    mismatches.append(f"{section} {key} {field}: parent {old.get(field)!r}, "
-                                      f"change {new.get(field)!r}")
+                    mismatches.append(f"{section} {key} {field}: "
+                                      + _difference(old.get(field), new.get(field)))
             if r_old is not None and r_new is not None and r_old != r_new:
                 relative = abs(r_new - r_old) / max(abs(r_old), 1e-300)
                 if relative > drift:
@@ -177,18 +208,19 @@ def main(argv=None) -> int:
 
     workdir = Path(tempfile.mkdtemp(prefix="sylvcert-parity-"))
     try:
-        sides = {}
-        for side, ref in (("parent", args.parent), ("change", args.change)):
-            sha = export(ref, workdir / side)
-            print(f"{side}: {ref} = {sha}")
-            sides[side] = run_side(workdir / side, args.seeds)
+        refs = {"parent": args.parent, "change": args.change}
+        for side, ref in refs.items():
+            print(f"{side}: {ref} = {export(ref, workdir / side)}")
+        files = workdir / "files"
+        shutil.copytree(workdir / "change" / "corpus", files / "corpus")
+        sides = {side: run_side(workdir / side, args.seeds, files) for side in refs}
     finally:
         shutil.rmtree(workdir)
     mismatches, drift, where = compare(sides["parent"], sides["change"])
     for line in mismatches:
         print(f"MISMATCH {line}")
     print(f"{len(sides['change']['operations'])} operations and "
-          f"{len(sides['change']['corpus'])} corpus files compared: "
+          f"{len(sides['change']['cli'])} CLI runs compared: "
           f"{len(mismatches)} mismatches")
     print(f"largest relative change of a certificate residual: {drift:.3g}"
           + (f" ({where})" if where else ""))

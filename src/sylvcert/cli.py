@@ -9,20 +9,29 @@ Subcommands:
   unipotent certificates
 * ``batch DIR``         one verdict row per problem file in a directory
 
-Exit codes for ``diagnose``: 0 solvable, 1 unsolvable, 2 ill-conditioned,
-3 file/schema errors, 4 internal errors.  ``batch`` exits 3 when any row
-errored, 0 otherwise; an ``--alpha`` or ``--tol`` out of its file option's
-range exits 3 on every subcommand, before any file is read.  Human-readable
-summaries go to stdout, diagnostics to stderr; JSON reports go to ``--output``.
+Every subcommand runs through one pipeline.  :func:`main` checks a given
+``--alpha`` and ``--tol``, loads the problem file with the alpha and tol it
+is decided at (:func:`_load`: a flag overrides the file option) and calls
+the subcommand's ``cmd_*``, which only computes and returns the JSON report,
+the summary lines and the exit code.  ``main`` alone writes the report to
+``--output``, prints the summary to stdout and maps each error to an exit
+code and one ``error:`` line on stderr; ``batch`` maps the error of a file
+the same way, into that file's row, and goes on to the next file.
+
+Exit codes: ``diagnose`` 0 solvable, 1 unsolvable, 2 ill-conditioned;
+``homogeneous`` and ``roots`` 0; ``batch`` 3 when any row errored, else 0.
+On every subcommand: 3 for a path that cannot be read or written, a file
+that is no valid problem, or an ``--alpha`` or ``--tol`` out of its file
+option's range (checked before any file is read); 4 for an internal fault,
+an arithmetic one (``OverflowError``, ``ZeroDivisionError``) included.
+Without a verdict the exit code is never 1.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: ``parse_args`` keeps no state between calls.  That saves
 its build (about 1 ms) only where one process calls ``main(argv)`` many
 times, as a program driving the CLI from Python does (the test suite and the
 ``cli_small`` bench workload are two); the ``sylvcert`` console script calls
-``main`` once per process and builds the parser once either way.  An
-arithmetic fault (``OverflowError``, ``ZeroDivisionError``) is no verdict:
-it exits 4 like any internal error, and marks its ``batch`` row as an error.
+``main`` once per process and builds the parser once either way.
 """
 
 from __future__ import annotations
@@ -73,6 +82,9 @@ _SUBCOMMANDS = (
     ("batch", "directory", "verdicts for every problem file in a directory", ("--oracle",)),
 )
 
+# the homogeneous report's names of the three sides of homogeneous_equivalence
+_EQUIVALENCES = ("nonzero_intertwiner", "nonprimary_root", "nontrivial_commutant")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,61 +107,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective(args, spec) -> tuple:
+def _load(args, path) -> tuple:
+    """(problem spec, alpha, tol) of the problem file at ``path``: a given
+    ``--alpha`` or ``--tol`` overrides the file option."""
+    spec = sio.load_problem(path)
     alpha = args.alpha if args.alpha is not None else spec.alpha
-    tol = args.tol if args.tol is not None else spec.tol
-    return alpha, tol
+    return spec, alpha, args.tol if args.tol is not None else spec.tol
 
 
-def _error_text(exc: Exception) -> str:
-    """An error's message; an arithmetic fault, whose message is terse, also
-    names its type."""
-    return f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+def _environment(problem, tol: float, seed) -> dict:
+    return {"alpha": problem.alpha, "shift_lambda": problem.lambda_shift, "tol": tol,
+            "seed": seed}
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def cmd_diagnose(args) -> int:
-    spec = sio.load_problem(args.file)
-    alpha, tol = _effective(args, spec)
+def cmd_diagnose(args, spec, alpha: float, tol: float) -> tuple:
     verdict = diagnose(spec.a, spec.b, spec.c, alpha=alpha, tol=tol,
                        with_oracle=args.oracle,
                        with_quadrature=args.quadrature or spec.method == "quadrature")
     if args.bridge:
         verdict.checks["unipotent_bridge"] = unipotent_bridge_check(verdict, tol)
-    doc = sio.verdict_to_dict(verdict, tol, seed=args.seed, timestamp=_now())
-    if args.output:
-        args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
     lam = verdict.problem.lambda_shift
-    print(f"{args.file}: {verdict.status.value} "
-          f"(residual {verdict.certificate_residual:.3e}, "
-          f"threshold {verdict.certificate_threshold:.3e}, shift {lam:g})")
+    lines = [f"{args.file}: {verdict.status.value} "
+             f"(residual {verdict.certificate_residual:.3e}, "
+             f"threshold {verdict.certificate_threshold:.3e}, shift {lam:g})"]
     if verdict.oracle_agreement is not None:
-        print(f"  oracle agreement: {verdict.oracle_agreement}")
+        lines.append(f"  oracle agreement: {verdict.oracle_agreement}")
     quadrature = verdict.checks["integral_representation"]
     if quadrature["status"] != "skipped":
-        print(f"  integral-representation gap: {quadrature['residual']:.3e}")
-    return _STATUS_EXIT[verdict.status]
+        lines.append(f"  integral-representation gap: {quadrature['residual']:.3e}")
+    return sio.verdict_to_dict(verdict, tol, seed=args.seed), lines, _STATUS_EXIT[verdict.status]
 
 
-def cmd_homogeneous(args) -> int:
-    spec = sio.load_problem(args.file)
-    alpha, tol = _effective(args, spec)
+def cmd_homogeneous(args, spec, alpha: float, tol: float) -> tuple:
     problem = prepare(spec.a, spec.b, spec.c, alpha=alpha)
     x_basis, y_basis = homogeneous_nullspaces(problem)
+    equivalences, equivalence_status = None, "skipped"
     if problem.gate.spectra_intersect:
         triple = homogeneous_equivalence(problem, tol)
-        equivalences = {
-            "nonzero_intertwiner": triple[0],
-            "nonprimary_root": triple[1],
-            "nontrivial_commutant": triple[2],
-        }
+        equivalences = dict(zip(_EQUIVALENCES, triple))
         equivalence_status = "pass" if len(set(triple)) == 1 else "fail"
-    else:
-        equivalences = None
-        equivalence_status = "skipped"
     doc = {
         "schema_version": sio.SCHEMA_VERSION,
         "nullity": len(x_basis),
@@ -158,28 +154,17 @@ def cmd_homogeneous(args) -> int:
         "adjoint_basis_samples": [sio.matrix_to_pairs(v) for v in y_basis[:3]],
         "equivalences": equivalences,
         "checks": {"three_way_equivalence": check_entry(equivalence_status)},
-        "environment": {
-            "alpha": problem.alpha,
-            "shift_lambda": problem.lambda_shift,
-            "tol": tol,
-            "seed": args.seed,
-        },
-        "generated_at": _now(),
+        "environment": _environment(problem, tol, args.seed),
     }
-    if args.output:
-        args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
-    print(f"{args.file}: nullity {len(x_basis)}, adjoint nullity {len(y_basis)}"
-          + (f", equivalences {equivalences}" if equivalences is not None else " (regular pair)"))
-    return 0
+    found = " (regular pair)" if equivalences is None else f", equivalences {equivalences}"
+    line = f"{args.file}: nullity {len(x_basis)}, adjoint nullity {len(y_basis)}{found}"
+    return doc, [line], 0
 
 
-def cmd_roots(args) -> int:
-    spec = sio.load_problem(args.file)
-    alpha, tol = _effective(args, spec)
+def cmd_roots(args, spec, alpha: float, tol: float) -> tuple:
     problem = prepare(spec.a, spec.b, spec.c, alpha=alpha)
     quad = solve_unipotent_quadratic(problem, tol=tol)
     rep = solve_uv_report(problem, tol)
-    a, b, c = problem.a, problem.b, problem.c
 
     unipotent = []
     for q in quad.q_values:
@@ -189,16 +174,15 @@ def cmd_roots(args) -> int:
         unipotent.append({
             "q": sio.matrix_to_pairs(q),
             "identity_residual": identity_residual,
-            "derived_solution_residual": float(frob(a @ x - x @ b - c)),
+            "derived_solution_residual": float(frob(problem.a @ x - x @ problem.b - problem.c)),
         })
     witness_agreement = None
     if rep.witness is not None and quad.q_values:
         witness_agreement = bool(rep.witness.residuals["unipotent_identity"]
                                  <= rep.witness.thresholds["unipotent_identity"])
-    note = None
-    if not quad.q_values:
-        note = ("no unipotent solution in the enumerated root family; "
-                "the two-equation system verdict is authoritative")
+    notes = quad.notes if quad.q_values else quad.notes + [
+        "no unipotent solution in the enumerated root family; "
+        "the two-equation system verdict is authoritative"]
     n = problem.n
     doc = {
         "schema_version": sio.SCHEMA_VERSION,
@@ -212,93 +196,90 @@ def cmd_roots(args) -> int:
         "y_solution_count": len(quad.y_solutions),
         "unipotent": unipotent,
         "system_witness_consistent": witness_agreement,
-        "notes": quad.notes + ([note] if note else []),
-        "environment": {
-            "alpha": problem.alpha,
-            "shift_lambda": problem.lambda_shift,
-            "tol": tol,
-            "seed": args.seed,
-        },
-        "generated_at": _now(),
+        "notes": notes,
+        "environment": _environment(problem, tol, args.seed),
     }
-    if args.output:
-        args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
-    print(f"{args.file}: {len(quad.base_roots)} base roots, "
-          f"{len(quad.y_solutions)} quadratic solutions, "
-          f"{len(quad.q_values)} unipotent")
-    return 0
+    return doc, [f"{args.file}: {len(quad.base_roots)} base roots, "
+                 f"{len(quad.y_solutions)} quadratic solutions, "
+                 f"{len(quad.q_values)} unipotent"], 0
 
 
-def cmd_batch(args) -> int:
+def _batch_verdict(args, path):
+    spec, alpha, tol = _load(args, path)
+    return diagnose(spec.a, spec.b, spec.c, alpha=alpha, tol=tol, with_oracle=args.oracle)
+
+
+def cmd_batch(args, attempt) -> tuple:
+    """The batch report; ``attempt`` is :func:`main`'s error mapping, by
+    which a file that fails becomes its row's ``error``."""
     directory = args.directory
     if not directory.is_dir():
         raise SchemaError(f"{directory}: not a directory")
-    rows = []
-    agreements = []
-    any_error = False
+    rows, lines, agreements = [], [], []
     for path in sorted(directory.glob("*.json")):
         row = {"file": path.name, "status": None, "certificate_residual": None,
                "oracle_agreement": None, "error": None}
-        try:
-            spec = sio.load_problem(path)
-            alpha, tol = _effective(args, spec)
-            verdict = diagnose(spec.a, spec.b, spec.c, alpha=alpha, tol=tol,
-                               with_oracle=args.oracle)
+        verdict, error = attempt(_batch_verdict, args, path)
+        if error is not None:
+            row["error"] = error[1]
+            lines.append(f"{path.name:<32} ERROR  {error[1]}")
+        else:
             row["status"] = verdict.status.value
             row["certificate_residual"] = float(verdict.certificate_residual)
-            row["oracle_agreement"] = verdict.oracle_agreement
-            if verdict.oracle_agreement is not None:
-                agreements.append(verdict.oracle_agreement)
-        except (SylvcertError, ArithmeticError) as exc:
-            row["error"] = _error_text(exc)
-            any_error = True
+            row["oracle_agreement"] = agreement = verdict.oracle_agreement
+            if agreement is not None:
+                agreements.append(agreement)
+            lines.append(f"{path.name:<32} {row['status']:<16} "
+                         f"residual={row['certificate_residual']:.3e}"
+                         + ("" if agreement is None
+                            else f"  oracle={'ok' if agreement else 'MISMATCH'}"))
         rows.append(row)
-
     rate = (sum(agreements) / len(agreements)) if agreements else None
-    doc = {
-        "schema_version": sio.SCHEMA_VERSION,
-        "rows": rows,
-        "oracle_agreement_rate": rate,
-        "generated_at": _now(),
-    }
-    if args.output:
-        args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
-    for row in rows:
-        if row["error"] is not None:
-            print(f"{row['file']:<32} ERROR  {row['error']}")
-        else:
-            agreement = "" if row["oracle_agreement"] is None \
-                else f"  oracle={'ok' if row['oracle_agreement'] else 'MISMATCH'}"
-            print(f"{row['file']:<32} {row['status']:<16} "
-                  f"residual={row['certificate_residual']:.3e}{agreement}")
     if rate is not None:
-        print(f"oracle agreement rate: {rate:.1%} over {len(agreements)} decided rows")
-    return EXIT_BAD_INPUT if any_error else 0
+        lines.append(f"oracle agreement rate: {rate:.1%} over {len(agreements)} decided rows")
+    doc = {"schema_version": sio.SCHEMA_VERSION, "rows": rows, "oracle_agreement_rate": rate}
+    return doc, lines, EXIT_BAD_INPUT if any(row["error"] is not None for row in rows) else 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "diagnose": cmd_diagnose,
-        "homogeneous": cmd_homogeneous,
-        "roots": cmd_roots,
-        "batch": cmd_batch,
-    }
-    try:
+    args = _build_parser().parse_args(argv)
+
+    def attempt(step, *params) -> tuple:
+        """(step(*params), None), or (None, (exit code, message)) for an
+        error the CLI reports; any other exception is a fault and raises."""
+        try:
+            return step(*params), None
+        except (SchemaError, OSError) as exc:
+            return None, (EXIT_BAD_INPUT, str(exc))
+        except (SylvcertError, ArithmeticError) as exc:
+            # an arithmetic fault's message is terse: it also names its type
+            kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+            return None, (EXIT_INTERNAL, f"{kind}{exc}")
+
+    def run() -> tuple:
         for name in ("alpha", "tol"):
             if getattr(args, name) is not None:
                 sio.check_option(name, getattr(args, name), f"--{name}")
-        return handlers[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (SylvcertError, ArithmeticError) as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if args.command == "batch":
+            doc, lines, code = cmd_batch(args, attempt)
+        else:
+            handler = {"diagnose": cmd_diagnose, "homogeneous": cmd_homogeneous,
+                       "roots": cmd_roots}[args.command]
+            doc, lines, code = handler(args, *_load(args, args.file))
+        if args.output:
+            # every report ends with the one field no comparison reads
+            doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+            args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
+        return lines, code
+
+    outcome, error = attempt(run)
+    if error is not None:
+        print(f"error: {error[1]}", file=sys.stderr)
+        return error[0]
+    lines, code = outcome
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -136,8 +136,16 @@ def check_option(name: str, value, label: str) -> float:
 
 
 def load_problem(path) -> ProblemSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_problem_text(handle.read(), source=str(path))
+    """The problem file at ``path``; :class:`SchemaError` naming the path
+    when it cannot be read or is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_problem_text(text, source=str(path))
 
 
 def problem_to_dict(a, b, c, alpha: float | None = None, tol: float | None = None,

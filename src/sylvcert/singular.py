@@ -86,6 +86,9 @@ class SylvesterPair:
     # (k_a, k_b, scale): the leading k_a and k_b eigenvalues of the factors
     # are shared at the scale norm_a + norm_b
     cluster: tuple
+    # the rank rule's cutoff for the nm operator at that scale, read by the
+    # decision, the kernel and the cokernel
+    cutoff: float
 
     @property
     def n(self) -> int:
@@ -108,7 +111,8 @@ class SylvesterPair:
         pair, whose cluster is this one with the sides swapped."""
         k_a, k_b, scale = self.cluster
         return sylvester_kernel(SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
-                                              self.norm_b, self.norm_a, (k_b, k_a, scale)))
+                                              self.norm_b, self.norm_a, (k_b, k_a, scale),
+                                              self.cutoff))
 
 
 @dataclass(frozen=True)
@@ -322,8 +326,10 @@ def cluster_first(a, b, schur_a, schur_b) -> tuple:
     norm_a, norm_b = frob(a), frob(b)
     scale = norm_a + norm_b
     select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
+    nm = a.shape[0] * b.shape[0]
     pair = SylvesterPair(a, b, reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
-                         norm_a, norm_b, (int(select_a.sum()), int(select_b.sum()), scale))
+                         norm_a, norm_b, (int(select_a.sum()), int(select_b.sum()), scale),
+                         rank_cutoff((nm, nm), 0.0, scale))
     return pair, tolerance
 
 
@@ -337,9 +343,9 @@ def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, head, data_scale: float):
                        scale_reference=data_scale, cutoff_shape=(nm, nm))
 
 
-def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
-    """Solve ta y - y tb = r blockwise, for Schur factors whose leading k_a
-    and k_b eigenvalues form the shared cluster.
+def _schur_reduced_solve(pair: SylvesterPair, r, k_a: int, k_b: int):
+    """Solve ta y - y tb = r blockwise, on the pair's Schur factors ta, tb
+    with their leading k_a and k_b eigenvalues taken as the shared cluster.
 
     Block row 2, [y21 y22], pairs the unshared eigenvalues of a, each
     farther than the cluster tolerance from every eigenvalue of b, with all
@@ -347,11 +353,11 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     one decided by rank-revealing least squares with the rank rule of the
     full nm operator; then block (1,2) by trsyl.  Returns (y, lstsq result
     or None); y is None when a regular block amplifies its right-hand side
-    past the rank rule's cutoff.  Blocks (2,1) and (2,2) are tested apart,
+    past the pair's cutoff.  Blocks (2,1) and (2,2) are tested apart,
     so a gain in one cannot hide behind the other's right-hand side.
     """
-    n, m = ta.shape[0], tb.shape[0]
-    cutoff = rank_cutoff((n * m, n * m), 0.0, data_scale)
+    (ta, _), (tb, _) = pair.schur_a, pair.schur_b
+    n, m, cutoff = pair.n, pair.m, pair.cutoff
     a11, a12 = ta[:k_a, :k_a], ta[:k_a, k_a:]
     b12, b22 = tb[:k_b, k_b:], tb[k_b:, k_b:]
     try:
@@ -369,7 +375,7 @@ def _schur_reduced_solve(ta, tb, r, k_a: int, k_b: int, data_scale: float):
     shared = None
     if k_a and k_b:
         shared = _shared_block_lstsq(ta, tb, k_a, k_b, vec(r[:k_a, :k_b] - a12 @ y2[:, :k_b]),
-                                     data_scale)
+                                     pair.cluster[2])
         y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
     y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y2[:, k_b:] + y[:k_a, :k_b] @ b12,
                          cutoff)
@@ -405,7 +411,7 @@ def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSy
     # the whole spectra form the fallback cluster, where every block is
     # shared and the decision always stands
     for k_a, k_b in ((k_a, k_b), (n, m)):
-        y, shared = _schur_reduced_solve(ta, tb, r, k_a, k_b, data_scale)
+        y, shared = _schur_reduced_solve(pair, r, k_a, k_b)
         if y is not None:
             u = qa @ y @ qb.conj().T
             u_norm = frob(u)
@@ -441,7 +447,7 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
             shared = _shared_block_lstsq(ta, tb, k_a, k_b, np.zeros(k_a * k_b), data_scale)
             heads = [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
-                                shared.cutoff) for y11 in heads]
+                                pair.cutoff) for y11 in heads]
         if all(y12 is not None for y12 in tails):
             break
     if not heads:

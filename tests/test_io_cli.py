@@ -389,6 +389,35 @@ class TestDiagnoseCommand:
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["diagnose", str(tmp_path / "absent.json")]) == 3
 
+    # a path the CLI cannot read is bad input, not a verdict: each of these
+    # used to escape as a traceback with exit 1, the unsolvable code
+    @pytest.mark.parametrize("command", ["diagnose", "homogeneous", "roots"])
+    @pytest.mark.parametrize("unreadable, message", [
+        (pathlib.Path.mkdir, "cannot read"),
+        (lambda path: path.write_bytes(b'{"a": "\xe9"}'), "not UTF-8 text"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_file_exit_three(self, tmp_path, capsys, command, unreadable, message):
+        path = tmp_path / "x.json"
+        unreadable(path)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: {message}")):
+            load_problem(path)
+        assert main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["diagnose", "homogeneous", "roots", "batch"])
+    def test_unwritable_report_exit_three(self, tmp_path, capsys, command):
+        # the problem is decided, but a report that cannot be written is no
+        # result: exit 3, not the verdict's code
+        problem = write_problem(tmp_path / "p.json", [[1]], [[1]], [[1]])
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path if command == "batch" else problem
+        assert main([command, str(target), "-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_determinism_byte_identical_modulo_timestamp(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[1, 1], [0, 1]], [[1]], [[1], [0]])
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
@@ -606,6 +635,22 @@ class TestBatchCommand:
         assert by_name["broken.json"]["error"] is not None
         assert by_name["good.json"]["status"] == "solvable"
 
+    def test_unreadable_rows_isolated(self, tmp_path, capsys):
+        # a directory named like a problem file and a file that is no UTF-8
+        # text each become their row's error; the other rows are decided
+        write_problem(tmp_path / "good.json", [[2]], [[1]], [[3]])
+        (tmp_path / "dir.json").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"a": "\xe9"}')
+        write_problem(tmp_path / "unsolvable.json", [[1]], [[1]], [[1]])
+        out = tmp_path / "batch.out"
+        assert main(["batch", str(tmp_path), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        by_name = {row["file"]: row for row in parse_report(out.read_text())["rows"]}
+        assert by_name["dir.json"]["error"].startswith(f"{tmp_path / 'dir.json'}: cannot read")
+        assert by_name["latin1.json"]["error"].startswith(
+            f"{tmp_path / 'latin1.json'}: not UTF-8 text")
+        assert by_name["good.json"]["status"] == "solvable"
+        assert by_name["unsolvable.json"]["status"] == "unsolvable"
 
     def test_arithmetic_fault_row_isolated(self, tmp_path, capsys, monkeypatch):
         write_problem(tmp_path / "good.json", [[2]], [[1]], [[3]])

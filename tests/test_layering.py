@@ -23,7 +23,9 @@ row 2 and block (1,2).  Outside the oracle a Kronecker operator
 is built only by ``kron_vec_operator``, and the homogeneous kernel solves no
 block that is zero at rhs = 0.  ``diagnose`` validates its input once,
 factors each matrix once and applies every inverse as a solve on those
-factors.  Every function the benchmark's tracer names exists.
+factors.  Every function the benchmark's tracer names exists.  Each CLI
+subcommand only computes and returns its report; ``cli.main`` alone writes,
+prints and maps errors to exit codes.
 """
 
 import ast
@@ -329,6 +331,22 @@ def test_diagnose_factors_once_and_solves_on_the_factors(monkeypatch):
     assert diagnose(*bridge_data()).status.value == "solvable"
     assert calls == {"complex_schur": 2, "as_complex_matrix": 6}
 
+
+
+def test_only_the_cli_main_writes_prints_or_catches():
+    # a subcommand returns (report, summary lines, exit code); one place
+    # writes the report, prints the summary and maps an error to its code
+    doers = set()
+    for function in parse("cli").body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            target = node.func if isinstance(node, ast.Call) else None
+            name = target.attr if isinstance(target, ast.Attribute) else \
+                getattr(target, "id", None)
+            if isinstance(node, ast.ExceptHandler) or name in {"print", "write_text"}:
+                doers.add(function.name)
+    assert doers == {"main"}
 
 
 def test_roots_command_takes_the_companion_and_offset_once(monkeypatch, tmp_path):
