@@ -269,7 +269,12 @@ def main(argv=None) -> int:
         if args.output:
             # every report ends with the one field no comparison reads
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-            args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
+            try:
+                args.output.write_text(sio.serialize_report(doc), encoding="utf-8")
+            except OSError as exc:
+                # the problem was decided; only its report is lost
+                raise OSError(f"{args.output}: cannot write the report: "
+                              f"{exc.strerror or exc}") from exc
         return lines, code
 
     outcome, error = attempt(run)

@@ -227,21 +227,38 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstsqResult:
-    """Minimum-norm least-squares solve with an explicit rank decision."""
+    """Minimum-norm least-squares solve with an explicit rank decision, and
+    the thin SVD K = U diag(s) Vh it was read from: another right-hand side
+    of the same K costs two products (:meth:`minimum_norm`), no SVD."""
 
     solution: np.ndarray  # (cols,)
     residual_norm: float
     rank: int
     cutoff: float
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
-    null_space: np.ndarray  # columns: the right singular vectors past the rank
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+
+    @property
+    def null_space(self) -> np.ndarray:
+        """Columns: the right singular vectors past the rank."""
+        return self.Vh[self.rank:].conj().T
+
+    def minimum_norm(self, rhs) -> np.ndarray:
+        """The minimum-norm least-squares solution of K x = rhs."""
+        return _minimum_norm(self.U, self.s, self.Vh, self.rank, rhs)
+
+
+def _minimum_norm(U, s, Vh, rank: int, rhs) -> np.ndarray:
+    # V_r ((U_r^* rhs) / s_r), over the singular triplets past the rank cutoff
+    return Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank])
 
 
 def lstsq_solve(K, rhs, scale_reference: float = 0.0,
                 cutoff_shape: tuple | None = None) -> LstsqResult:
     """Minimum-norm least-squares solution of K x = rhs via SVD, for one
-    right-hand side of length rows: x = V_r ((U_r^* rhs) / s_r) over the
-    singular triplets past the rank cutoff.
+    right-hand side of length rows, with the factors kept for others.
 
     The rank is the number of singular values above :func:`rank_cutoff`;
     solves are flagged ``near_cutoff`` when a singular value falls within a
@@ -249,7 +266,9 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
     data the operator was built from, which matters when the operator itself
     nearly vanishes.  ``cutoff_shape`` (default ``K.shape``) names the
     operator whose rank rule applies when K is one diagonal block of it.
-    ``null_space`` spans the null space of K when K has no fewer rows than columns.
+    ``null_space`` spans the null space of K when K has no fewer rows than
+    columns, and the columns of ``U`` past the rank span the complement of
+    its range when K is square.
     """
     K = as_complex_matrix(K, "K")
     rhs = np.asarray(rhs, dtype=np.complex128)
@@ -264,11 +283,11 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
         # gesdd rejects an empty operator (and says so on stderr)
         U, s, Vh = (np.zeros((K.shape[0], 0), dtype=np.complex128), np.zeros(0),
                     np.zeros((0, K.shape[1]), dtype=np.complex128))
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = rank_cutoff(cutoff_shape or K.shape, sigma_max, scale_reference)
-    rank = int(np.sum(s > cutoff))
-    near = bool(np.any((s > cutoff / 10.0) & (s <= cutoff * 10.0))) if s.size else False
-    solution = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank])
+    # the few singular values of a shared block are judged faster as floats
+    values = s.tolist()
+    cutoff = rank_cutoff(cutoff_shape or K.shape, values[0] if values else 0.0, scale_reference)
+    rank = sum(value > cutoff for value in values)
+    near = any(cutoff / 10.0 < value <= cutoff * 10.0 for value in values)
+    solution = _minimum_norm(U, s, Vh, rank, rhs)
     return LstsqResult(solution=solution, residual_norm=frob(K @ solution - rhs),
-                       rank=rank, cutoff=cutoff, near_cutoff=near,
-                       null_space=Vh[rank:].conj().T)
+                       rank=rank, cutoff=cutoff, near_cutoff=near, U=U, s=s, Vh=Vh)

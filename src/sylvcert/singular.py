@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,20 +99,30 @@ class SylvesterPair:
         return self.b.shape[0]
 
     @functools.cached_property
+    def shared_svd(self):
+        """The SVD (a :class:`~sylvcert.numerics.LstsqResult`) of the shared
+        block's operator, taken once per pair by :func:`_factor_shared_block`;
+        None when the cluster is empty.  Every decision, the kernel and the
+        cokernel apply it.  (A frozen dataclass may cache it: the property
+        writes the instance ``__dict__``, not an attribute.)"""
+        return _factor_shared_block(self, *self.cluster[:2])
+
+    @functools.cached_property
     def kernel(self) -> tuple:
         """Read-only basis of {x : a x = x b}, taken once per pair by
-        :func:`sylvester_kernel`.  (A frozen dataclass may cache it: the
-        property writes the instance ``__dict__``, not an attribute.)"""
+        :func:`sylvester_kernel`."""
         return sylvester_kernel(self)
 
     @functools.cached_property
     def cokernel(self) -> tuple:
         """Read-only basis of {y : b y = y a}: the kernel of the swapped
-        pair, whose cluster is this one with the sides swapped."""
+        pair, whose cluster is this one with the sides swapped and whose
+        shared block's SVD is read off this pair's (:func:`_swapped`)."""
         k_a, k_b, scale = self.cluster
-        return sylvester_kernel(SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
-                                              self.norm_b, self.norm_a, (k_b, k_a, scale),
-                                              self.cutoff))
+        swapped = SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
+                                self.norm_b, self.norm_a, (k_b, k_a, scale), self.cutoff)
+        vars(swapped)["shared_svd"] = _swapped(self.shared_svd, k_a, k_b)
+        return sylvester_kernel(swapped)
 
 
 @dataclass(frozen=True)
@@ -333,14 +343,41 @@ def cluster_first(a, b, schur_a, schur_b) -> tuple:
     return pair, tolerance
 
 
-def _shared_block_lstsq(ta, tb, k_a: int, k_b: int, head, data_scale: float):
-    """Minimum-norm least squares on the shared block of Schur factors ta,
-    tb whose leading k_a and k_b eigenvalues form the cluster: a11 y - y b11
-    = h for the vector vec(h) ``head``, rank judged by the rule of the full
-    nm operator at the scale ``data_scale``."""
-    nm = ta.shape[0] * tb.shape[0]
-    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), head,
-                       scale_reference=data_scale, cutoff_shape=(nm, nm))
+def _factor_shared_block(pair: SylvesterPair, k_a: int, k_b: int):
+    """The SVD of y |-> a11 y - y b11 on the pair's Schur factors, whose
+    leading k_a and k_b eigenvalues are taken as the shared cluster, rank
+    judged by the rule of the full nm operator at the pair's scale; None for
+    an empty block.  The one place a shared block is factored: the pair
+    keeps its own cluster's, and only a widened cluster comes back here."""
+    if not (k_a and k_b):
+        return None
+    (ta, _), (tb, _) = pair.schur_a, pair.schur_b
+    nm = pair.n * pair.m
+    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1),
+                       np.zeros(k_a * k_b), scale_reference=pair.cluster[2],
+                       cutoff_shape=(nm, nm))
+
+
+def _shared_svd(pair: SylvesterPair, k_a: int, k_b: int):
+    # the pair's own cluster is factored once and kept; a widened one on demand
+    return pair.shared_svd if (k_a, k_b) == pair.cluster[:2] else \
+        _factor_shared_block(pair, k_a, k_b)
+
+
+def _swapped(svd, k_a: int, k_b: int):
+    """The SVD of z |-> b11 z - z a11 (z k_b x k_a) read off ``svd``, that of
+    K: y |-> a11 y - y b11 (y k_a x k_b).  With the perfect shuffle P,
+    P vec(y) = vec(y^T), the swapped operator is -P K^T P^T, so its factors
+    are U' = -P Vh^T and Vh' = U^T P^T with the same singular values, rank
+    and cutoff; its null space is P conj(U) past the rank."""
+    if svd is None:
+        return None
+
+    def shuffle(rows):
+        # P applied to the rows, indexed by vec of a k_a x k_b matrix
+        return rows.reshape(k_b, k_a, -1).transpose(1, 0, 2).reshape(k_a * k_b, -1)
+
+    return replace(svd, U=-shuffle(svd.Vh.T), Vh=shuffle(svd.U).T)
 
 
 def _schur_reduced_solve(pair: SylvesterPair, r, k_a: int, k_b: int):
@@ -351,10 +388,11 @@ def _schur_reduced_solve(pair: SylvesterPair, r, k_a: int, k_b: int):
     farther than the cluster tolerance from every eigenvalue of b, with all
     of tb, and is solved by one trsyl; then the shared block (1,1), the only
     one decided by rank-revealing least squares with the rank rule of the
-    full nm operator; then block (1,2) by trsyl.  Returns (y, lstsq result
-    or None); y is None when a regular block amplifies its right-hand side
-    past the pair's cutoff.  Blocks (2,1) and (2,2) are tested apart,
-    so a gain in one cannot hide behind the other's right-hand side.
+    full nm operator, on the block's SVD (:func:`_shared_svd`); then block
+    (1,2) by trsyl.  Returns (y, that SVD or None); y is None when a regular
+    block amplifies its right-hand side past the pair's cutoff.  Blocks
+    (2,1) and (2,2) are tested apart, so a gain in one cannot hide behind
+    the other's right-hand side.
     """
     (ta, _), (tb, _) = pair.schur_a, pair.schur_b
     n, m, cutoff = pair.n, pair.m, pair.cutoff
@@ -372,11 +410,10 @@ def _schur_reduced_solve(pair: SylvesterPair, r, k_a: int, k_b: int):
         return None, None
     y = np.zeros((n, m), dtype=np.complex128)
     y[k_a:] = y2
-    shared = None
-    if k_a and k_b:
-        shared = _shared_block_lstsq(ta, tb, k_a, k_b, vec(r[:k_a, :k_b] - a12 @ y2[:, :k_b]),
-                                     pair.cluster[2])
-        y[:k_a, :k_b] = unvec(shared.solution, k_a, k_b)
+    shared = _shared_svd(pair, k_a, k_b)
+    if shared is not None:
+        y[:k_a, :k_b] = unvec(shared.minimum_norm(vec(r[:k_a, :k_b] - a12 @ y2[:, :k_b])),
+                              k_a, k_b)
     y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y2[:, k_b:] + y[:k_a, :k_b] @ b12,
                          cutoff)
     if y12 is None:
@@ -400,7 +437,7 @@ def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSy
     so scaling rhs alone cannot move the decision; residuals within a factor
     10 of it are flagged marginal rather than forced into a binary answer.
     """
-    (ta, qa), (tb, qb) = pair.schur_a, pair.schur_b
+    (_, qa), (_, qb) = pair.schur_a, pair.schur_b
     k_a, k_b, data_scale = pair.cluster
     n, m = pair.n, pair.m
     rhs = np.asarray(rhs, dtype=np.complex128)
@@ -433,19 +470,18 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
     """Orthonormal basis of {x : a x = x b}, in a deterministic order, each
     element's phase fixed, as read-only arrays.  It is read off the
     decision's shared block at rhs = 0: each null vector z of the shared
-    block extends by one trsyl through a11 y12 - y12 b22 = z b12, the other
-    blocks are zero, and an extension that blows up widens the cluster to
-    the whole spectra."""
+    block, a right singular vector of the pair's SVD past the rank, extends
+    by one trsyl through a11 y12 - y12 b22 = z b12, the other blocks are
+    zero, and an extension that blows up widens the cluster to the whole
+    spectra."""
     (ta, qa), (tb, qb) = pair.schur_a, pair.schur_b
-    k_a, k_b, data_scale = pair.cluster
+    k_a, k_b, _ = pair.cluster
     n, m = pair.n, pair.m
     for k_a, k_b in ((k_a, k_b), (n, m)):
         # at rhs = 0 the regular blocks of the decision are zero, so only
         # the shared block's null vectors need solving for
-        heads = []
-        if k_a and k_b:
-            shared = _shared_block_lstsq(ta, tb, k_a, k_b, np.zeros(k_a * k_b), data_scale)
-            heads = [unvec(z, k_a, k_b) for z in shared.null_space.T]
+        shared = _shared_svd(pair, k_a, k_b)
+        heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
                                 pair.cutoff) for y11 in heads]
         if all(y12 is not None for y12 in tails):

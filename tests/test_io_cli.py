@@ -415,8 +415,9 @@ class TestDiagnoseCommand:
         target = tmp_path if command == "batch" else problem
         assert main([command, str(target), "-o", str(out)]) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        # named like a path that cannot be read, as the report that failed
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: cannot write the report: Is a directory\n"
 
     def test_determinism_byte_identical_modulo_timestamp(self, tmp_path):
         problem = write_problem(tmp_path / "p.json", [[1, 1], [0, 1]], [[1]], [[1], [0]])

@@ -14,14 +14,16 @@ never a dense SVD.  Inverses are applied by one solve
 routine, never formed, and no dense solve is taken.  The root bridge reads
 the companion solution and its offset off the problem, where each is taken
 at most once, and searches on dense stacked arrays; no typed block-matrix
-class or typed product exists.  One bridge operation takes each Schur
-factorization once and the squared pair's shared block once per sign class:
-one coupling decision per class, four least-squares solves (the two kernels
-and those decisions) and two block inversions, one per principal root.  A
-decision that does not widen makes two triangular Sylvester solves, block
-row 2 and block (1,2).  Outside the oracle a Kronecker operator
-is built only by ``kron_vec_operator``, and the homogeneous kernel solves no
-block that is zero at rhs = 0.  ``diagnose`` validates its input once,
+class or typed product exists.  Each pair's shared block is factored by
+one SVD, which every decision, the kernel and the cokernel apply:
+``diagnose`` takes one, and a cokernel read after its kernel none.  One
+bridge operation takes each Schur factorization once, one coupling decision
+per sign class, two shared-block SVDs (the problem pair's, for both kernels,
+and the squared pair's, for both decisions) and two block inversions, one
+per principal root.  A decision that does not widen makes two triangular
+Sylvester solves, block row 2 and block (1,2).  Outside the oracle a
+Kronecker operator is built only by ``kron_vec_operator``, and the
+homogeneous kernel solves no block that is zero at rhs = 0.  ``diagnose`` validates its input once,
 factors each matrix once and applies every inverse as a solve on those
 factors.  Every function the benchmark's tracer names exists.  Each CLI
 subcommand only computes and returns its report; ``cli.main`` alone writes,
@@ -241,13 +243,28 @@ def test_root_search_takes_no_eigenvalues(monkeypatch):
     assert calls == {"complex_schur": 0}
 
 
-def test_bridge_operation_factors_once_and_the_squared_block_once_per_class(monkeypatch):
+def test_bridge_operation_factors_each_shared_block_once(monkeypatch):
+    # the problem pair's SVD serves both kernels, the squared pair's both
+    # sign classes' couplings
     calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "_inverse_block"))
     p = prepare(*bridge_data())
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"decide_sylvester": 2, "lstsq_solve": 4, "_inverse_block": 2}
+    assert calls == {"decide_sylvester": 2, "lstsq_solve": 2, "_inverse_block": 2}
+
+
+def test_each_pair_factors_its_shared_block_once(monkeypatch):
+    # a decision, the kernel and the cokernel apply the pair's one SVD; the
+    # cokernel's factors are the kernel's, swapped
+    calls = counted(monkeypatch, ("lstsq_solve",))
+    assert diagnose(*bridge_data()).status.value == "solvable"
+    assert calls == {"lstsq_solve": 1}
+    p = prepare(*bridge_data())
+    assert p.kernel
+    assert calls == {"lstsq_solve": 2}
+    assert p.cokernel
+    assert calls == {"lstsq_solve": 2}
 
 
 def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):

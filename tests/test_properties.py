@@ -5,9 +5,10 @@ shift is the smallest admissible three-digit shift, only a right-hand side
 outside the range widens a too narrow cluster, the stacked root search
 agrees with a search of one candidate at a time, the root bridge's outcome
 is unchanged under a unitary similarity of the problem, every solvable
-verdict's certificate passes, and the verdict is unchanged under every
-transformation that keeps solvability: unitary similarity, transposition, a
-common shift and scaling.
+verdict's certificate passes, a shared pair's kernel and cokernel have one
+dimension, and the verdict is unchanged under every transformation that
+keeps solvability: unitary similarity, transposition, a common shift and
+scaling.
 
 Examples are derandomized, so every run draws the same pairs.
 """
@@ -35,10 +36,11 @@ from conftest import (PROPERTY, reference_unipotent_quadratic, relative_gap,
 
 
 @st.composite
-def pairs(draw):
-    """(a, b, c) with n, m <= 8: a shared Jordan block of size 1-4, one
-    shared semisimple eigenvalue, or disjoint spectra."""
-    family = draw(st.sampled_from(("jordan", "semisimple", "regular")))
+def pairs(draw, families=("jordan", "semisimple", "regular")):
+    """(a, b, c) with n, m <= 8, of one of ``families``: a shared Jordan
+    block of size 1-4, one shared semisimple eigenvalue, or disjoint
+    spectra."""
+    family = draw(st.sampled_from(families))
     k = draw(st.integers(1, 4)) if family == "jordan" else 1
     n, m = draw(st.integers(k, 8)), draw(st.integers(k, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -106,6 +108,15 @@ def test_kernel_needs_the_gate_and_matches_the_oracle(pair):
             angles = scipy.linalg.subspace_angles(vectors(basis),
                                                   vh[-reference.nullity:].conj().T)
             assert angles.max() <= 1e-6
+
+
+@PROPERTY
+@given(pairs(families=("jordan", "semisimple")))
+def test_shared_pair_kernel_and_cokernel_have_one_dimension(pair):
+    # the operator is square, and both bases come from one SVD of its
+    # shared block: the right and the left singular vectors past the rank
+    p = prepare(*pair)
+    assert len(p.kernel) == len(p.cokernel) >= 1
 
 
 @st.composite

@@ -216,17 +216,64 @@ class TestSchurReducedDecision:
         monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
         clusters = []
 
-        def spy(ta, tb, k_a, k_b, heads, data_scale):
+        def spy(pair, k_a, k_b):
             clusters.append((k_a, k_b))
-            return solve(ta, tb, k_a, k_b, heads, data_scale)
+            return factor(pair, k_a, k_b)
 
-        solve = singular._shared_block_lstsq
-        monkeypatch.setattr(singular, "_shared_block_lstsq", spy)
+        factor = singular._factor_shared_block
+        monkeypatch.setattr(singular, "_factor_shared_block", spy)
         p = prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]])
         basis = sylvester_kernel(p)
         assert clusters == [(1, 1), (1, 2)]
         assert len(basis) == 1 and abs(frob(basis[0]) - 1.0) <= 1e-12
         assert frob(p.a @ basis[0] - basis[0] @ p.b) <= 1e-12
+
+    def test_cokernel_is_read_off_the_left_singular_vectors(self, monkeypatch):
+        # shared Jordan pairs of nullity 1-4, semisimple pairs and the widened
+        # pair above: the cokernel, read off the kernel's SVD, spans the null
+        # space of the dense operator of y -> b y - y a
+        problems = []
+        for k, seed in itertools.product((1, 2, 3, 4), range(3)):
+            rng = np.random.default_rng([k, seed])
+            n, m = rng.integers(k, 9, size=2)
+            problems.append((k, *shared_cluster_pair(rng, k, None, n, m)))
+        for seed in range(4):
+            rng = np.random.default_rng([5, seed])
+            problems.append((None, *shared_semisimple_pair(rng, *rng.integers(1, 9, size=2))))
+        for k, a, b in problems:
+            self.check_cokernel(prepare(a, b, np.zeros((len(a), len(b)))), k)
+        monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
+        self.check_cokernel(prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]]), 1)
+
+    @staticmethod
+    def check_cokernel(p, nullity):
+        a, b, scale = p.a, p.b, p.norm_a + p.norm_b
+        basis = p.cokernel
+        assert nullity is None or len(basis) == nullity
+        assert len(basis) == len(p.kernel) >= 1
+        for y in basis:
+            v = y.reshape(-1, order="F")
+            assert not y.flags.writeable and y.shape == (p.m, p.n)
+            assert abs(frob(y) - 1.0) <= 1e-12
+            pivot = v[np.argmax(np.abs(v) > 1e-12)]
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
+            assert frob(b @ y - y @ a) <= 1e-12 * scale
+        # the reference: np.kron's operator of y -> b y - y a, its null space
+        # the trailing right singular vectors, with a clear gap before them
+        reference = np.kron(np.eye(p.n), b) - np.kron(a.T, np.eye(p.m))
+        _, s, vh = np.linalg.svd(reference)
+        d = len(basis)
+        assert s[-d] <= 1e-10 * scale < 1e-6 * scale <= s[-d - 1] if d < len(s) else True
+        null = vh[-d:].conj().T
+        vectors = np.column_stack([y.reshape(-1, order="F") for y in basis])
+        assert np.linalg.norm(vectors @ vectors.conj().T - null @ null.conj().T, 2) <= 1e-10
+        # the derived factors are those of the swapped block's operator
+        k_a, k_b, _ = p.cluster
+        swapped = singular._swapped(p.shared_svd, k_a, k_b)
+        (ta, _), (tb, _) = p.schur_a, p.schur_b
+        operator = kron_vec_operator(tb[:k_b, :k_b], ta[:k_a, :k_a], -1)
+        assert frob(swapped.U * swapped.s @ swapped.Vh - operator) <= 1e-13 * scale
+        assert (swapped.rank, swapped.cutoff) == (p.shared_svd.rank, p.shared_svd.cutoff)
 
     def test_stress_ladder_agrees_with_oracle(self):
         # shared Jordan clusters of size 2-4, split by about eps^(1/k), some
