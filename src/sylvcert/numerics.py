@@ -6,9 +6,10 @@ checked for finiteness where it enters (:func:`as_complex_matrix`,
 :func:`complex_schur` made them.  No argument is mutated.
 
 Each primitive is one BLAS or LAPACK call, made directly: :func:`frob` is
-one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd`` and
-:func:`complex_schur` one ``gees`` (its workspace size is asked once per
-order).  At the sizes the pipeline meets most, numpy's wrappers around
+one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd``, whose factors
+the result keeps so that another right-hand side of the same operator costs
+two products, and :func:`complex_schur` one ``gees`` (its workspace size is
+asked once per order).  At the sizes the pipeline meets most, numpy's wrappers around
 these calls would cost about as much as the arithmetic.
 """
 

@@ -20,9 +20,9 @@ couplings a^2 s - s b^2 = P_12 of the two sign classes share their
 left-hand side: :func:`~sylvcert.singular.cluster_first` builds the squared
 pair (a^2, b^2) once, from the squared factors, and the main decision's
 kernel, :func:`~sylvcert.singular.decide_sylvester`, decides each class's
-P_12 against it, so its shared block is decomposed once per class.  The
-intertwiners of both sides are the pair's ``kernel`` and ``cokernel``, each
-taken once per pair.
+P_12 against it, so its shared block is decomposed once and both classes
+apply that SVD.  The intertwiners of both sides are the pair's ``kernel``
+and ``cokernel``, each taken once per pair from its one shared-block SVD.
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and

@@ -35,7 +35,11 @@ against a threshold at its own scale.
 
 :func:`prepare` validates the input, factors each matrix once and builds the
 shifted pair; a :class:`SylvesterProblem` is that pair plus c.  The decision
-and both kernels read the pair and never mark or reorder.  Every a^-1 and
+and both kernels read the pair and never mark or reorder.  The shared block
+is factored by one SVD per pair, ``SylvesterPair.shared_svd``: every
+decision projects its right-hand side onto the singular vectors, the kernel
+reads the right singular vectors past the rank and the cokernel the left
+ones; only a cluster that widens is factored again.  Every a^-1 and
 b^-1 above is a triangular solve on its Schur factors
 (``numerics.schur_solve``).
 """
@@ -121,6 +125,7 @@ class SylvesterPair:
         k_a, k_b, scale = self.cluster
         swapped = SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
                                 self.norm_b, self.norm_a, (k_b, k_a, scale), self.cutoff)
+        # fill the swapped pair's cache, so it takes no SVD of its own
         vars(swapped)["shared_svd"] = _swapped(self.shared_svd, k_a, k_b)
         return sylvester_kernel(swapped)
 

@@ -263,7 +263,8 @@ class TestSchurReducedDecision:
         reference = np.kron(np.eye(p.n), b) - np.kron(a.T, np.eye(p.m))
         _, s, vh = np.linalg.svd(reference)
         d = len(basis)
-        assert s[-d] <= 1e-10 * scale < 1e-6 * scale <= s[-d - 1] if d < len(s) else True
+        assert s[-d] <= 1e-10 * scale
+        assert d == len(s) or s[-d - 1] >= 1e-6 * scale
         null = vh[-d:].conj().T
         vectors = np.column_stack([y.reshape(-1, order="F") for y in basis])
         assert np.linalg.norm(vectors @ vectors.conj().T - null @ null.conj().T, 2) <= 1e-10
