@@ -8,8 +8,9 @@ checked for finiteness where it enters (:func:`as_complex_matrix`,
 Each primitive is one BLAS or LAPACK call, made directly: :func:`frob` is
 one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd``, whose factors
 the result keeps so that another right-hand side of the same operator costs
-two products, and :func:`complex_schur` one ``gees`` (its workspace size is
-asked once per order).  At the sizes the pipeline meets most, numpy's wrappers around
+two products, :func:`complex_schur` one ``gees`` (its workspace size is
+asked once per order), and :func:`orthonormal_columns` the ``geqrf`` and
+``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's wrappers around
 these calls would cost about as much as the arithmetic.
 """
 
@@ -205,6 +206,19 @@ def schur_sqrt(schur) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise NumericError("matrix square root produced non-finite values")
     return s
+
+
+def orthonormal_columns(x) -> np.ndarray:
+    """The Q factor of the thin Householder QR of a tall complex128 matrix x
+    (no fewer rows than columns): orthonormal columns whose leading j span
+    the leading j columns of x.  LAPACK geqrf and ungqr, the routines
+    ``numpy.linalg.qr`` calls, made directly."""
+    qr, tau, _, info = lapack.zgeqrf(x)
+    if info == 0:
+        q, _, info = lapack.zungqr(qr[:, :x.shape[1]], tau)
+    if info != 0:
+        raise NumericError(f"QR factorization failed (info {info})")
+    return q
 
 
 def kron_vec_operator(a, b, sign: int) -> np.ndarray:

@@ -57,8 +57,8 @@ from .errors import DimensionError, InversionError, WitnessError
 from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
 from .numerics import (as_sylvester_data, complex_schur, frob, kron_vec_operator,
-                       lstsq_solve, rank_cutoff, reorder_schur, schur_solve,
-                       schur_sylvester, triangular_sylvester, unvec, vec)
+                       lstsq_solve, orthonormal_columns, rank_cutoff, reorder_schur,
+                       schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
 from .regular import (QUADRATURE_GAP_TOL, companion_solve_quadrature, compute_offset,
                       reduced_rhs)
@@ -495,7 +495,8 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
         return ()
     # only the leading k_a rows are nonzero; orthonormal in Schur coordinates
     # stays orthonormal under the unitary qa, qb
-    q, _ = np.linalg.qr(np.column_stack([vec(np.hstack(pair)) for pair in zip(heads, tails)]))
+    q = orthonormal_columns(np.column_stack([vec(np.hstack(pair))
+                                             for pair in zip(heads, tails)]))
     basis = tuple(_phase_fix(qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T) for v in q.T)
     for x in basis:
         x.flags.writeable = False

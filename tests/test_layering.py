@@ -174,9 +174,10 @@ RETIRED_TEST_ONLY_NAMES = (
 # the oracle decides a x - x b = c alone; the tests keep the paper's other
 # equations as their own references
 RETIRED_ORACLE_NAMES = ("EQUATIONS", "_EQUATION_DEGREE", "_decide")
-# prepare orders the factors cluster first once, and the kernel returns the
-# phase-fixed, read-only basis itself
-RETIRED_CLUSTER_NAMES = ("_shared_first", "intertwiner_basis")
+# prepare orders the factors cluster first once, the kernel returns the
+# phase-fixed, read-only basis itself, and each pair's shared block is
+# factored once, by _factor_shared_block
+RETIRED_CLUSTER_NAMES = ("_shared_first", "intertwiner_basis", "_shared_block_lstsq")
 
 
 @pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES

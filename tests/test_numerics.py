@@ -9,7 +9,8 @@ from sylvcert.errors import (BranchCutError, DimensionError, InversionError, Num
                              ParameterError)
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
 from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
-                               lstsq_solve, mat_exp, rank_cutoff, reorder_schur,
+                               lstsq_solve, mat_exp, orthonormal_columns, rank_cutoff,
+                               reorder_schur,
                                schur_solve, schur_sqrt, schur_sylvester,
                                triangular_sylvester, unvec, vec)
 from sylvcert.singular import prepare
@@ -203,6 +204,20 @@ class TestFrob:
     def test_nan_propagates(self):
         assert math.isnan(frob(np.array([[1.0, np.nan]], dtype=np.complex128)))
         assert math.isnan(frob(np.array([np.inf, np.nan])))
+
+
+class TestOrthonormalColumns:
+    def test_is_numpys_reduced_q(self, rng):
+        # the thin Householder QR numpy.linalg.qr takes, by the same LAPACK
+        # routines: orthonormal columns spanning the leading columns in turn
+        for rows, cols in ((1, 1), (6, 1), (8, 3), (28, 2), (16, 16)):
+            x = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+            q = orthonormal_columns(x)
+            assert q.shape == (rows, cols)
+            assert frob(q.conj().T @ q - np.eye(cols)) <= 1e-14 * cols
+            r = q.conj().T @ x
+            assert frob(np.tril(r, -1)) <= 1e-14 * frob(x)
+            np.testing.assert_allclose(q, np.linalg.qr(x)[0], rtol=0, atol=1e-13)
 
 
 class TestLstsq:
