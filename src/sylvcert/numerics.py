@@ -10,8 +10,8 @@ one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd``, whose factors
 the result keeps so that another right-hand side of the same operator costs
 two products, :func:`complex_schur` one ``gees`` (its workspace size is
 asked once per order), and :func:`orthonormal_columns` the ``geqrf`` and
-``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's wrappers around
-these calls would cost about as much as the arithmetic.
+``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's
+wrappers around these calls would cost about as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -210,9 +210,10 @@ def schur_sqrt(schur) -> np.ndarray:
 
 def orthonormal_columns(x) -> np.ndarray:
     """The Q factor of the thin Householder QR of a tall complex128 matrix x
-    (no fewer rows than columns): orthonormal columns whose leading j span
-    the leading j columns of x.  LAPACK geqrf and ungqr, the routines
-    ``numpy.linalg.qr`` calls, made directly."""
+    (no fewer rows than columns): orthonormal columns, the leading j of
+    which span the leading j columns of x when those are independent.
+    LAPACK geqrf and ungqr, the routines ``numpy.linalg.qr`` calls, made
+    directly."""
     qr, tau, _, info = lapack.zgeqrf(x)
     if info == 0:
         q, _, info = lapack.zungqr(qr[:, :x.shape[1]], tau)
