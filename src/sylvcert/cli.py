@@ -267,7 +267,8 @@ def main(argv=None) -> int:
                        "roots": cmd_roots}[args.command]
             doc, lines, code = handler(args, *_load(args, args.file))
         if args.output:
-            # every report ends with the one field no comparison reads
+            # every report ends with the one field no comparison reads,
+            # stamped here alone
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
             try:
                 args.output.write_text(sio.serialize_report(doc), encoding="utf-8")

@@ -3,9 +3,9 @@
 Matrices are serialized as nested arrays of two-element [re, im] pairs (no
 complex-literal dialects), UTF-8 JSON, with dictionary keys emitted in a
 fixed order so reports diff cleanly.  Every pass/fail entry in a report names
-the residual and the threshold that decided it.  Reports carry a
-``generated_at`` timestamp which is the only field excluded from determinism
-comparisons.
+the residual and the threshold that decided it.  A report that
+``cli.main`` writes ends with a ``generated_at`` timestamp, which it alone
+stamps and which is the only field excluded from determinism comparisons.
 
 Reports are written by this module's own writer in one pass: its bytes are
 those of ``json.dumps(doc, indent=2, ensure_ascii=True)``, with json's own
@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import SchemaError
+from .numerics import RANK_CUTOFF_FACTOR
 from .singular import SylvesterProblem, UVWitness, Verdict
 
 SCHEMA_VERSION = "1"
@@ -252,8 +252,6 @@ def _witness_to_dict(w: UVWitness, p: SylvesterProblem) -> dict:
 
 
 def environment_dict(verdict: Verdict, tol: float, seed: int | None) -> dict:
-    from .numerics import RANK_CUTOFF_FACTOR
-
     return {
         "tolerances": {
             "tol": float(tol),
@@ -266,8 +264,7 @@ def environment_dict(verdict: Verdict, tol: float, seed: int | None) -> dict:
     }
 
 
-def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None,
-                    timestamp: str | None = None) -> dict:
+def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None) -> dict:
     p = verdict.problem
     gate = p.gate
     doc = {
@@ -296,7 +293,5 @@ def verdict_to_dict(verdict: Verdict, tol: float, seed: int | None = None,
         },
         "environment": environment_dict(verdict, tol, seed),
         "checks": verdict.checks,
-        "generated_at": timestamp if timestamp is not None
-        else datetime.now(timezone.utc).isoformat(),
     }
     return doc

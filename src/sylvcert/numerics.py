@@ -6,11 +6,11 @@ checked for finiteness where it enters (:func:`as_complex_matrix`,
 :func:`complex_schur` made them.  No argument is mutated.
 
 Each primitive is one BLAS or LAPACK call, made directly: :func:`frob` is
-one ``dot``, the SVD of :func:`lstsq_solve` one ``gesdd``, whose factors
-the result keeps so that another right-hand side of the same operator costs
-two products, :func:`complex_schur` one ``gees`` (its workspace size is
-asked once per order), and :func:`orthonormal_columns` the ``geqrf`` and
-``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's
+one ``dot``, :func:`lstsq_solve` one ``gesdd``, whose factors the result
+keeps, its rank judged at the cutoff the caller passes, so that each
+right-hand side costs two products, :func:`complex_schur` one ``gees`` (its
+workspace size is asked once per order), and :func:`orthonormal_columns` the
+``geqrf`` and ``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's
 wrappers around these calls would cost about as much as the arithmetic.
 """
 
@@ -243,14 +243,11 @@ def kron_vec_operator(a, b, sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LstsqResult:
-    """Minimum-norm least-squares solve with an explicit rank decision, and
-    the thin SVD K = U diag(s) Vh it was read from: another right-hand side
-    of the same K costs two products (:meth:`minimum_norm`), no SVD."""
+    """The thin SVD K = U diag(s) Vh of an operator, with its rank judged at
+    the cutoff the caller passed: each right-hand side costs two products
+    (:meth:`minimum_norm`), no SVD."""
 
-    solution: np.ndarray  # (cols,)
-    residual_norm: float
     rank: int
-    cutoff: float
     near_cutoff: bool  # a singular value landed within 10x of the cutoff
     U: np.ndarray
     s: np.ndarray
@@ -262,35 +259,23 @@ class LstsqResult:
         return self.Vh[self.rank:].conj().T
 
     def minimum_norm(self, rhs) -> np.ndarray:
-        """The minimum-norm least-squares solution of K x = rhs."""
-        return _minimum_norm(self.U, self.s, self.Vh, self.rank, rhs)
+        """The minimum-norm least-squares solution of K x = rhs, for one
+        right-hand side of length rows."""
+        # V_r ((U_r^* rhs) / s_r), over the singular triplets past the rank cutoff
+        r = self.rank
+        return self.Vh[:r].conj().T @ ((self.U[:, :r].conj().T @ rhs) / self.s[:r])
 
 
-def _minimum_norm(U, s, Vh, rank: int, rhs) -> np.ndarray:
-    # V_r ((U_r^* rhs) / s_r), over the singular triplets past the rank cutoff
-    return Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank])
-
-
-def lstsq_solve(K, rhs, scale_reference: float = 0.0,
-                cutoff_shape: tuple | None = None) -> LstsqResult:
-    """Minimum-norm least-squares solution of K x = rhs via SVD, for one
-    right-hand side of length rows, with the factors kept for others.
-
-    The rank is the number of singular values above :func:`rank_cutoff`;
-    solves are flagged ``near_cutoff`` when a singular value falls within a
-    factor 10 of the cutoff.  ``scale_reference`` lets callers judge rank at the scale of the
-    data the operator was built from, which matters when the operator itself
-    nearly vanishes.  ``cutoff_shape`` (default ``K.shape``) names the
-    operator whose rank rule applies when K is one diagonal block of it.
+def lstsq_solve(K, cutoff: float) -> LstsqResult:
+    """The SVD of K, by one gesdd, for minimum-norm least squares: the rank
+    is the number of singular values above ``cutoff``, which the caller
+    takes by :func:`rank_cutoff` at the scale of the data K was built from,
+    and ``near_cutoff`` flags a singular value within a factor 10 of it.
     ``null_space`` spans the null space of K when K has no fewer rows than
     columns, and the columns of ``U`` past the rank span the complement of
     its range when K is square.
     """
     K = as_complex_matrix(K, "K")
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.shape != (K.shape[0],):
-        raise DimensionError(f"rhs must be one vector of length {K.shape[0]}, "
-                             f"got shape {rhs.shape}")
     if K.size:
         U, s, Vh, info = lapack.zgesdd(K, full_matrices=0)
         if info != 0:
@@ -301,9 +286,7 @@ def lstsq_solve(K, rhs, scale_reference: float = 0.0,
                     np.zeros((0, K.shape[1]), dtype=np.complex128))
     # the few singular values of a shared block are judged faster as floats
     values = s.tolist()
-    cutoff = rank_cutoff(cutoff_shape or K.shape, values[0] if values else 0.0, scale_reference)
-    rank = sum(value > cutoff for value in values)
-    near = any(cutoff / 10.0 < value <= cutoff * 10.0 for value in values)
-    solution = _minimum_norm(U, s, Vh, rank, rhs)
-    return LstsqResult(solution=solution, residual_norm=frob(K @ solution - rhs),
-                       rank=rank, cutoff=cutoff, near_cutoff=near, U=U, s=s, Vh=Vh)
+    return LstsqResult(rank=sum(value > cutoff for value in values),
+                       near_cutoff=any(cutoff / 10.0 < value <= cutoff * 10.0
+                                       for value in values),
+                       U=U, s=s, Vh=Vh)

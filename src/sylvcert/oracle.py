@@ -2,9 +2,9 @@
 
 The equation is vectorized into one explicit linear system and decided by
 minimum-norm least squares.  This module builds its operator from scratch
-(sharing only the rank cutoff and the SVD solve with the numerics kernel), so
-agreement with the structured solvers is substantive rather than an artifact
-of shared code paths.
+and applies the SVD's factors itself (sharing only the rank rule and the SVD
+with the numerics kernel), so agreement with the structured solvers is
+substantive rather than an artifact of shared code paths.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import as_complex_matrix, frob, lstsq_solve, require_square, unvec, vec
+from .numerics import (as_complex_matrix, frob, lstsq_solve, rank_cutoff, require_square,
+                       unvec, vec)
 
 DEFAULT_ORACLE_TOL = 1e-8
 
@@ -77,12 +78,15 @@ def oracle_solve(a, b, c, tol: float = DEFAULT_ORACLE_TOL) -> OracleResult:
         raise DimensionError(f"c must be {n}x{m}")
     rhs = vec(c)
 
-    res = lstsq_solve(K, rhs, scale_reference=frob(a) + frob(b))
-    threshold = tol * (frob(K) * frob(res.solution) + frob(rhs))
-    consistent = res.residual_norm <= threshold
+    # ||K||_2 <= ||a||_2 + ||b||_2, so the data's scale bounds K's own
+    res = lstsq_solve(K, rank_cutoff(K.shape, 0.0, frob(a) + frob(b)))
+    x = res.minimum_norm(rhs)
+    residual = frob(K @ x - rhs)
+    threshold = tol * (frob(K) * frob(x) + frob(rhs))
+    consistent = residual <= threshold
     return OracleResult(
-        solution=unvec(res.solution, n, m) if consistent else None,
-        residual=res.residual_norm,
+        solution=unvec(x, n, m) if consistent else None,
+        residual=residual,
         nullity=K.shape[1] - res.rank,
         consistent=consistent,
         threshold=threshold,

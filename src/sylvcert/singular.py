@@ -36,10 +36,11 @@ against a threshold at its own scale.
 :func:`prepare` validates the input, factors each matrix once and builds the
 shifted pair; a :class:`SylvesterProblem` is that pair plus c.  The decision
 and both kernels read the pair and never mark or reorder.  The shared block
-is factored by one SVD per pair, ``SylvesterPair.shared_svd``: every
-decision projects its right-hand side onto the singular vectors, the kernel
-reads the right singular vectors past the rank and the cokernel the left
-ones; only a cluster that widens is factored again.  Every a^-1 and
+is factored by one SVD per pair, ``SylvesterPair.shared_svd``, its rank
+judged at the pair's one cutoff, ``SylvesterPair.cutoff``: every decision
+projects its right-hand side onto the singular vectors, the kernel reads the
+right singular vectors past the rank and the cokernel the left ones; only a
+cluster that widens is factored again.  Every a^-1 and
 b^-1 above is a triangular solve on its Schur factors
 (``numerics.schur_solve``).
 """
@@ -90,8 +91,9 @@ class SylvesterPair:
     # (k_a, k_b, scale): the leading k_a and k_b eigenvalues of the factors
     # are shared at the scale norm_a + norm_b
     cluster: tuple
-    # the rank rule's cutoff for the nm operator at that scale, read by the
-    # decision, the kernel and the cokernel
+    # the rank rule's cutoff for the nm operator at that scale: the pair's
+    # one cutoff, read by the shared block's SVD, the decision, the kernel
+    # and the cokernel
     cutoff: float
 
     @property
@@ -185,7 +187,6 @@ class UVSystemReport:
     u: np.ndarray  # the least-squares answer, in the original coordinates
     lstsq_residual: float
     threshold: float
-    rank: int
     marginal: bool  # residual within 10x of the threshold: too close to call
     near_cutoff: bool = False  # the rank decision itself sat near the cutoff
     cluster_sizes: tuple = (0, 0)  # (k_a, k_b): eigenvalues in the shared block
@@ -351,16 +352,13 @@ def cluster_first(a, b, schur_a, schur_b) -> tuple:
 def _factor_shared_block(pair: SylvesterPair, k_a: int, k_b: int):
     """The SVD of y |-> a11 y - y b11 on the pair's Schur factors, whose
     leading k_a and k_b eigenvalues are taken as the shared cluster, rank
-    judged by the rule of the full nm operator at the pair's scale; None for
-    an empty block.  The one place a shared block is factored: the pair
-    keeps its own cluster's, and only a widened cluster comes back here."""
+    judged at the pair's cutoff; None for an empty block.  The one place a
+    shared block is factored: the pair keeps its own cluster's, and only a
+    widened cluster comes back here."""
     if not (k_a and k_b):
         return None
     (ta, _), (tb, _) = pair.schur_a, pair.schur_b
-    nm = pair.n * pair.m
-    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1),
-                       np.zeros(k_a * k_b), scale_reference=pair.cluster[2],
-                       cutoff_shape=(nm, nm))
+    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), pair.cutoff)
 
 
 def _shared_svd(pair: SylvesterPair, k_a: int, k_b: int):
@@ -374,7 +372,7 @@ def _swapped(svd, k_a: int, k_b: int):
     K: y |-> a11 y - y b11 (y k_a x k_b).  With the perfect shuffle P,
     P vec(y) = vec(y^T), the swapped operator is -P K^T P^T, so its factors
     are U' = -P Vh^T and Vh' = U^T P^T with the same singular values, rank
-    and cutoff; its null space is P conj(U) past the rank."""
+    and ``near_cutoff``; its null space is P conj(U) past the rank."""
     if svd is None:
         return None
 
@@ -465,7 +463,6 @@ def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSy
     threshold = tol * (rhs_norm + data_scale * u_norm)
     return UVSystemReport(
         u=u, lstsq_residual=residual, threshold=threshold,
-        rank=n * m - k_a * k_b + (0 if shared is None else shared.rank),
         marginal=threshold < residual <= 10.0 * threshold,
         near_cutoff=shared is not None and shared.near_cutoff,
         cluster_sizes=(k_a, k_b))

@@ -5,7 +5,7 @@ from hypothesis import settings
 
 from sylvcert.errors import PreconditionError
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
-from sylvcert.numerics import complex_schur, frob, lstsq_solve, schur_sylvester
+from sylvcert.numerics import complex_schur, frob, lstsq_solve, rank_cutoff, schur_sylvester
 from sylvcert.oracle import OracleResult
 from sylvcert.regular import compute_offset, reduced_rhs
 from sylvcert.roots import UNIPOTENT_TOL
@@ -116,17 +116,27 @@ def uv_stacked_operator(a, b):
     return np.vstack([np.hstack([left, right]), cubic])
 
 
+def dense_lstsq(K, rhs, scale_reference: float = 0.0) -> tuple:
+    """(SVD, z, residual) of the minimum-norm least-squares solve of
+    K z = rhs, the rank judged at the larger of K's own norm and
+    ``scale_reference``."""
+    K = np.asarray(K, dtype=np.complex128)
+    res = lstsq_solve(K, rank_cutoff(K.shape, np.linalg.norm(K, 2), scale_reference))
+    z = res.minimum_norm(rhs)
+    return res, z, frob(K @ z - rhs)
+
+
 def _dense_decision(K, rhs, a, b, degree, shaped, tol):
     """Least-squares decision of K z = rhs like the oracle's, with the rank
     judged at the largest power up to ``degree`` of ||a|| + ||b|` and the
     solution passed through ``shaped``."""
     data_scale = float(np.linalg.norm(a)) + float(np.linalg.norm(b))
-    res = lstsq_solve(K, rhs, scale_reference=max(data_scale ** d for d in range(1, degree + 1)))
-    threshold = tol * (float(np.linalg.norm(K)) * float(np.linalg.norm(res.solution))
+    res, z, residual = dense_lstsq(K, rhs, max(data_scale ** d for d in range(1, degree + 1)))
+    threshold = tol * (float(np.linalg.norm(K)) * float(np.linalg.norm(z))
                        + float(np.linalg.norm(rhs)))
-    consistent = res.residual_norm <= threshold
-    return OracleResult(solution=shaped(res.solution) if consistent else None,
-                        residual=res.residual_norm, nullity=K.shape[1] - res.rank,
+    consistent = residual <= threshold
+    return OracleResult(solution=shaped(z) if consistent else None,
+                        residual=residual, nullity=K.shape[1] - res.rank,
                         consistent=consistent, threshold=threshold, rank=res.rank,
                         near_cutoff=res.near_cutoff)
 

@@ -13,14 +13,15 @@ from sylvcert.instances import (matrix_with_eigenvalues, random_sector_eigenvalu
                                 regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.io import parse_report, problem_to_dict, serialize_report
-from sylvcert.numerics import frob, lstsq_solve, schur_sylvester
+from sylvcert.numerics import frob, schur_sylvester
 from sylvcert.oracle import oracle_solve
 from sylvcert.regular import companion_solve_quadrature, compute_offset, reduced_rhs
 from sylvcert.roots import (block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces, solve_unipotent_quadratic)
 from sylvcert.singular import VerdictStatus, diagnose, prepare
 
-from conftest import companion_solution, pair_equation_residuals, pair_equation_rows
+from conftest import (companion_solution, dense_lstsq, pair_equation_residuals,
+                      pair_equation_rows)
 
 SEED = 735001
 
@@ -145,9 +146,9 @@ def test_criterion_5_pair_cascade():
             for j in range(i + 1, len(keys)):
                 K = np.vstack([rows[keys[i]][0], rows[keys[j]][0]])
                 rhs = np.concatenate([rows[keys[i]][1], rows[keys[j]][1]])
-                res = lstsq_solve(K, rhs)
-                v = res.solution[: p.n * p.m].reshape((p.n, p.m), order="F")
-                u = res.solution[p.n * p.m:].reshape((p.n, p.m), order="F")
+                _, z, _ = dense_lstsq(K, rhs)
+                v = z[: p.n * p.m].reshape((p.n, p.m), order="F")
+                u = z[p.n * p.m:].reshape((p.n, p.m), order="F")
                 residuals = pair_equation_residuals(p.a, p.b, companion, offset, p.c, u, v)
                 both_pass = (residuals[keys[i]] <= tol * scale
                              and residuals[keys[j]] <= tol * scale)

@@ -14,7 +14,10 @@ never a dense SVD.  Inverses are applied by one solve
 routine, never formed, and no dense solve is taken.  The root bridge reads
 the companion solution and its offset off the problem, where each is taken
 at most once, and searches on dense stacked arrays; no typed block-matrix
-class or typed product exists.  Each pair's shared block is factored by
+class or typed product exists.  The rank rule is taken where the data's
+scale is known, by ``singular.cluster_first`` for a pair, the oracle and the
+unsolvable-instance generator; ``numerics.lstsq_solve`` judges rank at the
+cutoff its caller passes.  Each pair's shared block is factored by
 one SVD, which every decision, the kernel and the cokernel apply:
 ``diagnose`` takes one, and a cokernel read after its kernel none.  One
 bridge operation takes each Schur factorization once, one coupling decision
@@ -138,6 +141,15 @@ def test_kronecker_products_taken_only_by_the_oracle():
     # the oracle takes its own products through its private _kron
     assert callers_of("_kron") == {("oracle", "build_operator")}
     assert callers_of("kron") == set()
+
+
+def test_rank_cutoff_taken_only_where_the_data_scale_is_known():
+    # the pair's one cutoff, the oracle's and the test generator's; the SVD
+    # entry judges rank at the cutoff its caller passes
+    assert callers_of("rank_cutoff") == {("singular", "cluster_first"),
+                                         ("oracle", "oracle_solve"),
+                                         ("instances", "rhs_outside_range")}
+    assert set(inspect.signature(sylvcert.lstsq_solve).parameters) == {"K", "cutoff"}
 
 
 def test_complex_schur_called_only_where_factors_are_made():

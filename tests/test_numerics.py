@@ -53,7 +53,7 @@ class TestValidation:
             as_complex_matrix(np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("call", [
-        lambda bad: lstsq_solve(bad, [1.0]),
+        lambda bad: lstsq_solve(bad, 0.0),
         lambda bad: kron_vec_operator(bad, [[1.0]], -1),
         lambda bad: kron_vec_operator([[1.0]], bad, -1),
         complex_schur,
@@ -64,8 +64,7 @@ class TestValidation:
             call([[value]])
 
     def test_lstsq_takes_a_scalar_operator(self):
-        res = lstsq_solve(2.0, [4.0])
-        np.testing.assert_allclose(res.solution, [2.0])
+        np.testing.assert_allclose(lstsq_solve(2.0, 1e-12).minimum_norm([4.0]), [2.0])
 
 
 def spectrum(m) -> np.ndarray:
@@ -224,59 +223,63 @@ class TestLstsq:
     def test_empty_operator_keeps_its_empty_result(self, capfd):
         # gesdd would reject a 0-size operator and write to stderr
         for rows, cols in ((0, 3), (3, 0), (0, 0)):
-            res = lstsq_solve(np.zeros((rows, cols)), np.zeros(rows))
-            np.testing.assert_array_equal(res.solution, np.zeros(cols))
-            assert (res.residual_norm, res.rank, res.cutoff, res.near_cutoff) == \
-                (0.0, 0, 0.0, False)
+            res = lstsq_solve(np.zeros((rows, cols)), 1e-12)
+            np.testing.assert_array_equal(res.minimum_norm(np.zeros(rows)), np.zeros(cols))
+            assert (res.rank, res.near_cutoff) == (0, False)
             assert res.null_space.shape == (cols, 0)
         assert capfd.readouterr() == ("", "")
 
-    def test_rejects_a_block_rhs(self):
-        # one right-hand side per solve
-        with pytest.raises(DimensionError):
-            lstsq_solve(np.eye(2), np.ones((2, 2)))
-
     def test_identity_system(self):
-        res = lstsq_solve(np.eye(2), [1, 2])
-        np.testing.assert_allclose(res.solution, [1, 2])
-        assert res.residual_norm == 0
+        res = lstsq_solve(np.eye(2), 1e-12)
+        np.testing.assert_array_equal(res.minimum_norm([1, 2]), [1, 2])
         assert res.rank == 2
 
     def test_inconsistent_zero_operator(self):
-        res = lstsq_solve([[0.0]], [1.0])
+        res = lstsq_solve([[0.0]], 1e-12)
         assert res.rank == 0
-        assert res.residual_norm == 1.0
-        np.testing.assert_array_equal(res.solution, [0])
+        # the minimum-norm answer of 0 x = 1 is 0, with residual 1
+        np.testing.assert_array_equal(res.minimum_norm([1.0]), [0])
 
     def test_jordan_range_minimum_norm(self):
-        res = lstsq_solve([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0])
-        np.testing.assert_allclose(res.solution, [0, 1], atol=1e-14)
-        assert res.residual_norm <= 1e-14
+        K = np.array([[0.0, 1.0], [0.0, 0.0]])
+        res = lstsq_solve(K, 1e-12)
+        x = res.minimum_norm([1.0, 0.0])
+        np.testing.assert_allclose(x, [0, 1], atol=1e-14)
+        assert frob(K @ x - [1.0, 0.0]) <= 1e-14
         assert res.rank == 1
 
     def test_minimum_norm_among_solutions(self, rng):
         # wide consistent system: solution must be the pseudoinverse answer
         K = rng.normal(size=(2, 4))
         rhs = K @ rng.normal(size=4)
-        res = lstsq_solve(K, rhs)
-        np.testing.assert_allclose(res.solution, np.linalg.pinv(K) @ rhs, atol=1e-12)
+        x = lstsq_solve(K, 1e-12).minimum_norm(rhs)
+        np.testing.assert_allclose(x, np.linalg.pinv(K) @ rhs, atol=1e-12)
 
-    def test_cutoff_judged_at_scale_reference(self):
+    def test_rank_and_near_cutoff_are_judged_at_the_given_cutoff(self):
+        # a singular value at the cutoff counts as zero and one just above
+        # it does not, whatever K's own norm; near_cutoff flags a singular
+        # value in (cutoff / 10, 10 cutoff]
+        K = np.diag([1.0, 2.0 ** -10, 2.0 ** -30])
+        for cutoff, rank, near in ((2.0 ** -10, 1, True),
+                                   (np.nextafter(2.0 ** -10, 0.0), 2, True),
+                                   (2.0 ** -20, 2, False),
+                                   (5 * 2.0 ** -30, 2, True),
+                                   (10 * 2.0 ** -30, 2, False),
+                                   (0.0, 3, False),
+                                   (2.0, 0, True)):
+            res = lstsq_solve(K, cutoff)
+            assert (res.rank, res.near_cutoff) == (rank, near), cutoff
+
+    def test_callers_take_the_rank_rule_at_their_data_and_operator(self):
         # a singular value that is large against the operator but small
-        # against the data it was built from counts as zero
+        # against the data it was built from counts as zero, and so does one
+        # of a diagonal block judged by the rule of the operator it came from
         K = np.array([[1e-9, 0.0], [0.0, 1.0]])
-        assert lstsq_solve(K, [1.0, 1.0]).rank == 2
-        res = lstsq_solve(K, [1.0, 1.0], scale_reference=1e6)
-        assert res.rank == 1
-        assert res.cutoff == rank_cutoff(K.shape, 1.0, 1e6)
-
-    def test_cutoff_shape_names_the_full_operator(self):
-        # a diagonal block judged by the rank rule of the operator it came from
-        K = np.array([[1e-11]])
-        assert lstsq_solve(K, [1.0], scale_reference=1.0).rank == 1
-        res = lstsq_solve(K, [1.0], scale_reference=1.0, cutoff_shape=(100, 100))
-        assert res.rank == 0
-        assert res.cutoff == rank_cutoff((100, 100), 1e-11, 1.0)
+        assert lstsq_solve(K, rank_cutoff(K.shape, 1.0)).rank == 2
+        assert lstsq_solve(K, rank_cutoff(K.shape, 0.0, 1e6)).rank == 1
+        block = np.array([[1e-11]])
+        assert lstsq_solve(block, rank_cutoff(block.shape, 0.0, 1.0)).rank == 1
+        assert lstsq_solve(block, rank_cutoff((100, 100), 0.0, 1.0)).rank == 0
 
 
 class TestSchurKernels:

@@ -6,7 +6,8 @@ outside the range widens a too narrow cluster, the stacked root search
 agrees with a search of one candidate at a time, the root bridge's outcome
 is unchanged under a unitary similarity of the problem, every solvable
 verdict's certificate passes, a shared pair's kernel and cokernel have one
-dimension, and the verdict is unchanged under every transformation that
+dimension, the data's scale bounds every shared block and its rank is
+judged at the pair's one cutoff, and the verdict is unchanged under every transformation that
 keeps solvability: unitary similarity, transposition, a common shift and
 scaling.
 
@@ -20,7 +21,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from sylvcert import gate
+from sylvcert import gate, singular
 from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
@@ -117,6 +118,24 @@ def test_shared_pair_kernel_and_cokernel_have_one_dimension(pair):
     # shared block: the right and the left singular vectors past the rank
     p = prepare(*pair)
     assert len(p.kernel) == len(p.cokernel) >= 1
+
+
+@PROPERTY
+@given(pairs())
+def test_shared_block_rank_is_judged_at_the_pair_cutoff(pair):
+    # ||I (x) a11 - b11^T (x) I||_2 <= ||a||_2 + ||b||_2 <= ||a||_F + ||b||_F,
+    # so the data's scale bounds the pair's own shared block and a widened
+    # one, and each SVD's rank and near_cutoff read the pair's one cutoff
+    p = prepare(*pair)
+    k_a, k_b, scale = p.cluster
+    svds = [svd for svd in (p.shared_svd, singular._shared_svd(p, p.n, p.m)) if svd is not None]
+    assert len(svds) == (2 if k_a else 1)
+    for svd in svds:
+        values = svd.s.tolist()
+        assert values[0] <= scale
+        assert svd.rank == sum(value > p.cutoff for value in values)
+        assert svd.near_cutoff == any(p.cutoff / 10 < value <= 10 * p.cutoff
+                                      for value in values)
 
 
 @st.composite

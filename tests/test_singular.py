@@ -18,8 +18,8 @@ from sylvcert.singular import (DEFAULT_TOL, UVWitness, VerdictStatus, check_entr
                                cluster_first, decide_sylvester, diagnose, particular_solution, prepare, solution_from_u,
                                solve_uv_report, sylvester_kernel)
 
-from conftest import (pair_equation_residuals, pair_equation_rows, shared_cluster_pair,
-                      uv_stacked_reference)
+from conftest import (dense_lstsq, pair_equation_residuals, pair_equation_rows,
+                      shared_cluster_pair, uv_stacked_reference)
 
 JORDAN_A = np.array([[1, 1], [0, 1]], dtype=complex)
 UNIT_B = np.array([[1]], dtype=complex)
@@ -135,9 +135,9 @@ class TestSchurReducedDecision:
         c = rhs_in_range(rng, a, b)
         unknowns = []
 
-        def spy(K, rhs, **kwargs):
+        def spy(K, cutoff):
             unknowns.append(np.shape(K)[1])
-            return lstsq_solve(K, rhs, **kwargs)
+            return lstsq_solve(K, cutoff)
 
         monkeypatch.setattr(singular, "lstsq_solve", spy)
         verdict = diagnose(a, b, c)
@@ -158,9 +158,9 @@ class TestSchurReducedDecision:
             p.schur_a[0].diagonal(), p.schur_b[0].diagonal(), frob(p.a) + frob(p.b))
         unknowns = []
 
-        def spy(K, rhs, **kwargs):
+        def spy(K, cutoff):
             unknowns.append(np.shape(K)[1])
-            return lstsq_solve(K, rhs, **kwargs)
+            return lstsq_solve(K, cutoff)
 
         monkeypatch.setattr(singular, "lstsq_solve", spy)
         report = singular.decide_sylvester(p, np.zeros((n, n)))
@@ -274,7 +274,8 @@ class TestSchurReducedDecision:
         (ta, _), (tb, _) = p.schur_a, p.schur_b
         operator = kron_vec_operator(tb[:k_b, :k_b], ta[:k_a, :k_a], -1)
         assert frob(swapped.U * swapped.s @ swapped.Vh - operator) <= 1e-13 * scale
-        assert (swapped.rank, swapped.cutoff) == (p.shared_svd.rank, p.shared_svd.cutoff)
+        assert (swapped.rank, swapped.near_cutoff) == \
+            (p.shared_svd.rank, p.shared_svd.near_cutoff)
 
     def test_stress_ladder_agrees_with_oracle(self):
         # shared Jordan clusters of size 2-4, split by about eps^(1/k), some
@@ -784,9 +785,9 @@ class TestPairCascade:
             for j in range(i + 1, len(keys)):
                 K = np.vstack([rows[keys[i]][0], rows[keys[j]][0]])
                 rhs = np.concatenate([rows[keys[i]][1], rows[keys[j]][1]])
-                res = lstsq_solve(K, rhs)
-                v = res.solution[: p.n * p.m].reshape((p.n, p.m), order="F")
-                u = res.solution[p.n * p.m:].reshape((p.n, p.m), order="F")
+                _, z, _ = dense_lstsq(K, rhs)
+                v = z[: p.n * p.m].reshape((p.n, p.m), order="F")
+                u = z[p.n * p.m:].reshape((p.n, p.m), order="F")
                 residuals = pair_equation_residuals(p.a, p.b, companion, offset, p.c, u, v)
                 if residuals[keys[i]] <= tol * scale and residuals[keys[j]] <= tol * scale:
                     for key in keys:
@@ -808,9 +809,9 @@ class TestPairCascade:
             for j in range(i + 1, len(keys)):
                 K = np.vstack([rows[keys[i]][0], rows[keys[j]][0]])
                 rhs = np.concatenate([rows[keys[i]][1], rows[keys[j]][1]])
-                res = lstsq_solve(K, rhs)
-                v = res.solution[: p.n * p.m].reshape((p.n, p.m), order="F")
-                u = res.solution[p.n * p.m:].reshape((p.n, p.m), order="F")
+                _, z, _ = dense_lstsq(K, rhs)
+                v = z[: p.n * p.m].reshape((p.n, p.m), order="F")
+                u = z[p.n * p.m:].reshape((p.n, p.m), order="F")
                 residuals = pair_equation_residuals(p.a, p.b, companion, offset, p.c, u, v)
                 if residuals[keys[i]] <= tol * scale and residuals[keys[j]] <= tol * scale:
                     consistent_pairs += 1
