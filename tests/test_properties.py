@@ -7,9 +7,9 @@ agrees with a search of one candidate at a time, the root bridge's outcome
 is unchanged under a unitary similarity of the problem, every solvable
 verdict's certificate passes, a shared pair's kernel and cokernel have one
 dimension, the data's scale bounds every shared block and its rank is
-judged at the pair's one cutoff, and the verdict is unchanged under every transformation that
-keeps solvability: unitary similarity, transposition, a common shift and
-scaling.
+judged at the pair's one cutoff, and the verdict is unchanged under every
+transformation that keeps solvability: unitary similarity, transposition, a
+common shift and scaling.
 
 Examples are derandomized, so every run draws the same pairs.
 """
@@ -127,7 +127,7 @@ def test_shared_block_rank_is_judged_at_the_pair_cutoff(pair):
     # so the data's scale bounds the pair's own shared block and a widened
     # one, and each SVD's rank and near_cutoff read the pair's one cutoff
     p = prepare(*pair)
-    k_a, k_b, scale = p.cluster
+    k_a, _, scale = p.cluster
     svds = [svd for svd in (p.shared_svd, singular._shared_svd(p, p.n, p.m)) if svd is not None]
     assert len(svds) == (2 if k_a else 1)
     for svd in svds:
