@@ -23,14 +23,15 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import SchemaError
+from .gate import DEFAULT_ALPHA
 from .numerics import RANK_CUTOFF_FACTOR
-from .singular import SylvesterProblem, UVWitness, Verdict
+from .singular import DEFAULT_TOL, SylvesterProblem, UVWitness, Verdict
 
 SCHEMA_VERSION = "1"
 KNOWN_SCHEMA_VERSIONS = ("1",)
 METHODS = ("direct", "quadrature")
 
-DEFAULT_OPTIONS = {"alpha": math.pi / 4, "tol": 1e-8, "method": "direct"}
+DEFAULT_OPTIONS = {"alpha": DEFAULT_ALPHA, "tol": DEFAULT_TOL, "method": "direct"}
 # the open interval each numeric option must lie in, and its text
 OPTION_RANGES = {"alpha": (0.0, math.pi / 2, "(0, pi/2)"), "tol": (0.0, 1.0, "(0, 1)")}
 

@@ -19,8 +19,9 @@ from .numerics import (as_complex_matrix, frob, lstsq_solve, rank_cutoff, requir
 
 DEFAULT_ORACLE_TOL = 1e-8
 
-# largest nm the pipeline hands to the dense oracle: its operator alone takes
-# 16 (nm)^2 bytes (256 MiB at the cap) and its SVD O((nm)^3) time
+# largest nm the pipeline hands to the dense oracle: its operator takes
+# 16 (nm)^2 bytes, the oracle about 9.5 times that at its peak (50.6 MB at
+# n = m = 24 by tracemalloc; 2.4 GiB at the cap), and its SVD O((nm)^3) time
 ORACLE_MAX_UNKNOWNS = 4096
 
 

@@ -39,10 +39,10 @@ and both kernels read the pair and never mark or reorder.  The shared block
 is factored by one SVD per pair, ``SylvesterPair.shared_svd``, its rank
 judged at the pair's one cutoff, ``SylvesterPair.cutoff``: every decision
 projects its right-hand side onto the singular vectors, the kernel reads the
-right singular vectors past the rank and the cokernel the left ones; only a
-cluster that widens is factored again.  Every a^-1 and
-b^-1 above is a triangular solve on its Schur factors
-(``numerics.schur_solve``).
+right singular vectors past the rank and the cokernel the left ones.  The
+fallback cluster, the whole spectra, is the pair's ``widened``; each cluster,
+widened or not, is factored once per pair.  Every a^-1 and b^-1 above is a
+triangular solve on its Schur factors (``numerics.schur_solve``).
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class VerdictStatus(str, enum.Enum):
 @dataclass(frozen=True)
 class SylvesterPair:
     """The pair (a, b), factored and normed once; every c is decided against
-    it.  Only :func:`cluster_first` builds one (and ``cokernel`` its swap)."""
+    it.  Only :func:`cluster_first` builds one (and ``cokernel`` its swap,
+    ``widened`` its whole-spectra cluster)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -88,8 +89,8 @@ class SylvesterPair:
     schur_b: tuple
     norm_a: float  # ||a||_F
     norm_b: float  # ||b||_F
-    # (k_a, k_b, scale): the leading k_a and k_b eigenvalues of the factors
-    # are shared at the scale norm_a + norm_b
+    # (k_a, k_b): the leading k_a and k_b eigenvalues of the factors are
+    # shared at the scale norm_a + norm_b
     cluster: tuple
     # the rank rule's cutoff for the nm operator at that scale: the pair's
     # one cutoff, read by the shared block's SVD, the decision, the kernel
@@ -107,11 +108,26 @@ class SylvesterPair:
     @functools.cached_property
     def shared_svd(self):
         """The SVD (a :class:`~sylvcert.numerics.LstsqResult`) of the shared
-        block's operator, taken once per pair by :func:`_factor_shared_block`;
-        None when the cluster is empty.  Every decision, the kernel and the
-        cokernel apply it.  (A frozen dataclass may cache it: the property
-        writes the instance ``__dict__``, not an attribute.)"""
-        return _factor_shared_block(self, *self.cluster[:2])
+        block's operator y |-> a11 y - y b11, rank judged at the pair's
+        cutoff; None when the cluster is empty.  The one place a shared block
+        is factored: every decision, the kernel and the cokernel apply it.  (A
+        frozen dataclass may cache it: the property writes the instance
+        ``__dict__``, not an attribute.)"""
+        k_a, k_b = self.cluster
+        if not (k_a and k_b):
+            return None
+        (ta, _), (tb, _) = self.schur_a, self.schur_b
+        return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), self.cutoff)
+
+    @functools.cached_property
+    def widened(self) -> SylvesterPair:
+        """This pair with the whole spectra as its cluster, or itself when its
+        cluster is whole: the fallback of a decision or a kernel whose
+        cluster proves too narrow, factored once however many widen."""
+        if self.cluster == (self.n, self.m):
+            return self
+        return SylvesterPair(self.a, self.b, self.schur_a, self.schur_b,
+                             self.norm_a, self.norm_b, (self.n, self.m), self.cutoff)
 
     @functools.cached_property
     def kernel(self) -> tuple:
@@ -124,9 +140,9 @@ class SylvesterPair:
         """Read-only basis of {y : b y = y a}: the kernel of the swapped
         pair, whose cluster is this one with the sides swapped and whose
         shared block's SVD is read off this pair's (:func:`_swapped`)."""
-        k_a, k_b, scale = self.cluster
+        k_a, k_b = self.cluster
         swapped = SylvesterPair(self.b, self.a, self.schur_b, self.schur_a,
-                                self.norm_b, self.norm_a, (k_b, k_a, scale), self.cutoff)
+                                self.norm_b, self.norm_a, (k_b, k_a), self.cutoff)
         # fill the swapped pair's cache, so it takes no SVD of its own
         vars(swapped)["shared_svd"] = _swapped(self.shared_svd, k_a, k_b)
         return sylvester_kernel(swapped)
@@ -344,27 +360,9 @@ def cluster_first(a, b, schur_a, schur_b) -> tuple:
     select_a, select_b, tolerance = shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
     nm = a.shape[0] * b.shape[0]
     pair = SylvesterPair(a, b, reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
-                         norm_a, norm_b, (int(select_a.sum()), int(select_b.sum()), scale),
+                         norm_a, norm_b, (int(select_a.sum()), int(select_b.sum())),
                          rank_cutoff((nm, nm), 0.0, scale))
     return pair, tolerance
-
-
-def _factor_shared_block(pair: SylvesterPair, k_a: int, k_b: int):
-    """The SVD of y |-> a11 y - y b11 on the pair's Schur factors, whose
-    leading k_a and k_b eigenvalues are taken as the shared cluster, rank
-    judged at the pair's cutoff; None for an empty block.  The one place a
-    shared block is factored: the pair keeps its own cluster's, and only a
-    widened cluster comes back here."""
-    if not (k_a and k_b):
-        return None
-    (ta, _), (tb, _) = pair.schur_a, pair.schur_b
-    return lstsq_solve(kron_vec_operator(ta[:k_a, :k_a], tb[:k_b, :k_b], -1), pair.cutoff)
-
-
-def _shared_svd(pair: SylvesterPair, k_a: int, k_b: int):
-    # the pair's own cluster is factored once and kept; a widened one on demand
-    return pair.shared_svd if (k_a, k_b) == pair.cluster[:2] else \
-        _factor_shared_block(pair, k_a, k_b)
 
 
 def _swapped(svd, k_a: int, k_b: int):
@@ -383,46 +381,46 @@ def _swapped(svd, k_a: int, k_b: int):
     return replace(svd, U=-shuffle(svd.Vh.T), Vh=shuffle(svd.U).T)
 
 
-def _schur_reduced_solve(pair: SylvesterPair, r, k_a: int, k_b: int):
+def _schur_reduced_solve(pair: SylvesterPair, r):
     """Solve ta y - y tb = r blockwise, on the pair's Schur factors ta, tb
-    with their leading k_a and k_b eigenvalues taken as the shared cluster.
+    whose leading k_a and k_b eigenvalues are the pair's cluster.
 
     Block row 2, [y21 y22], pairs the unshared eigenvalues of a, each
     farther than the cluster tolerance from every eigenvalue of b, with all
     of tb, and is solved by one trsyl; then the shared block (1,1), the only
     one decided by rank-revealing least squares with the rank rule of the
-    full nm operator, on the block's SVD (:func:`_shared_svd`); then block
-    (1,2) by trsyl.  Returns (y, that SVD or None); y is None when a regular
-    block amplifies its right-hand side past the pair's cutoff.  Blocks
-    (2,1) and (2,2) are tested apart, so a gain in one cannot hide behind
-    the other's right-hand side.
+    full nm operator, on the pair's ``shared_svd``; then block (1,2) by
+    trsyl.  Returns y, or None when a regular block amplifies its
+    right-hand side past the pair's cutoff.  Blocks (2,1) and (2,2) are
+    tested apart, so a gain in one cannot hide behind the other's
+    right-hand side.
     """
     (ta, _), (tb, _) = pair.schur_a, pair.schur_b
-    n, m, cutoff = pair.n, pair.m, pair.cutoff
+    (k_a, k_b), n, m, cutoff = pair.cluster, pair.n, pair.m, pair.cutoff
     a11, a12 = ta[:k_a, :k_a], ta[:k_a, k_a:]
     b12, b22 = tb[:k_b, k_b:], tb[k_b:, k_b:]
     try:
         y2 = triangular_sylvester(ta[k_a:, k_a:], tb, r[k_a:], -1)
     except InversionError:
-        return None, None
+        return None
     # tb is triangular, so the first k_b columns of y2 are block (2,1)'s own
     # solution, and the others solve a22 y22 - y22 b22 = r22 + y21 b12
     y21 = y2[:, :k_b]
     if (_amplifies(y21, r[k_a:, :k_b], cutoff)
             or _amplifies(y2[:, k_b:], r[k_a:, k_b:] + y21 @ b12, cutoff)):
-        return None, None
+        return None
     y = np.zeros((n, m), dtype=np.complex128)
     y[k_a:] = y2
-    shared = _shared_svd(pair, k_a, k_b)
+    shared = pair.shared_svd
     if shared is not None:
         y[:k_a, :k_b] = unvec(shared.minimum_norm(vec(r[:k_a, :k_b] - a12 @ y2[:, :k_b])),
                               k_a, k_b)
     y12 = _regular_block(a11, b22, r[:k_a, k_b:] - a12 @ y2[:, k_b:] + y[:k_a, :k_b] @ b12,
                          cutoff)
     if y12 is None:
-        return None, shared
+        return None
     y[:k_a, k_b:] = y12
-    return y, shared
+    return y
 
 
 def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSystemReport:
@@ -441,8 +439,7 @@ def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSy
     10 of it are flagged marginal rather than forced into a binary answer.
     """
     (_, qa), (_, qb) = pair.schur_a, pair.schur_b
-    k_a, k_b, data_scale = pair.cluster
-    n, m = pair.n, pair.m
+    n, m, data_scale = pair.n, pair.m, pair.norm_a + pair.norm_b
     rhs = np.asarray(rhs, dtype=np.complex128)
     if rhs.shape != (n, m):
         raise DimensionError(f"rhs must be {n}x{m}, got shape {rhs.shape}")
@@ -450,22 +447,23 @@ def decide_sylvester(pair: SylvesterPair, rhs, tol: float = DEFAULT_TOL) -> UVSy
     rhs_norm = frob(rhs)
     # the whole spectra form the fallback cluster, where every block is
     # shared and the decision always stands
-    for k_a, k_b in ((k_a, k_b), (n, m)):
-        y, shared = _schur_reduced_solve(pair, r, k_a, k_b)
+    for pair in (pair, pair.widened):
+        y = _schur_reduced_solve(pair, r)
         if y is not None:
             u = qa @ y @ qb.conj().T
             u_norm = frob(u)
             # a u so large that u = 0 would pass the threshold too decides
             # nothing; u = 0 at rhs = 0 decides
-            if (k_a, k_b) == (n, m) or not tol * data_scale * u_norm > rhs_norm:
+            if pair.cluster == (n, m) or not tol * data_scale * u_norm > rhs_norm:
                 break
     residual = frob(pair.a @ u - u @ pair.b - rhs)
     threshold = tol * (rhs_norm + data_scale * u_norm)
+    shared = pair.shared_svd
     return UVSystemReport(
         u=u, lstsq_residual=residual, threshold=threshold,
         marginal=threshold < residual <= 10.0 * threshold,
         near_cutoff=shared is not None and shared.near_cutoff,
-        cluster_sizes=(k_a, k_b))
+        cluster_sizes=pair.cluster)
 
 
 def sylvester_kernel(pair: SylvesterPair) -> tuple:
@@ -477,12 +475,10 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
     zero, and an extension that blows up widens the cluster to the whole
     spectra."""
     (ta, qa), (tb, qb) = pair.schur_a, pair.schur_b
-    k_a, k_b, _ = pair.cluster
-    n, m = pair.n, pair.m
-    for k_a, k_b in ((k_a, k_b), (n, m)):
+    for pair in (pair, pair.widened):
         # at rhs = 0 the regular blocks of the decision are zero, so only
         # the shared block's null vectors need solving for
-        shared = _shared_svd(pair, k_a, k_b)
+        (k_a, k_b), shared = pair.cluster, pair.shared_svd
         heads = [] if shared is None else [unvec(z, k_a, k_b) for z in shared.null_space.T]
         tails = [_regular_block(ta[:k_a, :k_a], tb[k_b:, k_b:], y11 @ tb[:k_b, k_b:],
                                 pair.cutoff) for y11 in heads]
@@ -492,9 +488,9 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
         return ()
     # only the leading k_a rows are nonzero; orthonormal in Schur coordinates
     # stays orthonormal under the unitary qa, qb
-    q = orthonormal_columns(np.column_stack([vec(np.hstack(pair))
-                                             for pair in zip(heads, tails)]))
-    basis = tuple(_phase_fix(qa[:, :k_a] @ unvec(v, k_a, m) @ qb.conj().T) for v in q.T)
+    q = orthonormal_columns(np.column_stack([vec(np.hstack(blocks))
+                                             for blocks in zip(heads, tails)]))
+    basis = tuple(_phase_fix(qa[:, :k_a] @ unvec(v, k_a, pair.m) @ qb.conj().T) for v in q.T)
     for x in basis:
         x.flags.writeable = False
     return basis

@@ -19,7 +19,9 @@ scale is known, by ``singular.cluster_first`` for a pair, the oracle and the
 unsolvable-instance generator; ``numerics.lstsq_solve`` judges rank at the
 cutoff its caller passes.  Each pair's shared block is factored by
 one SVD, which every decision, the kernel and the cokernel apply:
-``diagnose`` takes one, and a cokernel read after its kernel none.  One
+``diagnose`` takes one, and a cokernel read after its kernel none.  A
+cluster that widens to the whole spectra is the pair's cached widened pair,
+factored once however many decisions widen.  One
 bridge operation takes each Schur factorization once, one coupling decision
 per sign class, two shared-block SVDs (the problem pair's, for both kernels,
 and the squared pair's, for both decisions) and two block inversions, one
@@ -45,7 +47,7 @@ import pytest
 
 import sylvcert
 from sylvcert.instances import rhs_in_range, rhs_outside_range, shared_jordan_pair
-from sylvcert import cli
+from sylvcert import cli, gate
 from sylvcert.io import problem_to_dict, serialize_report
 from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces, solve_unipotent_quadratic,
@@ -187,9 +189,11 @@ RETIRED_TEST_ONLY_NAMES = (
 # equations as their own references
 RETIRED_ORACLE_NAMES = ("EQUATIONS", "_EQUATION_DEGREE", "_decide")
 # prepare orders the factors cluster first once, the kernel returns the
-# phase-fixed, read-only basis itself, and each pair's shared block is
-# factored once, by _factor_shared_block
-RETIRED_CLUSTER_NAMES = ("_shared_first", "intertwiner_basis", "_shared_block_lstsq")
+# phase-fixed, read-only basis itself, and each cluster's shared block is
+# factored once per pair, by SylvesterPair.shared_svd, a widened cluster
+# on the pair's cached SylvesterPair.widened
+RETIRED_CLUSTER_NAMES = ("_shared_first", "intertwiner_basis", "_shared_block_lstsq",
+                         "_factor_shared_block", "_shared_svd")
 
 
 @pytest.mark.parametrize("name", RETIRED_BLOCK_NAMES + RETIRED_TEST_ONLY_NAMES
@@ -280,6 +284,20 @@ def test_each_pair_factors_its_shared_block_once(monkeypatch):
     assert calls == {"lstsq_solve": 2}
 
 
+def test_a_widened_cluster_is_factored_once_per_pair(monkeypatch):
+    # with a cluster tolerance below the Jordan splitting, out-of-range
+    # right-hand sides widen to the whole spectra; every widening decision
+    # on the pair applies its widened pair's one SVD
+    monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
+    rng = np.random.default_rng(5)
+    a, b = shared_jordan_pair(rng, 4, 3)
+    p = prepare(a, b, rhs_in_range(rng, a, b))
+    calls = counted(monkeypatch, ("lstsq_solve",))
+    for _ in range(2):
+        assert decide_sylvester(p, rhs_outside_range(rng, p.a, p.b)).cluster_sizes == (4, 3)
+    assert calls == {"lstsq_solve": 1}
+
+
 def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):
     # block row 2 in one solve, then the shared block by least squares,
     # then block (1,2)
@@ -287,7 +305,7 @@ def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):
     rhs = p.reduced
     calls = counted(monkeypatch, ("triangular_sylvester",))
     report = decide_sylvester(p, rhs)
-    assert 0 < report.cluster_sizes[0] < p.n and report.cluster_sizes == p.cluster[:2]
+    assert 0 < report.cluster_sizes[0] < p.n and report.cluster_sizes == p.cluster
     assert calls == {"triangular_sylvester": 2}
 
 

@@ -21,7 +21,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from sylvcert import gate, singular
+from sylvcert import gate
 from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
@@ -63,8 +63,9 @@ def vectors(basis) -> np.ndarray:
 def test_gate_tolerance_is_the_decision_cluster_tolerance(pair):
     # the gate reports the tolerance the decision's cluster was marked at
     p = prepare(*pair)
-    k_a, k_b, scale = p.cluster
-    assert scale == p.norm_a + p.norm_b
+    k_a, k_b = p.cluster
+    scale = p.norm_a + p.norm_b
+    assert scale == frob(p.a) + frob(p.b)
     assert p.gate.intersection_tolerance == gate.CLUSTER_TOLERANCE_FACTOR * scale
     assert p.gate.spectra_intersect == (k_a > 0) == (k_b > 0)
 
@@ -75,9 +76,10 @@ def test_prepared_factors_are_cluster_first(pair):
     # the rule marks exactly the leading k_a and k_b diagonal entries, and
     # the reordered factors still factor the shifted pair
     p = prepare(*pair)
-    k_a, k_b, scale = p.cluster
+    k_a, k_b = p.cluster
     (ta, _), (tb, _) = p.schur_a, p.schur_b
-    select_a, select_b, _ = gate.shared_eigenvalues(ta.diagonal(), tb.diagonal(), scale)
+    select_a, select_b, _ = gate.shared_eigenvalues(ta.diagonal(), tb.diagonal(),
+                                                    p.norm_a + p.norm_b)
     assert np.array_equal(select_a, np.arange(p.n) < k_a)
     assert np.array_equal(select_b, np.arange(p.m) < k_b)
     for (t, q), x in ((p.schur_a, p.a), (p.schur_b, p.b)):
@@ -127,8 +129,10 @@ def test_shared_block_rank_is_judged_at_the_pair_cutoff(pair):
     # so the data's scale bounds the pair's own shared block and a widened
     # one, and each SVD's rank and near_cutoff read the pair's one cutoff
     p = prepare(*pair)
-    k_a, _, scale = p.cluster
-    svds = [svd for svd in (p.shared_svd, singular._shared_svd(p, p.n, p.m)) if svd is not None]
+    k_a, _ = p.cluster
+    scale = p.norm_a + p.norm_b
+    assert p.widened.cluster == (p.n, p.m)
+    svds = [svd for svd in (p.shared_svd, p.widened.shared_svd) if svd is not None]
     assert len(svds) == (2 if k_a else 1)
     for svd in svds:
         values = svd.s.tolist()
@@ -193,7 +197,7 @@ def test_only_the_out_of_range_rhs_widens(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = shared_jordan_pair(rng, 4, 3)
     p = prepare(a, b, rhs_in_range(rng, a, b))
-    narrow = p.cluster[:2]
+    narrow = p.cluster
     assert narrow != (4, 3)
     for rhs, sizes, consistent in ((rhs_in_range(rng, p.a, p.b), narrow, True),
                                    (rhs_outside_range(rng, p.a, p.b), (4, 3), False),

@@ -203,7 +203,7 @@ class TestSchurReducedDecision:
         rhs = np.zeros((2, m), dtype=complex)
         rhs[1, 0], rhs[1, jordan] = r21, 1.0
         pair, _ = cluster_first(a, b, complex_schur(a), complex_schur(b))
-        assert pair.cluster[:2] == (1, jordan)
+        assert pair.cluster == (1, jordan)
         report = decide_sylvester(pair, rhs)
         assert report.cluster_sizes == (2, m)
         reference = oracle_solve(a, b, rhs, tol=DEFAULT_TOL)
@@ -214,17 +214,18 @@ class TestSchurReducedDecision:
         # cluster: the null vector of the shared block blows up on its way
         # through block (1, 2), and the kernel widens to the whole spectra
         monkeypatch.setattr(gate, "CLUSTER_TOLERANCE_FACTOR", 1e-15)
-        clusters = []
+        shapes = []
 
-        def spy(pair, k_a, k_b):
-            clusters.append((k_a, k_b))
-            return factor(pair, k_a, k_b)
+        def spy(K, cutoff):
+            shapes.append(np.shape(K))
+            return lstsq_solve(K, cutoff)
 
-        factor = singular._factor_shared_block
-        monkeypatch.setattr(singular, "_factor_shared_block", spy)
+        monkeypatch.setattr(singular, "lstsq_solve", spy)
         p = prepare([[1.0]], [[1.0, 1.0], [0.0, 1.0 + 1e-12]], [[0.0, 0.0]])
         basis = sylvester_kernel(p)
-        assert clusters == [(1, 1), (1, 2)]
+        # the shared blocks of the clusters (1, 1) and, widened, (1, 2)
+        assert shapes == [(1, 1), (2, 2)]
+        assert p.cluster == (1, 1) and p.widened.cluster == (1, 2)
         assert len(basis) == 1 and abs(frob(basis[0]) - 1.0) <= 1e-12
         assert frob(p.a @ basis[0] - basis[0] @ p.b) <= 1e-12
 
@@ -269,7 +270,7 @@ class TestSchurReducedDecision:
         vectors = np.column_stack([y.reshape(-1, order="F") for y in basis])
         assert np.linalg.norm(vectors @ vectors.conj().T - null @ null.conj().T, 2) <= 1e-10
         # the derived factors are those of the swapped block's operator
-        k_a, k_b, _ = p.cluster
+        k_a, k_b = p.cluster
         swapped = singular._swapped(p.shared_svd, k_a, k_b)
         (ta, _), (tb, _) = p.schur_a, p.schur_b
         operator = kron_vec_operator(tb[:k_b, :k_b], ta[:k_a, :k_a], -1)
