@@ -9,6 +9,7 @@ hand sides constructed inside or outside the range of x |-> a x - x b.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .numerics import kron_vec_operator, rank_cutoff, unvec
 
@@ -61,13 +62,13 @@ def shared_jordan_pair(rng: np.random.Generator, n: int, m: int):
         blocks_a.append(np.diag(extra))
     elif n == 1:
         blocks_a = [np.array([[shared]])]
-    a_core = _block_diag(blocks_a)
+    a_core = block_diag(*blocks_a)
 
     if m >= 2:
         blocks_b = [jordan_block(shared, 2)]
         if m > 2:
             blocks_b.append(np.diag(random_sector_eigenvalues(rng, m - 2)))
-        b_core = _block_diag(blocks_b)
+        b_core = block_diag(*blocks_b)
     else:
         b_core = np.array([[shared]])
 
@@ -91,17 +92,6 @@ def shared_semisimple_pair(rng: np.random.Generator, n: int, m: int):
             matrix_with_eigenvalues(rng, eigs_b))
 
 
-def _block_diag(blocks):
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=np.complex128)
-    at = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[at:at + k, at:at + k] = b
-        at += k
-    return out
-
-
 def rhs_in_range(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c = a x0 - x0 b for a random x0 (solvable by construction)."""
     n, m = a.shape[0], b.shape[0]
@@ -115,9 +105,9 @@ def rhs_outside_range(rng: np.random.Generator, a: np.ndarray, b: np.ndarray) ->
     n, m = a.shape[0], b.shape[0]
     K = kron_vec_operator(a, b, -1)
     _, s, Vh = np.linalg.svd(K.conj().T)
-    # cutoff on the data scale: K itself may vanish (e.g. equal scalars)
-    scale = np.linalg.norm(a) + np.linalg.norm(b)
-    rank = int(np.sum(s > rank_cutoff(K.shape, s[0] if s.size else 0.0, scale)))
+    # cutoff on the data scale, which bounds ||K||_2: K itself may vanish
+    # (e.g. equal scalars)
+    rank = int(np.sum(s > rank_cutoff(K.shape, np.linalg.norm(a) + np.linalg.norm(b))))
     if rank == K.shape[0]:
         raise ValueError("pair has trivial cokernel; cannot build an unsolvable right-hand side")
     w = Vh[rank].conj()

@@ -27,17 +27,18 @@ from scipy.linalg import lapack
 from .errors import (BranchCutError, DimensionError, InversionError, NumericError,
                      ParameterError)
 
-# Relative singular-value cutoff: sigma_i <= max(rows, cols) * 2**-40 * sigma_max
+# Relative singular-value cutoff: sigma_i <= max(rows, cols) * 2**-40 * scale
 # is treated as zero when deciding ranks and consistency.
 RANK_CUTOFF_FACTOR = 2.0 ** -40
 
 _FLOAT64 = np.dtype(np.float64)
 
 
-def rank_cutoff(shape, sigma_max: float, scale_reference: float = 0.0) -> float:
+def rank_cutoff(shape, scale: float) -> float:
     """Singular values at or below this are zero: the project-wide rank rule
-    ``RANK_CUTOFF_FACTOR * max(shape) * max(sigma_max, scale_reference)``."""
-    return RANK_CUTOFF_FACTOR * max(shape) * max(float(sigma_max), float(scale_reference))
+    ``RANK_CUTOFF_FACTOR * max(shape) * scale``, for a ``scale`` that bounds
+    the operator's norm, as ||a||_F + ||b||_F bounds a Sylvester operator's."""
+    return RANK_CUTOFF_FACTOR * max(shape) * float(scale)
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:

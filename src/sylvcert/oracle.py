@@ -80,7 +80,7 @@ def oracle_solve(a, b, c, tol: float = DEFAULT_ORACLE_TOL) -> OracleResult:
     rhs = vec(c)
 
     # ||K||_2 <= ||a||_2 + ||b||_2, so the data's scale bounds K's own
-    res = lstsq_solve(K, rank_cutoff(K.shape, 0.0, frob(a) + frob(b)))
+    res = lstsq_solve(K, rank_cutoff(K.shape, frob(a) + frob(b)))
     x = res.minimum_norm(rhs)
     residual = frob(K @ x - rhs)
     threshold = tol * (frob(K) * frob(x) + frob(rhs))

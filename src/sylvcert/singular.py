@@ -361,7 +361,7 @@ def cluster_first(a, b, schur_a, schur_b) -> tuple:
     nm = a.shape[0] * b.shape[0]
     pair = SylvesterPair(a, b, reorder_schur(ta, qa, select_a), reorder_schur(tb, qb, select_b),
                          norm_a, norm_b, (int(select_a.sum()), int(select_b.sum())),
-                         rank_cutoff((nm, nm), 0.0, scale))
+                         rank_cutoff((nm, nm), scale))
     return pair, tolerance
 
 
@@ -553,12 +553,109 @@ def particular_solution(w: UVWitness, p: SylvesterProblem,
     return x_u
 
 
+def _decision(p: SylvesterProblem, tol: float) -> tuple:
+    """The decision stage, (report, x, gate): the (u, v) system's report
+    (None when a solve broke down before it was made; at c = 0, u = v = 0
+    and no cluster decided), the particular solution x of a consistent
+    system, and the gate that refused a binary answer."""
+    report = None
+    try:
+        if not np.any(p.c):
+            x = np.zeros((p.n, p.m), dtype=np.complex128)
+            witness = _witness_from_u(p, x, tol, 0.0)
+            witness.residuals["solution_formula_gap"] = 0.0
+            witness.thresholds["solution_formula_gap"] = 0.0
+            return UVSystemReport(x, 0.0, tol, False, cluster_sizes=None, witness=witness), x, None
+        report = solve_uv_report(p, tol)
+        # a fragile rank decision makes neither answer trustworthy; a
+        # residual just above the threshold, or a residual or threshold that
+        # over- or underflowed, makes "no witness" untrustworthy
+        bounded = math.isfinite(report.lstsq_residual) and math.isfinite(report.threshold)
+        gate = "near_cutoff" if report.near_cutoff else "marginal_residual" if report.marginal \
+            else "scale" if report.witness is None and not bounded else None
+        if report.witness is None or gate is not None:
+            return report, None, gate
+        return report, particular_solution(report.witness, p, tol), None
+    except WitnessError as exc:
+        return report, None, exc.gate
+    except (InversionError, ArithmeticError):
+        # a solve that breaks down, or a cutoff that underflowed to zero, at
+        # the data's magnitude (ROADMAP item 1); a decision already made keeps
+        # its evidence
+        return report, None, "scale"
+
+
+def _certificate(p: SylvesterProblem, x, tol: float) -> tuple:
+    """The certificate stage: the residual of x on the original, unshifted
+    data (the shift leaves a x - x b unchanged) and its threshold."""
+    (a0, b0), c0 = p.unshifted, p.c
+    # a norm that overflows is non-finite and fails the certificate; numpy
+    # need not warn about it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (frob(a0 @ x - x @ b0 - c0),
+                tol * ((frob(a0) + frob(b0)) * frob(x) + frob(c0) + 1e-300))
+
+
+def _solution_checks(system: tuple, witness, certificate) -> dict:
+    """The answer's entries: ``system_consistency`` on the decision's
+    (residual, threshold), then the solution's three.  ``witness`` is set
+    exactly when the verdict is solvable; otherwise the solution's entries
+    read ``skipped``, but a certificate that refused x keeps its evidence."""
+    if witness is None:
+        return {"system_consistency": check_entry("fail", *system),
+                "solution_certificate": check_entry("skipped") if certificate is None
+                else check_entry("fail", *certificate),
+                "solution_formulas_agree": check_entry("skipped"),
+                "identity_cascade": check_entry("skipped")}
+    residuals, thresholds = witness.residuals, witness.thresholds
+    # the pair identity farthest from holding, each against its own
+    # threshold; a NaN ratio ranks worst, so it cannot hide behind the others
+    ratios = {key: residuals[key] / max(thresholds[key], 1e-300) for key in PAIR_IDENTITIES}
+    worst = max(ratios, key=lambda key: math.inf if math.isnan(ratios[key]) else ratios[key])
+    return {"system_consistency": check_entry("pass", *system),
+            "solution_certificate": check_entry("pass", *certificate),
+            "solution_formulas_agree": _bounded_check(residuals["solution_formula_gap"],
+                                                      thresholds["solution_formula_gap"]),
+            "identity_cascade": _bounded_check(residuals[worst], thresholds[worst])}
+
+
+def _oracle_check(p: SylvesterProblem, status, gate, tol: float) -> dict:
+    """The oracle stage: the dense Kronecker oracle on the original data,
+    ``pass`` when it agrees with ``status``; ``skipped`` above its cap or on
+    a verdict refused at ``gate``."""
+    unknowns = p.n * p.m
+    if unknowns > ORACLE_MAX_UNKNOWNS:
+        # the dense oracle needs (nm)^2 memory; above its cap it is not run
+        return _skipped(
+            f"{unknowns} unknowns exceed the dense oracle's cap of {ORACLE_MAX_UNKNOWNS}")
+    if status is VerdictStatus.ILL_CONDITIONED:
+        return skipped_on_refusal(gate)
+    reference = oracle_solve(*p.unshifted, p.c, tol=tol)
+    agrees = reference.consistent == (status is VerdictStatus.SOLVABLE)
+    return check_entry("pass" if agrees else "fail", reference.residual, reference.threshold)
+
+
+def _quadrature_check(p: SylvesterProblem, gate) -> dict:
+    """The quadrature stage: the companion solution against its integral
+    representation; ``skipped`` at gate ``scale`` or at c = 0."""
+    if gate == "scale":
+        return _skipped("the verdict is ill_conditioned (gate scale): no quadrature was run")
+    if not np.any(p.c):
+        return _skipped("c = 0, so the companion solution is zero; no quadrature was run")
+    quad = companion_solve_quadrature(p.a, p.b, p.c).solution
+    gap = frob(p.companion - quad) / max(frob(p.companion), 1e-300)
+    return _bounded_check(gap, QUADRATURE_GAP_TOL)
+
+
 def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
              with_oracle: bool = False, with_quadrature: bool = False) -> Verdict:
-    """Full decision pipeline: prepare, decide the (u, v) system, synthesize
-    and certify a particular solution, optionally cross-check against the
-    Kronecker oracle and the integral representation of the companion
-    solution.
+    """Full decision pipeline, in named stages: :func:`prepare`, then
+    ``_decision`` (decide the (u, v) system, synthesize the particular
+    solution), ``_certificate`` (judge it on the original data),
+    ``_solution_checks``, and on request ``_oracle_check`` (the Kronecker
+    oracle) and ``_quadrature_check`` (the integral representation of the
+    companion solution).  Each stage builds its own ``checks`` entries, and
+    the decision names the gate that refused a binary answer, if any.
 
     The certificate residual is evaluated once, against the original,
     unshifted data (the shift leaves a x - x b unchanged); a solution that
@@ -566,114 +663,32 @@ def diagnose(a, b, c, alpha: float = DEFAULT_ALPHA, tol: float = DEFAULT_TOL,
     reads ``fail`` with that residual and threshold.  A magnitude the
     decision cannot resolve, a non-finite residual or threshold behind "no
     witness" or a solve that breaks down, is refused at gate ``scale``.
-    ``checks`` gets one entry per verification step, built where its
-    decision is made; ``unipotent_bridge`` reads ``skipped`` here, and
+    ``unipotent_bridge`` reads ``skipped`` here, and
     :func:`~sylvcert.roots.unipotent_bridge_check` builds it on request.
     """
     p = prepare(a, b, c, alpha=alpha)
-    # the certificate's unshifted pair, as prepare validated it
-    (a0, b0), c0 = p.unshifted, p.c
-
-    rep = x = witness = gate = certificate = None
-    system_residual = system_threshold = math.nan
-    try:
-        if not np.any(c0):
-            x = np.zeros((p.n, p.m), dtype=np.complex128)
-            witness = _witness_from_u(p, x, tol, 0.0)
-            witness.residuals["solution_formula_gap"] = 0.0
-            witness.thresholds["solution_formula_gap"] = 0.0
-            system_residual, system_threshold = 0.0, tol
-        else:
-            rep = solve_uv_report(p, tol)
-            system_residual, system_threshold = rep.lstsq_residual, rep.threshold
-            witness = rep.witness
-            # a fragile rank decision makes neither answer trustworthy; a
-            # residual just above the threshold, or a residual or threshold
-            # that over- or underflowed, makes "no witness" untrustworthy
-            bounded = math.isfinite(system_residual) and math.isfinite(system_threshold)
-            gate = "near_cutoff" if rep.near_cutoff else "marginal_residual" if rep.marginal \
-                else "scale" if witness is None and not bounded else None
-            if witness is not None and gate is None:
-                try:
-                    x = particular_solution(witness, p, tol)
-                except WitnessError as exc:
-                    gate = exc.gate
-    except (InversionError, ArithmeticError):
-        # a solve that breaks down, or a cutoff that underflowed to zero, at
-        # the data's magnitude (ROADMAP item 1)
-        x, gate = None, "scale"
-
-    if x is not None:
-        # a norm that overflows is non-finite and fails the certificate;
-        # numpy need not warn about it on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_norm = frob(x)
-            certificate = (frob(a0 @ x - x @ b0 - c0),
-                           tol * ((frob(a0) + frob(b0)) * x_norm + frob(c0) + 1e-300))
-        if not _within(*certificate):
-            x, gate = None, "solution_certificate"
-
+    report, x, gate = _decision(p, tol)
+    certificate = None if x is None else _certificate(p, x, tol)
+    if certificate is not None and not _within(*certificate):
+        x, gate = None, "solution_certificate"
     solvable = x is not None
     status = VerdictStatus.SOLVABLE if solvable else \
         VerdictStatus.UNSOLVABLE if gate is None else VerdictStatus.ILL_CONDITIONED
-    checks = {"system_consistency": check_entry("pass" if solvable else "fail",
-                                                system_residual, system_threshold)}
-    if solvable:
-        residuals, thresholds = witness.residuals, witness.thresholds
-        # the pair identity farthest from holding, each against its own
-        # threshold; a NaN ratio ranks worst, so it cannot hide behind the others
-        ratios = {key: residuals[key] / max(thresholds[key], 1e-300) for key in PAIR_IDENTITIES}
-        worst = max(ratios, key=lambda key: math.inf if math.isnan(ratios[key]) else ratios[key])
-        checks["solution_certificate"] = check_entry("pass", *certificate)
-        checks["solution_formulas_agree"] = _bounded_check(
-            residuals["solution_formula_gap"], thresholds["solution_formula_gap"])
-        checks["identity_cascade"] = _bounded_check(residuals[worst], thresholds[worst])
-    else:
-        witness = None
-        for name in ("solution_certificate", "solution_formulas_agree", "identity_cascade"):
-            checks[name] = check_entry("skipped")
-        if certificate is None:
-            certificate = (system_residual, system_threshold)
-        else:
-            # the certificate refused x: the refusal keeps its evidence
-            checks["solution_certificate"] = check_entry("fail", *certificate)
-
-    oracle_agreement = None
-    unknowns = p.n * p.m
-    if not with_oracle:
-        checks["oracle_cross_check"] = check_entry("skipped")
-    elif unknowns > ORACLE_MAX_UNKNOWNS:
-        # the dense oracle needs (nm)^2 memory; above its cap it is not run
-        checks["oracle_cross_check"] = _skipped(
-            f"{unknowns} unknowns exceed the dense oracle's cap of {ORACLE_MAX_UNKNOWNS}")
-    elif status is VerdictStatus.ILL_CONDITIONED:
-        checks["oracle_cross_check"] = skipped_on_refusal(gate)
-    else:
-        reference = oracle_solve(a0, b0, c0, tol=tol)
-        oracle_agreement = bool(reference.consistent == solvable)
-        checks["oracle_cross_check"] = check_entry(
-            "pass" if oracle_agreement else "fail", reference.residual, reference.threshold)
-
-    if with_quadrature and gate == "scale":
-        checks["integral_representation"] = _skipped(
-            "the verdict is ill_conditioned (gate scale): no quadrature was run")
-    elif with_quadrature and rep is not None:
-        quad = companion_solve_quadrature(p.a, p.b, c0).solution
-        gap = frob(p.companion - quad) / max(frob(p.companion), 1e-300)
-        checks["integral_representation"] = _bounded_check(gap, QUADRATURE_GAP_TOL)
-    elif with_quadrature:
-        checks["integral_representation"] = _skipped(
-            "c = 0, so the companion solution is zero; no quadrature was run")
-    else:
-        checks["integral_representation"] = check_entry("skipped")
+    system = (math.nan, math.nan) if report is None else (report.lstsq_residual, report.threshold)
+    witness = report.witness if solvable else None
+    checks = _solution_checks(system, witness, certificate)
+    checks["oracle_cross_check"] = _oracle_check(p, status, gate, tol) if with_oracle \
+        else check_entry("skipped")
+    checks["integral_representation"] = _quadrature_check(p, gate) if with_quadrature \
+        else check_entry("skipped")
     checks["unipotent_bridge"] = check_entry("skipped")
-
+    oracle = checks["oracle_cross_check"]["status"]
+    certificate = system if certificate is None else certificate
     return Verdict(status=status, witness=witness, solution=x,
                    certificate_residual=certificate[0], certificate_threshold=certificate[1],
-                   system_residual=system_residual, system_threshold=system_threshold,
-                   oracle_agreement=oracle_agreement, problem=p,
-                   solution_norm=x_norm if solvable else None,
+                   system_residual=system[0], system_threshold=system[1],
+                   oracle_agreement=None if oracle == "skipped" else oracle == "pass",
+                   problem=p, solution_norm=frob(x) if solvable else None,
                    ill_conditioned_gate=gate,
-                   cluster_sizes=None if rep is None else rep.cluster_sizes,
+                   cluster_sizes=None if report is None else report.cluster_sizes,
                    checks=checks)
-

@@ -121,7 +121,7 @@ def dense_lstsq(K, rhs, scale_reference: float = 0.0) -> tuple:
     K z = rhs, the rank judged at the larger of K's own norm and
     ``scale_reference``."""
     K = np.asarray(K, dtype=np.complex128)
-    res = lstsq_solve(K, rank_cutoff(K.shape, np.linalg.norm(K, 2), scale_reference))
+    res = lstsq_solve(K, rank_cutoff(K.shape, max(np.linalg.norm(K, 2), scale_reference)))
     z = res.minimum_norm(rhs)
     return res, z, frob(K @ z - rhs)
 

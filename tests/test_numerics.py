@@ -276,10 +276,10 @@ class TestLstsq:
         # of a diagonal block judged by the rule of the operator it came from
         K = np.array([[1e-9, 0.0], [0.0, 1.0]])
         assert lstsq_solve(K, rank_cutoff(K.shape, 1.0)).rank == 2
-        assert lstsq_solve(K, rank_cutoff(K.shape, 0.0, 1e6)).rank == 1
+        assert lstsq_solve(K, rank_cutoff(K.shape, 1e6)).rank == 1
         block = np.array([[1e-11]])
-        assert lstsq_solve(block, rank_cutoff(block.shape, 0.0, 1.0)).rank == 1
-        assert lstsq_solve(block, rank_cutoff((100, 100), 0.0, 1.0)).rank == 0
+        assert lstsq_solve(block, rank_cutoff(block.shape, 1.0)).rank == 1
+        assert lstsq_solve(block, rank_cutoff((100, 100), 1.0)).rank == 0
 
 
 class TestSchurKernels:

@@ -370,6 +370,28 @@ class TestRefusalsNameTheirGate:
             "fail", verdict.certificate_residual, verdict.certificate_threshold)
         assert verdict.certificate_residual > verdict.certificate_threshold
 
+    def test_witness_breakdown_keeps_the_decisions_evidence(self, monkeypatch):
+        # the decision was made and its system is consistent; the closed
+        # forms break down after it, so the refusal still carries the
+        # decision's residual, threshold and cluster
+        rng = np.random.default_rng(0)
+        a, b = shared_jordan_pair(rng, 3, 3)
+        c = rhs_in_range(rng, a, b)
+
+        def breaks_down(w, p, tol=singular.DEFAULT_TOL):
+            raise InversionError("closed form singular to working precision")
+
+        monkeypatch.setattr(singular, "particular_solution", breaks_down)
+        verdict = diagnose(a, b, c)
+        assert verdict.status is VerdictStatus.ILL_CONDITIONED
+        assert verdict.ill_conditioned_gate == "scale"
+        assert verdict.solution is None and verdict.witness is None
+        assert verdict.cluster_sizes == (2, 2)
+        entry = verdict.checks["system_consistency"]
+        assert entry == check_entry("fail", verdict.system_residual, verdict.system_threshold)
+        assert np.isfinite(entry["residual"]) and np.isfinite(entry["threshold"])
+        assert entry["residual"] <= entry["threshold"]
+
 
 class TestOracleSizeCap:
     def test_oracle_skipped_above_cap(self, rng, monkeypatch):
@@ -430,6 +452,19 @@ class TestVerdictChecks:
     def test_oracle_not_asked_for_has_no_note(self):
         entry = diagnose([[1.0]], [[1.0 + 1e-12]], [[1.0]]).checks["oracle_cross_check"]
         assert entry == {"status": "skipped", "residual": None, "threshold": None}
+
+    def test_quadrature_not_run_on_a_scale_refusal(self):
+        # a pair scaled by 1e-200 against an unscaled c: the decision's norms
+        # overflow (ROADMAP item 1), and the verdict is refused at gate scale
+        rng = np.random.default_rng(0)
+        a, b = shared_jordan_pair(rng, 3, 3)
+        c = rhs_in_range(rng, a, b)
+        with np.errstate(over="ignore"):
+            verdict = diagnose(1e-200 * a, 1e-200 * b, c, with_quadrature=True)
+        assert verdict.ill_conditioned_gate == "scale"
+        assert verdict.checks["integral_representation"] == {
+            **check_entry("skipped"),
+            "note": "the verdict is ill_conditioned (gate scale): no quadrature was run"}
 
 
 class TestParticularSolution:
@@ -652,6 +687,16 @@ class TestVerdictProperties:
         assert verdict.status is VerdictStatus.SOLVABLE
         assert frob(verdict.solution) == 0.0
         assert frob(verdict.witness.u) == 0.0 and frob(verdict.witness.v) == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_rhs_solution_has_no_negative_zero(self, seed):
+        # at c = 0 the solution is exactly zero; the closed forms on u = 0
+        # would leave -0.0 entries, which a report prints with their sign
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        a, b = shared_jordan_pair(rng, n, m)
+        x = diagnose(a, b, np.zeros((n, m))).solution
+        assert not np.signbit(x.real).any() and not np.signbit(x.imag).any()
 
 
 class TestScaleRobustness:
