@@ -15,8 +15,11 @@ and records, for every seed and every operation:
 A diagnose record holds the status, the refusing gate, the gate's sector and
 intersection answers, each check's status and the cluster sizes; a bridge
 record holds the gate's answers, the cluster sizes, the workload check's
-outcome key, flags and notes, the number of quadratic solutions and the
-search's notes.
+outcome key, flags and notes, the number of quadratic solutions, the
+search's notes, and SHA-256 digests of the search's branch roots, of its q
+values and of its solutions Y.  The digest of Y is taken of ``Y + 0.0``,
+which maps -0.0 to +0.0: a zero's sign no report prints may change, any
+other bit of a root-search result is compared on every operation.
 
 Then each side runs the CLI in process, with ``-o``, on one shared copy of
 the files, so both name the same paths on stdout:
@@ -80,6 +83,13 @@ def _diagnose_record(sylvcert, inst, with_oracle: bool) -> dict:
             "certificate_residual": float(verdict.certificate_residual)}
 
 
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for x in arrays:
+        h.update(np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()
+
+
 def _bridge_record(sylvcert, workloads, inst) -> dict:
     p = sylvcert.prepare(inst.a, inst.b, inst.c)
     x_basis, y_basis = sylvcert.homogeneous_nullspaces(p)
@@ -88,7 +98,10 @@ def _bridge_record(sylvcert, workloads, inst) -> dict:
     outcome = workloads.check_bridge(inst, (p, x_basis, y_basis, triple, quad.q_values))
     return {"gate": _gate(p), "cluster_sizes": _cluster_sizes(p),
             "outcome": [repr(outcome.key), outcome.failed, outcome.refused, outcome.notes],
-            "y_solutions": len(quad.y_solutions), "notes": quad.notes}
+            "y_solutions": len(quad.y_solutions), "notes": quad.notes,
+            "base_roots_sha256": _digest(quad.base_roots),
+            "q_values_sha256": _digest(*quad.q_values),
+            "y_solutions_sha256": _digest(quad.y_solutions + 0.0)}
 
 
 def _cli_record(main, argv: list, report: Path) -> dict:

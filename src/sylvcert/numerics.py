@@ -5,13 +5,15 @@ checked for finiteness where it enters (:func:`as_complex_matrix`,
 :func:`complex_schur`); the kernels on Schur factors take the factors as
 :func:`complex_schur` made them.  No argument is mutated.
 
-Each primitive is one BLAS or LAPACK call, made directly: :func:`frob` is
-one ``dot``, :func:`lstsq_solve` one ``gesdd``, whose factors the result
-keeps, its rank judged at the cutoff the caller passes, so that each
-right-hand side costs two products, :func:`complex_schur` one ``gees`` (its
-workspace size is asked once per order), and :func:`orthonormal_columns` the
-``geqrf`` and ``ungqr`` pair of a thin QR.  At the sizes the pipeline meets most, numpy's
-wrappers around these calls would cost about as much as the arithmetic.
+Each primitive is at most one BLAS or LAPACK call, made directly:
+:func:`frob` is one ``dot``, :func:`lstsq_solve` one ``gesdd``, whose
+factors the result keeps, its rank judged at the cutoff the caller passes,
+so that each right-hand side costs two products, :func:`complex_schur` one
+``gees`` (its workspace size is asked once per order), :func:`reorder_schur`
+one ``trsen``, or none when the selected eigenvalues already lead, and
+:func:`orthonormal_columns` the ``geqrf`` and ``ungqr`` pair of a thin QR.
+At the sizes the pipeline meets most, numpy's wrappers around these calls
+would cost about as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -126,7 +128,12 @@ def complex_schur(m) -> tuple:
 
 def reorder_schur(t, q, select) -> tuple:
     """Reorder complex Schur factors so the selected eigenvalues lead the
-    diagonal; returns new factors (t, q) of the same matrix (LAPACK trsen)."""
+    diagonal; returns new factors (t, q) of the same matrix (LAPACK trsen),
+    or ``(t, q)`` themselves when the selection already leads, the empty one
+    included: trsen would swap nothing there."""
+    selected = np.asarray(select, dtype=bool).tolist()
+    if selected == sorted(selected, reverse=True):
+        return t, q
     t, q, *_, info = lapack.ztrsen(np.asarray(select, dtype=np.int32), t, q, job="N")
     if info != 0:
         raise NumericError(f"Schur reordering failed (trsen info {info})")

@@ -12,7 +12,9 @@ The four branch roots come in two sign classes: the branches (1,1) and
 (1,0) are the exact negatives of (0,0) and (0,1).  R and -R give the same
 P = R target R, the same coupling and the same Y = R^-1 Z R^-1 for every
 candidate Z, so the search runs on branches 0 and 1 alone and loses no
-solution.
+solution.  Within a class the candidates come in pairs Z, -Z as well, and
+-Z gives -Y exactly, with the residual and norm of Y, so one candidate of
+each pair is multiplied out.
 
 Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
@@ -29,11 +31,12 @@ inverses, the products P and every candidate) is block upper triangular, and
 for such operands the block algebra's typed product is the ordinary product.
 The search therefore runs on dense arrays split after row and column
 ``n = p.n``, and returns them: stacked ``(k, n+m, n+m)`` arrays, all branches
-or all candidates in one product.  Each stacked product is checked to be
-finite with zero lower-left blocks, and base and target to be finite.  The
-branch inverses are closed-form, L D^-1 L^-1 for a branch root L D L^-1, from
-one inverse of each principal root.  The equivalence's operands are block
-triangular on one side or block diagonal, and it too runs on dense arrays.
+or one candidate of each pair in one product.  Each stacked product is
+checked to be finite with zero lower-left blocks, and base and target to be
+finite.  The branch inverses are closed-form, L D^-1 L^-1 for a branch root
+L D L^-1, from one inverse of each principal root.  The equivalence's
+operands are block triangular on one side or block diagonal, and it too runs
+on dense arrays.
 """
 
 from __future__ import annotations
@@ -228,13 +231,15 @@ def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     coupling_inverse = block_upper(np.eye(n), e1, np.eye(m))
     product = _checked(coupling @ inner @ coupling_inverse, n)
     roots, inverses = product[:4], product[4:]
-    residuals = np.linalg.norm(_checked(roots @ roots, n) - base, axis=(1, 2))
+    # branches 3 and 2 are the negatives of branches 0 and 1, with their squares
+    classes = roots[:2]
+    residuals = np.linalg.norm(_checked(classes @ classes, n) - base, axis=(1, 2)).tolist()
     bound = tol * max(frob(base), 1.0)
-    for (k1, k2), residual in zip(BRANCHES, residuals):
-        if residual > bound:
+    for (k1, k2), k in zip(BRANCHES, SIGN_CLASS):
+        if residuals[k] > bound:
             raise PreconditionError(
                 f"branch ({k1},{k2}) failed to square to the base matrix "
-                f"(residual {residual:.3g})")
+                f"(residual {residuals[k]:.3g})")
     return roots, inverses
 
 
@@ -270,8 +275,12 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     available when the singular coupling equation a^2 s - s b^2 = P_12 is
     consistent.  Every candidate gives Y = R^-1 Z R^-1; the ones that solve
     the equation are kept in candidate order unless they repeat one kept
-    before.  Absence of a unipotent solution here means none exists in the
-    enumerated family; the (u, v) system remains the authoritative verdict.
+    before.  The candidates come in pairs Z, -Z: the principal root and its
+    negative, (a, b) and (-a, -b), (a, -b) and (-a, b).  -Z gives -Y
+    exactly, and (-Y) base (-Y) = Y base Y, so only the first of each pair
+    is multiplied out.  Absence of a unipotent solution here means none
+    exists in the enumerated family; the (u, v) system remains the
+    authoritative verdict.
     """
     a, b, n, m = p.a, p.b, p.n, p.m
     base, target = _base_and_target(p)
@@ -288,39 +297,61 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
              if not coupling.lstsq_residual <= coupling.threshold]
-    candidates: list = []
-    owners: list = []  # the class of each candidate
+    firsts: list = []  # the first candidate of each pair Z, -Z
+    owners: list = []  # the class of each
+    order: list = []  # every candidate, in order: (its pair's index in firsts, negated)
     for k, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
-        principal = block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
-        candidates += [principal, -principal]
+        i = len(firsts)
+        firsts.append(block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b))
+        order += [(i, False), (i, True)]
         if coupling.lstsq_residual <= coupling.threshold:
+            # (a, b) and (a, -b); (-a, b) and (-a, -b) are their negatives
             s = coupling.u
-            candidates += [block_upper(d1, d1 @ s - s @ d2, d2) for d1 in (a, -a) for d2 in (b, -b)]
-        owners += [k] * (len(candidates) - len(owners))
+            a_s, s_b = a @ s, s @ b
+            firsts += [block_upper(a, a_s - s_b, b), block_upper(a, a_s + s_b, -b)]
+            order += [(i + 1, False), (i + 2, False), (i + 2, True), (i + 1, True)]
+        owners += [k] * (len(firsts) - len(owners))
 
     owner_inverses = inverses[owners]
-    y = _checked(owner_inverses @ _checked(np.stack(candidates), n) @ owner_inverses, n)
-    residuals = np.linalg.norm(_checked(y @ base @ y, n) - target, axis=(1, 2))
-    y_norms = np.linalg.norm(y, axis=(1, 2))
-    scales = _finite(frob(base) * (1.0 + y_norms) ** 2 + frob(target), "candidate scale")
+    y = _checked(owner_inverses @ _checked(np.stack(firsts), n) @ owner_inverses, n)
+    residuals = np.linalg.norm(_checked(y @ base @ y, n) - target, axis=(1, 2)).tolist()
+    y_norms = np.linalg.norm(y, axis=(1, 2)).tolist()
+    base_norm, target_norm = frob(base), frob(target)
+    scales = [base_norm * ((1.0 + norm) * (1.0 + norm)) + target_norm for norm in y_norms]
+    _finite(np.array(scales), "candidate scale")
 
-    kept: list = []
-    for i in np.flatnonzero(residuals <= tol * scales):
-        if kept and np.any(np.linalg.norm(y[kept] - y[i], axis=(1, 2))
-                           <= 1e-8 * (1.0 + y_norms[i])):
-            continue
-        kept.append(i)
+    # row i of signed is the Y of firsts[i], row i + len(firsts) its negative
+    signed = np.concatenate((y, -y))
+    solving = [i + len(firsts) * negated for i, negated in order
+               if residuals[i] <= tol * scales[i]]
+    solutions = signed[_drop_repeats(signed, y_norms + y_norms, solving)]
     # the lower-left blocks are zero (checked), so unipotent means identity diagonals
-    unipotent = ((np.linalg.norm(y[kept, :n, :n] - np.eye(n), axis=(1, 2))
+    unipotent = ((np.linalg.norm(solutions[:, :n, :n] - np.eye(n), axis=(1, 2))
                   <= UNIPOTENT_TOL * np.sqrt(n))
-                 & (np.linalg.norm(y[kept, n:, n:] - np.eye(m), axis=(1, 2))
+                 & (np.linalg.norm(solutions[:, n:, n:] - np.eye(m), axis=(1, 2))
                     <= UNIPOTENT_TOL * np.sqrt(m)))
 
     return QuadraticSolveResult(base=base, target=target, base_roots=roots,
-                                y_solutions=y[kept],
-                                q_values=[y[i, :n, n:].copy()
-                                          for i, u in zip(kept, unipotent) if u],
+                                y_solutions=solutions,
+                                q_values=[solution[:n, n:].copy() for solution, u
+                                          in zip(solutions, unipotent) if u],
                                 notes=notes)
+
+
+def _drop_repeats(y: np.ndarray, norms: list, indices: list) -> list:
+    """``indices`` into the stack ``y``, in order, less each whose matrix
+    lies within 1e-8 (1 + ||y_i||) of one kept before it; ``norms`` are the
+    Frobenius norms of ``y`` as floats.  A kept y_j is compared with y_i only
+    when their norms differ by at most twice that bound: a repeat's differ by
+    at most the bound (triangle inequality), so none is missed."""
+    kept: list = []
+    for i in indices:
+        norm = norms[i]
+        bound = 1e-8 * (1.0 + norm)
+        if not any(abs(norms[j] - norm) <= 2.0 * bound and frob(y[j] - y[i]) <= bound
+                   for j in kept):
+            kept.append(i)
+    return kept
 
 
 def unipotent_bridge_check(verdict: Verdict, tol: float = DEFAULT_TOL) -> dict:

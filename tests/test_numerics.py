@@ -311,6 +311,25 @@ class TestSchurKernels:
         assert_multiset_close(t2.diagonal()[:2], t.diagonal()[select], tol=1e-10)
         np.testing.assert_allclose(q2 @ t2 @ q2.conj().T, m, atol=1e-12)
 
+    @pytest.mark.parametrize("select, leads", [
+        ([True, True, False, False, False, False], True),
+        ([False] * 6, True),
+        ([True] * 6, True),
+        ([False, True, False, False, True, False], False),
+        ([True, False, True, False, False, False], False),
+    ])
+    def test_reorder_gives_the_trsen_factors(self, rng, select, leads):
+        # a selection that already leads is returned as it came, without a
+        # trsen call, which would swap nothing; trsen reorders any other
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        t, q = complex_schur(m)
+        t_ref, q_ref, *_, info = scipy.linalg.lapack.ztrsen(
+            np.asarray(select, dtype=np.int32), t, q, job="N")
+        assert info == 0
+        t2, q2 = reorder_schur(t, q, np.array(select))
+        assert np.array_equal(t2, t_ref) and np.array_equal(q2, q_ref)
+        assert (t2 is t and q2 is q) == leads
+
     def test_triangular_sylvester_both_signs(self, rng):
         ta = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) + 3 * np.eye(4)
         tb = np.triu(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) - 3 * np.eye(3)

@@ -452,6 +452,139 @@ class TestSignClasses:
                 assert relative_gap(q, expected) <= 1e-10
 
 
+class TestSignPairs:
+    """The premise of the search: negating a candidate Z negates Y = R^-1 Z
+    R^-1 exactly and leaves the residual of Y base Y = target and the norm
+    of Y as they are, and a branch root's negative has its square's
+    residual.  If a BLAS broke it, the search would change its answers."""
+
+    @staticmethod
+    def candidate_pairs(p, products, squared):
+        """Each class's candidates Z built as the search builds them, next to
+        their negatives built as the four-branch reference does."""
+        a, b, n = p.a, p.b, p.n
+        for k, p12 in enumerate(products[:, :n, n:]):
+            principal = block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
+            yield k, principal, -principal
+            coupling = decide_sylvester(squared, p12)
+            if coupling.lstsq_residual <= coupling.threshold:
+                s = coupling.u
+                a_s, s_b = a @ s, s @ b
+                for first, d1, d2 in ((block_upper(a, a_s - s_b, b), -a, -b),
+                                      (block_upper(a, a_s + s_b, -b), -a, b)):
+                    negative = block_upper(d1, d1 @ s - s @ d2, d2)
+                    yield k, first, negative
+
+    def test_negated_candidates_give_negated_solutions(self):
+        coupled = set()
+        for p in seeded_bridge_problems():
+            base, target = roots._base_and_target(p)
+            branch_roots, inverses = _branch_roots(p, base, DEFAULT_TOL)
+            products = np.stack([root @ target @ root for root in branch_roots[:2]])
+            (ta, qa), (tb, qb) = p.schur_a, p.schur_b
+            squared, _ = cluster_first(p.a @ p.a, p.b @ p.b, (ta @ ta, qa), (tb @ tb, qb))
+            count = 0
+            for k, first, negative in self.candidate_pairs(p, products, squared):
+                assert np.array_equal(negative, -first)
+                inverse = inverses[[k, k]]
+                y = inverse @ np.stack((first, negative)) @ inverse
+                assert np.array_equal(y[1], -y[0])
+                residuals = np.linalg.norm(y @ base @ y - target, axis=(1, 2))
+                norms = np.linalg.norm(y, axis=(1, 2))
+                assert residuals[1] == residuals[0] and norms[1] == norms[0]
+                count += 1
+            coupled.add(count)
+        # with and without consistent couplings
+        assert min(coupled) < 6 and max(coupled) == 6
+
+    def test_negated_branches_square_to_the_same_residuals(self):
+        for p in seeded_bridge_problems():
+            base, _ = roots._base_and_target(p)
+            branch_roots = block_roots(p)
+            residuals = np.linalg.norm(branch_roots @ branch_roots - base, axis=(1, 2))
+            assert residuals[3] == residuals[0] and residuals[2] == residuals[1]
+
+    def test_squared_pair_makes_no_trsen_call(self, monkeypatch):
+        # the squared factors are cluster-first by the problem's pair, so
+        # the squared pair's cluster already leads
+        calls = []
+        trsen = numerics.lapack.ztrsen
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return trsen(*args, **kwargs)
+
+        monkeypatch.setattr(numerics.lapack, "ztrsen", spy)
+        for p in seeded_bridge_problems():
+            calls.clear()
+            solve_unipotent_quadratic(p)
+            assert calls == []
+
+
+def all_pairs_repeats(y, indices):
+    """The repeat rule, comparing every kept y with numpy's norm."""
+    kept = []
+    for i in indices:
+        bound = 1e-8 * (1.0 + np.linalg.norm(y[i]))
+        if not any(np.linalg.norm(y[j] - y[i]) <= bound for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestDropRepeats:
+    @staticmethod
+    def drop(y, indices):
+        return roots._drop_repeats(y, np.linalg.norm(y, axis=(1, 2)).tolist(), indices)
+
+    @staticmethod
+    def random_stack(rng, k, size=4):
+        return (rng.normal(size=(k, size, size))
+                + 1j * rng.normal(size=(k, size, size))) * rng.uniform(0.01, 100.0, (k, 1, 1))
+
+    def test_planted_repeats(self, rng):
+        for _ in range(20):
+            y = self.random_stack(rng, 12)
+            for i in rng.choice(12, size=5, replace=False).tolist():
+                # a repeat of an earlier matrix, within a tenth of the bound
+                j = int(rng.integers(0, 12))
+                step = rng.normal(size=y[j].shape)
+                y[i] = y[j] + 1e-9 * step / np.linalg.norm(step)
+            indices = rng.permutation(12).tolist()
+            expected = all_pairs_repeats(y, indices)
+            assert len(expected) < 12
+            assert self.drop(y, indices) == expected
+
+    def test_equal_norm_non_repeats_are_kept(self, rng):
+        y = self.random_stack(rng, 3)
+        y = np.concatenate((y, -y, 1j * y, y.transpose(0, 2, 1)))
+        indices = list(range(len(y)))
+        assert self.drop(y, indices) == all_pairs_repeats(y, indices) == indices
+
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_repeats_at_the_margin(self, rng, factor):
+        # y_i = (1 + delta) y_j: the norms differ by the whole distance, a
+        # hair inside or outside the bound
+        y = self.random_stack(rng, 8)
+        for i, j in ((1, 0), (4, 2), (7, 5)):
+            norm = np.linalg.norm(y[j])
+            delta = factor * 1e-8 * (1.0 + norm) / (norm - factor * 1e-8 * norm)
+            y[i] = (1.0 + delta) * y[j]
+        indices = list(range(8))
+        expected = all_pairs_repeats(y, indices)
+        assert len(expected) == (5 if factor < 1 else 8)
+        assert self.drop(y, indices) == expected
+
+    def test_norm_gate_skips_distant_matrices(self, rng, monkeypatch):
+        # matrices whose norms differ by more than twice the bound are never
+        # subtracted; each kept one with a close norm costs one frob
+        differences = []
+        monkeypatch.setattr(roots, "frob", lambda x: differences.append(x) or frob(x))
+        y = self.random_stack(rng, 6)
+        y = np.concatenate((y, -y[:2]))
+        assert self.drop(y, list(range(8))) == list(range(8))
+        assert len(differences) == 2
+
+
 class TestStackedSearchFailsClosed:
     def test_overflowing_products_raise(self, rng):
         # a bridge-sized shared-Jordan problem scaled by 1e160: the branch
