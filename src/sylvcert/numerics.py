@@ -203,12 +203,14 @@ def schur_sqrt(schur) -> np.ndarray:
     t) lies on the closed negative real axis (the caller must shift first).
     """
     t, q = schur
-    scale = max(frob(t), 1.0)
-    for lam in t.diagonal():
-        if lam.real <= 0 and abs(lam.imag) <= 1e-13 * scale:
+    diagonal = t.diagonal()
+    on_cut = diagonal.real <= 0
+    if on_cut.any():  # the scale is needed only then
+        on_cut &= np.abs(diagonal.imag) <= 1e-13 * max(frob(t), 1.0)
+        if on_cut.any():
             raise BranchCutError(
-                f"eigenvalue {lam} lies on the closed negative real axis; "
-                "shift the matrix before taking the principal square root"
+                f"eigenvalue {diagonal[on_cut.argmax()]} lies on the closed negative real "
+                "axis; shift the matrix before taking the principal square root"
             )
     s = q @ np.asarray(scipy.linalg.sqrtm(t), dtype=np.complex128) @ q.conj().T
     if not np.all(np.isfinite(s)):

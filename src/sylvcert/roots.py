@@ -14,7 +14,14 @@ P = R target R, the same coupling and the same Y = R^-1 Z R^-1 for every
 candidate Z, so the search runs on branches 0 and 1 alone and loses no
 solution.  Within a class the candidates come in pairs Z, -Z as well, and
 -Z gives -Y exactly, with the residual and norm of Y, so one candidate of
-each pair is multiplied out.
+each pair is multiplied out.  Two more candidates can only repeat: the
+principal Y is R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1 for every branch
+root R of B (R T R = R (T B) R^-1, and a similarity commutes with the
+principal root), the same for both classes; and the (a, b) variant
+[[a, a s - s b], [0, b]] squares to P (its corner is a^2 s - s b^2 = P_12)
+with its spectrum in the sector, so it is P's principal root.  The search
+multiplies out one principal root per problem and one (a, -b) variant per
+consistent class.
 
 Every Sylvester solve and square root runs on the problem's own Schur
 factors, and each factorization is taken once per problem.  The singular
@@ -57,6 +64,9 @@ UNIPOTENT_TOL = 1e-7
 BRANCHES = ((0, 0), (0, 1), (1, 0), (1, 1))
 # the sign class of each branch: branch 3 is -branch 0 and branch 2 is -branch 1
 SIGN_CLASS = (0, 1, 1, 0)
+# the diagonal signs ((-1)^k1, (-1)^k2 i) of each branch, in branch order
+_BRANCH_SIGNS = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
+_BRANCH_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -217,7 +227,7 @@ def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     """
     n, m = p.n, p.m
     e1 = schur_sylvester(p.schur_a, p.schur_b, -p.companion, +1)
-    signs = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
+    signs = _BRANCH_SIGNS
     sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
     inv_a = _inverse_block(sqrt_a, "upper-left")
     inv_b = _inverse_block(sqrt_b, "lower-right")
@@ -278,9 +288,20 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     before.  The candidates come in pairs Z, -Z: the principal root and its
     negative, (a, b) and (-a, -b), (a, -b) and (-a, b).  -Z gives -Y
     exactly, and (-Y) base (-Y) = Y base Y, so only the first of each pair
-    is multiplied out.  Absence of a unipotent solution here means none
-    exists in the enumerated family; the (u, v) system remains the
-    authoritative verdict.
+    is multiplied out.  Two of those first candidates only repeat another:
+
+    * the principal Y is the same for both classes.  R T R = R (T B) R^-1
+      for B = base = R^2, and a similarity commutes with the principal
+      root, so R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1, whatever R;
+    * the (a, b) variant is the principal root.  It squares to
+      [[a^2, a^2 s - s b^2], [0, b^2]] = P, and its spectrum, that of a
+      and b, lies in the sector, where P has one square root.
+
+    So class 0's principal root is multiplied out once, and for each
+    consistent class only its (a, -b) variant [[a, a s + s b], [0, -b]];
+    the kept solutions are the ones the full enumeration keeps, in its
+    order.  Absence of a unipotent solution here means none exists in the
+    enumerated family; the (u, v) system remains the authoritative verdict.
     """
     a, b, n, m = p.a, p.b, p.n, p.m
     base, target = _base_and_target(p)
@@ -297,20 +318,15 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
              if not coupling.lstsq_residual <= coupling.threshold]
-    firsts: list = []  # the first candidate of each pair Z, -Z
-    owners: list = []  # the class of each
-    order: list = []  # every candidate, in order: (its pair's index in firsts, negated)
-    for k, (p12, coupling) in enumerate(zip(products[:, :n, n:], couplings)):
-        i = len(firsts)
-        firsts.append(block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b))
-        order += [(i, False), (i, True)]
+    # class 0's principal root, then each consistent class's (a, -b); the
+    # negatives are the principal's and the (-a, b) variants
+    firsts = [block_upper(a, schur_sylvester(p.schur_a, p.schur_b, products[0, :n, n:], +1), b)]
+    owners = [0]  # the class of each
+    for k, coupling in enumerate(couplings):
         if coupling.lstsq_residual <= coupling.threshold:
-            # (a, b) and (a, -b); (-a, b) and (-a, -b) are their negatives
             s = coupling.u
-            a_s, s_b = a @ s, s @ b
-            firsts += [block_upper(a, a_s - s_b, b), block_upper(a, a_s + s_b, -b)]
-            order += [(i + 1, False), (i + 2, False), (i + 2, True), (i + 1, True)]
-        owners += [k] * (len(firsts) - len(owners))
+            firsts.append(block_upper(a, a @ s + s @ b, -b))
+            owners.append(k)
 
     owner_inverses = inverses[owners]
     y = _checked(owner_inverses @ _checked(np.stack(firsts), n) @ owner_inverses, n)
@@ -320,11 +336,10 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     scales = [base_norm * ((1.0 + norm) * (1.0 + norm)) + target_norm for norm in y_norms]
     _finite(np.array(scales), "candidate scale")
 
-    # row i of signed is the Y of firsts[i], row i + len(firsts) its negative
-    signed = np.concatenate((y, -y))
-    solving = [i + len(firsts) * negated for i, negated in order
-               if residuals[i] <= tol * scales[i]]
-    solutions = signed[_drop_repeats(signed, y_norms + y_norms, solving)]
+    # row 2i of signed is the Y of firsts[i], row 2i + 1 its negative
+    signed = np.stack((y, -y), axis=1).reshape(-1, n + m, n + m)
+    solving = [i for i in range(len(signed)) if residuals[i // 2] <= tol * scales[i // 2]]
+    solutions = signed[_drop_repeats(signed, np.repeat(y_norms, 2).tolist(), solving)]
     # the lower-left blocks are zero (checked), so unipotent means identity diagonals
     unipotent = ((np.linalg.norm(solutions[:, :n, :n] - np.eye(n), axis=(1, 2))
                   <= UNIPOTENT_TOL * np.sqrt(n))

@@ -196,42 +196,56 @@ def reference_block_roots(p, tol=DEFAULT_TOL):
     return roots
 
 
-def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
-    """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
-    candidate and one product at a time, each root inverted by numpy."""
+def reference_candidates(p, tol=DEFAULT_TOL):
+    """(base, target, branches) of the search of one candidate at a time:
+    for each branch root R, in branch order, (R, its coupling decision, its
+    candidates), each candidate as (label, Y = R^-1 Z R^-1) in candidate
+    order, one product at a time, each root inverted by numpy.  The labels
+    are "principal", "-principal" and the diagonal signs (d1, d2) of the
+    variants, "(a, b)", "(a, -b)", "(-a, b)" and "(-a, -b)"."""
     a, b, n = p.a, p.b, p.n
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     offset = compute_offset(p, companion, reduced_rhs(p, companion))
     base = upper(p.a, -companion, -p.b)
     target = upper(p.a, -(companion + offset), -p.b)
-    roots = reference_block_roots(p, tol)
-
-    notes: list = []
-    y_solutions: list = []
-    q_values: list = []
     (ta, qa), (tb, qb) = p.schur_a, p.schur_b
     squared, _ = cluster_first(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb))
 
-    for index, root in enumerate(roots):
+    branches = []
+    for root in reference_block_roots(p, tol):
         root_inv = np.linalg.inv(root)
         P = root @ target @ root
         p12 = P[:n, n:]
 
         principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
-        candidates = [principal, -principal]
+        candidates = [("principal", principal), ("-principal", -principal)]
 
         coupling = decide_sylvester(squared, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
             s = coupling.u
-            for d1 in (a, -a):
-                for d2 in (b, -b):
-                    candidates.append(upper(d1, d1 @ s - s @ d2, d2))
-        else:
+            for d1, first in ((a, "a"), (-a, "-a")):
+                for d2, second in ((b, "b"), (-b, "-b")):
+                    candidates.append((f"({first}, {second})", upper(d1, d1 @ s - s @ d2, d2)))
+        branches.append((root, coupling, [(label, root_inv @ z @ root_inv)
+                                          for label, z in candidates]))
+    return base, target, branches
+
+
+def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
+    """(base_roots, y_solutions, q_values, notes) of Y base Y = target, one
+    candidate and one product at a time, each root inverted by numpy."""
+    n = p.n
+    base, target, branches = reference_candidates(p, tol)
+
+    notes: list = []
+    y_solutions: list = []
+    q_values: list = []
+    for index, (_, coupling, candidates) in enumerate(branches):
+        if not coupling.lstsq_residual <= coupling.threshold:
             notes.append(f"branch {index}: coupling equation inconsistent "
                          f"(residual {coupling.lstsq_residual:.3g})")
 
-        for z in candidates:
-            y = root_inv @ z @ root_inv
+        for _, y in candidates:
             residual = frob(y @ base @ y - target)
             scale = frob(base) * (1.0 + frob(y)) ** 2 + frob(target)
             if residual > tol * scale:
@@ -244,7 +258,23 @@ def reference_unipotent_quadratic(p, tol=DEFAULT_TOL):
                     and frob(y[n:, :n]) <= UNIPOTENT_TOL * np.sqrt(p.n * p.m) * (1.0 + frob(y))):
                 q_values.append(y[:n, n:])
 
-    return roots, y_solutions, q_values, notes
+    return [root for root, _, _ in branches], y_solutions, q_values, notes
+
+
+def candidate_repeat_gaps(p, tol=DEFAULT_TOL):
+    """(principal gaps, variant gaps) of the search of one candidate at a
+    time: the relative gap of each branch's principal Y from branch 0's,
+    and of each consistent branch's (a, b) Y from its principal Y.  The
+    stacked search multiplies out neither repeat."""
+    _, _, branches = reference_candidates(p, tol)
+    first = dict(branches[0][2])["principal"]
+    principal_gaps, variant_gaps = [], []
+    for _, _, candidates in branches:
+        y = dict(candidates)
+        principal_gaps.append(relative_gap(y["principal"], first))
+        if "(a, b)" in y:
+            variant_gaps.append(relative_gap(y["(a, b)"], y["principal"]))
+    return principal_gaps, variant_gaps
 
 
 def relative_gap(x, y) -> float:

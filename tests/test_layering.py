@@ -23,7 +23,7 @@ one SVD, which every decision, the kernel and the cokernel apply:
 cluster that widens to the whole spectra is the pair's cached widened pair,
 factored once however many decisions widen.  One
 bridge operation takes each Schur factorization once, one coupling decision
-per sign class, two shared-block SVDs (the problem pair's, for both kernels,
+per sign class, one principal-root solve, two shared-block SVDs (the problem pair's, for both kernels,
 and the squared pair's, for both decisions) and two block inversions, one
 per principal root.  A decision that does not widen makes two triangular
 Sylvester solves, block row 2 and block (1,2).  Outside the oracle a

@@ -141,6 +141,20 @@ class TestPrincipalSqrt:
         with pytest.raises(BranchCutError):
             schur_sqrt(complex_schur(np.zeros((2, 2))))
 
+    def test_branch_cut_error_names_the_first_eigenvalue_on_the_cut(self):
+        t = np.diag([4.0, -1.0, 0.0, -2.0]).astype(np.complex128)
+        with pytest.raises(BranchCutError) as raised:
+            schur_sqrt((t, np.eye(4)))
+        assert str(raised.value) == (
+            "eigenvalue (-1+0j) lies on the closed negative real axis; "
+            "shift the matrix before taking the principal square root")
+        # an imaginary part within 1e-13 of the scale is still on the cut
+        t[1, 1], t[2, 2], t[3, 3] = 1.0, 9.0, -2.0 + 1e-13j
+        with pytest.raises(BranchCutError, match=r"^eigenvalue \(-2\+1e-13j\) lies"):
+            schur_sqrt((t, np.eye(4)))
+        t[3, 3] = -2.0 + 1e-11j
+        assert np.all(np.isfinite(schur_sqrt((t, np.eye(4)))))
+
 
 class TestKronVecOperator:
     def test_scalar_difference(self):

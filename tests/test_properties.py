@@ -3,7 +3,8 @@ rule for where the spectra meet, ``prepare``'s factors put that cluster first
 and still factor the shifted pair, the kernel agrees with the dense oracle, the
 shift is the smallest admissible three-digit shift, only a right-hand side
 outside the range widens a too narrow cluster, the stacked root search
-agrees with a search of one candidate at a time, the root bridge's outcome
+agrees with a search of one candidate at a time, and the candidates it skips
+only repeat others, the root bridge's outcome
 is unchanged under a unitary similarity of the problem, every solvable
 verdict's certificate passes, a shared pair's kernel and cokernel have one
 dimension, the data's scale bounds every shared block and its rank is
@@ -32,8 +33,8 @@ from sylvcert.roots import (homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
 from sylvcert.singular import decide_sylvester, diagnose, prepare
 
-from conftest import (PROPERTY, reference_unipotent_quadratic, relative_gap,
-                      shared_cluster_pair)
+from conftest import (PROPERTY, candidate_repeat_gaps, reference_unipotent_quadratic,
+                      relative_gap, shared_cluster_pair)
 
 
 @st.composite
@@ -248,6 +249,16 @@ def test_stacked_root_search_matches_the_one_at_a_time_reference(p):
         assert relative_gap(y, expected) <= 1e-10
     for q, expected in zip(quad.q_values, q_values):
         assert relative_gap(q, expected) <= 1e-10
+
+
+@PROPERTY
+@given(bridge_problems())
+def test_the_search_skips_only_candidates_that_repeat(p):
+    # every branch's principal Y is branch 0's, and a consistent branch's
+    # (a, b) Y is its principal Y (tests/test_roots.py::TestRepeatedCandidates)
+    principal_gaps, variant_gaps = candidate_repeat_gaps(p)
+    assert max(principal_gaps) <= 1e-10
+    assert all(gap <= 1e-10 for gap in variant_gaps)
 
 
 # -- invariance of the root bridge under unitary similarity ---------------------

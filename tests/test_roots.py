@@ -18,8 +18,8 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
 from sylvcert.singular import (DEFAULT_TOL, cluster_first, decide_sylvester, prepare,
                                solve_uv_report, unipotent_identity_residual)
 
-from conftest import (assert_multiset_close, reference_unipotent_quadratic, relative_gap,
-                      shared_cluster_pair)
+from conftest import (assert_multiset_close, candidate_repeat_gaps,
+                      reference_unipotent_quadratic, relative_gap, shared_cluster_pair)
 
 
 def verify_unipotent_identity(q, p, tol=DEFAULT_TOL) -> bool:
@@ -404,7 +404,7 @@ class TestSignClasses:
             assert np.array_equal(branch_roots[3], -branch_roots[0])
             assert np.array_equal(branch_roots[2], -branch_roots[1])
 
-    def test_search_takes_one_decision_and_one_principal_solve_per_class(self, monkeypatch):
+    def test_search_takes_one_decision_per_class_and_one_principal_solve(self, monkeypatch):
         decided, solved = [], []
         decide, solve = roots.decide_sylvester, roots.schur_sylvester
 
@@ -424,11 +424,12 @@ class TestSignClasses:
             solved.clear()
             quad = solve_unipotent_quadratic(p)
             assert decided == [(p.n, p.m)] * 2
-            # the coupling of the branch roots, then one principal root per class
-            assert len(solved) == 3
+            # the coupling of the branch roots, then class 0's principal root,
+            # the one principal root of both classes
+            assert len(solved) == 2
             np.testing.assert_array_equal(solved[0], -companion)
-            for rhs, root in zip(solved[1:], quad.base_roots[:2], strict=True):
-                np.testing.assert_array_equal(rhs, (root @ quad.target @ root)[:p.n, p.n:])
+            root = quad.base_roots[0]
+            np.testing.assert_array_equal(solved[1], (root @ quad.target @ root)[:p.n, p.n:])
 
     @pytest.mark.parametrize("family", [shared_jordan_pair, shared_semisimple_pair])
     @pytest.mark.parametrize("in_range", [True, False])
@@ -519,6 +520,28 @@ class TestSignPairs:
             calls.clear()
             solve_unipotent_quadratic(p)
             assert calls == []
+
+
+class TestRepeatedCandidates:
+    """The identities behind multiplying out one principal root per problem
+    and no (a, b) variant, checked on candidates built one at a time.
+
+    * Every branch gives one principal Y.  For a branch root R of B = base,
+      R T R = R (T B) R^-1, and a similarity commutes with the principal
+      root, so R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1, whatever R.
+    * The (a, b) variant is the principal root: [[a, a s - s b], [0, b]]
+      squares to [[a^2, a^2 s - s b^2], [0, b^2]] = P for every solution s
+      of the coupling, and its spectrum, that of a and b, lies in the
+      sector, where P has one square root."""
+
+    def test_principal_roots_agree_and_the_ab_variant_is_the_principal(self):
+        coupled = 0
+        for p in seeded_bridge_problems():
+            principal_gaps, variant_gaps = candidate_repeat_gaps(p)
+            assert len(principal_gaps) == 4 and max(principal_gaps) <= 1e-10
+            assert all(gap <= 1e-10 for gap in variant_gaps)
+            coupled += len(variant_gaps)
+        assert coupled > 0
 
 
 def all_pairs_repeats(y, indices):
