@@ -4,16 +4,20 @@ for a parent and a change, written to a BENCH_*.json.
     python3 bench/overlap.py --parent REF [--change REF] --out BENCH_name.json
                              [--sizes 8,12,16] [--rounds 6] [--repeat 15]
 
-At full overlap (``b = a``) every eigenvalue is shared, so the squared
-pair's shared block is the whole n^2 x n^2 operator: the case no benchmark
-workload reaches, where the bridge's least-squares work is largest.  For
+At full overlap (``b = a``) every eigenvalue is shared, so the pair's shared
+block is the whole n^2 x n^2 operator: the case no benchmark workload
+reaches, where the least-squares work is largest.  For
 each size n the pair is ``a = b = matrix_with_eigenvalues(rng, eigs)`` with
 ``eigs = random_sector_eigenvalues(rng, n)`` and ``c = rhs_in_range(rng, a,
 a)``, drawn from ``default_rng(n)``; both sides draw the same data from
-their own ``sylvcert.instances``.  Two operations are timed:
+their own ``sylvcert.instances``.  Four operations are timed:
 
 * ``bridge``: ``prepare(a, a, c)`` and ``solve_unipotent_quadratic`` on it;
-* ``diagnose``: ``diagnose(a, a, c)``.
+* ``diagnose``: ``diagnose(a, a, c)``;
+* ``diagnose_bridge``: ``diagnose(a, a, c)``, then ``unipotent_bridge_check``
+  on its verdict (``sylvcert diagnose --bridge``);
+* ``roots``: ``prepare(a, a, c)``, ``solve_unipotent_quadratic`` and
+  ``solve_uv_report`` on it (``sylvcert roots``).
 
 Both refs are exported from git (``git archive``, as ``bench/ab.py`` does)
 into a temporary directory, removed when the run ends.  Each round runs one
@@ -39,15 +43,15 @@ import numpy as np
 
 from ab import export
 
-OPERATIONS = ("bridge", "diagnose")
+OPERATIONS = ("bridge", "diagnose", "diagnose_bridge", "roots")
 
 # run by each side's interpreter on its own sources; prints one JSON object
 CHILD = """
 import json, sys, time
 import numpy as np
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues, rhs_in_range
-from sylvcert.roots import solve_unipotent_quadratic
-from sylvcert.singular import diagnose, prepare
+from sylvcert.roots import solve_unipotent_quadratic, unipotent_bridge_check
+from sylvcert.singular import diagnose, prepare, solve_uv_report
 
 sizes, repeat = json.loads(sys.argv[1]), int(sys.argv[2])
 
@@ -62,6 +66,12 @@ def best(call):
     return min(times) * 1e3
 
 
+def roots_command(a, c):
+    p = prepare(a, a, c)
+    solve_unipotent_quadratic(p)
+    solve_uv_report(p)
+
+
 out = {}
 for n in sizes:
     rng = np.random.default_rng(n)
@@ -70,6 +80,8 @@ for n in sizes:
     out[str(n)] = {
         "bridge": best(lambda: solve_unipotent_quadratic(prepare(a, a, c))),
         "diagnose": best(lambda: diagnose(a, a, c)),
+        "diagnose_bridge": best(lambda: unipotent_bridge_check(diagnose(a, a, c))),
+        "roots": best(lambda: roots_command(a, c)),
         "status": diagnose(a, a, c).status.value,
         "q_values": len(solve_unipotent_quadratic(prepare(a, a, c)).q_values),
     }

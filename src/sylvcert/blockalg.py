@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InversionError, PreconditionError
-from .numerics import as_complex_matrix, frob
+from .numerics import as_complex_matrix, frob, identity
 
 
 def block_upper(x11, x12, x22) -> np.ndarray:
@@ -33,7 +33,7 @@ def _inverse_block(blk: np.ndarray, name: str) -> np.ndarray:
         inv = np.linalg.inv(blk)
     except np.linalg.LinAlgError as exc:
         raise InversionError(f"{name} block is singular") from exc
-    if not np.all(np.isfinite(inv)) or frob(blk @ inv - np.eye(blk.shape[0])) > 1e-6 * blk.shape[0]:
+    if not np.isfinite(inv).all() or frob(blk @ inv - identity(blk.shape[0])) > 1e-6 * blk.shape[0]:
         raise InversionError(f"{name} block is singular to working precision")
     return inv
 

@@ -51,7 +51,7 @@ def sector_contains(spectrum, alpha: float) -> bool:
     """True iff every eigenvalue z satisfies z != 0 and |arg z| < alpha."""
     _check_alpha(alpha)
     values = _spectrum_values(spectrum)
-    return bool(np.all((values != 0) & (np.abs(np.angle(values)) < alpha)))
+    return bool(((values != 0) & (np.abs(np.angle(values)) < alpha)).all())
 
 
 def shared_eigenvalues(sa, sb, scale: float) -> tuple:
@@ -69,7 +69,7 @@ def _shift_admissible(values: np.ndarray, lam: float, alpha: float,
     # at least floor (which excludes z + lam = 0)
     shifted = values + lam
     gaps = alpha - np.abs(np.angle(shifted))
-    return bool(np.all((np.abs(shifted) >= floor) & (np.sin(gaps) >= margin)))
+    return bool(((np.abs(shifted) >= floor) & (np.sin(gaps) >= margin)).all())
 
 
 def _decimal(count: int, exponent: int) -> float:

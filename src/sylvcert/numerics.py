@@ -90,6 +90,15 @@ def frob(m: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+@functools.cache
+def identity(n: int) -> np.ndarray:
+    """The n x n float identity, read-only and made once per order: callers
+    only read it, so one copy serves every call."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization (fixed project-wide)."""
     return np.asarray(x).reshape(-1, order="F")
@@ -155,7 +164,8 @@ def triangular_sylvester(ta, tb, c, sign: int) -> np.ndarray:
         raise ParameterError(f"trsyl rejected argument {-info}")
     if info > 0:
         raise InversionError("Sylvester operator is singular to working precision")
-    return x / scale
+    # trsyl scales the solution down only to avoid overflow
+    return x if scale == 1.0 else x / scale
 
 
 def schur_sylvester(schur_a, schur_b, c, sign: int) -> np.ndarray:
@@ -187,10 +197,10 @@ def schur_solve(schur, m, side: str = "left") -> np.ndarray:
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade); exp(0) = I exactly."""
     m = require_square(as_complex_matrix(m))
-    if not np.any(m):
+    if not m.any():
         return np.eye(m.shape[0], dtype=np.complex128)
     result = scipy.linalg.expm(m)
-    if not np.all(np.isfinite(result)):
+    if not np.isfinite(result).all():
         raise NumericError("matrix exponential overflowed")
     return np.asarray(result, dtype=np.complex128)
 
@@ -213,7 +223,7 @@ def schur_sqrt(schur) -> np.ndarray:
                 "axis; shift the matrix before taking the principal square root"
             )
     s = q @ np.asarray(scipy.linalg.sqrtm(t), dtype=np.complex128) @ q.conj().T
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise NumericError("matrix square root produced non-finite values")
     return s
 

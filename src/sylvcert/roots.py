@@ -12,26 +12,25 @@ The four branch roots come in two sign classes: the branches (1,1) and
 (1,0) are the exact negatives of (0,0) and (0,1).  R and -R give the same
 P = R target R, the same coupling and the same Y = R^-1 Z R^-1 for every
 candidate Z, so the search runs on branches 0 and 1 alone and loses no
-solution.  Within a class the candidates come in pairs Z, -Z as well, and
--Z gives -Y exactly, with the residual and norm of Y, so one candidate of
-each pair is multiplied out.  Two more candidates can only repeat: the
-principal Y is R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1 for every branch
+solution.  A candidate is a root [[d1, z], [0, d2]] of P with d1 in
+{a, -a} and d2 in {b, -b}, whose corner solves d1 z + z d2 = P_12.  The
+(a, b) one is P's principal root: a w + w b = P_12 has one solution, as the
+spectra of a and -b are disjoint.  The (a, -b) ones are [[a, X], [0, -b]]
+for the solutions X of the coupling a X - X b = P_12, the problem's own
+equation with right-hand side P_12.  The candidates come in pairs Z, -Z,
+and -Z gives -Y exactly, with the residual and norm of Y, so one candidate
+of each pair is multiplied out.  The principal Y repeats across the
+classes: it is R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1 for every branch
 root R of B (R T R = R (T B) R^-1, and a similarity commutes with the
-principal root), the same for both classes; and the (a, b) variant
-[[a, a s - s b], [0, b]] squares to P (its corner is a^2 s - s b^2 = P_12)
-with its spectrum in the sector, so it is P's principal root.  The search
-multiplies out one principal root per problem and one (a, -b) variant per
-consistent class.
+principal root).  The search multiplies out one principal root per problem
+and one (a, -b) variant per consistent class.
 
 Every Sylvester solve and square root runs on the problem's own Schur
-factors, and each factorization is taken once per problem.  The singular
-couplings a^2 s - s b^2 = P_12 of the two sign classes share their
-left-hand side: :func:`~sylvcert.singular.cluster_first` builds the squared
-pair (a^2, b^2) once, from the squared factors, and the main decision's
-kernel, :func:`~sylvcert.singular.decide_sylvester`, decides each class's
-P_12 against it, so its shared block is decomposed once and both classes
-apply that SVD.  The intertwiners of both sides are the pair's ``kernel``
-and ``cokernel``, each taken once per pair from its one shared-block SVD.
+factors, and each factorization is taken once per problem.  Each sign
+class decides its coupling with :func:`~sylvcert.singular.decide_sylvester`
+on the problem itself, so both classes apply the problem pair's one
+shared-block SVD, as do its ``kernel`` and ``cokernel``, the intertwiners of
+both sides; the root search marks no cluster of its own.
 
 Every operand of the root search (base, target, branch roots and their
 inverses, the products P and every candidate) is block upper triangular, and
@@ -54,9 +53,9 @@ import numpy as np
 
 from .errors import GateError, NumericError, PreconditionError
 from .blockalg import _inverse_block, block_upper, commutes_with_diag_pair
-from .numerics import as_complex_matrix, frob, schur_sqrt, schur_sylvester
+from .numerics import as_complex_matrix, frob, identity, schur_sqrt, schur_sylvester
 from .singular import (DEFAULT_TOL, SylvesterProblem, Verdict, VerdictStatus,
-                       check_entry, cluster_first, decide_sylvester, skipped_on_refusal,
+                       check_entry, decide_sylvester, skipped_on_refusal,
                        unipotent_identity_residual)
 
 UNIPOTENT_TOL = 1e-7
@@ -132,7 +131,7 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
     # every operand is block triangular on the side of x, or block diagonal,
     # so the ordinary product and inverse are the typed ones; the lower side
     # is the transpose of an upper one
-    eye_n, eye_m = np.eye(p.n), np.eye(p.m)
+    eye_n, eye_m = identity(p.n), identity(p.m)
     if side == "upper":
         coupled = schur_sylvester(p.schur_a, p.schur_b, x, +1)
         root, similarity = block_upper(a, x, -b), block_upper(eye_n, coupled, eye_m)
@@ -145,7 +144,7 @@ def similarity_root_from_intertwiner(p: SylvesterProblem, x, side: str = "upper"
 
     square_residual = frob(root @ root - d_square)
     # similarity = I + e with e^2 = 0, so its inverse is I - e = 2I - similarity
-    inverse = 2 * np.eye(p.n + p.m) - similarity
+    inverse = 2 * identity(p.n + p.m) - similarity
     similarity_residual = frob(inverse @ (d_minus @ similarity) - root)
     scale = max(frob(d_square), 1e-300)
     is_root = square_residual <= tol * scale
@@ -184,13 +183,13 @@ def homogeneous_equivalence(p: SylvesterProblem, tol: float = DEFAULT_TOL):
     b_holds = (candidate.is_square_root and not candidate.is_primary
                and candidate.residuals["similarity"] <= tol * max(frob(candidate.root), 1.0))
 
-    commutant = block_upper(np.eye(p.n), x, np.eye(p.m))
+    commutant = block_upper(identity(p.n), x, identity(p.m))
     c_holds = commutes_with_diag_pair(commutant, p.a, p.b, tol)
     return True, b_holds, c_holds
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"{what} contains NaN or Inf entries")
     return x
 
@@ -199,7 +198,7 @@ def _checked(stack: np.ndarray, n: int) -> np.ndarray:
     """A stack of products, after checking the premise under which the
     ordinary product is the typed one: finite, block upper triangular."""
     _finite(stack, "root bridge product")
-    if np.any(stack[..., n:, :n]):
+    if stack[..., n:, :n].any():
         raise PreconditionError("root bridge operand is not block upper triangular")
     return stack
 
@@ -237,8 +236,9 @@ def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     inner[:4, n:, n:] = signs[:, 1, None, None] * sqrt_b
     inner[4:, :n, :n] = signs[:2, 0, None, None].conj() * inv_a
     inner[4:, n:, n:] = signs[:2, 1, None, None].conj() * inv_b
-    coupling = block_upper(np.eye(n), -e1, np.eye(m))
-    coupling_inverse = block_upper(np.eye(n), e1, np.eye(m))
+    eye_n, eye_m = identity(n), identity(m)
+    coupling = block_upper(eye_n, -e1, eye_m)
+    coupling_inverse = block_upper(eye_n, e1, eye_m)
     product = _checked(coupling @ inner @ coupling_inverse, n)
     roots, inverses = product[:4], product[4:]
     # branches 3 and 2 are the negatives of branches 0 and 1, with their squares
@@ -278,30 +278,37 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     still gets its coupling note, read from its class.
 
     For each branch root R of the base matrix, P = R target R has diagonal
-    blocks a^2 and b^2 with spectra in the sector, so its principal root is
-    [[a, z], [0, b]] with a z + z b = P_12.  Candidates Z for the root of P
-    are that one, its negative, and the four diagonal-sign variants
-    [[d1, d1 s - s d2], [0, d2]] with d1 in {a, -a}, d2 in {b, -b},
-    available when the singular coupling equation a^2 s - s b^2 = P_12 is
-    consistent.  Every candidate gives Y = R^-1 Z R^-1; the ones that solve
-    the equation are kept in candidate order unless they repeat one kept
-    before.  The candidates come in pairs Z, -Z: the principal root and its
-    negative, (a, b) and (-a, -b), (a, -b) and (-a, b).  -Z gives -Y
-    exactly, and (-Y) base (-Y) = Y base Y, so only the first of each pair
-    is multiplied out.  Two of those first candidates only repeat another:
+    blocks a^2 and b^2 with spectra in the sector.  Candidates Z for the
+    root of P are [[d1, z], [0, d2]] with d1 in {a, -a}, d2 in {b, -b} and
+    d1 z + z d2 = P_12:
 
-    * the principal Y is the same for both classes.  R T R = R (T B) R^-1
-      for B = base = R^2, and a similarity commutes with the principal
-      root, so R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1, whatever R;
-    * the (a, b) variant is the principal root.  It squares to
-      [[a^2, a^2 s - s b^2], [0, b^2]] = P, and its spectrum, that of a
-      and b, lies in the sector, where P has one square root.
+    * (a, b) is P's principal root [[a, w], [0, b]], with w the one
+      solution of a w + w b = P_12 (the spectra of a and -b are disjoint),
+      and (-a, -b) its negative;
+    * (a, -b) is [[a, X], [0, -b]] for the coupling a X - X b = P_12, the
+      problem's own equation, decided by
+      :func:`~sylvcert.singular.decide_sylvester` on the problem; when it
+      is consistent, X is its minimum-norm solution, and (-a, b) is
+      [[-a, -X], [0, b]].  s -> a s + s b maps the solutions of
+      a^2 s - s b^2 = P_12 one to one onto these X.
+
+    Every candidate gives Y = R^-1 Z R^-1; the ones that solve the equation
+    are kept in candidate order unless they repeat one kept before.  The
+    diagonal blocks of an (a, -b) variant's Y are sqrt(a)^-1 a sqrt(a)^-1
+    and (s2 sqrt(b))^-1 (-b) (s2 sqrt(b))^-1 for s2 = +-i, both I, whatever
+    X, so which unipotent solutions exist does not depend on the X chosen;
+    only the reported q does.  The candidates come in pairs Z, -Z, and -Z
+    gives -Y exactly, and (-Y) base (-Y) = Y base Y, so only the first of
+    each pair is multiplied out.  The principal Y is the same for both
+    classes: R T R = R (T B) R^-1 for B = base = R^2, and a similarity
+    commutes with the principal root, so R^-1 (R T R)^{1/2} R^-1 =
+    (T B)^{1/2} B^-1, whatever R.
 
     So class 0's principal root is multiplied out once, and for each
-    consistent class only its (a, -b) variant [[a, a s + s b], [0, -b]];
-    the kept solutions are the ones the full enumeration keeps, in its
-    order.  Absence of a unipotent solution here means none exists in the
-    enumerated family; the (u, v) system remains the authoritative verdict.
+    consistent class its (a, -b) variant; the kept solutions are the ones
+    the full enumeration keeps, in its order.  Absence of a unipotent
+    solution here means none exists in the enumerated family; the (u, v)
+    system remains the authoritative verdict.
     """
     a, b, n, m = p.a, p.b, p.n, p.m
     base, target = _base_and_target(p)
@@ -309,11 +316,9 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     classes = roots[:2]  # branches 0 and 1, one per sign class
     products = _checked(classes @ target @ classes, n)
 
-    # t^2 is the Schur factor of a^2 in the basis of t, ordered once by the
-    # squared pair's own cluster; each class decides its own coupling
-    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    squared, _ = cluster_first(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb))
-    couplings = [decide_sylvester(squared, p12, tol) for p12 in products[:, :n, n:]]
+    # the (a, -b) coupling a X - X b = P_12 is the problem's own equation:
+    # each class decides its own against the problem's one shared-block SVD
+    couplings = [decide_sylvester(p, p12, tol) for p12 in products[:, :n, n:]]
     notes = [f"branch {index}: coupling equation inconsistent "
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
@@ -324,8 +329,7 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     owners = [0]  # the class of each
     for k, coupling in enumerate(couplings):
         if coupling.lstsq_residual <= coupling.threshold:
-            s = coupling.u
-            firsts.append(block_upper(a, a @ s + s @ b, -b))
+            firsts.append(block_upper(a, coupling.u, -b))
             owners.append(k)
 
     owner_inverses = inverses[owners]
@@ -341,9 +345,9 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     solving = [i for i in range(len(signed)) if residuals[i // 2] <= tol * scales[i // 2]]
     solutions = signed[_drop_repeats(signed, np.repeat(y_norms, 2).tolist(), solving)]
     # the lower-left blocks are zero (checked), so unipotent means identity diagonals
-    unipotent = ((np.linalg.norm(solutions[:, :n, :n] - np.eye(n), axis=(1, 2))
+    unipotent = ((np.linalg.norm(solutions[:, :n, :n] - identity(n), axis=(1, 2))
                   <= UNIPOTENT_TOL * np.sqrt(n))
-                 & (np.linalg.norm(solutions[:, n:, n:] - np.eye(m), axis=(1, 2))
+                 & (np.linalg.norm(solutions[:, n:, n:] - identity(m), axis=(1, 2))
                     <= UNIPOTENT_TOL * np.sqrt(m)))
 
     return QuadraticSolveResult(base=base, target=target, base_roots=roots,

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DimensionError, InversionError, WitnessError
 from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
                    shared_eigenvalues)
-from .numerics import (as_sylvester_data, complex_schur, frob, kron_vec_operator,
+from .numerics import (as_sylvester_data, complex_schur, frob, identity, kron_vec_operator,
                        lstsq_solve, orthonormal_columns, rank_cutoff, reorder_schur,
                        schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
 from .oracle import ORACLE_MAX_UNKNOWNS, oracle_solve
@@ -269,7 +269,7 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     ta, qa = complex_schur(a0)
     tb, qb = complex_schur(b0)
     lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
-    id_a, id_b = np.eye(a0.shape[0]), np.eye(b0.shape[0])
+    id_a, id_b = identity(a0.shape[0]), identity(b0.shape[0])
     pair, tolerance = cluster_first(a0 + lam * id_a, b0 + lam * id_b,
                                     (ta + lam * id_a, qa), (tb + lam * id_b, qb))
     gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
@@ -560,7 +560,7 @@ def _decision(p: SylvesterProblem, tol: float) -> tuple:
     system, and the gate that refused a binary answer."""
     report = None
     try:
-        if not np.any(p.c):
+        if not p.c.any():
             x = np.zeros((p.n, p.m), dtype=np.complex128)
             witness = _witness_from_u(p, x, tol, 0.0)
             witness.residuals["solution_formula_gap"] = 0.0
@@ -640,7 +640,7 @@ def _quadrature_check(p: SylvesterProblem, gate) -> dict:
     representation; ``skipped`` at gate ``scale`` or at c = 0."""
     if gate == "scale":
         return _skipped("the verdict is ill_conditioned (gate scale): no quadrature was run")
-    if not np.any(p.c):
+    if not p.c.any():
         return _skipped("c = 0, so the companion solution is zero; no quadrature was run")
     quad = companion_solve_quadrature(p.a, p.b, p.c).solution
     gap = frob(p.companion - quad) / max(frob(p.companion), 1e-300)

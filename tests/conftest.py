@@ -9,7 +9,7 @@ from sylvcert.numerics import complex_schur, frob, lstsq_solve, rank_cutoff, sch
 from sylvcert.oracle import OracleResult
 from sylvcert.regular import compute_offset, reduced_rhs
 from sylvcert.roots import UNIPOTENT_TOL
-from sylvcert.singular import DEFAULT_TOL, cluster_first, decide_sylvester
+from sylvcert.singular import DEFAULT_TOL, decide_sylvester
 
 # derandomized, so every run draws the same examples
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -202,14 +202,14 @@ def reference_candidates(p, tol=DEFAULT_TOL):
     candidates), each candidate as (label, Y = R^-1 Z R^-1) in candidate
     order, one product at a time, each root inverted by numpy.  The labels
     are "principal", "-principal" and the diagonal signs (d1, d2) of the
-    variants, "(a, b)", "(a, -b)", "(-a, b)" and "(-a, -b)"."""
+    variants, "(a, b)", "(a, -b)", "(-a, b)" and "(-a, -b)".  The variants
+    are [[d1, d1 s - s d2], [0, d2]] for the s with a s + s b = X, where X
+    solves the coupling a X - X b = P_12 on the problem's pair."""
     a, b, n = p.a, p.b, p.n
     companion = schur_sylvester(p.schur_a, p.schur_b, p.c, +1)
     offset = compute_offset(p, companion, reduced_rhs(p, companion))
     base = upper(p.a, -companion, -p.b)
     target = upper(p.a, -(companion + offset), -p.b)
-    (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-    squared, _ = cluster_first(a @ a, b @ b, (ta @ ta, qa), (tb @ tb, qb))
 
     branches = []
     for root in reference_block_roots(p, tol):
@@ -220,9 +220,9 @@ def reference_candidates(p, tol=DEFAULT_TOL):
         principal = upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
         candidates = [("principal", principal), ("-principal", -principal)]
 
-        coupling = decide_sylvester(squared, p12, tol)
+        coupling = decide_sylvester(p, p12, tol)
         if coupling.lstsq_residual <= coupling.threshold:
-            s = coupling.u
+            s = schur_sylvester(p.schur_a, p.schur_b, coupling.u, +1)
             for d1, first in ((a, "a"), (-a, "-a")):
                 for d2, second in ((b, "b"), (-b, "-b")):
                     candidates.append((f"({first}, {second})", upper(d1, d1 @ s - s @ d2, d2)))

@@ -23,8 +23,8 @@ one SVD, which every decision, the kernel and the cokernel apply:
 cluster that widens to the whole spectra is the pair's cached widened pair,
 factored once however many decisions widen.  One
 bridge operation takes each Schur factorization once, one coupling decision
-per sign class, one principal-root solve, two shared-block SVDs (the problem pair's, for both kernels,
-and the squared pair's, for both decisions) and two block inversions, one
+per sign class, one principal-root solve, one shared-block SVD (the problem
+pair's, for both kernels and both decisions) and two block inversions, one
 per principal root.  A decision that does not widen makes two triangular
 Sylvester solves, block row 2 and block (1,2).  Outside the oracle a
 Kronecker operator is built only by ``kron_vec_operator``, and the
@@ -261,14 +261,14 @@ def test_root_search_takes_no_eigenvalues(monkeypatch):
 
 
 def test_bridge_operation_factors_each_shared_block_once(monkeypatch):
-    # the problem pair's SVD serves both kernels, the squared pair's both
-    # sign classes' couplings
+    # the problem pair's one SVD serves both kernels and both sign classes'
+    # couplings
     calls = counted(monkeypatch, ("decide_sylvester", "lstsq_solve", "_inverse_block"))
     p = prepare(*bridge_data())
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"decide_sylvester": 2, "lstsq_solve": 2, "_inverse_block": 2}
+    assert calls == {"decide_sylvester": 2, "lstsq_solve": 1, "_inverse_block": 2}
 
 
 def test_each_pair_factors_its_shared_block_once(monkeypatch):
@@ -310,9 +310,8 @@ def test_decision_makes_two_trsyl_calls_when_it_does_not_widen(monkeypatch):
 
 
 def test_the_cluster_is_marked_once_per_pair(monkeypatch):
-    # prepare marks it for the gate; the (u, v) decision and both intertwiner
-    # bases read it off the problem, and only the bridge's coupling on the
-    # squared pair marks its own
+    # prepare marks it for the gate; the (u, v) decision, both intertwiner
+    # bases and the bridge's couplings read it off the problem
     calls = counted(monkeypatch, ("shared_eigenvalues",))
     assert diagnose(*bridge_data()).status.value == "solvable"
     assert calls == {"shared_eigenvalues": 1}
@@ -320,14 +319,13 @@ def test_the_cluster_is_marked_once_per_pair(monkeypatch):
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"shared_eigenvalues": 3}
+    assert calls == {"shared_eigenvalues": 2}
 
 
 def test_the_cluster_is_ordered_only_by_cluster_first(monkeypatch):
-    # prepare orders the problem's pair and the bridge its squared pair;
-    # the decision and both kernels reorder nothing
-    assert callers_of("cluster_first") == {("singular", "prepare"),
-                                           ("roots", "solve_unipotent_quadratic")}
+    # prepare orders the problem's pair; the decisions, both kernels and
+    # the bridge reorder nothing
+    assert callers_of("cluster_first") == {("singular", "prepare")}
     for callee in ("reorder_schur", "shared_eigenvalues"):
         assert callers_of(callee) == {("singular", "cluster_first")}, callee
     calls = counted(monkeypatch, ("reorder_schur",))
@@ -337,7 +335,7 @@ def test_the_cluster_is_ordered_only_by_cluster_first(monkeypatch):
     homogeneous_nullspaces(p)
     assert homogeneous_equivalence(p) == (True, True, True)
     assert solve_unipotent_quadratic(p).q_values
-    assert calls == {"reorder_schur": 2 + 4}
+    assert calls == {"reorder_schur": 2 + 2}
 
 
 def test_only_singular_builds_a_pair_or_reads_its_cluster():

@@ -8,8 +8,9 @@ import scipy.linalg
 from sylvcert.errors import (BranchCutError, DimensionError, InversionError, NumericError,
                              ParameterError)
 from sylvcert.instances import matrix_with_eigenvalues, random_sector_eigenvalues
-from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, kron_vec_operator,
-                               lstsq_solve, mat_exp, orthonormal_columns, rank_cutoff,
+from sylvcert.numerics import (as_complex_matrix, complex_schur, frob, identity,
+                               kron_vec_operator, lstsq_solve, mat_exp, orthonormal_columns,
+                               rank_cutoff,
                                reorder_schur,
                                schur_solve, schur_sqrt, schur_sylvester,
                                triangular_sylvester, unvec, vec)
@@ -219,6 +220,17 @@ class TestFrob:
         assert math.isnan(frob(np.array([np.inf, np.nan])))
 
 
+class TestIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_is_numpys_read_only_identity_made_once_per_order(self, n):
+        eye = identity(n)
+        assert eye.dtype == np.float64 and np.array_equal(eye, np.eye(n))
+        assert not eye.flags.writeable
+        assert identity(n) is eye
+        with pytest.raises(ValueError):
+            eye[...] = 2.0
+
+
 class TestOrthonormalColumns:
     def test_is_numpys_reduced_q(self, rng):
         # the thin Householder QR numpy.linalg.qr takes, by the same LAPACK
@@ -309,6 +321,13 @@ class TestSchurKernels:
         complex_schur(np.eye(3))
         with pytest.raises(NumericError):
             complex_schur(np.diag([1.0, np.nan, 2.0]))
+
+    def test_trsyl_overflow_scale_is_divided_out(self):
+        # trsyl returns 2 with scale 1e-300 here, so the solution needs the
+        # division; at scale 1 it is returned as trsyl made it
+        one, half = np.array([[1.0 + 0j]]), np.array([[0.5 + 0j]])
+        assert abs(triangular_sylvester(one, half, [[1e300]], -1)[0, 0] - 2e300) <= 1e-15 * 2e300
+        assert triangular_sylvester(one, half, [[1.0]], -1)[0, 0] == 2.0
 
     def test_schur_factors_reproduce_the_matrix(self, rng):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

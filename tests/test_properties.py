@@ -3,8 +3,9 @@ rule for where the spectra meet, ``prepare``'s factors put that cluster first
 and still factor the shifted pair, the kernel agrees with the dense oracle, the
 shift is the smallest admissible three-digit shift, only a right-hand side
 outside the range widens a too narrow cluster, the stacked root search
-agrees with a search of one candidate at a time, and the candidates it skips
-only repeat others, the root bridge's outcome
+agrees with a search of one candidate at a time, the candidates it skips
+only repeat others, and every solution of a consistent coupling gives a
+unipotent candidate, the root bridge's outcome
 is unchanged under a unitary similarity of the problem, every solvable
 verdict's certificate passes, a shared pair's kernel and cokernel have one
 dimension, the data's scale bounds every shared block and its rank is
@@ -29,9 +30,11 @@ from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob
 from sylvcert.oracle import build_operator, oracle_solve
-from sylvcert.roots import (homogeneous_equivalence, homogeneous_nullspaces,
+from sylvcert.blockalg import block_upper
+from sylvcert.roots import (UNIPOTENT_TOL, _base_and_target, _branch_roots,
+                            homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)
-from sylvcert.singular import decide_sylvester, diagnose, prepare
+from sylvcert.singular import DEFAULT_TOL, decide_sylvester, diagnose, prepare
 
 from conftest import (PROPERTY, candidate_repeat_gaps, reference_unipotent_quadratic,
                       relative_gap, shared_cluster_pair)
@@ -259,6 +262,32 @@ def test_the_search_skips_only_candidates_that_repeat(p):
     principal_gaps, variant_gaps = candidate_repeat_gaps(p)
     assert max(principal_gaps) <= 1e-10
     assert all(gap <= 1e-10 for gap in variant_gaps)
+
+
+@PROPERTY
+@given(bridge_problems(), st.integers(0, 2 ** 32 - 1))
+def test_every_coupling_solution_gives_a_unipotent_candidate(p, seed):
+    # a consistent class's (a, -b) candidate [[a, X], [0, -b]] squares to
+    # P = R target R for X plus any element k of the kernel (a k = k b), and
+    # Y = R^-1 Z R^-1 has the diagonal blocks I whatever X: which unipotent
+    # solutions exist cannot depend on the X the coupling decision returns
+    rng = np.random.default_rng(seed)
+    n, m = p.n, p.m
+    base, target = _base_and_target(p)
+    branch_roots, inverses = _branch_roots(p, base, DEFAULT_TOL)
+    for root, inverse in zip(branch_roots[:2], inverses, strict=True):
+        coupling = decide_sylvester(p, (root @ target @ root)[:n, n:])
+        if not coupling.lstsq_residual <= coupling.threshold:
+            continue
+        x = coupling.u
+        weights = rng.normal(size=len(p.kernel)) + 1j * rng.normal(size=len(p.kernel))
+        k = sum((w * z for w, z in zip(weights, p.kernel)), np.zeros((n, m)))
+        for corner in (x, x + (1.0 + frob(x)) * k):
+            y = inverse @ block_upper(p.a, corner, -p.b) @ inverse
+            assert frob(y[:n, :n] - np.eye(n)) <= UNIPOTENT_TOL * math.sqrt(n)
+            assert frob(y[n:, n:] - np.eye(m)) <= UNIPOTENT_TOL * math.sqrt(m)
+            scale = frob(base) * (1.0 + frob(y)) ** 2 + frob(target)
+            assert frob(y @ base @ y - target) <= DEFAULT_TOL * scale
 
 
 # -- invariance of the root bridge under unitary similarity ---------------------

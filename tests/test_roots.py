@@ -15,7 +15,7 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
                             homogeneous_nullspaces,
                             similarity_root_from_intertwiner,
                             solve_unipotent_quadratic)
-from sylvcert.singular import (DEFAULT_TOL, cluster_first, decide_sylvester, prepare,
+from sylvcert.singular import (DEFAULT_TOL, decide_sylvester, prepare,
                                solve_uv_report, unipotent_identity_residual)
 
 from conftest import (assert_multiset_close, candidate_repeat_gaps,
@@ -350,20 +350,23 @@ def branch_products(quad):
 
 class TestBranchCoupling:
     def test_coupling_decision_matches_oracle_per_branch(self):
-        # a^2 s - s b^2 = P_12 is decided on the squared Schur factors; the
-        # dense oracle must reach the same decision on every branch
+        # the (a, -b) coupling a X - X b = P_12 is decided on the problem's
+        # own pair; the dense oracle must reach the same decision on every
+        # branch, and so must its decision of the squared coupling
+        # a^2 s - s b^2 = P_12, which s -> a s + s b maps onto it one to one
         outcomes = set()
         for p in seeded_bridge_problems():
             quad = solve_unipotent_quadratic(p)
-            (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-            squared, _ = cluster_first(p.a @ p.a, p.b @ p.b, (ta @ ta, qa), (tb @ tb, qb))
             for index, P in enumerate(branch_products(quad)):
                 p12 = P[:p.n, p.n:]
-                decision = decide_sylvester(squared, p12)
-                reference = oracle_solve(squared.a, squared.b, p12)
-                assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff)
+                decision = decide_sylvester(p, p12)
+                reference = oracle_solve(p.a, p.b, p12)
+                squared = oracle_solve(p.a @ p.a, p.b @ p.b, p12)
+                assert not (decision.near_cutoff or decision.marginal or reference.near_cutoff
+                            or squared.near_cutoff)
                 consistent = decision.lstsq_residual <= decision.threshold
-                assert consistent == reference.consistent, (p.n, p.m, index)
+                assert consistent == reference.consistent == squared.consistent, \
+                    (p.n, p.m, index)
                 noted = any(note.startswith(f"branch {index}: coupling equation inconsistent")
                             for note in quad.notes)
                 assert noted == (not reference.consistent)
@@ -460,21 +463,22 @@ class TestSignPairs:
     residual.  If a BLAS broke it, the search would change its answers."""
 
     @staticmethod
-    def candidate_pairs(p, products, squared):
-        """Each class's candidates Z built as the search builds them, next to
-        their negatives built as the four-branch reference does."""
+    def candidate_pairs(p, products):
+        """Each class's candidates Z built as the search builds them, from
+        the principal corner and the coupling X of a X - X b = P_12, next to
+        their negatives: the principal root's, the (-a, b) variant
+        [[-a, -X], [0, b]], and the (-a, -b) variant built from the s with
+        a s + s b = X as the four-branch reference builds it."""
         a, b, n = p.a, p.b, p.n
         for k, p12 in enumerate(products[:, :n, n:]):
             principal = block_upper(a, schur_sylvester(p.schur_a, p.schur_b, p12, +1), b)
             yield k, principal, -principal
-            coupling = decide_sylvester(squared, p12)
+            coupling = decide_sylvester(p, p12)
             if coupling.lstsq_residual <= coupling.threshold:
-                s = coupling.u
-                a_s, s_b = a @ s, s @ b
-                for first, d1, d2 in ((block_upper(a, a_s - s_b, b), -a, -b),
-                                      (block_upper(a, a_s + s_b, -b), -a, b)):
-                    negative = block_upper(d1, d1 @ s - s @ d2, d2)
-                    yield k, first, negative
+                x = coupling.u
+                yield k, block_upper(a, x, -b), block_upper(-a, -x, b)
+                s = schur_sylvester(p.schur_a, p.schur_b, x, +1)
+                yield k, block_upper(a, a @ s - s @ b, b), block_upper(-a, -a @ s - s @ -b, -b)
 
     def test_negated_candidates_give_negated_solutions(self):
         coupled = set()
@@ -482,10 +486,8 @@ class TestSignPairs:
             base, target = roots._base_and_target(p)
             branch_roots, inverses = _branch_roots(p, base, DEFAULT_TOL)
             products = np.stack([root @ target @ root for root in branch_roots[:2]])
-            (ta, qa), (tb, qb) = p.schur_a, p.schur_b
-            squared, _ = cluster_first(p.a @ p.a, p.b @ p.b, (ta @ ta, qa), (tb @ tb, qb))
             count = 0
-            for k, first, negative in self.candidate_pairs(p, products, squared):
+            for k, first, negative in self.candidate_pairs(p, products):
                 assert np.array_equal(negative, -first)
                 inverse = inverses[[k, k]]
                 y = inverse @ np.stack((first, negative)) @ inverse
@@ -505,9 +507,9 @@ class TestSignPairs:
             residuals = np.linalg.norm(branch_roots @ branch_roots - base, axis=(1, 2))
             assert residuals[3] == residuals[0] and residuals[2] == residuals[1]
 
-    def test_squared_pair_makes_no_trsen_call(self, monkeypatch):
-        # the squared factors are cluster-first by the problem's pair, so
-        # the squared pair's cluster already leads
+    def test_the_search_makes_no_trsen_call(self, monkeypatch):
+        # the couplings are decided on the problem's pair, whose factors
+        # prepare ordered cluster first once
         calls = []
         trsen = numerics.lapack.ztrsen
 
@@ -529,10 +531,10 @@ class TestRepeatedCandidates:
     * Every branch gives one principal Y.  For a branch root R of B = base,
       R T R = R (T B) R^-1, and a similarity commutes with the principal
       root, so R^-1 (R T R)^{1/2} R^-1 = (T B)^{1/2} B^-1, whatever R.
-    * The (a, b) variant is the principal root: [[a, a s - s b], [0, b]]
-      squares to [[a^2, a^2 s - s b^2], [0, b^2]] = P for every solution s
-      of the coupling, and its spectrum, that of a and b, lies in the
-      sector, where P has one square root."""
+    * The (a, b) variant is the principal root: for every solution X of
+      the coupling a X - X b = P_12 and the s with a s + s b = X, its
+      corner a s - s b solves a w + w b = a X - X b = P_12, which has one
+      solution, since the spectra of a and -b are disjoint."""
 
     def test_principal_roots_agree_and_the_ab_variant_is_the_principal(self):
         coupled = 0
