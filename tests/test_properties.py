@@ -24,13 +24,13 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from sylvcert import gate
+from sylvcert.blockalg import block_upper
 from sylvcert.errors import DimensionError
 from sylvcert.gate import DEFAULT_MARGIN, choose_shift
 from sylvcert.instances import (regular_pair, rhs_in_range, rhs_outside_range,
                                 shared_jordan_pair, shared_semisimple_pair)
 from sylvcert.numerics import frob
 from sylvcert.oracle import build_operator, oracle_solve
-from sylvcert.blockalg import block_upper
 from sylvcert.roots import (UNIPOTENT_TOL, _base_and_target, _branch_roots,
                             homogeneous_equivalence, homogeneous_nullspaces,
                             solve_unipotent_quadratic)

@@ -478,7 +478,7 @@ class TestSignPairs:
                 x = coupling.u
                 yield k, block_upper(a, x, -b), block_upper(-a, -x, b)
                 s = schur_sylvester(p.schur_a, p.schur_b, x, +1)
-                yield k, block_upper(a, a @ s - s @ b, b), block_upper(-a, -a @ s - s @ -b, -b)
+                yield k, block_upper(a, a @ s - s @ b, b), block_upper(-a, (-a) @ s - s @ (-b), -b)
 
     def test_negated_candidates_give_negated_solutions(self):
         coupled = set()
