@@ -19,7 +19,9 @@ outcome key, flags and notes, the number of quadratic solutions, the
 search's notes, and SHA-256 digests of the search's branch roots, of its q
 values and of its solutions Y.  The digest of Y is taken of ``Y + 0.0``,
 which maps -0.0 to +0.0: a zero's sign no report prints may change, any
-other bit of a root-search result is compared on every operation.
+other bit of a root-search result is compared on every operation.  The
+digested arrays themselves are kept in a compressed ``parity.npz`` beside
+each side's ``parity.json``, so a digest mismatch can be sized.
 
 Then each side runs the CLI in process, with ``-o``, on one shared copy of
 the files, so both name the same paths on stdout:
@@ -35,9 +37,11 @@ stderr and the report text without its ``generated_at`` line.
 
 Records are compared field by field, CLI records byte for byte, after
 checking that both sides drew the same instances.  The script prints every
-mismatch (for text, its first differing line) and the largest relative
-change of a diagnose certificate residual (the residuals are rounding-level
-numbers, so only their size is reported), and exits 1 on any mismatch.
+mismatch (for text, its first differing line; for a digest whose arrays have
+the same shape on both sides, the relative change ||new - old|| / ||old||
+of the arrays), the largest relative change of a diagnose certificate
+residual (the residuals are rounding-level numbers, so only their size is
+reported) and of each digested bridge array, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ import numpy as np
 from ab import export
 
 WORKLOADS = ("one_cluster", "cli_small", "bridge")
+# the arrays of a bridge record that are digested, each kept in parity.npz
+BRIDGE_ARRAYS = ("base_roots", "q_values", "y_solutions")
 # the runs of each corpus file, and of the corpus directory
 FILE_RUNS = (("diagnose",), ("diagnose", "--oracle", "--quadrature", "--bridge"),
              ("homogeneous",), ("roots",))
@@ -90,18 +96,22 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _bridge_record(sylvcert, workloads, inst) -> dict:
+def _bridge_record(sylvcert, workloads, inst) -> tuple:
+    """The record of one bridge operation, and the arrays it digests."""
     p = sylvcert.prepare(inst.a, inst.b, inst.c)
     x_basis, y_basis = sylvcert.homogeneous_nullspaces(p)
     triple = sylvcert.homogeneous_equivalence(p)
     quad = sylvcert.solve_unipotent_quadratic(p)
     outcome = workloads.check_bridge(inst, (p, x_basis, y_basis, triple, quad.q_values))
-    return {"gate": _gate(p), "cluster_sizes": _cluster_sizes(p),
-            "outcome": [repr(outcome.key), outcome.failed, outcome.refused, outcome.notes],
-            "y_solutions": len(quad.y_solutions), "notes": quad.notes,
-            "base_roots_sha256": _digest(quad.base_roots),
-            "q_values_sha256": _digest(*quad.q_values),
-            "y_solutions_sha256": _digest(quad.y_solutions + 0.0)}
+    arrays = dict(zip(BRIDGE_ARRAYS, (
+        quad.base_roots,
+        np.array(quad.q_values, dtype=np.complex128).reshape(-1, p.n, p.m),
+        quad.y_solutions + 0.0)))
+    record = {"gate": _gate(p), "cluster_sizes": _cluster_sizes(p),
+              "outcome": [repr(outcome.key), outcome.failed, outcome.refused, outcome.notes],
+              "y_solutions": len(quad.y_solutions), "notes": quad.notes,
+              **{f"{name}_sha256": _digest(x) for name, x in arrays.items()}}
+    return record, arrays
 
 
 def _cli_record(main, argv: list, report: Path) -> dict:
@@ -133,15 +143,22 @@ def record(checkout: str, seeds: list, files: str, out: str) -> None:
     if not Path(sylvcert.__file__).resolve().is_relative_to(Path(checkout).resolve()):
         sys.exit(f"parity: imported sylvcert from {sylvcert.__file__}, not {checkout}")
     doc = {"instances": {}, "operations": {}, "cli": {}}
+    arrays = {}
     for workload in WORKLOADS:
         for seed in seeds:
             instances = workloads.generate(workload, seed, sylvcert.instances)
             key = f"{workload}/{seed}"
             doc["instances"][key] = hashlib.sha256(workloads.fingerprint(instances)).hexdigest()
             for index, inst in enumerate(instances):
-                doc["operations"][f"{key}/{index:03d}"] = (
-                    _bridge_record(sylvcert, workloads, inst) if workload == "bridge" else
-                    _diagnose_record(sylvcert, inst, with_oracle=workload == "cli_small"))
+                operation = f"{key}/{index:03d}"
+                if workload == "bridge":
+                    doc["operations"][operation], digested = _bridge_record(
+                        sylvcert, workloads, inst)
+                    arrays.update({f"{operation}/{name}": x for name, x in digested.items()})
+                else:
+                    doc["operations"][operation] = _diagnose_record(
+                        sylvcert, inst, with_oracle=workload == "cli_small")
+    np.savez_compressed(Path(out).with_suffix(".npz"), **arrays)
     files = Path(files)
     corpus, report = files / "corpus", files / "report.json"
     runs = [[*argv, str(path)] for path in sorted(corpus.glob("*.json")) for argv in FILE_RUNS]
@@ -156,7 +173,9 @@ def record(checkout: str, seeds: list, files: str, out: str) -> None:
     Path(out).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def run_side(checkout: Path, seeds: list, files: Path) -> dict:
+def run_side(checkout: Path, seeds: list, files: Path) -> tuple:
+    """That side's records, and its digested bridge arrays by operation and
+    name."""
     out = checkout / "parity.json"
     path = [str(checkout / "src"), str(checkout / "perfbench")]
     code = (f"import sys; sys.path[:0] = {path!r}; "
@@ -164,7 +183,9 @@ def run_side(checkout: Path, seeds: list, files: Path) -> dict:
             f"parity.record({str(checkout)!r}, {seeds!r}, {str(files)!r}, {str(out)!r})")
     print(f"{checkout.name}: recording seeds {seeds[0]}-{seeds[-1]}", flush=True)
     subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True)
-    return json.loads(out.read_text(encoding="utf-8"))
+    with np.load(out.with_suffix(".npz")) as saved:
+        arrays = {name: saved[name] for name in saved.files}
+    return json.loads(out.read_text(encoding="utf-8")), arrays
 
 
 def _difference(old, new) -> str:
@@ -178,13 +199,33 @@ def _difference(old, new) -> str:
     return f"parent {old!r}, change {new!r}"
 
 
-def compare(parent: dict, change: dict) -> tuple:
-    """(mismatches, largest relative certificate-residual change, the
-    operation it was seen on)."""
+def _relative(old, new) -> float:
+    return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
+
+
+def _sized(key: str, field: str, old_arrays: dict, new_arrays: dict) -> tuple:
+    """For the digest ``field`` of bridge operation ``key``: the relative
+    change of its arrays, or None with the reason it has none, as (value,
+    text)."""
+    name = f"{key}/{field.removesuffix('_sha256')}"
+    old, new = old_arrays.get(name), new_arrays.get(name)
+    if old is None or new is None:
+        return None, "; arrays not recorded"
+    if old.shape != new.shape:
+        return None, f"; shapes {old.shape} and {new.shape} differ"
+    relative = _relative(old, new)
+    return relative, f"; relative change {relative:.3g}"
+
+
+def compare(parent: dict, change: dict, parent_arrays: dict, change_arrays: dict) -> tuple:
+    """(mismatches, {what: (largest relative change, the operation it was
+    seen on)}) for the certificate residual and each digested bridge
+    array."""
     mismatches = [f"instances {key}: the sides drew different instances"
                   for key in sorted(parent["instances"].keys() | change["instances"].keys())
                   if parent["instances"].get(key) != change["instances"].get(key)]
-    drift, where = 0.0, None
+    drifts = {what: (0.0, None) for what in
+              ("a certificate residual", *(f"bridge {name}" for name in BRIDGE_ARRAYS))}
     for section in ("operations", "cli"):
         for key in sorted(parent[section].keys() | change[section].keys()):
             old, new = parent[section].get(key), change[section].get(key)
@@ -197,13 +238,20 @@ def compare(parent: dict, change: dict) -> tuple:
             r_new = new.pop("certificate_residual", None)
             for field in sorted(old.keys() | new.keys()):
                 if old.get(field) != new.get(field):
-                    mismatches.append(f"{section} {key} {field}: "
-                                      + _difference(old.get(field), new.get(field)))
+                    line = f"{section} {key} {field}: " + _difference(old.get(field),
+                                                                     new.get(field))
+                    if field.endswith("_sha256"):
+                        relative, text = _sized(key, field, parent_arrays, change_arrays)
+                        line += text
+                        what = f"bridge {field.removesuffix('_sha256')}"
+                        if relative is not None and relative > drifts[what][0]:
+                            drifts[what] = relative, key
+                    mismatches.append(line)
             if r_old is not None and r_new is not None and r_old != r_new:
                 relative = abs(r_new - r_old) / max(abs(r_old), 1e-300)
-                if relative > drift:
-                    drift, where = relative, key
-    return mismatches, drift, where
+                if relative > drifts["a certificate residual"][0]:
+                    drifts["a certificate residual"] = relative, key
+    return mismatches, drifts
 
 
 def parse_seeds(text: str) -> list:
@@ -229,14 +277,15 @@ def main(argv=None) -> int:
         sides = {side: run_side(workdir / side, args.seeds, files) for side in refs}
     finally:
         shutil.rmtree(workdir)
-    mismatches, drift, where = compare(sides["parent"], sides["change"])
+    (parent, parent_arrays), (change, change_arrays) = sides["parent"], sides["change"]
+    mismatches, drifts = compare(parent, change, parent_arrays, change_arrays)
     for line in mismatches:
         print(f"MISMATCH {line}")
-    print(f"{len(sides['change']['operations'])} operations and "
-          f"{len(sides['change']['cli'])} CLI runs compared: "
-          f"{len(mismatches)} mismatches")
-    print(f"largest relative change of a certificate residual: {drift:.3g}"
-          + (f" ({where})" if where else ""))
+    print(f"{len(change['operations'])} operations and {len(change['cli'])} CLI runs "
+          f"compared: {len(mismatches)} mismatches")
+    for what, (drift, where) in drifts.items():
+        print(f"largest relative change of {what}: {drift:.3g}"
+              + (f" ({where})" if where else ""))
     return 1 if mismatches else 0
 
 

@@ -47,11 +47,16 @@ def _spectrum_values(spectrum) -> np.ndarray:
     return np.atleast_1d(np.asarray(spectrum, dtype=np.complex128))
 
 
+def _in_sector(values: np.ndarray, angles: np.ndarray, alpha: float) -> np.ndarray:
+    # angles is |arg z| of each z in values
+    return (values != 0) & (angles < alpha)
+
+
 def sector_contains(spectrum, alpha: float) -> bool:
     """True iff every eigenvalue z satisfies z != 0 and |arg z| < alpha."""
     _check_alpha(alpha)
     values = _spectrum_values(spectrum)
-    return bool(((values != 0) & (np.abs(np.angle(values)) < alpha)).all())
+    return bool(_in_sector(values, np.abs(np.angle(values)), alpha).all())
 
 
 def shared_eigenvalues(sa, sb, scale: float) -> tuple:
@@ -63,13 +68,12 @@ def shared_eigenvalues(sa, sb, scale: float) -> tuple:
     return gaps.min(axis=1) <= tolerance, gaps.min(axis=0) <= tolerance, tolerance
 
 
-def _shift_admissible(values: np.ndarray, lam: float, alpha: float,
-                      margin: float, floor: float) -> bool:
-    # sin of the angular gap to the sector boundary at least margin, modulus
-    # at least floor (which excludes z + lam = 0)
-    shifted = values + lam
-    gaps = alpha - np.abs(np.angle(shifted))
-    return bool(((np.abs(shifted) >= floor) & (np.sin(gaps) >= margin)).all())
+def _admissible(moduli: np.ndarray, angles: np.ndarray, alpha: float,
+                margin: float, floor: float) -> bool:
+    # for the |z + lam| and |arg(z + lam)| of a shift lam: sin of the angular
+    # gap to the sector boundary at least margin, modulus at least floor
+    # (which excludes z + lam = 0)
+    return bool(((moduli >= floor) & (np.sin(alpha - angles) >= margin)).all())
 
 
 def _decimal(count: int, exponent: int) -> float:
@@ -99,10 +103,29 @@ def choose_shift(sa, sb, alpha: float) -> float:
     """
     _check_alpha(alpha)
     values = np.concatenate([_spectrum_values(sa), _spectrum_values(sb)])
+    return _shift(values, np.abs(np.angle(values)), alpha)
+
+
+def sector_evidence(sa, sb, alpha: float) -> tuple:
+    """``(sector_contains(sa, alpha), sector_contains(sb, alpha),
+    choose_shift(sa, sb, alpha))`` from one pass of arguments over both
+    spectra: the shift's check at lambda = 0 reads the same |arg z|."""
+    _check_alpha(alpha)
+    sa = _spectrum_values(sa)
+    values = np.concatenate([sa, _spectrum_values(sb)])
+    angles = np.abs(np.angle(values))
+    inside = _in_sector(values, angles, alpha)
+    return (bool(inside[:sa.size].all()), bool(inside[sa.size:].all()),
+            _shift(values, angles, alpha))
+
+
+def _shift(values: np.ndarray, angles: np.ndarray, alpha: float) -> float:
+    # choose_shift for the concatenated spectra and their |arg z|
     margin = min(DEFAULT_MARGIN, 0.99 * math.sin(alpha))
-    radius = float(np.max(np.abs(values))) if values.size else 0.0
+    moduli = np.abs(values)
+    radius = float(moduli.max()) if values.size else 0.0
     floor = margin * (radius if radius > 0 else 1.0)
-    if _shift_admissible(values, 0.0, alpha, margin, floor):
+    if _admissible(moduli, angles, alpha, margin, floor):
         return 0.0
 
     sector = np.abs(values.imag) / math.tan(alpha - math.asin(margin)) - values.real
@@ -113,6 +136,9 @@ def choose_shift(sa, sb, alpha: float) -> float:
     exponent = math.floor(math.log10(bound)) - 2
     # start one quantum low, so rounding in the bound cannot cost a quantum
     count = math.ceil(bound / 10.0 ** exponent) - 1
-    while not _shift_admissible(values, _decimal(count, exponent), alpha, margin, floor):
+    while True:
+        lam = _decimal(count, exponent)
+        shifted = values + lam
+        if _admissible(np.abs(shifted), np.abs(np.angle(shifted)), alpha, margin, floor):
+            return lam
         count += 1
-    return _decimal(count, exponent)

@@ -34,6 +34,7 @@ from .errors import (BranchCutError, DimensionError, InversionError, NumericErro
 RANK_CUTOFF_FACTOR = 2.0 ** -40
 
 _FLOAT64 = np.dtype(np.float64)
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 def rank_cutoff(shape, scale: float) -> float:
@@ -83,10 +84,12 @@ def frob(m: np.ndarray) -> float:
     with numpy's ``overflow encountered in dot`` warning, NaN propagates,
     and an empty array gives 0.0.  The sum runs in another order than
     numpy's, so the last digits may differ."""
-    v = np.asarray(m).ravel()
+    v = m.ravel() if type(m) is np.ndarray else np.asarray(m).ravel()
     # float64 is dotted as it is, anything else through a complex128 view
     if v.dtype is not _FLOAT64:
-        v = v.astype(np.complex128, copy=False).view(np.float64)
+        if v.dtype is not _COMPLEX128:
+            v = v.astype(np.complex128)
+        v = v.view(np.float64)
     return math.sqrt(v.dot(v))
 
 

@@ -33,16 +33,18 @@ shared-block SVD, as do its ``kernel`` and ``cokernel``, the intertwiners of
 both sides; the root search marks no cluster of its own.
 
 Every operand of the root search (base, target, branch roots and their
-inverses, the products P and every candidate) is block upper triangular, and
-for such operands the block algebra's typed product is the ordinary product.
-The search therefore runs on dense arrays split after row and column
-``n = p.n``, and returns them: stacked ``(k, n+m, n+m)`` arrays, all branches
-or one candidate of each pair in one product.  Each stacked product is
-checked to be finite with zero lower-left blocks, and base and target to be
-finite.  The branch inverses are closed-form, L D^-1 L^-1 for a branch root
-L D L^-1, from one inverse of each principal root.  The equivalence's
-operands are block triangular on one side or block diagonal, and it too runs
-on dense arrays.
+inverses, and every candidate) is block upper triangular, and for such
+operands the block algebra's typed product is the ordinary product.  The
+search therefore runs on dense arrays split after row and column ``n = p.n``,
+and returns them: stacked ``(k, n+m, n+m)`` arrays.  A branch root L D L^-1
+and its inverse L D^-1 L^-1 are written down block by block, from four
+n x m products and one inverse of each principal root, with no (n+m)-square
+product; of P = R target R only the corner P_12 is formed, the one block
+the search reads.  The branch roots and inverses, their squares, the
+corners, and the candidates' Y and Y base Y are each checked to be finite,
+every stacked (n+m)-square product also to have zero lower-left blocks, and
+base and target to be finite.  The equivalence's operands are block
+triangular on one side or block diagonal, and it too runs on dense arrays.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ SIGN_CLASS = (0, 1, 1, 0)
 # the diagonal signs ((-1)^k1, (-1)^k2 i) of each branch, in branch order
 _BRANCH_SIGNS = np.array([[(-1) ** k1, (-1) ** k2 * 1j] for k1, k2 in BRANCHES])
 _BRANCH_SIGNS.flags.writeable = False
+# the diagonal signs of the four branch roots, then of the inverses of branches
+# 0 and 1: the reciprocal of +-1 or +-i is its conjugate
+_STACK_SIGNS = np.concatenate([_BRANCH_SIGNS, _BRANCH_SIGNS[:2].conj()])
+_STACK_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -219,29 +225,29 @@ def _branch_roots(p: SylvesterProblem, base, tol: float) -> tuple:
     stack.
 
     A branch root is L D L^-1 for the coupling L = [[I, -e], [0, I]] and the
-    diagonal D = (s1 sqrt(a), s2 sqrt(b)) with s1 = +-1, s2 = +-i, so its
-    inverse is L D^-1 L^-1 with D^-1 = (conj(s1) sqrt(a)^-1, conj(s2) sqrt(b)^-1):
-    the sign reciprocals are exact, and each principal root is inverted
-    once for all branches.
+    diagonal D = (s1 sqrt(a), s2 sqrt(b)) with s1 = +-1, s2 = +-i, that is
+    [[s1 sqrt(a), s1 sqrt(a) e - s2 e sqrt(b)], [0, s2 sqrt(b)]], and its
+    inverse L D^-1 L^-1 is the same form in conj(s1) sqrt(a)^-1 and
+    conj(s2) sqrt(b)^-1.  So both are assembled from their blocks, with the
+    four n x m products sqrt(a) e, e sqrt(b), sqrt(a)^-1 e and e sqrt(b)^-1,
+    and each principal root is inverted once for all branches.  Multiplying
+    by +-1 or +-i only moves and negates the parts of a complex number, so
+    the signs factor out exactly: branches 3 and 2 are the exact negatives
+    of branches 0 and 1, and their squares are the same.
     """
-    n, m = p.n, p.m
+    n = p.n
     e1 = schur_sylvester(p.schur_a, p.schur_b, -p.companion, +1)
-    signs = _BRANCH_SIGNS
     sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
     inv_a = _inverse_block(sqrt_a, "upper-left")
     inv_b = _inverse_block(sqrt_b, "lower-right")
-    # the diagonals of the four roots, then of the inverses of branches 0 and 1
-    inner = np.zeros((6, n + m, n + m), dtype=np.complex128)
-    inner[:4, :n, :n] = signs[:, 0, None, None] * sqrt_a
-    inner[:4, n:, n:] = signs[:, 1, None, None] * sqrt_b
-    inner[4:, :n, :n] = signs[:2, 0, None, None].conj() * inv_a
-    inner[4:, n:, n:] = signs[:2, 1, None, None].conj() * inv_b
-    eye_n, eye_m = identity(n), identity(m)
-    coupling = block_upper(eye_n, -e1, eye_m)
-    coupling_inverse = block_upper(eye_n, e1, eye_m)
-    product = _checked(coupling @ inner @ coupling_inverse, n)
-    roots, inverses = product[:4], product[4:]
-    # branches 3 and 2 are the negatives of branches 0 and 1, with their squares
+    s1, s2 = _STACK_SIGNS[:, 0, None, None], _STACK_SIGNS[:, 1, None, None]
+    stack = np.zeros((6, n + p.m, n + p.m), dtype=np.complex128)
+    for rows, d1, d2 in ((slice(4), sqrt_a, sqrt_b), (slice(4, 6), inv_a, inv_b)):
+        stack[rows, :n, :n] = s1[rows] * d1
+        stack[rows, :n, n:] = s1[rows] * (d1 @ e1) - s2[rows] * (e1 @ d2)
+        stack[rows, n:, n:] = s2[rows] * d2
+    _finite(stack, "root bridge product")
+    roots, inverses = stack[:4], stack[4:]
     classes = roots[:2]
     residuals = np.linalg.norm(_checked(classes @ classes, n) - base, axis=(1, 2)).tolist()
     bound = tol * max(frob(base), 1.0)
@@ -280,7 +286,8 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     For each branch root R of the base matrix, P = R target R has diagonal
     blocks a^2 and b^2 with spectra in the sector.  Candidates Z for the
     root of P are [[d1, z], [0, d2]] with d1 in {a, -a}, d2 in {b, -b} and
-    d1 z + z d2 = P_12:
+    d1 z + z d2 = P_12, so of P only P_12 = R[:n] target R[:, n:] is
+    formed:
 
     * (a, b) is P's principal root [[a, w], [0, b]], with w the one
       solution of a w + w b = P_12 (the spectra of a and -b are disjoint),
@@ -314,18 +321,19 @@ def solve_unipotent_quadratic(p: SylvesterProblem,
     base, target = _base_and_target(p)
     roots, inverses = _branch_roots(p, base, tol)
     classes = roots[:2]  # branches 0 and 1, one per sign class
-    products = _checked(classes @ target @ classes, n)
+    # P_12 = R[:n] target R[:, n:], the one block of P = R target R read
+    corners = _finite(classes[:, :n] @ target @ classes[:, :, n:], "root bridge product")
 
     # the (a, -b) coupling a X - X b = P_12 is the problem's own equation:
     # each class decides its own against the problem's one shared-block SVD
-    couplings = [decide_sylvester(p, p12, tol) for p12 in products[:, :n, n:]]
+    couplings = [decide_sylvester(p, p12, tol) for p12 in corners]
     notes = [f"branch {index}: coupling equation inconsistent "
              f"(residual {coupling.lstsq_residual:.3g})"
              for index, coupling in enumerate(couplings[k] for k in SIGN_CLASS)
              if not coupling.lstsq_residual <= coupling.threshold]
     # class 0's principal root, then each consistent class's (a, -b); the
     # negatives are the principal's and the (-a, b) variants
-    firsts = [block_upper(a, schur_sylvester(p.schur_a, p.schur_b, products[0, :n, n:], +1), b)]
+    firsts = [block_upper(a, schur_sylvester(p.schur_a, p.schur_b, corners[0], +1), b)]
     owners = [0]  # the class of each
     for k, coupling in enumerate(couplings):
         if coupling.lstsq_residual <= coupling.threshold:

@@ -55,8 +55,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, InversionError, WitnessError
-from .gate import (DEFAULT_ALPHA, GateReport, choose_shift, sector_contains,
-                   shared_eigenvalues)
+from .gate import DEFAULT_ALPHA, GateReport, sector_evidence, shared_eigenvalues
 from .numerics import (as_sylvester_data, complex_schur, frob, identity, kron_vec_operator,
                        lstsq_solve, orthonormal_columns, rank_cutoff, reorder_schur,
                        schur_solve, schur_sylvester, triangular_sylvester, unvec, vec)
@@ -268,12 +267,11 @@ def prepare(a, b, c, alpha: float = DEFAULT_ALPHA) -> SylvesterProblem:
     a0, b0, c = as_sylvester_data(a, b, c)
     ta, qa = complex_schur(a0)
     tb, qb = complex_schur(b0)
-    lam = choose_shift(ta.diagonal(), tb.diagonal(), alpha)
+    in_sector_a, in_sector_b, lam = sector_evidence(ta.diagonal(), tb.diagonal(), alpha)
     id_a, id_b = identity(a0.shape[0]), identity(b0.shape[0])
     pair, tolerance = cluster_first(a0 + lam * id_a, b0 + lam * id_b,
                                     (ta + lam * id_a, qa), (tb + lam * id_b, qb))
-    gate = GateReport(in_sector_a=sector_contains(ta.diagonal(), alpha),
-                      in_sector_b=sector_contains(tb.diagonal(), alpha),
+    gate = GateReport(in_sector_a=in_sector_a, in_sector_b=in_sector_b,
                       spectra_intersect=pair.cluster[0] > 0,
                       intersection_tolerance=float(tolerance))
     return SylvesterProblem(**vars(pair), c=c, gate=gate, alpha=alpha, lambda_shift=lam,
@@ -490,7 +488,8 @@ def sylvester_kernel(pair: SylvesterPair) -> tuple:
     # stays orthonormal under the unitary qa, qb
     q = orthonormal_columns(np.column_stack([vec(np.hstack(blocks))
                                              for blocks in zip(heads, tails)]))
-    basis = tuple(_phase_fix(qa[:, :k_a] @ unvec(v, k_a, pair.m) @ qb.conj().T) for v in q.T)
+    qa_k, qb_h = qa[:, :k_a], qb.conj().T
+    basis = tuple(_phase_fix(qa_k @ unvec(v, k_a, pair.m) @ qb_h) for v in q.T)
     for x in basis:
         x.flags.writeable = False
     return basis

@@ -5,10 +5,12 @@ from hypothesis import settings
 
 from sylvcert.errors import PreconditionError
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
-from sylvcert.numerics import complex_schur, frob, lstsq_solve, rank_cutoff, schur_sylvester
+from sylvcert import roots
+from sylvcert.numerics import (complex_schur, frob, lstsq_solve, rank_cutoff, schur_sqrt,
+                               schur_sylvester)
 from sylvcert.oracle import OracleResult
 from sylvcert.regular import compute_offset, reduced_rhs
-from sylvcert.roots import UNIPOTENT_TOL
+from sylvcert.roots import BRANCHES, UNIPOTENT_TOL
 from sylvcert.singular import DEFAULT_TOL, decide_sylvester
 
 # derandomized, so every run draws the same examples
@@ -194,6 +196,41 @@ def reference_block_roots(p, tol=DEFAULT_TOL):
                     f"(residual {residual:.3g})")
             roots.append(root)
     return roots
+
+
+def closed_form_gaps(p, tol=DEFAULT_TOL) -> tuple:
+    """Relative gaps of the search's assembled blocks from the literal
+    products: each branch root from L D L^-1, each inverse the search reads
+    (branches 0 and 1) from L D^-1 L^-1, for L = [[I, -e], [0, I]] and the
+    branch's diagonal D, and each class's coupling right-hand side from
+    (R target R)[:n, n:].  The principal roots and e are the package's, so
+    only the assembly is compared."""
+    n, m = p.n, p.m
+    e1 = schur_sylvester(p.schur_a, p.schur_b, -p.companion, +1)
+    sqrt_a, sqrt_b = schur_sqrt(p.schur_a), schur_sqrt(p.schur_b)
+    inv_a, inv_b = np.linalg.inv(sqrt_a), np.linalg.inv(sqrt_b)
+    left, right = upper(np.eye(n), -e1, np.eye(m)), upper(np.eye(n), e1, np.eye(m))
+    zero = np.zeros((n, m))
+    signs = [((-1) ** k1, (-1) ** k2 * 1j) for k1, k2 in BRANCHES]
+    literal_roots = [left @ upper(s1 * sqrt_a, zero, s2 * sqrt_b) @ right for s1, s2 in signs]
+    literal_inverses = [left @ upper(np.conj(s1) * inv_a, zero, np.conj(s2) * inv_b) @ right
+                        for s1, s2 in signs[:2]]
+
+    base, target = roots._base_and_target(p)
+    branch_roots, inverses = roots._branch_roots(p, base, tol)
+    corners = []
+
+    def decide_spy(problem, rhs, tol):
+        corners.append(rhs)
+        return decide_sylvester(problem, rhs, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots, "decide_sylvester", decide_spy)
+        roots.solve_unipotent_quadratic(p, tol)
+    literal_corners = [(root @ target @ root)[:n, n:] for root in branch_roots[:2]]
+    return ([relative_gap(x, y) for x, y in zip(branch_roots, literal_roots, strict=True)],
+            [relative_gap(x, y) for x, y in zip(inverses, literal_inverses, strict=True)],
+            [relative_gap(x, y) for x, y in zip(corners, literal_corners, strict=True)])
 
 
 def reference_candidates(p, tol=DEFAULT_TOL):

@@ -5,7 +5,7 @@ import pytest
 
 from sylvcert.errors import ParameterError
 from sylvcert.gate import (CLUSTER_TOLERANCE_FACTOR, GateReport, choose_shift,
-                           sector_contains, shared_eigenvalues)
+                           sector_contains, sector_evidence, shared_eigenvalues)
 from sylvcert.numerics import frob
 from sylvcert.oracle import oracle_solve
 from sylvcert.singular import prepare
@@ -77,6 +77,43 @@ class TestChooseShift:
             lam = choose_shift(sa, sb, alpha)
             assert sector_contains(sa + lam, alpha)
             assert sector_contains(sb + lam, alpha)
+
+
+class TestSectorEvidence:
+    """prepare's one pass over both spectra gives exactly the gate's three
+    separate answers."""
+
+    @staticmethod
+    def spectrum(rng, k, spread):
+        return rng.uniform(0.5, 2.0, size=k) * np.exp(1j * rng.uniform(-spread, spread, size=k))
+
+    @pytest.mark.parametrize("case", ["in_sector", "needs_shift", "zero_eigenvalue"])
+    def test_one_pass_is_the_three_calls(self, rng, case):
+        shifts = []
+        for _ in range(40):
+            n, m = (int(k) for k in rng.choice(np.arange(1, 8), size=2, replace=False))
+            alpha = rng.uniform(0.2, 1.4)
+            spread = alpha / 2 if case == "in_sector" else math.pi
+            sa, sb = self.spectrum(rng, n, spread), self.spectrum(rng, m, spread)
+            if case == "zero_eigenvalue":
+                # an exact zero of either sign, and real eigenvalues with a
+                # negative zero imaginary part
+                sa[0] = complex(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0]))
+                sb = np.array([complex(x, -0.0) for x in sb.real])
+            expected = (sector_contains(sa, alpha), sector_contains(sb, alpha),
+                        choose_shift(sa, sb, alpha))
+            assert sector_evidence(sa, sb, alpha) == expected
+            if case == "in_sector":
+                assert expected == (True, True, 0.0)
+            elif case == "zero_eigenvalue":
+                assert not expected[0] and expected[2] > 0.0
+            shifts.append(expected[2])
+        if case == "needs_shift":
+            assert min(shifts) > 0.0
+
+    def test_alpha_checked(self):
+        with pytest.raises(ParameterError):
+            sector_evidence([1.0], [1.0], math.pi / 2)
 
 
 class TestShiftEquivalence:

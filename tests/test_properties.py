@@ -36,8 +36,8 @@ from sylvcert.roots import (UNIPOTENT_TOL, _base_and_target, _branch_roots,
                             solve_unipotent_quadratic)
 from sylvcert.singular import DEFAULT_TOL, decide_sylvester, diagnose, prepare
 
-from conftest import (PROPERTY, candidate_repeat_gaps, reference_unipotent_quadratic,
-                      relative_gap, shared_cluster_pair)
+from conftest import (PROPERTY, candidate_repeat_gaps, closed_form_gaps,
+                      reference_unipotent_quadratic, relative_gap, shared_cluster_pair)
 
 
 @st.composite
@@ -182,6 +182,8 @@ def test_shift_is_the_smallest_admissible_three_digit_shift(case):
     sa, sb, alpha = case
     values = np.concatenate([sa, sb])
     lam = choose_shift(sa, sb, alpha)
+    assert gate.sector_evidence(sa, sb, alpha) == (
+        gate.sector_contains(sa, alpha), gate.sector_contains(sb, alpha), lam)
     assert admissible(values, lam, alpha)
     assert float(f"{lam:.3g}") == lam
     if admissible(values, 0.0, alpha):
@@ -262,6 +264,14 @@ def test_the_search_skips_only_candidates_that_repeat(p):
     principal_gaps, variant_gaps = candidate_repeat_gaps(p)
     assert max(principal_gaps) <= 1e-10
     assert all(gap <= 1e-10 for gap in variant_gaps)
+
+
+@PROPERTY
+@given(bridge_problems().filter(lambda p: p.n != p.m))
+def test_assembled_branch_blocks_are_the_literal_products(p):
+    # tests/test_roots.py::TestClosedFormBlocks on rectangular corners
+    for gaps in closed_form_gaps(p):
+        assert max(gaps) <= 1e-13
 
 
 @PROPERTY

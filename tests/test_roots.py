@@ -18,7 +18,7 @@ from sylvcert.roots import (_branch_roots, block_roots, homogeneous_equivalence,
 from sylvcert.singular import (DEFAULT_TOL, decide_sylvester, prepare,
                                solve_uv_report, unipotent_identity_residual)
 
-from conftest import (assert_multiset_close, candidate_repeat_gaps,
+from conftest import (assert_multiset_close, candidate_repeat_gaps, closed_form_gaps,
                       reference_unipotent_quadratic, relative_gap, shared_cluster_pair)
 
 
@@ -432,7 +432,7 @@ class TestSignClasses:
             assert len(solved) == 2
             np.testing.assert_array_equal(solved[0], -companion)
             root = quad.base_roots[0]
-            np.testing.assert_array_equal(solved[1], (root @ quad.target @ root)[:p.n, p.n:])
+            np.testing.assert_array_equal(solved[1], root[:p.n] @ quad.target @ root[:, p.n:])
 
     @pytest.mark.parametrize("family", [shared_jordan_pair, shared_semisimple_pair])
     @pytest.mark.parametrize("in_range", [True, False])
@@ -454,6 +454,20 @@ class TestSignClasses:
                 assert relative_gap(y, expected) <= 1e-10
             for q, expected in zip(quad.q_values, q_values, strict=True):
                 assert relative_gap(q, expected) <= 1e-10
+
+
+class TestClosedFormBlocks:
+    """The search assembles its branch roots and inverses from their blocks
+    and forms only the corner P_12 of P = R target R; each must agree with
+    the literal product it stands for."""
+
+    def test_roots_inverses_and_corners_are_the_literal_products(self):
+        for p in seeded_bridge_problems():
+            root_gaps, inverse_gaps, corner_gaps = closed_form_gaps(p)
+            assert len(root_gaps) == 4 and len(inverse_gaps) == len(corner_gaps) == 2
+            assert max(root_gaps) <= 1e-13, (p.n, p.m)
+            assert max(inverse_gaps) <= 1e-13, (p.n, p.m)
+            assert max(corner_gaps) <= 1e-13, (p.n, p.m)
 
 
 class TestSignPairs:
