@@ -199,21 +199,15 @@ def _difference(old, new) -> str:
     return f"parent {old!r}, change {new!r}"
 
 
-def _relative(old, new) -> float:
-    return float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
-
-
 def _sized(key: str, field: str, old_arrays: dict, new_arrays: dict) -> tuple:
     """For the digest ``field`` of bridge operation ``key``: the relative
-    change of its arrays, or None with the reason it has none, as (value,
-    text)."""
+    change of its arrays, or None when their shapes differ, and the text
+    that says so."""
     name = f"{key}/{field.removesuffix('_sha256')}"
-    old, new = old_arrays.get(name), new_arrays.get(name)
-    if old is None or new is None:
-        return None, "; arrays not recorded"
+    old, new = old_arrays[name], new_arrays[name]
     if old.shape != new.shape:
         return None, f"; shapes {old.shape} and {new.shape} differ"
-    relative = _relative(old, new)
+    relative = float(np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-300))
     return relative, f"; relative change {relative:.3g}"
 
 
