@@ -5,12 +5,12 @@ from hypothesis import settings
 
 from sylvcert.errors import PreconditionError
 from sylvcert.instances import jordan_block, mild_similarity, random_sector_eigenvalues
-from sylvcert import roots
 from sylvcert.numerics import (complex_schur, frob, lstsq_solve, rank_cutoff, schur_sqrt,
                                schur_sylvester)
 from sylvcert.oracle import OracleResult
 from sylvcert.regular import compute_offset, reduced_rhs
-from sylvcert.roots import BRANCHES, UNIPOTENT_TOL
+from sylvcert.roots import (BRANCHES, UNIPOTENT_TOL, _base_and_target, _branch_roots,
+                            solve_unipotent_quadratic)
 from sylvcert.singular import DEFAULT_TOL, decide_sylvester
 
 # derandomized, so every run draws the same examples
@@ -216,8 +216,8 @@ def closed_form_gaps(p, tol=DEFAULT_TOL) -> tuple:
     literal_inverses = [left @ upper(np.conj(s1) * inv_a, zero, np.conj(s2) * inv_b) @ right
                         for s1, s2 in signs[:2]]
 
-    base, target = roots._base_and_target(p)
-    branch_roots, inverses = roots._branch_roots(p, base, tol)
+    base, target = _base_and_target(p)
+    branch_roots, inverses = _branch_roots(p, base, tol)
     corners = []
 
     def decide_spy(problem, rhs, tol):
@@ -225,8 +225,8 @@ def closed_form_gaps(p, tol=DEFAULT_TOL) -> tuple:
         return decide_sylvester(problem, rhs, tol)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots, "decide_sylvester", decide_spy)
-        roots.solve_unipotent_quadratic(p, tol)
+        patch.setattr("sylvcert.roots.decide_sylvester", decide_spy)
+        solve_unipotent_quadratic(p, tol)
     literal_corners = [(root @ target @ root)[:n, n:] for root in branch_roots[:2]]
     return ([relative_gap(x, y) for x, y in zip(branch_roots, literal_roots, strict=True)],
             [relative_gap(x, y) for x, y in zip(inverses, literal_inverses, strict=True)],
